@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import (
     DivergenceError,
@@ -161,43 +161,10 @@ class _HurwitzTail:
             self._j += 1
         return self._bp
 
-    def _terms(self, j: int) -> Iterable[tuple[Fraction, Fraction]]:
-        """Bernoulli correction coefficients (c_i, c_i') for s = s0 + j,
-        where c_i = B_2i (s)_(2i-1) / (2i)! and c_i' is d(c_i)/ds."""
-        s = self.s0 + j
-        poch = s
-        dlog = Q(1) / s          # sum of 1/(s+r)
-        fact = 2
-        i = 1
-        while True:
-            c = _sp.bernoulli(2 * i) * poch / fact
-            yield c, c * dlog
-            poch *= (s + 2 * i - 1) * (s + 2 * i)
-            dlog += Q(1) / (s + 2 * i - 1) + Q(1) / (s + 2 * i)
-            fact *= (2 * i + 1) * (2 * i + 2)
-            i += 1
-
     def value(self, j: int) -> MpReal:
         """sum_{n >= a} n^-(s0+j) at the chain's working precision."""
-        bp = self._advance(j)
-        wp, a = self.wp, self.a
-        s = self.s0 + j
-        sm1 = s - 1
-        acc = bp * a * sm1.denominator // sm1.numerator
-        acc += bp >> 1
-        apow = a
-        prev = None
-        for c, _ in self._terms(j):
-            term = bp * c.numerator // (c.denominator * apow)
-            mag = abs(term)
-            if prev is not None and mag >= prev:
-                break
-            acc += term
-            if mag == 0:
-                break
-            prev = mag
-            apow *= a * a
-        return MpReal.from_fixed(acc, wp, wp)
+        acc = _sp._em_tail(self._advance(j), self.a, self.s0 + j)
+        return MpReal.from_fixed(acc, self.wp, self.wp)
 
     def logvalue(self, j: int) -> MpReal:
         """sum_{n >= a} ln(n) n^-(s0+j), the -d/ds of value(j)."""
@@ -210,20 +177,15 @@ class _HurwitzTail:
         acc = (bp * a * sm1.denominator // sm1.numerator) * la >> wp
         acc += bp * a * sm1.denominator**2 // sm1.numerator**2
         acc += (bp * la >> wp) >> 1
-        apow = a
-        prev = None
-        for c, cp in self._terms(j):
-            base = bp // apow
-            term = (base * la >> wp) * c.numerator // c.denominator
-            term -= base * cp.numerator // cp.denominator
-            mag = abs(term)
-            if prev is not None and mag >= prev:
-                break
-            acc += term
-            if mag == 0:
-                break
-            prev = mag
-            apow *= a * a
+        # the i-th correction of value(j) is c_i(s) a^(1-s-2i); its -d/ds
+        # weights it by ln(a) - dl with dl = sum_{r<2i-1} 1/(s+r)
+        sn, sd = s.numerator, s.denominator
+        dl = (sd << wp) // sn
+        r = 1
+        for t in _sp._em_corrections(bp, a, s):
+            acc += t * (la - dl) >> wp
+            dl += (sd << wp) // (sn + r * sd) + (sd << wp) // (sn + (r + 1) * sd)
+            r += 2
         return MpReal.from_fixed(acc, wp, wp)
 
 
@@ -1252,23 +1214,14 @@ def _euler_gamma(wp: int) -> MpReal:
     big = 128
     while 9 * big < wp + 48:
         big *= 2
+    w = wp + 16
     h = sum(Q(1, k) for k in range(1, big + 1))
-    acc = MpReal.from_fraction(h - Q(1, 2 * big), wp + 16)
-    acc = acc.add(
-        -log2_const(wp + 16).mul(big.bit_length() - 1, wp + 16), wp + 16)
-    prev = None
-    k = 1
-    while True:
-        term = _sp.bernoulli(2 * k) / (2 * k * Q(big) ** (2 * k))
-        mag = abs(term)
-        if prev is not None and mag >= prev:
-            break
-        acc = acc.add(MpReal.from_fraction(term, wp + 16), wp + 16)
-        if _log2_mag(MpReal.from_fraction(mag, 64)) < -(wp + 24):
-            break
-        prev = mag
-        k += 1
-    val = acc.round_to(wp)
+    acc = MpReal.from_fraction(h - Q(1, 2 * big), w)
+    acc = acc.add(-log2_const(w).mul(big.bit_length() - 1, w), w)
+    # gamma = H_big - ln(big) - 1/(2 big) + sum_k B_2k / (2k big^2k), the
+    # Euler-Maclaurin corrections at s = 1 on the scale of 1/big
+    corr = sum(_sp._em_corrections(1 << (w - big.bit_length() + 1), big, 1))
+    val = acc.add(MpReal.from_fixed(corr, w, w), w).round_to(wp)
     _gamma_cache[wp] = val
     return val
 

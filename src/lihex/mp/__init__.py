@@ -2,15 +2,19 @@
 
 The exported surface is small: the two number types, the constants pi and
 log2, elementary functions, and the zeta/gamma/polylog family used by the
-higher-level modules.
+higher-level modules.  Complex support stops at arithmetic and the
+principal logarithm.  Every zeta-type sum (zeta, Dirichlet beta, the
+Hurwitz zeta at integer s, and the series tails of :mod:`lihex.hyper`)
+ends in one Euler-Maclaurin kernel in :mod:`lihex.mp.special`, which
+reads one shared table of exact Bernoulli numbers.  ``hurwitz`` takes
+integer s >= 2 and ``gamma`` real arguments only.
 """
 
-from .cplx import MpComplex, cexp, cln, cpow, csin
+from .cplx import MpComplex, cln
 from .real import (
     MAX_FUNC_PREC,
     MpReal,
     atan,
-    atan2,
     cos,
     exp,
     ln,
@@ -23,7 +27,6 @@ from .real import log2_const as log2
 from .real import pi_const as pi
 from .special import (
     BERNOULLI_MAX,
-    HurwitzChain,
     bernoulli,
     beta_fn,
     dirichlet_beta,
@@ -47,17 +50,12 @@ __all__ = [
     "cos",
     "tan",
     "atan",
-    "atan2",
     "pow_int",
     "pow_real",
-    "cexp",
     "cln",
-    "cpow",
-    "csin",
     "bernoulli",
     "zeta",
     "hurwitz",
-    "HurwitzChain",
     "dirichlet_beta",
     "gamma",
     "beta_fn",

@@ -6,9 +6,9 @@ from fractions import Fraction
 from typing import Union
 
 from ..errors import DomainError
-from .real import MpReal, _atan_impl, _exp_impl, _ln_impl, _pi_fixed, _sincos
+from .real import MpReal, _atan_impl, _ln_impl, _pi_fixed
 
-__all__ = ["MpComplex", "cexp", "cln", "cpow", "csin"]
+__all__ = ["MpComplex", "cln"]
 
 CScalar = Union["MpComplex", MpReal, int, Fraction]
 
@@ -141,16 +141,6 @@ class MpComplex:
 # ----------------------------------------------------------------------
 
 
-def cexp(z: MpComplex, prec: int) -> MpComplex:
-    """exp(z) for complex z."""
-    wp = prec + 8
-    r = _exp_impl(z.re, wp)
-    if z.im.is_zero:
-        return MpComplex(r.round_to(prec), MpReal.zero(prec))
-    s, c = _sincos(z.im, wp)
-    return MpComplex(r.mul(c, prec), r.mul(s, prec))
-
-
 def cln(z: MpComplex, prec: int) -> MpComplex:
     """Principal branch of log(z); imaginary part in (-pi, pi]."""
     if z.is_zero:
@@ -173,22 +163,3 @@ def cln(z: MpComplex, prec: int) -> MpComplex:
             pi_wp = MpReal.from_fixed(_pi_fixed(wp), wp, wp)
             ang = ang.add(pi_wp) if y.sign > 0 else ang.add(-pi_wp)
     return MpComplex(mag.round_to(prec), ang.round_to(prec))
-
-
-def cpow(z: MpComplex, w: MpComplex, prec: int) -> MpComplex:
-    """z**w on the principal branch."""
-    wp = prec + 16
-    return cexp(cln(z, wp).mul(w, wp), prec)
-
-
-def csin(z: MpComplex, prec: int) -> MpComplex:
-    """sin(z) = sin(a)cosh(b) + i cos(a)sinh(b) for z = a + bi."""
-    wp = prec + 8 + max(0, z.im.sign and z.im.bit_top())
-    s, c = _sincos(z.re, wp)
-    if z.im.is_zero:
-        return MpComplex(s.round_to(prec), MpReal.zero(prec))
-    eb = _exp_impl(z.im, wp)
-    ebi = MpReal.from_int(1, wp).div(eb, wp)
-    ch = eb.add(ebi, wp).scalb(-1)
-    sh = eb.add(-ebi, wp).scalb(-1)
-    return MpComplex(s.mul(ch, prec), c.mul(sh, prec))

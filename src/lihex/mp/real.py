@@ -31,7 +31,6 @@ __all__ = [
     "cos",
     "tan",
     "atan",
-    "atan2",
     "pow_int",
     "pow_real",
 ]
@@ -126,13 +125,6 @@ class MpReal:
         """Interpret ``n`` as the fixed-point value ``n / 2**wp``."""
         return cls.make(1 if n >= 0 else -1, abs(n), -wp, prec)
 
-    @classmethod
-    def from_float(cls, x: float, prec: int) -> "MpReal":
-        if x != x or x in (math.inf, -math.inf):
-            raise DomainError("cannot convert non-finite float")
-        man, e = math.frexp(x)
-        return cls.make(1 if man >= 0 else -1, abs(int(man * (1 << 53))), e - 53, prec)
-
     def _coerce(self, other: Scalar) -> "MpReal":
         if isinstance(other, MpReal):
             return other
@@ -200,17 +192,6 @@ class MpReal:
             return 0
         s = -(self.exp + wp)
         return self.sign * _round_shift(self.man, s)
-
-    def floor(self) -> int:
-        if self.sign == 0:
-            return 0
-        if self.exp >= 0:
-            return self.sign * (self.man << self.exp)
-        shifted, rem = divmod(self.man, 1 << -self.exp)
-        val = self.sign * shifted
-        if self.sign < 0 and rem:
-            val -= 1
-        return val
 
     def to_decimal(self, digits: int = 0) -> str:
         """Decimal string with ``digits`` places after the point."""
@@ -665,25 +646,3 @@ def _atan_impl(x: MpReal, prec: int) -> MpReal:
         term = _shr0(term * t2, wp)
         k += 2
     return MpReal.from_fixed(acc << halvings, wp, prec)
-
-
-def atan2(y: MpReal, x: MpReal, prec: int) -> MpReal:
-    """Signed angle of the point (x, y), in (-pi, pi]."""
-    _check_func_prec(prec)
-    if x.sign == 0 and y.sign == 0:
-        raise DomainError("atan2(0, 0) is undefined")
-    wp = prec + 16
-    pi_wp = MpReal.from_fixed(_pi_fixed(wp), wp, wp)
-    if x.sign == 0:
-        q = pi_wp.scalb(-1).round_to(prec)
-        return q if y.sign > 0 else -q
-    if y.sign == 0:
-        if x.sign > 0:
-            return MpReal.zero(prec)
-        return pi_wp.round_to(prec)
-    base = _atan_impl(y.div(x, wp + 8), wp)
-    if x.sign > 0:
-        return base.round_to(prec)
-    if y.sign > 0:
-        return base.add(pi_wp, prec)
-    return base.add(-pi_wp, prec)

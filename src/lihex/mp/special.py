@@ -2,10 +2,14 @@
 and numerical Taylor coefficients.
 
 Everything here reduces to integer fixed-point work on top of
-:class:`~lihex.mp.real.MpReal`.  The zeta-family functions use
-Euler-Maclaurin summation with exact rational Bernoulli corrections; gamma
-uses a Spouge-style convergent approximation with reflection for the left
-half plane.
+:class:`~lihex.mp.real.MpReal`.  Every Euler-Maclaurin tail in the
+package -- zeta, Dirichlet beta, the integer-argument Hurwitz zeta and
+the 3F2 and Catalan tails in :mod:`lihex.hyper` -- goes through one
+fixed-point kernel, :func:`_em_tail`, whose corrections read one shared
+table of exact Bernoulli numbers that grows entry by entry and never
+recomputes one.  :func:`hurwitz` takes integer s only and :func:`gamma`
+real arguments only; gamma uses a Spouge-style convergent approximation
+with reflection for the left half line.
 """
 
 from __future__ import annotations
@@ -13,17 +17,16 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError, PrecisionError
-from .cplx import MpComplex, cexp, cln, cpow, csin
+from .cplx import MpComplex
 from .real import MpReal, _exp_impl, _ln_impl, _pi_fixed, _sincos
 
 __all__ = [
     "bernoulli",
     "zeta",
     "hurwitz",
-    "HurwitzChain",
     "dirichlet_beta",
     "gamma",
     "beta_fn",
@@ -36,41 +39,103 @@ BERNOULLI_MAX = 2048
 # ----------------------------------------------------------------------
 # Bernoulli numbers
 
-# tangent numbers T_1, T_2, ... (1, 2, 16, 272, 7936, ...); grown on demand
-_tangent: list[int] = []
-_bern_lock = threading.Lock()
+
+class _BernoulliTable:
+    """Exact B_2, B_4, ..., each computed once, in order, on demand.
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers
+    T_k (1, 2, 16, 272, ...).  The Knuth-Buckholtz recurrence
+    t_j^(k) = (j-k) t_(j-1)^(k) + (j-k+2) t_j^(k-1), t_j^(1) = (j-1)!,
+    T_j = t_j^(j), is run one column j at a time: the kept column
+    t_j^(1..j) is all the next one needs, so growing to n costs O(n^2)
+    however the requests arrive, and the entries never depend on them.
+    """
+
+    def __init__(self) -> None:
+        self.b: list[Fraction] = [Fraction(1, 6)]
+        self._col = [1]  # t_j^(1..j) for j = len(self.b)
+        self._lock = threading.Lock()
+
+    def upto(self, n: int) -> list[Fraction]:
+        """The table, holding at least B_2..B_2n."""
+        if len(self.b) < n:
+            with self._lock:
+                while len(self.b) < n:
+                    col = self._col
+                    j = len(col) + 1
+                    new = [(j - 1) * col[0]]
+                    for k in range(2, j):
+                        new.append((j - k) * col[k - 1] + (j - k + 2) * new[-1])
+                    new.append(2 * new[-1])
+                    self._col = new
+                    four_j = 1 << (2 * j)
+                    sign = 1 if j % 2 == 1 else -1
+                    self.b.append(
+                        Fraction(sign * 2 * j * new[-1], four_j * (four_j - 1)))
+        return self.b
 
 
-def _grow_tangent(n: int) -> None:
-    """Ensure T_1..T_n are cached (Knuth-Buckholtz recurrence)."""
-    if len(_tangent) >= n:
-        return
-    t = [0] * (n + 1)
-    t[1] = 1
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    _tangent.clear()
-    _tangent.extend(t[1:])
+_bernoulli_table = _BernoulliTable()
 
 
 def bernoulli(m: int) -> Fraction:
     """Exact Bernoulli number B_m for even m with 2 <= m <= 2048."""
     if m % 2 != 0 or not 2 <= m <= BERNOULLI_MAX:
         raise DomainError(f"bernoulli defined for even 2 <= m <= {BERNOULLI_MAX}, got {m}")
-    n = m // 2
-    with _bern_lock:
-        _grow_tangent(n)
-        t_n = _tangent[n - 1]
-    sign = 1 if n % 2 == 1 else -1
-    four_n = 1 << (2 * n)
-    return Fraction(sign * m * t_n, four_n * (four_n - 1))
+    return _bernoulli_table.upto(m // 2)[m // 2 - 1]
 
 
 # ----------------------------------------------------------------------
-# Riemann zeta at integer arguments
+# the Euler-Maclaurin kernel
+#
+# For rational x > 0 and s > 1,
+#   sum_{k>=0} (x+k)^-s = x^(1-s)/(s-1) + x^-s/2
+#                         + sum_{i>=1} B_2i/(2i)! (s)_(2i-1) x^(1-s-2i) + R.
+# Callers sum the head of their series directly and pass the boundary
+# power bp = x^-s in fixed point; every term below is bp times an exact
+# rational cofactor, formed by one division, so no shared power can
+# underflow ahead of its cofactor.
+
+
+def _em_corrections(bp: int, x, s) -> Iterator[int]:
+    """The corrections B_2i/(2i)! (s)_(2i-1) x^(1-s-2i), i = 1, 2, ...,
+    as fixed-point integers on bp's scale (x and s are ints or Fractions).
+
+    The series is asymptotic: it ends before the first term that is
+    zero or no smaller than the one before.
+    """
+    sn, sd = s.numerator, s.denominator
+    xn, xd = x.numerator, x.denominator
+    num, den = sn * xd, 2 * sd * xn  # (s)_(2i-1) x^(1-2i) / (2i)!, i = 1
+    table = _bernoulli_table.b
+    prev = None
+    i = 1
+    while True:
+        if i > len(table):
+            _bernoulli_table.upto(i)
+        b = table[i - 1]
+        p = bp * b.numerator * num
+        q = b.denominator * den
+        t = -((-p) // q) if p < 0 else p // q
+        mag = abs(t)
+        if mag == 0 or (prev is not None and mag >= prev):
+            return
+        yield t
+        prev = mag
+        num *= (sn + (2 * i - 1) * sd) * (sn + 2 * i * sd) * xd * xd
+        den *= (2 * i + 1) * (2 * i + 2) * (sd * xn) ** 2
+        i += 1
+
+
+def _em_tail(bp: int, x, s) -> int:
+    """sum_{k>=0} (x+k)^-s on bp's fixed-point scale, from bp = x^-s."""
+    sm1 = s - 1
+    head = bp * x.numerator * sm1.denominator // (x.denominator * sm1.numerator)
+    return head + (bp >> 1) + sum(_em_corrections(bp, x, s))
+
+
+# ----------------------------------------------------------------------
+# Riemann and Hurwitz zeta at integer arguments
 
 
 def _check_prec(prec: int) -> None:
@@ -79,17 +144,6 @@ def _check_prec(prec: int) -> None:
 
 
 _zeta_cache: dict[tuple[int, int], MpReal] = {}
-
-
-def _em_cutoffs(wp: int, s_size: int) -> tuple[int, int]:
-    """Direct-sum length N and Bernoulli count J for Euler-Maclaurin at
-    wp bits with |s| of order s_size.  The correction term at index J
-    scales like ((s_size + 2J) / (2*pi*e*N))**(2J); N is sized so that
-    this lands safely below 2**-wp."""
-    J = max(4, min((wp + 3) // 4, BERNOULLI_MAX // 2 - 2))
-    N = math.ceil((s_size + 2 * J) / (2 * math.pi * math.e)
-                  * 2.0 ** ((wp + 16) / (2 * J))) + 4
-    return max(16, N), J
 
 
 def zeta(n: int, prec: int) -> MpReal:
@@ -101,48 +155,19 @@ def zeta(n: int, prec: int) -> MpReal:
     hit = _zeta_cache.get(key)
     if hit is not None:
         return hit
-    wp = prec + 32
-    N, J = _em_cutoffs(wp, n)
-    acc = 0
-    for k in range(1, N):
-        t = (1 << wp) // k**n
-        acc += t
-        if t == 0:
-            # the direct series alone has converged past 2**-wp
-            val = MpReal.from_fixed(acc, wp, prec)
-            _zeta_cache[key] = val
-            return val
-    Npow = N**n
-    acc += ((1 << wp) // Npow) >> 1
-    acc += (1 << wp) // ((n - 1) * N ** (n - 1))
-    # Bernoulli corrections: B_2j/(2j)! * (n)_(2j-1) * N^(1-n-2j)
-    poch = n  # (n)_1
-    fact = 2  # (2j)!
-    npow = Npow * N  # N^(n+2j-1)
-    for j in range(1, J + 1):
-        b = bernoulli(2 * j)
-        num = b.numerator * poch << wp
-        den = b.denominator * fact * npow
-        t = -((-num) // den) if num < 0 else num // den
-        acc += t
-        if t == 0:
-            break
-        poch *= (n + 2 * j - 1) * (n + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
-        npow *= N * N
-    val = MpReal.from_fixed(acc, wp, prec)
+    val = _hurwitz_int(n, Fraction(1), prec)
     _zeta_cache[key] = val
     return val
-
-
-# ----------------------------------------------------------------------
-# Hurwitz zeta
 
 
 def _hurwitz_int(n: int, a: Fraction, prec: int) -> MpReal:
     """zeta(n, a) for integer n >= 2 and rational 0 < a <= 1."""
     wp = prec + 32
-    N, J = _em_cutoffs(wp, n)
+    # direct-sum length N: the correction at index J scales like
+    # ((n + 2J) / (2*pi*e*N))**(2J), so N puts it below 2**-(wp+16)
+    J = max(4, min((wp + 3) // 4, BERNOULLI_MAX // 2 - 2))
+    N = max(16, math.ceil((n + 2 * J) / (2 * math.pi * math.e)
+                          * 2.0 ** ((wp + 16) / (2 * J))) + 4)
     p, q = a.numerator, a.denominator
     acc = 0
     qn = q**n
@@ -151,145 +176,20 @@ def _hurwitz_int(n: int, a: Fraction, prec: int) -> MpReal:
         acc += t
         if t == 0 and k > 0:
             return MpReal.from_fixed(acc, wp, prec)
-    # boundary at x = N + a; each correction term is assembled from exact
-    # integer powers so that growing rational cofactors cannot be lost to
-    # a prematurely underflowed shared power
-    base_num, base_den = q, q * N + p  # 1/(N+a)
-    bp = (base_num**n << wp) // base_den**n  # (N+a)^-n
-    acc += bp >> 1
-    acc += (bp * base_den) // (base_num * (n - 1))  # (N+a)^(1-n)/(n-1)
-    poch = n
-    fact = 2
-    qpow = base_num ** (n + 1)  # numerator of (N+a)^-(n+2j-1)
-    dpow = base_den ** (n + 1)
-    for j in range(1, J + 1):
-        b = bernoulli(2 * j)
-        num = b.numerator * poch * qpow << wp
-        den = b.denominator * fact * dpow
-        t = -((-num) // den) if num < 0 else num // den
-        acc += t
-        if t == 0:
-            break
-        poch *= (n + 2 * j - 1) * (n + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
-        qpow *= base_num * base_num
-        dpow *= base_den * base_den
+    bp = (qn << wp) // (q * N + p) ** n
+    acc += _em_tail(bp, Fraction(q * N + p, q), n)
     return MpReal.from_fixed(acc, wp, prec)
 
 
-def _pow_frac(base_num: int, base_den: int, s: Fraction, wp: int) -> MpReal:
-    """(base_num/base_den)**s at wp bits (positive base)."""
-    b = MpReal.from_fraction(Fraction(base_num, base_den), wp + 16)
-    ls = _ln_impl(b, wp + 16).mul(MpReal.from_fraction(s, wp + 16), wp + 8)
-    return _exp_impl(ls, wp)
-
-
 def hurwitz(s: Fraction, a: Fraction, prec: int) -> MpReal:
-    """Hurwitz zeta(s, a) for rational s > 1 and rational 0 < a <= 1."""
-    if s <= 1:
-        raise DomainError("hurwitz requires s > 1")
+    """Hurwitz zeta(s, a) for integer s >= 2 and rational 0 < a <= 1."""
+    s, a = Fraction(s), Fraction(a)
+    if s.denominator != 1 or s < 2:
+        raise DomainError("hurwitz requires an integer s >= 2")
     if not 0 < a <= 1:
         raise DomainError("hurwitz requires 0 < a <= 1")
     _check_prec(prec)
-    if s.denominator == 1:
-        return _hurwitz_int(int(s), a, prec)
-    chain = HurwitzChain(s, a, prec)
-    return chain.value(0)
-
-
-class HurwitzChain:
-    """Values zeta(s0 + j, a) for j = 0, 1, 2, ... sharing one set of
-    power evaluations.
-
-    Evaluating a family of Hurwitz zetas whose arguments differ by
-    integers is the inner loop of the accelerated series tails; each
-    increment of j only costs exact integer divisions on cached
-    fixed-point bases.
-    """
-
-    def __init__(self, s0: Fraction, a: Fraction, prec: int):
-        if s0 <= 1:
-            raise DomainError("HurwitzChain requires s0 > 1")
-        if not 0 < a <= 1:
-            raise DomainError("HurwitzChain requires 0 < a <= 1")
-        _check_prec(prec)
-        self.s0 = s0
-        self.a = a
-        self.prec = prec
-        wp = prec + 48
-        self.wp = wp
-        # head-room in the cutoffs for argument shifts j up to ~128
-        self.M, self.K = _em_cutoffs(wp, math.ceil(s0) + 128)
-        p, q = a.numerator, a.denominator
-        if s0.denominator == 1:
-            s_int = int(s0)
-            self._direct = [
-                (q**s_int << wp) // (q * k + p) ** s_int for k in range(self.M)
-            ]
-            self._bp = (q**s_int << wp) // (q * self.M + p) ** s_int
-        else:
-            self._direct = [
-                _pow_frac(q, q * k + p, s0, wp).to_fixed(wp) for k in range(self.M)
-            ]
-            self._bp = _pow_frac(q, q * self.M + p, s0, wp).to_fixed(wp)
-        self._j = 0
-        self._cache: dict[int, MpReal] = {}
-
-    def _advance_to(self, j: int) -> None:
-        p, q = self.a.numerator, self.a.denominator
-        while self._j < j:
-            self._direct = [
-                v * q // (q * k + p) for k, v in enumerate(self._direct)
-            ]
-            self._bp = self._bp * q // (q * self.M + p)
-            self._j += 1
-
-    def value(self, j: int) -> MpReal:
-        """zeta(s0 + j, a) at the chain's precision."""
-        if j < 0:
-            raise DomainError("chain index must be nonnegative")
-        hit = self._cache.get(j)
-        if hit is not None:
-            return hit
-        if j < self._j:
-            # recompute a skipped-back index from scratch (rare)
-            return hurwitz(self.s0 + j, self.a, self.prec)
-        self._advance_to(j)
-        wp = self.wp
-        s = self.s0 + j
-        p, q = self.a.numerator, self.a.denominator
-        acc = sum(self._direct)
-        bp = self._bp
-        base_num, base_den = q, q * self.M + p
-        acc += bp >> 1
-        # (M+a)^(1-s)/(s-1)
-        sm1 = s - 1
-        acc += bp * base_den * sm1.denominator // (base_num * sm1.numerator)
-        poch = s  # rational pochhammer (s)_(2i-1)
-        fact = 2
-        qpow, dpow = base_num, base_den  # exact (N+a)^-(2i-1) cofactor of bp
-        prev_mag = None
-        for i in range(1, self.K + 1):
-            b = bernoulli(2 * i)
-            coef = b / fact * poch
-            num = coef.numerator * qpow * bp
-            den = coef.denominator * dpow
-            term = -((-num) // den) if num < 0 else num // den
-            mag = abs(term)
-            if prev_mag is not None and mag > prev_mag:
-                # asymptotic series turned: stop at the smallest term
-                break
-            acc += term
-            if mag == 0:
-                break
-            prev_mag = mag
-            poch *= (s + 2 * i - 1) * (s + 2 * i)
-            fact *= (2 * i + 1) * (2 * i + 2)
-            qpow *= base_num * base_num
-            dpow *= base_den * base_den
-        val = MpReal.from_fixed(acc, wp, self.prec)
-        self._cache[j] = val
-        return val
+    return _hurwitz_int(int(s), a, prec)
 
 
 # ----------------------------------------------------------------------
@@ -375,49 +275,19 @@ def _is_nonpos_int(x: MpReal) -> bool:
     return x.to_fraction().denominator == 1
 
 
-def gamma(z: MpComplex | MpReal, prec: int) -> MpComplex | MpReal:
-    """Gamma function, relative error below 2**-prec.
-
-    Accepts and returns MpReal for real arguments, MpComplex otherwise.
-    """
+def gamma(z: MpReal, prec: int) -> MpReal:
+    """Gamma function of a real argument, relative error below 2**-prec."""
     _check_prec(prec)
-    if isinstance(z, MpReal):
-        if _is_nonpos_int(z):
-            raise PoleError("gamma pole at a non-positive integer")
-        if z._cmp(Fraction(1, 2)) >= 0:
-            return _gamma_pos_real(z, prec)
-        # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
-        wp = prec + 32
-        pi_wp = MpReal.from_fixed(_pi_fixed(wp), wp, wp)
-        s, _ = _sincos(pi_wp.mul(z, wp + max(8, abs(z.bit_top()) + 8)), wp)
-        g = _gamma_pos_real(MpReal.from_int(1, wp).add(-z, wp), wp)
-        return pi_wp.div(s.mul(g, wp), prec)
-    if z.im.is_zero:
-        return MpComplex.from_real(gamma(z.re, prec))  # type: ignore[arg-type]
-    return _gamma_cplx(z, prec)
-
-
-def _gamma_cplx(z: MpComplex, prec: int) -> MpComplex:
-    wp = _spouge_wp(prec) + max(
-        0, z.re.sign and z.re.bit_top(), z.im.sign and z.im.bit_top()
-    )
-    if z.re._cmp(Fraction(1, 2)) < 0:
-        # reflection
-        pi_wp = MpReal.from_fixed(_pi_fixed(wp), wp, wp)
-        piz = z.mul(MpComplex.from_real(pi_wp), wp)
-        s = csin(piz, wp)
-        g = _gamma_cplx(MpComplex.from_int(1, wp).add(-z, wp), wp)
-        return MpComplex.from_real(pi_wp).div(s.mul(g, wp), prec)
-    a = int(wp / 2.65) + 3
-    coeffs = _spouge_coeffs(a, wp)
-    zz = z.add(-1, wp)
-    s = MpComplex.from_real(coeffs[0])
-    for k in range(1, a):
-        s = s.add(MpComplex.from_real(coeffs[k]).div(zz.add(k, wp), wp), wp)
-    za = zz.add(a, wp)
-    half = MpComplex.from_fractions(Fraction(1, 2), Fraction(0), wp)
-    lead = cexp(zz.add(half, wp).mul(cln(za, wp), wp).add(-za, wp), wp)
-    return lead.mul(s, prec)
+    if _is_nonpos_int(z):
+        raise PoleError("gamma pole at a non-positive integer")
+    if z._cmp(Fraction(1, 2)) >= 0:
+        return _gamma_pos_real(z, prec)
+    # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
+    wp = prec + 32
+    pi_wp = MpReal.from_fixed(_pi_fixed(wp), wp, wp)
+    s, _ = _sincos(pi_wp.mul(z, wp + max(8, abs(z.bit_top()) + 8)), wp)
+    g = _gamma_pos_real(MpReal.from_int(1, wp).add(-z, wp), wp)
+    return pi_wp.div(s.mul(g, wp), prec)
 
 
 def beta_fn(a: MpReal, b: MpReal, prec: int) -> MpReal:
@@ -426,7 +296,7 @@ def beta_fn(a: MpReal, b: MpReal, prec: int) -> MpReal:
     ga = gamma(a.round_to(wp), wp)
     gb = gamma(b.round_to(wp), wp)
     gab = gamma(a.add(b, wp), wp)
-    return ga.mul(gb, wp).div(gab, prec)  # type: ignore[union-attr]
+    return ga.mul(gb, wp).div(gab, prec)
 
 
 # ----------------------------------------------------------------------

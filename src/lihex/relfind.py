@@ -181,7 +181,6 @@ def pslq(q: RelationQuery) -> RelationResult:
         for i in range(j + 1, n):
             H[i][j] = _round_div(-x[i] * x[j] * one, d)
 
-    A = [[int(i == j) for j in range(n)] for i in range(n)]
     B = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def reduce_rows(start: int, cap: int) -> None:
@@ -195,9 +194,6 @@ def pslq(q: RelationQuery) -> RelationResult:
                 Hi, Hj = H[i], H[j]
                 for k in range(j + 1):
                     Hi[k] -= t * Hj[k]
-                Ai, Aj = A[i], A[j]
-                for k in range(n):
-                    Ai[k] -= t * Aj[k]
                 for row in B:
                     row[j] += t * row[i]
 
@@ -222,7 +218,6 @@ def pslq(q: RelationQuery) -> RelationResult:
 
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
-        A[m], A[m + 1] = A[m + 1], A[m]
         for row in B:
             row[m], row[m + 1] = row[m + 1], row[m]
 

@@ -601,20 +601,6 @@ def order2_im_relations() -> list[RelationSpec]:
     ]
 
 
-def order2_re_relations() -> list[RelationSpec]:
-    """Real parts used for the classic pi^2 and log^2(2) formulas."""
-    p2 = Monomial(pi=2)
-    l2 = Monomial(log2=2)
-    return [
-        RelationSpec("w21.re",
-                     ((_Q(2), "(1+i)/2", 2, "re"),),
-                     ((_Q(5, 48), p2), (_Q(-1, 4), l2))),
-        RelationSpec("h22",
-                     ((_Q(1), "1/2", 2, "re"),),
-                     ((_Q(1, 12), p2), (_Q(-1, 2), l2))),
-    ]
-
-
 def order3_im_relations() -> list[RelationSpec]:
     b3 = Monomial(beta=3)
     return [

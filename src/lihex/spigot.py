@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import GuardExhausted, UnknownName
+from .errors import DomainError, GuardExhausted, UnknownName
 from .series import Formula, SeriesSpec, catalog, eval_formula
 
-__all__ = ["DigitRequest", "DigitRun", "frac_term_sum", "hex_digits",
-           "self_check", "MAX_MODULUS_BITS"]
+__all__ = ["DigitRequest", "DigitRun", "hex_digits", "self_check",
+           "MAX_MODULUS_BITS"]
 
 MAX_MODULUS_BITS = 192
 _BLOCK = 1 << 16
@@ -34,15 +33,15 @@ class DigitRequest:
 
     def __post_init__(self) -> None:
         if self.position < 1:
-            raise ValueError("position is 1-based")
+            raise DomainError("position is 1-based")
         if not 1 <= self.count <= 64:
-            raise ValueError("count must be in 1..64")
+            raise DomainError("count must be in 1..64")
         if self.position + self.count > _MAX_POSITION:
-            raise ValueError("position beyond the supported range")
+            raise DomainError("position beyond the supported range")
         if self.guard_bits < 16 or self.guard_bits % 4:
-            raise ValueError("guard_bits must be a multiple of 4, >= 16")
+            raise DomainError("guard_bits must be a multiple of 4, >= 16")
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+            raise DomainError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,6 @@ def _sum_block(spec: SeriesSpec, u: int, v: int, shift: int, acc_bits: int,
         v2 = (k & -k).bit_length() - 1
         kodd = k >> v2
         m = v * kodd ** n
-        if m.bit_length() > MAX_MODULUS_BITS:
-            raise OverflowError(
-                f"modulus {m.bit_length()} bits exceeds the "
-                f"{MAX_MODULUS_BITS}-bit design cap at k={k}")
         ee = shift - e - v2 * n
         au = a * u
         if ee >= 0:
@@ -95,29 +90,6 @@ def _sum_block(spec: SeriesSpec, u: int, v: int, shift: int, acc_bits: int,
             elif -sh < au.bit_length() + 8:
                 acc += au // (m << -sh)
     return acc
-
-
-def frac_term_sum(spec: SeriesSpec, multiplier: Fraction, shift: int,
-                  acc_bits: int) -> int:
-    """frac(2^shift * multiplier * S(spec)) as an acc_bits fixed-point int.
-
-    Powers of two inside the multiplier are folded into the shift so the
-    modulus stays odd.  The error is a few units in the last place per
-    summed term, which the caller's guard bits absorb.
-    """
-    u = multiplier.numerator
-    v = multiplier.denominator
-    if u == 0:
-        return 0
-    tz = (u & -u).bit_length() - 1
-    u >>= tz
-    shift += tz
-    tz = (v & -v).bit_length() - 1
-    v >>= tz
-    shift -= tz
-    kmax = _term_ranges(spec, shift, abs(u).bit_length(), acc_bits)
-    acc = _sum_block(spec, u, v, shift, acc_bits, 1, kmax + 1)
-    return acc % (1 << acc_bits)
 
 
 def _carry_run(acc: int, acc_bits: int, count: int) -> int:
@@ -159,6 +131,16 @@ def _formula_jobs(f: Formula, shift0: int, acc_bits: int) -> list[tuple]:
         v >>= tz
         shift -= tz
         kmax = _term_ranges(spec, shift, abs(u).bit_length(), acc_bits)
+        # the largest modulus v * odd(k)^n: each residue of k mod 8 reaches
+        # its largest odd part within the last 16 k, so only those count
+        top = max((k >> ((k & -k).bit_length() - 1)
+                   for k in range(max(1, kmax - 15), kmax + 1)
+                   if spec.pattern[(k - 1) & 7]), default=1)
+        bits = (v * top ** spec.n).bit_length()
+        if bits > MAX_MODULUS_BITS:
+            raise DomainError(
+                f"position needs a {bits}-bit modulus, above the "
+                f"{MAX_MODULUS_BITS}-bit cap")
         k = 1
         while k <= kmax:
             hi = min(k + _BLOCK, kmax + 1)

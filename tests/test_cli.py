@@ -162,6 +162,13 @@ def test_bad_position_is_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_unreachable_position_is_usage_error(capsys):
+    rc, _, err = run(capsys, "digits", "--constant", "zeta5",
+                     "--position", "8589934592")
+    assert rc == 2
+    assert "usage error" in err
+
+
 def test_unknown_constant_is_failure(capsys):
     rc, _, err = run(capsys, "digits", "--constant", "sqrt2",
                      "--position", "1")

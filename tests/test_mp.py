@@ -1,12 +1,15 @@
 """Arithmetic layer: constants against published digits, exact
 round-trips, and the basic algebra the rest of the package leans on."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lihex.errors import PoleError, PrecisionError
+from lihex.errors import DomainError, PoleError, PrecisionError
+from lihex.hyper import _HurwitzTail
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import (MpReal, atan, cos, exp, ln, log2_const, pi_const,
@@ -146,3 +149,82 @@ def test_bernoulli_exact_values():
 def test_precision_bounds_are_enforced():
     with pytest.raises(PrecisionError):
         MpReal.make(1, 12345, 0, 1)
+
+
+# ----------------------------------------------------------------------
+# the Euler-Maclaurin kernel and its Bernoulli table
+
+
+def _akiyama_tanigawa(m_max: int) -> dict[int, Fraction]:
+    """B_m for m <= m_max from the Akiyama-Tanigawa triangle (B_1 = +1/2)."""
+    row = []
+    out = {}
+    for m in range(m_max + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out[m] = row[0]
+    return out
+
+
+def test_bernoulli_table_is_history_independent(monkeypatch):
+    monkeypatch.setattr(sp, "_bernoulli_table", sp._BernoulliTable())
+    sp.bernoulli(1000)
+    top_first = [sp.bernoulli(m) for m in range(2, 1001, 2)]
+    monkeypatch.setattr(sp, "_bernoulli_table", sp._BernoulliTable())
+    ascending = [sp.bernoulli(m) for m in range(2, 1001, 2)]
+    assert top_first == ascending
+    ref = _akiyama_tanigawa(200)
+    assert ascending[:100] == [ref[m] for m in range(2, 201, 2)]
+
+
+def test_bernoulli_table_grows_only_to_need():
+    table = sp._BernoulliTable()
+    table.upto(37)
+    assert len(table.b) == 37
+    table.upto(5)
+    assert len(table.b) == 37
+
+
+def _close(a: MpReal, b: MpReal, prec: int) -> bool:
+    d = a - b
+    return d.is_zero or d.bit_top() <= b.bit_top() - (prec - 4)
+
+
+@pytest.mark.parametrize("prec", [256, 2048])
+def test_hurwitz_closed_forms(prec):
+    for n in (2, 3, 7):
+        z = sp.zeta(n, prec)
+        assert _close(sp.hurwitz(n, Fraction(1), prec), z, prec)
+        assert _close(sp.hurwitz(n, Fraction(1, 2), prec),
+                      z.mul((1 << n) - 1, prec + 8), prec)
+        diff = sp.hurwitz(n, Fraction(1, 4), prec + 16).add(
+            -sp.hurwitz(n, Fraction(3, 4), prec + 16), prec + 16)
+        assert _close(diff, sp.dirichlet_beta(n, prec).scalb(2 * n), prec)
+
+
+@pytest.mark.parametrize("wp", [128, 1024])
+def test_tail_chain_and_zeta_share_one_kernel(wp):
+    tail = _HurwitzTail(Fraction(3), 128, wp).value(0)
+    head = sum(Fraction(1, k**3) for k in range(1, 128))
+    want = sp.zeta(3, wp).add(MpReal.from_fraction(-head, wp + 8), wp)
+    d = tail - want
+    assert d.is_zero or d.bit_top() <= -(wp - 16)
+
+
+def test_hurwitz_rejects_non_integer_s():
+    with pytest.raises(DomainError):
+        sp.hurwitz(Fraction(3, 2), Fraction(1, 2), 128)
+    with pytest.raises(DomainError):
+        sp.hurwitz(Fraction(1), Fraction(1, 2), 128)
+
+
+def test_benchmark_trace_names_exist():
+    # the traced benchmark pass wraps these module attributes by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for attrs in tracing.SPECIAL_WRAPS.values():
+        for attr in attrs:
+            assert callable(getattr(sp, attr, None)), attr

@@ -2,9 +2,12 @@
 high-precision summation, window-overlap consistency, and the exact
 thread-count independence of the accumulator."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lihex.errors import DomainError
 from lihex.series import eval_formula
 from lihex.spigot import DigitRequest, DigitRun, _carry_run, hex_digits, self_check
 
@@ -73,6 +76,17 @@ def test_request_validation():
         DigitRequest("pi", 1, 16, guard_bits=13)
     with pytest.raises(ValueError):
         DigitRequest("pi", 1, 16, threads=0)
+
+
+def test_unreachable_position_fails_before_summing():
+    # weight-5 moduli pass the 192-bit cap near position 4.98e9; the
+    # request is refused before any of its ~2**35 terms is summed
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        hex_digits(DigitRequest("zeta5", 2**33))
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(DomainError):
+        DigitRequest("pi", 0)
 
 
 def test_carry_run_measures_boundary_runs():
