@@ -16,7 +16,7 @@ from .errors import LihexError
 from .hyper import CHECKS
 from .ladders import RELATIONS, CheckReport, check_all, check_relation
 from .mp.real import MpReal, pow_int
-from .relfind import RelationQuery, pslq
+from .relfind import RelationQuery, pslq, required_bits
 from .series import Monomial, SeriesSpec, catalog, eval_formula, eval_series
 from .spigot import DigitRequest, hex_digits
 
@@ -206,11 +206,22 @@ def _cmd_hyper(args: argparse.Namespace) -> int:
     return _print_reports(CHECKS[args.check](args.bits), args.json)
 
 
+def _default_digits(bits: int, n: int) -> int:
+    """Largest coefficient size a search over n values at bits admits."""
+    d = 1
+    while required_bits(n, d + 1) <= bits:
+        d += 1
+    return d
+
+
 def _cmd_discover(args: argparse.Namespace) -> int:
     wp = args.bits + 32
     vals = tuple(_eval_expr(e, wp).round_to(args.bits)
                  for e in _split_values(args.values))
-    res = pslq(RelationQuery(vals, max_digits=args.max_digits,
+    digits = args.max_digits
+    if digits is None:
+        digits = _default_digits(args.bits, len(vals))
+    res = pslq(RelationQuery(vals, max_digits=digits,
                              max_iterations=args.max_iterations))
     if args.json:
         d = res.as_dict()
@@ -273,7 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated expressions: catalog names, "
                         "S(n,p,w1..w8), monomial(a,b), products of powers")
     p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--max-digits", type=int, default=12)
+    p.add_argument("--max-digits", type=int, default=None,
+                   help="decimal digits of the largest coefficient sought "
+                        "(default: the most that --bits allows for this "
+                        "many values)")
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_discover)

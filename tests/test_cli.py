@@ -134,6 +134,27 @@ def test_discover_power_grammar(capsys):
     assert json.loads(out)["vector"] == [1, -1]
 
 
+EIGHT = "pi,zeta3,catalan,log2cu,zeta5,pi4,beta3,log2_4"
+
+
+def test_discover_reports_no_coincidence(capsys):
+    # with --max-digits 12 at 256 bits this once printed a "relation"
+    # whose residual stayed at 2**-172 at any precision
+    rc, out, _ = run(capsys, "discover", "--values", EIGHT)
+    assert "found" not in out
+    assert rc in (0, 1)
+
+
+def test_discover_default_digits_follow_the_precision_rule(capsys):
+    # 8 values at 256 bits: 7 digits fit the precision rule, 8 do not
+    default = run(capsys, "discover", "--values", EIGHT, "--json")
+    assert default == run(capsys, "discover", "--values", EIGHT, "--json",
+                          "--max-digits", "7")
+    rc, _, err = run(capsys, "discover", "--values", EIGHT,
+                     "--max-digits", "8")
+    assert rc == 2 and "usage error" in err and "bits" in err
+
+
 # ----------------------------------------------------------------------
 # exit codes and config
 

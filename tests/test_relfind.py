@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from lihex.errors import DomainError, PrecisionError
 from lihex.ladders import RELATIONS, _F11_LHS, _F11_LIS, _F11_MONS, _li_part_val
 from lihex.mp.real import MpReal, log2_const, pi_const
-from lihex.relfind import RelationQuery, RelationResult, _canonical, pslq, verify_vector
+from lihex.relfind import (RelationQuery, RelationResult, _canonical,
+                           _pigeonhole, pslq, required_bits, verify_vector)
 from lihex.series import Monomial, SeriesSpec, eval_formula, eval_series
 
 F11_VECTOR = tuple([_F11_LHS] + [-c for c, _ in _F11_LIS]
@@ -168,3 +169,132 @@ def test_verify_zero_vector_and_mismatch():
     assert rep.passed and rep.log2_residual == float("-inf")
     with pytest.raises(DomainError):
         verify_vector((1, 2, 3), vals, 256)
+
+
+# ----------------------------------------------------------------------
+# precision rule, pigeonhole gate and the certified bound
+
+def test_precision_rule_grows_with_dimension():
+    # 16 bits per digit is not enough for 8 values: 8*12 digits need
+    # 319 bits before the 64-bit margin
+    assert required_bits(8, 12) == 383
+    assert required_bits(2, 12) == 16 * 12
+    vals = tuple(eval_formula(c, 256) for c in
+                 ("pi", "zeta3", "catalan", "log2cu", "zeta5", "pi4",
+                  "beta3", "log2_4"))
+    with pytest.raises(PrecisionError):
+        pslq(RelationQuery(vals, max_digits=12))
+    # 7 digits is the most 256 bits allow for 8 values
+    assert required_bits(8, 7) <= 256 < required_bits(8, 8)
+    with pytest.raises(PrecisionError):
+        pslq(RelationQuery(vals, max_digits=8))
+    assert pslq(RelationQuery(vals, max_digits=7)).status != "found"
+
+
+def test_pigeonhole_gate():
+    # a coincidence eight 256-bit constants admit: 2**-172 is above the
+    # floor h**-7 for its height h ~ 2**24.9, so it is no relation
+    fake = (3099624, 2382306, -12816464, 106971, 31551745, -302267,
+            -379542, -16475735)
+    assert _pigeonhole(fake, -172.0)
+    assert not _pigeonhole(fake, -250.0)
+    assert not _pigeonhole((1, -3, 2), float("-inf"))
+
+
+def test_bound_digits_reports_the_exclusion():
+    P = 1024
+    vals = (MpReal.from_int(1, P), pi_const(P), log2_const(P))
+    res = pslq(RelationQuery(vals, max_digits=20))
+    assert res.status == "none_within_bound"
+    assert res.bound_digits >= 20
+    short = pslq(RelationQuery(vals, max_digits=20, max_iterations=40))
+    assert short.status == "inconclusive"
+    assert 0 < short.bound_digits < 20
+    assert "bound_digits" not in res.as_dict()
+
+
+# ----------------------------------------------------------------------
+# properties of the search
+
+# catalog constants and products of them, grouped by weight 0..8.
+# Values of different weights are taken to be linearly independent
+# over Q, so any set with pairwise different weights has no relation
+_BY_WEIGHT = (
+    ("1",), ("pi",), ("catalan", "log2sq", "pi2"),
+    ("zeta3", "log2cu", "pi_log2sq"), ("pi4", "log2_4"),
+    ("zeta5", "log2_5"), ("zeta3*zeta3", "pi*zeta5"),
+    ("zeta3*pi4", "catalan*zeta5"), ("zeta3*zeta5",))
+
+
+def _value(expr, prec):
+    wp = prec + 32
+    acc = MpReal.from_int(1, wp)
+    for name in expr.split("*"):
+        if name != "1":
+            acc = acc.mul(eval_formula(name, wp), wp)
+    return acc.round_to(prec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_unrelated_values_are_never_found(data):
+    n = data.draw(st.integers(3, 8))
+    weights = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n,
+                                 unique=True))
+    exprs = [data.draw(st.sampled_from(_BY_WEIGHT[w])) for w in weights]
+    digits = data.draw(st.integers(2, 8))
+    P = required_bits(n, digits)
+    res = pslq(RelationQuery(tuple(_value(e, P) for e in exprs),
+                             max_digits=digits))
+    assert res.status != "found", (exprs, P, res)
+
+
+# padding of weights 1, 3, 4 and 5 for the weight-2 catalan triple
+_PADDING = ("pi", "zeta3", "pi4", "zeta5")
+
+
+def _padded_triple(k, prec):
+    return list(_catalan_triple(prec)) + [eval_formula(c, prec)
+                                          for c in _PADDING[:k]]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda k: st.permutations(range(3 + k))))
+def test_planted_relation_follows_a_permutation(order):
+    P = 512
+    vals = _padded_triple(len(order) - 3, P)
+    want = (1, -3, 2) + (0,) * (len(order) - 3)
+    res = pslq(RelationQuery(tuple(vals[i] for i in order), max_digits=8))
+    assert res.status == "found"
+    assert res.vector == _canonical([want[i] for i in order])
+    vals4 = _padded_triple(len(order) - 3, 4 * P)
+    assert verify_vector(res.vector, [vals4[i] for i in order], 4 * P).passed
+
+
+def _r3_pair(prec):
+    mem = RELATIONS["r3"].members(prec)
+    return mem[0].re, mem[1].re
+
+
+# every query above that expects "found": (values at a precision, bits,
+# max_digits)
+_FOUND = {
+    "catalan": (_catalan_triple, 512, 8),
+    "r3-256": (_r3_pair, 256, 8),
+    "r3-512": (_r3_pair, 512, 8),
+    "identical": (lambda p: (pi_const(p), pi_const(p)), 512, 4),
+    "scaled": (lambda p: tuple(v.mul(Q(-7, 3), p)
+                               for v in _catalan_triple(p)), 256, 8),
+    "f11": (lambda p: tuple(_f11_values(p)), 2048, 23),
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(k, marks=pytest.mark.slow) if k == "f11" else k
+    for k in _FOUND])
+def test_found_vectors_hold_at_four_times_the_precision(name):
+    build, P, digits = _FOUND[name]
+    res = pslq(RelationQuery(tuple(build(P)), max_digits=digits))
+    assert res.status == "found"
+    # 96 guard bits cover the height of the f11 vector (2**73)
+    assert verify_vector(res.vector, build(4 * P + 96), 4 * P).passed
