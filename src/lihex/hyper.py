@@ -18,6 +18,7 @@ chained Euler-Maclaurin evaluation supplies at fixed cost per order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .errors import (
     PrecisionError,
     UnknownName,
 )
-from .ladders import CheckReport, eval_ladder
+from .ladders import CheckReport, _log2_mag, eval_ladder
 from .mp import special as _sp
 from .mp.cplx import MpComplex
 from .mp.real import (
@@ -101,12 +102,6 @@ def _as_cplx(t: MpComplex | MpReal | Fraction | int, wp: int) -> MpComplex:
     if isinstance(t, MpReal):
         return MpComplex.from_real(t.round_to(wp))
     return MpComplex.from_fractions(Q(t), Q(0), wp)
-
-
-def _log2_mag(x: MpReal) -> float:
-    if x.is_zero:
-        return float("-inf")
-    return x.man.bit_length() + x.exp
 
 
 def _mk_report(name: str, prec: int, resid: MpReal, slack: int) -> CheckReport:
@@ -974,12 +969,10 @@ def utilde_rational(t: Fraction) -> Fraction | tuple[Fraction, Fraction]:
 # each exponential moment is m! Re/Im (u pi/10 + i ln 2)^-(m+1).
 
 _G_LIMIT = 1 << 13
-_g_coeffs: list[int] = []
 
 
+@functools.cache
 def _kernel_coeffs() -> list[int]:
-    if _g_coeffs:
-        return _g_coeffs
     g = [0] * (_G_LIMIT + 1)
     for j in range(0, (_G_LIMIT - 1) // 10 + 1):
         base = 10 * j
@@ -995,8 +988,7 @@ def _kernel_coeffs() -> list[int]:
             g[u] += sign
             sign = -sign
             u += 4
-    _g_coeffs.extend(g)
-    return _g_coeffs
+    return g
 
 
 @dataclass(frozen=True)
@@ -1204,13 +1196,9 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
 # harmonic factor expanded through ln n, Euler's constant and Bernoulli
 # corrections, with the log-weighted zeta tails supplied analytically.
 
-_gamma_cache: dict[int, MpReal] = {}
 
-
+@functools.cache
 def _euler_gamma(wp: int) -> MpReal:
-    hit = _gamma_cache.get(wp)
-    if hit is not None:
-        return hit
     big = 128
     while 9 * big < wp + 48:
         big *= 2
@@ -1221,9 +1209,7 @@ def _euler_gamma(wp: int) -> MpReal:
     # gamma = H_big - ln(big) - 1/(2 big) + sum_k B_2k / (2k big^2k), the
     # Euler-Maclaurin corrections at s = 1 on the scale of 1/big
     corr = sum(_sp._em_corrections(1 << (w - big.bit_length() + 1), big, 1))
-    val = acc.add(MpReal.from_fixed(corr, w, w), w).round_to(wp)
-    _gamma_cache[wp] = val
-    return val
+    return acc.add(MpReal.from_fixed(corr, w, w), w).round_to(wp)
 
 
 def catalan_binomial(prec: int) -> MpReal:

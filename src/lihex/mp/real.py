@@ -14,6 +14,7 @@ reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -383,17 +384,11 @@ def _check_func_prec(prec: int) -> None:
         raise PrecisionError("function precision must be at least 2 bits")
 
 
-_pi_cache: dict[int, int] = {}
-_log2_cache: dict[int, int] = {}
-
-
+@functools.cache
 def _pi_fixed(wp: int) -> int:
     """pi * 2**wp, accurate to a few ulps, from the hexadecimal
     digit-extraction series sum_k 16^-k (4/(8k+1) - 2/(8k+4) - 1/(8k+5)
     - 1/(8k+6))."""
-    for cwp, cval in _pi_cache.items():
-        if cwp >= wp:
-            return _round_shift(cval, cwp - wp)
     awp = wp + 32
     acc = 0
     for k in range(awp // 4 + 1):
@@ -403,23 +398,17 @@ def _pi_fixed(wp: int) -> int:
         acc -= (2 << e) // (base + 4)
         acc -= (1 << e) // (base + 5)
         acc -= (1 << e) // (base + 6)
-    _pi_cache.clear()
-    _pi_cache[awp] = acc
-    return _round_shift(acc, awp - wp)
+    return _round_shift(acc, 32)
 
 
+@functools.cache
 def _log2_fixed(wp: int) -> int:
     """log(2) * 2**wp from sum_{k>=1} 2^-k / k."""
-    for cwp, cval in _log2_cache.items():
-        if cwp >= wp:
-            return _round_shift(cval, cwp - wp)
     awp = wp + 32
     acc = 0
     for k in range(1, awp + 1):
         acc += (1 << (awp - k)) // k
-    _log2_cache.clear()
-    _log2_cache[awp] = acc
-    return _round_shift(acc, awp - wp)
+    return _round_shift(acc, 32)
 
 
 def pi_const(prec: int) -> MpReal:

@@ -14,6 +14,7 @@ with reflection for the left half line.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError, PrecisionError
 from .cplx import MpComplex
-from .real import MpReal, _exp_impl, _ln_impl, _pi_fixed, _sincos
+from .real import MpReal, _div0, _exp_impl, _ln_impl, _pi_fixed, _shr0, _sincos
 
 __all__ = [
     "bernoulli",
@@ -143,21 +144,13 @@ def _check_prec(prec: int) -> None:
         raise PrecisionError("zeta-family functions need at least 32 bits")
 
 
-_zeta_cache: dict[tuple[int, int], MpReal] = {}
-
-
+@functools.cache
 def zeta(n: int, prec: int) -> MpReal:
     """Riemann zeta at integer n >= 2, relative error below 2**-prec."""
     if n < 2:
         raise DomainError("zeta requires an integer argument >= 2")
     _check_prec(prec)
-    key = (n, prec)
-    hit = _zeta_cache.get(key)
-    if hit is not None:
-        return hit
-    val = _hurwitz_int(n, Fraction(1), prec)
-    _zeta_cache[key] = val
-    return val
+    return _hurwitz_int(n, Fraction(1), prec)
 
 
 def _hurwitz_int(n: int, a: Fraction, prec: int) -> MpReal:
@@ -195,37 +188,25 @@ def hurwitz(s: Fraction, a: Fraction, prec: int) -> MpReal:
 # ----------------------------------------------------------------------
 # Dirichlet beta
 
-_beta_cache: dict[tuple[int, int], MpReal] = {}
 
-
+@functools.cache
 def dirichlet_beta(n: int, prec: int) -> MpReal:
     """Dirichlet beta at integer n >= 2: sum_{k>=0} (-1)^k (2k+1)^-n."""
     if n < 2:
         raise DomainError("dirichlet_beta requires n >= 2")
     _check_prec(prec)
-    key = (n, prec)
-    hit = _beta_cache.get(key)
-    if hit is not None:
-        return hit
     wp = prec + 16
     hi = _hurwitz_int(n, Fraction(1, 4), wp)
     lo = _hurwitz_int(n, Fraction(3, 4), wp)
-    val = hi.add(-lo, wp).scalb(-2 * n).round_to(prec)
-    _beta_cache[key] = val
-    return val
+    return hi.add(-lo, wp).scalb(-2 * n).round_to(prec)
 
 
 # ----------------------------------------------------------------------
 # Gamma (Spouge approximation)
 
-_spouge_cache: dict[tuple[int, int], list[MpReal]] = {}
 
-
+@functools.cache
 def _spouge_coeffs(a: int, wp: int) -> list[MpReal]:
-    key = (a, wp)
-    hit = _spouge_cache.get(key)
-    if hit is not None:
-        return hit
     # c_0 = sqrt(2 pi); c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!
     two_pi = MpReal.from_fixed(_pi_fixed(wp + 8), wp + 7, wp)  # 2*pi
     coeffs = [two_pi.sqrt(wp)]
@@ -241,7 +222,6 @@ def _spouge_coeffs(a: int, wp: int) -> list[MpReal]:
         coeffs.append(c)
         fact *= k
         epow = epow.div(e1, wp + 8)
-    _spouge_cache[key] = coeffs
     return coeffs
 
 
@@ -302,8 +282,6 @@ def beta_fn(a: MpReal, b: MpReal, prec: int) -> MpReal:
 # ----------------------------------------------------------------------
 # polylogarithm inside the convergence disc
 
-_polylog_cache: dict[tuple, MpComplex] = {}
-
 
 def polylog(n: int, z: MpComplex | MpReal | Fraction, prec: int) -> MpComplex:
     """Li_n(z) = sum_{k>0} z^k / k^n for |z| <= 3/4, absolute error < 2**-prec."""
@@ -314,59 +292,39 @@ def polylog(n: int, z: MpComplex | MpReal | Fraction, prec: int) -> MpComplex:
         z = MpComplex.from_fractions(z, Fraction(0), prec + 32)
     elif isinstance(z, MpReal):
         z = MpComplex.from_real(z)
-    key = (
-        n, prec,
-        z.re.sign, z.re.man, z.re.exp,
-        z.im.sign, z.im.man, z.im.exp,
-    )
-    hit = _polylog_cache.get(key)
-    if hit is not None:
-        return hit
     # |z| <= 3/4 check: |z|^2 <= 9/16, exact on the stored values
     if z.abs2(z.prec + 8)._cmp(Fraction(9, 16)) > 0:
         raise DomainError("polylog argument must satisfy |z| <= 3/4")
     wp = prec + 32
-    zr = z.re.to_fixed(wp)
-    zi = z.im.to_fixed(wp)
+    return _polylog(n, z.re.to_fixed(wp), z.im.to_fixed(wp), wp, prec)
+
+
+@functools.cache
+def _polylog(n: int, zr: int, zi: int, wp: int, prec: int) -> MpComplex:
+    """Li_n at the fixed-point argument (zr + i zi) / 2**wp."""
     if zi == 0:
         acc = 0
         pw = zr
         k = 1
         while pw:
-            acc += _div0_pow(pw, k, n)
-            pw = _shr0_mul(pw, zr, wp)
+            acc += _div0(pw, k**n)
+            pw = _shr0(pw * zr, wp)
             k += 1
-        val = MpComplex(MpReal.from_fixed(acc, wp, prec), MpReal.zero(prec))
-    else:
-        ar = ai = 0
-        pr, pi_ = zr, zi
-        k = 1
-        while pr or pi_:
-            ar += _div0_pow(pr, k, n)
-            ai += _div0_pow(pi_, k, n)
-            pr, pi_ = (
-                _shr0(pr * zr - pi_ * zi, wp),
-                _shr0(pr * zi + pi_ * zr, wp),
-            )
-            k += 1
-        val = MpComplex(
-            MpReal.from_fixed(ar, wp, prec), MpReal.from_fixed(ai, wp, prec)
+        return MpComplex(MpReal.from_fixed(acc, wp, prec), MpReal.zero(prec))
+    ar = ai = 0
+    pr, pi_ = zr, zi
+    k = 1
+    while pr or pi_:
+        ar += _div0(pr, k**n)
+        ai += _div0(pi_, k**n)
+        pr, pi_ = (
+            _shr0(pr * zr - pi_ * zi, wp),
+            _shr0(pr * zi + pi_ * zr, wp),
         )
-    _polylog_cache[key] = val
-    return val
-
-
-def _shr0(v: int, s: int) -> int:
-    return -((-v) >> s) if v < 0 else v >> s
-
-
-def _shr0_mul(a: int, b: int, s: int) -> int:
-    return _shr0(a * b, s)
-
-
-def _div0_pow(v: int, k: int, n: int) -> int:
-    d = k**n
-    return -((-v) // d) if v < 0 else v // d
+        k += 1
+    return MpComplex(
+        MpReal.from_fixed(ar, wp, prec), MpReal.from_fixed(ai, wp, prec)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ constants from exact linear identities so that new formulas fall out.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,16 +86,11 @@ def _canon_term(coef: Fraction, n: int, p: int,
     return coef * g * sign, SeriesSpec(n, p, tuple(pat))
 
 
-_series_cache: dict[tuple[SeriesSpec, int], MpReal] = {}
-
-
+@functools.cache
 def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
     """Sum the S-series to absolute error below 2^-prec."""
     if prec < 32:
         raise ValueError("prec must be >= 32")
-    hit = _series_cache.get((spec, prec))
-    if hit is not None:
-        return hit
     wp = prec + 32
     bits_a = max(abs(c) for c in spec.pattern).bit_length()
     if bits_a == 0:
@@ -113,9 +109,7 @@ def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
             else:
                 acc += _div0(a, kn << (e - wp))
         k += 1
-    out = MpReal.from_fixed(acc, wp, prec)
-    _series_cache.setdefault((spec, prec), out)
-    return out
+    return MpReal.from_fixed(acc, wp, prec)
 
 
 # ----------------------------------------------------------------------
@@ -649,6 +643,7 @@ def order5_relations() -> list[RelationSpec]:
     ]
 
 
+@functools.cache
 def _derived() -> dict[str, Formula]:
     out: dict[str, Formula] = {}
 
@@ -682,15 +677,9 @@ def _derived() -> dict[str, Formula]:
     return out
 
 
-_derived_cache: dict[str, Formula] | None = None
-
-
 def derived_catalog() -> dict[str, Formula]:
     """Formulas not printed anywhere, regenerated by exact elimination."""
-    global _derived_cache
-    if _derived_cache is None:
-        _derived_cache = _derived()
-    return dict(_derived_cache)
+    return dict(_derived())
 
 
 def catalog() -> dict[str, Formula]:

@@ -6,6 +6,7 @@ import pytest
 
 import lihex.ladders
 from lihex.cli import main
+from lihex.hyper import CHECKS
 
 CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
@@ -95,6 +96,15 @@ def test_hyper_battery(capsys):
     assert rc == 0
     assert out.count(" pass") == 4
     assert "catalan-binomial" in out
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_hyper_json_residuals_are_floats(capsys, check):
+    # the same field from `verify --json` is a float too
+    rc, out, _ = run(capsys, "hyper", "--check", check, "--json")
+    assert rc == 0
+    for r in json.loads(out):
+        assert r["log2_residual"] is None or isinstance(r["log2_residual"], float)
 
 
 def test_discover_found(capsys):

@@ -1,10 +1,12 @@
 """The identity suite: every catalog relation at 512 bits, the
 high-precision 14-term zeta(11) relation, and the Li_5 machinery."""
 
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
+import lihex.hyper  # noqa: F401  (its memos must be present to be cleared)
 from lihex.errors import PrecisionError, UndefinedOrder, UnknownName
 from lihex.ladders import (RELATIONS, _R4_RHS, CheckReport, check_all,
                            check_li5_identity, check_relation, eval_ladder,
@@ -12,6 +14,7 @@ from lihex.ladders import (RELATIONS, _R4_RHS, CheckReport, check_all,
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
+from lihex.series import catalog, eval_formula
 
 SUITE_512 = {
     "r1", "r2", "i2", "r3", "i3",
@@ -119,3 +122,41 @@ def test_report_shape():
     assert isinstance(rep, CheckReport)
     assert rep.bits == 256 and isinstance(rep.log2_residual, float)
     assert RELATIONS["r1"].status == "proven"
+
+
+def _clear_caches() -> set[str]:
+    """Empty every functools cache in the package's modules and return
+    the names found."""
+    found = set()
+    for name, mod in list(sys.modules.items()):
+        if name != "lihex" and not name.startswith("lihex."):
+            continue
+        for attr, obj in vars(mod).items():
+            clear = getattr(obj, "cache_clear", None)
+            if callable(clear):
+                clear()
+                found.add(attr)
+    return found
+
+
+def _suite(order: tuple[int, ...]) -> tuple[dict, dict]:
+    values, reports = {}, {}
+    for bits in order:
+        for name in catalog():
+            v = eval_formula(name, bits)
+            values[name, bits] = (v.sign, v.man, v.exp, v.prec)
+        for r in check_all(bits):
+            reports[r.name, bits] = r
+    return values, reports
+
+
+def test_results_do_not_depend_on_earlier_requests():
+    assert _clear_caches() >= {
+        "_pi_fixed", "_log2_fixed", "zeta", "dirichlet_beta",
+        "_spouge_coeffs", "_polylog", "eval_series", "_derived",
+        "_kernel_coeffs", "_euler_gamma"}
+    up = _suite((256, 300))
+    _clear_caches()
+    down = _suite((300, 256))
+    _clear_caches()
+    assert up == down

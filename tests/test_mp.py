@@ -228,3 +228,33 @@ def test_benchmark_trace_names_exist():
     for attrs in tracing.SPECIAL_WRAPS.values():
         for attr in attrs:
             assert callable(getattr(sp, attr, None)), attr
+
+
+def _fresh_real():
+    """A private copy of lihex.mp.real that has computed nothing yet,
+    whatever the module keeps between calls."""
+    spec = importlib.util.find_spec("lihex.mp.real")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bits(x: MpReal) -> tuple:
+    return (x.sign, x.man, x.exp, x.prec)
+
+
+# includes 610 -> 641 (pi) and 162 -> 194 (log 2), where serving a lower
+# precision by rounding a cached higher one changed the last bit
+HISTORY_Q = (64, 162, 256, 400, 512, 610, 777, 1024, 1280, 1536, 1800, 2048)
+
+
+def test_pi_and_log2_do_not_depend_on_earlier_requests():
+    for q in HISTORY_Q:
+        after = _fresh_real()
+        after.pi_const(q)
+        after.log2_const(q)
+        # `after` also keeps every earlier p, which only adds history
+        for p in range(q + 1, q + 33):
+            fresh = _fresh_real()
+            assert _bits(after.pi_const(p)) == _bits(fresh.pi_const(p)), (q, p)
+            assert _bits(after.log2_const(p)) == _bits(fresh.log2_const(p)), (q, p)
