@@ -33,14 +33,9 @@ class QuadExt:
         o = _as_quad(o)
         return QuadExt(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __sub__(self, o: "QuadExt | QLike") -> "QuadExt":
         o = _as_quad(o)
         return QuadExt(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, o: "QuadExt | QLike") -> "QuadExt":
-        return _as_quad(o) - self
 
     def __neg__(self) -> "QuadExt":
         return QuadExt(-self.a, -self.b)
@@ -49,16 +44,6 @@ class QuadExt:
         o = _as_quad(o)
         return QuadExt(self.a * o.a + 2 * self.b * o.b,
                        self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o: "QuadExt | QLike") -> "QuadExt":
-        o = _as_quad(o)
-        # 1/(a + b sqrt2) = (a - b sqrt2)/(a^2 - 2 b^2)
-        norm = o.a * o.a - 2 * o.b * o.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return self * QuadExt(o.a / norm, -o.b / norm)
 
     @property
     def is_zero(self) -> bool:
@@ -103,23 +88,12 @@ class ExactComplex:
     def make(cls, re: QLike | QuadExt = 0, im: QLike | QuadExt = 0) -> "ExactComplex":
         return cls(_as_quad(re), _as_quad(im))
 
-    def __add__(self, o: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - o.re, self.im - o.im)
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
-
     def __mul__(self, o: "ExactComplex | QuadExt | QLike") -> "ExactComplex":
         if not isinstance(o, ExactComplex):
             q = _as_quad(o)
             return ExactComplex(self.re * q, self.im * q)
         return ExactComplex(self.re * o.re - self.im * o.im,
                             self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
 
     def conj(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)

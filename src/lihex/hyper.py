@@ -999,12 +999,16 @@ class AsympCoeff:
     value: int
 
 
-def asymp_coeff(m: int, max_m: int = 64) -> int:
+_ASYMP_MAX_M = 64
+
+
+def asymp_coeff(m: int) -> int:
     """Exact integer k_m in U(t) ~ 6 sum_m k_m / (10 t)^m, for
     1 <= m <= 64.  PrecisionError if the quadrature cannot resolve the
     nearest integer with margin 1/4."""
-    if not 1 <= m <= max_m:
-        raise DomainError(f"asymptotic coefficients computed for m <= {max_m}")
+    if not 1 <= m <= _ASYMP_MAX_M:
+        raise DomainError(
+            f"asymptotic coefficients computed for m <= {_ASYMP_MAX_M}")
     wp = 256 + 10 * m
     g = _kernel_coeffs()
     pi_ = pi_const(wp)

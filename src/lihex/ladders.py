@@ -1,38 +1,36 @@
-"""Ladder combinations of polylogarithms and their identity checks.
+"""Numeric checks of the ladder identities, and the Li_5 evaluator.
 
-The eight base sequences A..H are real or imaginary parts of Li_n at
-arguments built from the sixteenth roots of unity.  Bar and tilde
-variants absorb powers of log 2 and lower-order zeta values so that
-successive combinations (U..Z at the deep end) vanish through order
-6, 8 and 10 and tie zeta(7), zeta(9) and zeta(11) to the base values
-at order 11.  Every identity in the catalog is checked numerically:
-a report passes when the residual is below 2**-(bits-64).
+The ladders (A..H, their bar and tilde forms, U..Z) and the linear
+identities among them are defined once, as exact linear forms, in
+`series`: `series.ladder` builds a ladder and `series.IDENTITIES` holds
+the linear identities, which `series` also solves for the derived
+catalog formulas.  This module evaluates those forms in fixed point
+and adds the identities whose members are complex (dilogarithm and
+order-1 relations through complex logarithms) and the two-variable
+Li_5 functional equation.  A report passes when the residual is below
+2**-(bits-64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Sequence
+from typing import Callable
 
-from .errors import (DomainError, PrecisionError, UndefinedOrder,
-                     UnknownName)
+from .errors import DomainError, PrecisionError, UnknownName
 from .mp import special as _sp
 from .mp.cplx import MpComplex, cln
-from .mp.real import MpReal, log2_const, pi_const, pow_int
-from .series import (LADDER_NAMES, Monomial, bar_monomials, eval_formula,
-                     eval_series, ladder_terms, polylog_pattern, tilde_parts)
+from .mp.real import MpReal, pi_const, pow_int
+from .series import (IDENTITIES, Identity, Monomial, SeriesSpec, eval_formula,
+                     eval_series, ladder, polylog_pattern)
+# the order-4 table and the zeta(11) relation's integers, defined in
+# `series`, are read from here too
+from .series import _F11_LHS, _F11_LIS, _F11_MONS, _R4_RHS  # noqa: F401
 
 __all__ = ["CheckReport", "RELATIONS", "check_all", "check_li5_identity",
-           "check_relation", "eval_ladder", "li5", "monomial",
-           "relation_names"]
+           "check_relation", "eval_ladder", "li5", "relation_names"]
 
 _Q = Fraction
-
-# zeta(2m) = (coef) * pi^(2m)
-_EVEN_ZETA = {2: _Q(1, 6), 4: _Q(1, 90), 6: _Q(1, 945), 8: _Q(1, 9450),
-              10: _Q(1, 93555)}
 
 
 @dataclass(frozen=True)
@@ -44,124 +42,21 @@ class CheckReport:
 
 
 # ----------------------------------------------------------------------
-# ladder evaluation
+# evaluation of linear forms
 
-_LiKey = tuple[str, int, str]
-_LiMap = dict[_LiKey, Fraction]
-_MonMap = dict[Monomial, Fraction]
-
-# deeper combinations: coefficients on tilde/deep names, the zeta(2m)
-# correction coefficient, and 2m itself
-_DEEP: dict[str, tuple[tuple[tuple[Fraction, str], ...], Fraction, int]] = {
-    "U": (((_Q(13, 23), "Btilde"), (_Q(-243, 8), "Ctilde")),
-          _Q(-11041, 2048), 6),
-    "V": (((_Q(19, 23), "Btilde"), (_Q(81, 2), "Dtilde")),
-          _Q(-87101, 12288), 6),
-    "W": (((_Q(71, 23), "Btilde"), (_Q(625, 4), "Etilde")),
-          _Q(-1193757, 40960), 6),
-    "X": (((_Q(463), "V"), (_Q(-636), "U")),
-          _Q(-1323636287, 1769472), 8),
-    "Y": (((_Q(91, 25), "V"), (_Q(-265, 288), "W")),
-          _Q(-602893337, 113246208), 8),
-    "Z": (((_Q(2087, 4823), "Y"), (_Q(-37403, 12057500), "X")),
-          _Q(-12227440999, 135895449600), 10),
-}
-
-LADDER_KEYS = (tuple(LADDER_NAMES)
-               + tuple(c + "bar" for c in LADDER_NAMES)
-               + tuple(c + "tilde" for c in "BCDE") + ("Htilde",)
-               + tuple(_DEEP))
-
-
-def _add_li(li: _LiMap, coef: Fraction,
-            terms: Sequence[tuple[Fraction, str, int, str]]) -> None:
-    for c, arg, n, part in terms:
-        key = (arg, n, part)
-        li[key] = li.get(key, _Q(0)) + coef * c
-
-
-def _add_mons(mons: _MonMap, coef: Fraction,
-              terms: Sequence[tuple[Fraction, Monomial]]) -> None:
-    for c, m in terms:
-        mons[m] = mons.get(m, _Q(0)) + coef * c
-
-
-def _add_zeta_l(mons: _MonMap, coef: Fraction, two_m: int, j: int) -> None:
-    """coef * zeta(2m) * L_j with L_j = (-log 2)^j / j!, folded into pi."""
-    if j < 0:
-        return
-    c = coef * _EVEN_ZETA[two_m] * _Q(-1) ** j / factorial(j)
-    m = Monomial(pi=two_m, log2=j)
-    mons[m] = mons.get(m, _Q(0)) + c
-
-
-def _add_beta3_l(mons: _MonMap, coef: Fraction, j: int) -> None:
-    """coef * beta(3) * L_j; beta(3) = pi^3/32."""
-    if j < 0:
-        return
-    c = coef * _Q(1, 32) * _Q(-1) ** j / factorial(j)
-    m = Monomial(pi=3, log2=j)
-    mons[m] = mons.get(m, _Q(0)) + c
-
-
-def _bar_parts(name: str, n: int) -> tuple[_LiMap, _MonMap]:
-    li: _LiMap = {}
-    mons: _MonMap = {}
-    _add_li(li, _Q(1), ladder_terms(name, n))
-    _add_mons(mons, _Q(1), bar_monomials(name, n))
-    return li, mons
-
-
-def _htilde_parts(n: int) -> tuple[_LiMap, _MonMap]:
-    # Hbar - (4/5) Fbar + (23/25) beta(3) L_{n-3}
-    #      - (648/625) {Gbar - (2/3) Fbar + beta(3) L_{n-3}}
-    li: _LiMap = {}
-    mons: _MonMap = {}
-    for coef, bar in ((_Q(1), "H"), (_Q(-4, 5), "F"),
-                      (_Q(-648, 625), "G"), (_Q(648, 625) * _Q(2, 3), "F")):
-        bl, bm = _bar_parts(bar, n)
-        for k, c in bl.items():
-            li[k] = li.get(k, _Q(0)) + coef * c
-        for m, c in bm.items():
-            mons[m] = mons.get(m, _Q(0)) + coef * c
-    _add_beta3_l(mons, _Q(23, 25) - _Q(648, 625), n - 3)
-    return li, mons
-
-
-def _parts(name: str, n: int) -> tuple[_LiMap, _MonMap]:
-    if name in LADDER_NAMES:
-        li: _LiMap = {}
-        _add_li(li, _Q(1), ladder_terms(name, n))
-        return li, {}
-    if len(name) == 4 and name.endswith("bar") and name[0] in LADDER_NAMES:
-        return _bar_parts(name[0], n)
-    if name.endswith("tilde") and name[0] in "BCDE":
-        lt, mt = tilde_parts(name[0], n)
-        li, mons = {}, {}
-        _add_li(li, _Q(1), lt)
-        _add_mons(mons, _Q(1), mt)
-        return li, mons
-    if name == "Htilde":
-        return _htilde_parts(n)
-    if name in _DEEP:
-        combo, zc, two_m = _DEEP[name]
-        li, mons = {}, {}
-        for coef, sub in combo:
-            sl, sm = _parts(sub, n)
-            for k, c in sl.items():
-                li[k] = li.get(k, _Q(0)) + coef * c
-            for m, c in sm.items():
-                mons[m] = mons.get(m, _Q(0)) + coef * c
-        _add_zeta_l(mons, zc, two_m, n - two_m)
-        return li, mons
-    raise UnknownName(name)
+def _eval_form(form: dict, wp: int) -> MpReal:
+    """Sum of c * eval_series(atom) and c * Monomial.value over a form."""
+    acc = MpReal.zero(wp)
+    for atom, c in form.items():
+        if c:
+            v = (eval_series(atom, wp) if isinstance(atom, SeriesSpec)
+                 else atom.value(wp))
+            acc = acc.add(v.mul(c, wp), wp)
+    return acc
 
 
 def _li_part_val(arg: str, n: int, part: str, wp: int) -> MpReal:
-    acc = MpReal.zero(wp)
-    for c, spec in polylog_pattern(arg, n, part):
-        acc = acc.add(eval_series(spec, wp).mul(c, wp), wp)
-    return acc
+    return _eval_form({s: c for c, s in polylog_pattern(arg, n, part)}, wp)
 
 
 def _li_cplx_val(arg: str, n: int, wp: int) -> MpComplex:
@@ -169,51 +64,14 @@ def _li_cplx_val(arg: str, n: int, wp: int) -> MpComplex:
                      _li_part_val(arg, n, "im", wp))
 
 
-def _eval_parts(li: _LiMap, mons: _MonMap, wp: int) -> MpReal:
-    acc = MpReal.zero(wp)
-    for (arg, n, part), c in li.items():
-        if c:
-            acc = acc.add(_li_part_val(arg, n, part, wp).mul(c, wp), wp)
-    for m, c in mons.items():
-        if c:
-            acc = acc.add(m.value(wp).mul(c, wp), wp)
-    return acc
-
-
 def eval_ladder(name: str, n: int, prec: int) -> MpReal:
     """Value of a ladder sequence at order n.
 
-    Accepts the base names A..H, their bar forms (Abar..Hbar), the
-    tilde forms Btilde..Etilde and Htilde, and the deep combinations
-    U..Z.  Orders outside 1..11 are not part of the scheme.
+    Accepts the names that `series.ladder` defines: A..H, Abar..Hbar,
+    Btilde..Etilde, Htilde and U..Z.  Orders outside 1..11 are not part
+    of the scheme.
     """
-    if name not in LADDER_KEYS:
-        raise UnknownName(name)
-    if not 1 <= n <= 11:
-        raise UndefinedOrder(f"order {n} is outside 1..11")
-    wp = prec + 32
-    li, mons = _parts(name, n)
-    return _eval_parts(li, mons, wp).round_to(prec)
-
-
-def monomial(a: int, b: int, zetas: Sequence[tuple[int, int]],
-             prec: int) -> MpReal:
-    """pi^a * log(2)^b * product of zeta(n_i)^(e_i)."""
-    if a < 0 or b < 0:
-        raise ValueError("exponents must be nonnegative")
-    wp = prec + 32
-    v = MpReal.from_int(1, wp)
-    if a:
-        v = v.mul(pow_int(pi_const(wp), a, wp), wp)
-    if b:
-        v = v.mul(pow_int(log2_const(wp), b, wp), wp)
-    for order, expo in zetas:
-        if order < 2:
-            raise DomainError("zeta factors need order >= 2")
-        if expo < 0:
-            raise ValueError("exponents must be nonnegative")
-        v = v.mul(pow_int(_sp.zeta(order, wp), expo, wp), wp)
-    return v.round_to(prec)
+    return _eval_form(ladder(name, n), prec + 32).round_to(prec)
 
 
 # ----------------------------------------------------------------------
@@ -376,153 +234,36 @@ class Relation:
     min_bits: int = 256
 
 
-RELATIONS: dict[str, Relation] = {}
+def _mc(x: MpReal) -> MpComplex:
+    return MpComplex.from_real(x)
 
 
-def _rel(name: str, status: str, members: Callable[[int], list[MpComplex]],
-         min_bits: int = 256) -> None:
-    RELATIONS[name] = Relation(name, status, members, min_bits)
+def _linear_members(ident: Identity) -> Callable[[int], list[MpComplex]]:
+    def members(wp: int) -> list[MpComplex]:
+        return [_mc(_eval_form(f, wp)) for f in ident.forms()]
+    return members
+
+
+# the linear identities come from the table in `series`; the complex
+# ones below compare values of Li_n and of complex logarithms
+RELATIONS: dict[str, Relation] = {
+    name: Relation(name, i.status, _linear_members(i), i.min_bits)
+    for name, i in IDENTITIES.items()}
+
+
+def _rel(name: str, status: str,
+         members: Callable[[int], list[MpComplex]]) -> None:
+    RELATIONS[name] = Relation(name, status, members)
 
 
 def relation_names() -> list[str]:
     return list(RELATIONS)
 
 
-def _mc(x: MpReal) -> MpComplex:
-    return MpComplex.from_real(x)
-
-
-def _lad_side(lads: Sequence[tuple[Fraction, str, int]] = (),
-              mons: Sequence[tuple[Fraction, Monomial]] = (),
-              lis: Sequence[tuple[Fraction, str, int, str]] = ()):
-    def side(wp: int) -> MpComplex:
-        acc = MpReal.zero(wp)
-        for c, name, n in lads:
-            li, mm = _parts(name, n)
-            acc = acc.add(_eval_parts(li, mm, wp).mul(c, wp), wp)
-        for c, m in mons:
-            acc = acc.add(m.value(wp).mul(c, wp), wp)
-        for c, arg, n, part in lis:
-            acc = acc.add(_li_part_val(arg, n, part, wp).mul(c, wp), wp)
-        return _mc(acc)
-    return side
-
-
-def _zero(wp: int) -> MpComplex:
-    return MpComplex.from_int(0, wp)
-
-
 def _chain(*sides):
     def members(wp: int) -> list[MpComplex]:
         return [s(wp) for s in sides]
     return members
-
-
-def _lam_mon(n: int) -> tuple[Fraction, Monomial]:
-    """lambda(n) = (1 - 2^-n) zeta(n)."""
-    return _Q((1 << n) - 1, 1 << n), Monomial(zeta=n)
-
-
-def _bars_zero(n: int, names: str):
-    return _chain(_zero, *[_lad_side(lads=((_Q(1), c + "bar", n),))
-                           for c in names])
-
-
-_rel("r1", "proven", _bars_zero(1, "ABCDEFGH"))
-_rel("r2", "proven", _bars_zero(2, "ABCDE"))
-_rel("i2", "proven", _chain(
-    _lad_side(lads=((_Q(1, 2), "Fbar", 2),)),
-    _lad_side(lads=((_Q(3, 4), "Gbar", 2),)),
-    _lad_side(lads=((_Q(5, 8), "Hbar", 2),)),
-    _lad_side(mons=((_Q(1), Monomial(beta=2)),))))
-_rel("r3", "proven", _chain(
-    _lad_side(mons=(_lam_mon(3),)),
-    _lad_side(lads=((_Q(1), "Abar", 3),)),
-    _lad_side(lads=((_Q(2, 5), "Bbar", 3),)),
-    _lad_side(lads=((_Q(9, 7), "Cbar", 3),)),
-    _lad_side(lads=((_Q(3), "Dbar", 3),)),
-    _lad_side(lads=((_Q(25, 6), "Ebar", 3),))))
-_rel("i3", "proven", _chain(
-    _lad_side(mons=((_Q(1, 32), Monomial(pi=3)),)),
-    _lad_side(lads=((_Q(2, 3), "Fbar", 3), (_Q(-1), "Gbar", 3))),
-    _lad_side(lads=((_Q(20, 23), "Fbar", 3), (_Q(-25, 23), "Hbar", 3)))))
-
-# order-4 bar relations; table kept separate so a test can perturb it
-_R4_RHS: dict[str, tuple[str, Fraction, Fraction]] = {
-    "r4b": ("B", _Q(5, 2), _Q(343, 128)),
-    "r4c": ("C", _Q(7, 9), _Q(5, 54)),
-    "r4d": ("D", _Q(1, 3), _Q(-313, 3456)),
-    "r4e": ("E", _Q(6, 25), _Q(-1547, 16000)),
-}
-
-
-def _r4_members(key: str):
-    def members(wp: int) -> list[MpComplex]:
-        name, acoef, z4c = _R4_RHS[key]
-        lhs = _lad_side(lads=((_Q(1), name + "bar", 4),
-                              (-acoef, "Abar", 4)))
-        rhs = _lad_side(mons=((z4c * _Q(1, 90), Monomial(pi=4)),))
-        return [lhs(wp), rhs(wp)]
-    return members
-
-
-for _k in _R4_RHS:
-    _rel(_k, "proven", _r4_members(_k))
-
-_rel("i4g", "proven", _chain(
-    _lad_side(lads=((_Q(1), "Gbar", 4), (_Q(-2, 3), "Fbar", 4)),
-              mons=((_Q(-1, 32), Monomial(pi=3, log2=1)),)),
-    _lad_side(mons=((_Q(-80, 27), Monomial(beta=4)),))))
-_rel("i4h", "proven", _chain(
-    _lad_side(lads=((_Q(1), "Hbar", 4), (_Q(-4, 5), "Fbar", 4)),
-              mons=((_Q(-23, 25) * _Q(1, 32), Monomial(pi=3, log2=1)),)),
-    _lad_side(mons=((_Q(-384, 125), Monomial(beta=4)),))))
-
-_rel("r5c", "proven", _chain(
-    _lad_side(lads=((_Q(1), "Ctilde", 5),)),
-    _lad_side(mons=((_Q(13, 81) * _lam_mon(5)[0], Monomial(zeta=5)),))))
-_rel("r51", "proven", _chain(
-    _lad_side(lads=((_Q(1), "Btilde", 5), (_Q(9, 2), "Dtilde", 5))),
-    _lad_side(mons=((_Q(47, 6) * _lam_mon(5)[0], Monomial(zeta=5)),))))
-_rel("r52", "proven", _chain(
-    _lad_side(lads=((_Q(1), "Btilde", 5), (_Q(-729, 8), "Dtilde", 5),
-                    (_Q(625, 16), "Etilde", 5))),
-    _lad_side(mons=((_Q(18) * _lam_mon(5)[0], Monomial(zeta=5)),))))
-_rel("qef", "numeric", _chain(
-    _lad_side(lads=((_Q(1), "Btilde", 5),)),
-    _lad_side(mons=((_Q(69, 8) * _lam_mon(5)[0], Monomial(zeta=5)),))))
-_rel("n5h", "numeric", _chain(
-    _lad_side(lads=((_Q(1), "Htilde", 5),)),
-    _lad_side(mons=((_Q(-1567, 3125) * _Q(5, 1536), Monomial(pi=5)),))))
-_rel("r5", "proven", _chain(
-    _lad_side(mons=((_Q(31, 32), Monomial(zeta=5)),)),
-    _lad_side(lads=((_Q(8, 69), "Btilde", 5),)),
-    _lad_side(lads=((_Q(81, 13), "Ctilde", 5),)),
-    _lad_side(lads=((_Q(-108, 19), "Dtilde", 5),)),
-    _lad_side(lads=((_Q(-1250, 213), "Etilde", 5),))))
-_rel("b6", "numeric", _chain(
-    _lad_side(mons=((_Q(61, 3), Monomial(beta=6)),)),
-    _lad_side(lads=((_Q(-3125, 256), "Htilde", 6),),
-              mons=((_Q(1567, 256) * _Q(5, 1536),
-                     Monomial(pi=5, log2=1)),))))
-_rel("z7", "numeric", _chain(
-    _lad_side(mons=((_Q(340, 23) * _lam_mon(7)[0], Monomial(zeta=7)),)),
-    _lad_side(lads=((_Q(384, 463), "U", 7),)),
-    _lad_side(lads=((_Q(32, 53), "V", 7),)),
-    _lad_side(lads=((_Q(125, 819), "W", 7),))))
-_rel("z9", "numeric", _chain(
-    _lad_side(mons=((_Q(217, 864) * _lam_mon(9)[0], Monomial(zeta=9)),)),
-    _lad_side(lads=((_Q(1, 10435), "X", 9),)),
-    _lad_side(lads=((_Q(500, 37403), "Y", 9),))))
-_rel("z11", "numeric", _chain(
-    _lad_side(mons=((_Q(2047, 2048), Monomial(zeta=11)),)),
-    _lad_side(lads=((_Q(129600000, 41323873), "Z", 11),))))
-_rel("cat", "proven", _chain(
-    _lad_side(mons=((_Q(1), Monomial(beta=2)),)),
-    _lad_side(lads=((_Q(3, 2), "F", 2), (_Q(-3, 2), "G", 2))),
-    _lad_side(lis=((_Q(3), "(1+i)/2", 2, "im"),
-                   (_Q(-1), "(1+i)/4", 2, "im"),
-                   (_Q(3, 2), "-i/2", 2, "im")))))
 
 
 # --- dilogarithm and order-1 identities (complex members) ---
@@ -576,17 +317,7 @@ _rel("h21", "proven", _chain(
                     - _ln_sq(MpComplex.from_fractions(_Q(1, 2), _Q(-1, 2),
                                                       wp), wp)
                     * _Q(1, 2)).re),
-    _lad_side(mons=((_Q(-1, 48), Monomial(pi=2)),))))
-_rel("h22", "proven", _chain(
-    _lad_side(lis=((_Q(1), "1/2", 2, "re"),)),
-    _lad_side(mons=((_Q(1, 12), Monomial(pi=2)),
-                    (_Q(-1, 2), Monomial(log2=2))))))
-_rel("h23", "proven", _chain(
-    _lad_side(lis=((_Q(1), "-i/sqrt8", 2, "re"),
-                   (_Q(-6), "i/sqrt2", 2, "re"))),
-    _lad_side(mons=((_Q(1, 12), Monomial(pi=2)),
-                    (_Q(-3, 8), Monomial(log2=2))))))
-
+    lambda wp: _mc(Monomial(pi=2).value(wp).mul(_Q(-1, 48), wp))))
 _rel("w11", "proven", _chain(
     lambda wp: _li_cplx_val("(1+i)/2", 1, wp) - _half_li1_half(wp),
     _ipi(_Q(1, 4))))
@@ -602,31 +333,6 @@ _rel("h1", "proven", _chain(
     lambda wp: (_li1_log("-i/sqrt8", wp) - _li1_log("i/sqrt2", wp) * 2
                 - _half_li1_half(wp)),
     _ipi(_Q(-1, 2))))
-
-# the 14-term integer relation determining zeta(11)
-_F11_LHS = 46090055410032553920
-_F11_LIS = (
-    (105497707483968307200, "(1+i)/2"),
-    (14102390469191270400, "(1+i)/4"),
-    (-943412955347681280, "(1+i)/8"),
-    (8628616191131674214400, "1/2"),
-    (8666542920405771878400, "-1/2"),
-    (8389140238437235200, "-1/4"),
-    (-73384332676300800, "-1/8"),
-)
-_F11_MONS = (
-    (-5097106123776, Monomial(log2=11)),
-    (9394465639680, Monomial(pi=2, log2=9)),
-    (-13065007342464, Monomial(pi=4, log2=7)),
-    (20585306545056, Monomial(pi=6, log2=5)),
-    (-42801564610332, Monomial(pi=8, log2=3)),
-    (139087141363625, Monomial(pi=10, log2=1)),
-)
-_rel("f11", "numeric", _chain(
-    _lad_side(mons=((_Q(_F11_LHS), Monomial(zeta=11)),)),
-    _lad_side(lis=tuple((_Q(c), arg, 11, "re") for c, arg in _F11_LIS),
-              mons=tuple((_Q(c), m) for c, m in _F11_MONS))),
-    min_bits=1024)
 
 
 def check_relation(name: str, prec: int) -> CheckReport:

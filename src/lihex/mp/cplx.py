@@ -103,24 +103,14 @@ class MpComplex:
     def __add__(self, other: CScalar) -> "MpComplex":
         return self.add(other)
 
-    __radd__ = __add__
-
     def __sub__(self, other: CScalar) -> "MpComplex":
         return self.add(-self._coerce(other))
-
-    def __rsub__(self, other: CScalar) -> "MpComplex":
-        return (-self).add(other)
 
     def __mul__(self, other: CScalar) -> "MpComplex":
         return self.mul(other)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: CScalar) -> "MpComplex":
         return self.div(other)
-
-    def __rtruediv__(self, other: CScalar) -> "MpComplex":
-        return self._coerce(other).div(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (MpComplex, MpReal, int, Fraction)):

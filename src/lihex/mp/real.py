@@ -223,9 +223,6 @@ class MpReal:
     def __neg__(self) -> "MpReal":
         return MpReal(-self.sign, self.man, self.exp, self.prec)
 
-    def __abs__(self) -> "MpReal":
-        return MpReal(abs(self.sign), self.man, self.exp, self.prec)
-
     def add(self, other: Scalar, prec: int | None = None) -> "MpReal":
         b = self._coerce(other)
         if b is NotImplemented:
@@ -275,31 +272,9 @@ class MpReal:
     def __add__(self, other: Scalar) -> "MpReal":
         return self.add(other)
 
-    __radd__ = __add__
-
     def __sub__(self, other: Scalar) -> "MpReal":
         b = self._coerce(other)
         return self.add(-b)
-
-    def __rsub__(self, other: Scalar) -> "MpReal":
-        return (-self).add(other)
-
-    def __mul__(self, other: Scalar) -> "MpReal":
-        return self.mul(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "MpReal":
-        return self.div(other)
-
-    def __rtruediv__(self, other: Scalar) -> "MpReal":
-        b = self._coerce(other)
-        return b.div(self)
-
-    def __pow__(self, n: int) -> "MpReal":
-        if not isinstance(n, int):
-            return NotImplemented
-        return pow_int(self, n, self.prec)
 
     def sqrt(self, prec: int | None = None) -> "MpReal":
         prec = prec or self.prec
@@ -346,18 +321,6 @@ class MpReal:
         if not isinstance(other, (MpReal, int, Fraction)):
             return NotImplemented
         return self._cmp(other) == 0
-
-    def __lt__(self, other: Scalar) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: Scalar) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: Scalar) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: Scalar) -> bool:
-        return self._cmp(other) >= 0
 
     def __hash__(self):
         return hash(self.to_fraction())

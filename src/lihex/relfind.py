@@ -431,10 +431,13 @@ def verify_vector(vector, values, prec: int) -> CheckReport:
     """Check a claimed relation against values at a pass threshold.
 
     The residual |sum v_i x_i| is computed exactly from the values'
-    own bits; the report passes iff it stays below 2**-(prec-64).
-    The all-zero vector passes trivially.
+    own bits.  Values good to 2**-prec leave a true relation a residual
+    up to max|v_i| times that, so the report passes iff the residual
+    stays below 2**-(prec-64) * max|v_i| and, as for a `found` from
+    `pslq`, well below the pigeonhole floor for the vector's height.
+    A zero residual, as for the all-zero vector, passes.
     """
-    vec = [int(v) for v in vector]
+    vec = tuple(int(v) for v in vector)
     vals = list(values)
     if len(vec) != len(vals):
         raise DomainError(
@@ -444,4 +447,8 @@ def verify_vector(vector, values, prec: int) -> CheckReport:
     wp = max(v.prec for v in vals) + 64
     x = [v.to_fixed(wp) for v in vals]
     r, mag = _dot_mag(vec, x, wp)
-    return CheckReport("vector", prec, mag, r == 0 or mag <= -(prec - 64))
+    if r == 0:
+        return CheckReport("vector", prec, mag, True)
+    height = math.log2(max(abs(v) for v in vec))
+    passed = mag <= height - (prec - 64) and not _pigeonhole(vec, mag)
+    return CheckReport("vector", prec, mag, passed)

@@ -9,6 +9,14 @@ base-16 digit-extraction formula in this package.  This module knows how
 to evaluate such sums, how to expand Re/Im Li_n(z) into them for the
 special arguments with z^8 = 16^{-p}, and how to eliminate unwanted
 constants from exact linear identities so that new formulas fall out.
+
+It is also where the ladders and their identities are defined, once,
+as exact linear forms over S-atoms and monomials: `ladder(name, n)`
+builds any ladder from the tables `_BASE`, `_COMBINED` and `_R4_RHS`,
+and `IDENTITIES` holds every linear identity of the suite.  Two
+consumers read them: `ladders` evaluates the identities numerically
+(`check_relation`), and `_derived` solves eight catalog formulas from
+named rows of the same table.
 """
 
 from __future__ import annotations
@@ -20,16 +28,17 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Sequence
 
-from .errors import RankDeficient, UnknownName, UnsupportedArgument
+from .errors import (RankDeficient, UndefinedOrder, UnknownName,
+                     UnsupportedArgument)
 from .exact import ARGUMENTS, ExactComplex
 from .mp.real import MpReal, _div0, log2_const, pi_const, pow_int
 from .mp import special as _sp
 
 __all__ = [
-    "SeriesSpec", "Formula", "Monomial", "RelationSpec",
+    "SeriesSpec", "Formula", "Monomial", "Identity", "IDENTITIES",
     "eval_series", "eval_formula", "polylog_pattern", "solve_formulas",
     "catalog", "derived_catalog", "dump_catalog", "load_catalog",
-    "ladder_terms", "bar_monomials", "tilde_parts", "LADDER_NAMES",
+    "ladder",
 ]
 
 _Q = Fraction
@@ -209,8 +218,9 @@ def _arg_of(arg: "ExactComplex | str") -> ExactComplex:
 _P_BY_DEN = {16: 1, 16 ** 2: 2, 16 ** 3: 3, 16 ** 4: 4, 16 ** 5: 5, 16 ** 6: 6}
 
 
+@functools.cache
 def polylog_pattern(arg: "ExactComplex | str", n: int,
-                    part: str) -> list[tuple[Fraction, SeriesSpec]]:
+                    part: str) -> tuple[tuple[Fraction, SeriesSpec], ...]:
     """S-basis expansion of Re/Im Li_n(arg).
 
     Works for any argument with z^8 = 16^{-p}, 1 <= p <= 6, whose chosen
@@ -222,9 +232,9 @@ def polylog_pattern(arg: "ExactComplex | str", n: int,
         raise ValueError("part must be 're' or 'im'")
     z = _arg_of(arg)
     if z.is_zero:
-        return []
+        return ()
     if part == "im" and z.is_real:
-        return []
+        return ()
     z8 = z.pow(8)
     if not z8.im.is_zero or not z8.re.is_rational:
         raise UnsupportedArgument(f"{arg}: eighth power is not rational")
@@ -247,11 +257,11 @@ def polylog_pattern(arg: "ExactComplex | str", n: int,
                 f"{arg}: {part} part has a non-integer pattern")
         pattern.append(int(c))
     term = _canon_term(_Q(1), n, p, pattern)
-    return [] if term is None else [term]
+    return () if term is None else (term,)
 
 
 # ----------------------------------------------------------------------
-# monomials, relations, exact elimination
+# monomials and linear forms
 
 @dataclass(frozen=True)
 class Monomial:
@@ -292,13 +302,280 @@ class Monomial:
         return v.round_to(prec)
 
 
+# A linear form is a dict from S-atoms (SeriesSpec) and Monomials to
+# rational coefficients; it stands for the sum of coefficient times value.
+
+def _add(acc: dict, coef: Fraction, form: dict) -> None:
+    for atom, c in form.items():
+        acc[atom] = acc.get(atom, _Q(0)) + coef * c
+
+
+def _li(arg: str, n: int, part: str) -> dict:
+    """Part Li_n(arg) as a linear form."""
+    return {spec: c for c, spec in polylog_pattern(arg, n, part)}
+
+
+# ----------------------------------------------------------------------
+# the ladder algebra
+#
+# The base ladders A..H at order n are sums of c * r^(n-1) * Part Li_n.
+# Every other ladder is a rational combination of lower ones plus
+# corrections q * pi^k * L_{n-k}, with L_j = (-log 2)^j / j! (absent for
+# j < 0) and q already holding zeta(2m)/pi^(2m) or beta(3)/pi^3.  The
+# bar forms absorb the log 2 powers, the tilde forms the order-4
+# relations, and U..Z the zeta(6), zeta(8) and zeta(10) steps.
+
+# (c, r, argument, part) per term
+_BASE = {
+    "A": ((1, 1, "1/2", "re"),),
+    "B": ((1, 2, "(1+i)/2", "re"),),
+    "C": ((1, _Q(2, 3), "i/sqrt8", "re"), (-2, 2, "-i/sqrt2", "re")),
+    "D": ((1, _Q(2, 3), "(1+i)/4", "re"), (-1, 1, "-i/2", "re")),
+    "E": ((1, _Q(2, 5), "(1-i)/8", "re"), (-2, 1, "-i/2", "re")),
+    "F": ((1, 2, "(1+i)/2", "im"),),
+    "G": ((1, _Q(2, 3), "(1+i)/4", "im"), (-1, 1, "-i/2", "im")),
+    "H": ((1, _Q(2, 5), "(1-i)/8", "im"), (-2, 1, "-i/2", "im")),
+}
+
+# zeta(2m) / pi^(2m) and beta(3) / pi^3, beta(5) / pi^5
+_Z2, _Z4, _Z6, _Z8, _Z10 = (_Q(1, 6), _Q(1, 90), _Q(1, 945), _Q(1, 9450),
+                            _Q(1, 93555))
+_B3, _B5 = _Q(1, 32), _Q(5, 1536)
+
+# the order-4 relations Xbar - a Abar = z zeta(4), read at every use.
+# Xtilde = Xbar - a Abar - z zeta(4) L_{n-4} is built from them, so the
+# relation r4x states that Xtilde vanishes at order 4
+_R4_RHS: dict[str, tuple[str, Fraction, Fraction]] = {
+    "r4b": ("B", _Q(5, 2), _Q(343, 128)),
+    "r4c": ("C", _Q(7, 9), _Q(5, 54)),
+    "r4d": ("D", _Q(1, 3), _Q(-313, 3456)),
+    "r4e": ("E", _Q(6, 25), _Q(-1547, 16000)),
+}
+
+
+def _bar(x: str, l_n: Fraction, z2: Fraction):
+    """Xbar = X + l_n L_n + z2 zeta(2) L_{n-2}."""
+    return ((1, x),), ((l_n, 0), (z2 * _Z2, 2))
+
+
+def _ibar(x: str):
+    """Xbar = X - pi L_{n-1} / 4 for the imaginary ladders."""
+    return ((1, x),), ((_Q(-1, 4), 1),)
+
+
+# name -> (((coef, ladder), ...), ((q, k), ...))
+_COMBINED = {
+    "Abar": _bar("A", _Q(1), _Q(-1, 2)),
+    "Bbar": _bar("B", _Q(1, 2), _Q(-5, 8)),
+    "Cbar": _bar("C", _Q(1, 2), _Q(-1, 3)),
+    "Dbar": _bar("D", _Q(1, 2), _Q(-5, 24)),
+    "Ebar": _bar("E", _Q(1, 2), _Q(-7, 40)),
+    "Fbar": _ibar("F"),
+    "Gbar": _ibar("G"),
+    "Hbar": _ibar("H"),
+    # Hbar - (4/5) Fbar + (23/25) beta(3) L_{n-3}
+    #      - (648/625) {Gbar - (2/3) Fbar + beta(3) L_{n-3}}
+    "Htilde": (((1, "Hbar"), (_Q(-4, 5), "Fbar"), (_Q(-648, 625), "Gbar"),
+                (_Q(648, 625) * _Q(2, 3), "Fbar")),
+               (((_Q(23, 25) - _Q(648, 625)) * _B3, 3),)),
+    "U": (((_Q(13, 23), "Btilde"), (_Q(-243, 8), "Ctilde")),
+          ((_Q(-11041, 2048) * _Z6, 6),)),
+    "V": (((_Q(19, 23), "Btilde"), (_Q(81, 2), "Dtilde")),
+          ((_Q(-87101, 12288) * _Z6, 6),)),
+    "W": (((_Q(71, 23), "Btilde"), (_Q(625, 4), "Etilde")),
+          ((_Q(-1193757, 40960) * _Z6, 6),)),
+    "X": (((_Q(463), "V"), (_Q(-636), "U")),
+          ((_Q(-1323636287, 1769472) * _Z8, 8),)),
+    "Y": (((_Q(91, 25), "V"), (_Q(-265, 288), "W")),
+          ((_Q(-602893337, 113246208) * _Z8, 8),)),
+    "Z": (((_Q(2087, 4823), "Y"), (_Q(-37403, 12057500), "X")),
+          ((_Q(-12227440999, 135895449600) * _Z10, 10),)),
+}
+
+
+def _combination(name: str):
+    for x, a, z4 in _R4_RHS.values():
+        if name == x + "tilde":
+            return ((1, x + "bar"), (-a, "Abar")), ((-z4 * _Z4, 4),)
+    try:
+        return _COMBINED[name]
+    except KeyError:
+        raise UnknownName(name) from None
+
+
+def ladder(name: str, n: int) -> dict:
+    """Ladder `name` at order n as a linear form over S-atoms and monomials.
+
+    Accepts the base names A..H, their bar forms (Abar..Hbar), the
+    tilde forms Btilde..Etilde and Htilde, and the deep combinations
+    U..Z.  Orders outside 1..11 are not part of the scheme.
+    """
+    base = _BASE.get(name, ())
+    combo, corrections = ((), ()) if base else _combination(name)
+    if not 1 <= n <= 11:
+        raise UndefinedOrder(f"order {n} is outside 1..11")
+    form: dict = {}
+    for c, r, arg, part in base:
+        _add(form, c * _Q(r) ** (n - 1), _li(arg, n, part))
+    for c, sub in combo:
+        _add(form, _Q(c), ladder(sub, n))
+    for q, k in corrections:
+        j = n - k
+        if j >= 0:
+            m = Monomial(pi=k, log2=j)
+            form[m] = form.get(m, _Q(0)) + q * _Q(-1) ** j / factorial(j)
+    return form
+
+
+# ----------------------------------------------------------------------
+# the identity table
+
 @dataclass(frozen=True)
-class RelationSpec:
-    """Exact identity: sum of coef*Part(Li_n(arg)) = sum of coef*monomial."""
+class Identity:
+    """Linear identity of weight n: all of its sides have one value.
+
+    A side is a sum of (coefficient, key) terms; a key is a ladder name
+    (taken at order n), a Monomial, or an (argument, part) pair standing
+    for Part Li_n(argument).  `ladders` checks every identity
+    numerically; `_derived` solves catalog formulas from some of them.
+    """
 
     name: str
-    li_terms: tuple[tuple[Fraction, str, int, str], ...]
-    rhs: tuple[tuple[Fraction, Monomial], ...]
+    status: str                    # "proven" or "numeric"
+    n: int
+    sides: tuple
+    min_bits: int = 256
+
+    def forms(self) -> list[dict]:
+        """The sides as linear forms, built from the tables at this call."""
+        out = []
+        for side in self.sides:
+            form: dict = {}
+            for c, key in side:
+                if isinstance(key, Monomial):
+                    part = {key: _Q(1)}
+                elif isinstance(key, str):
+                    part = ladder(key, self.n)
+                else:
+                    part = _li(key[0], self.n, key[1])
+                _add(form, _Q(c), part)
+            out.append(form)
+        return out
+
+
+# the 14-term integer relation determining zeta(11)
+_F11_LHS = 46090055410032553920
+_F11_LIS = (
+    (105497707483968307200, "(1+i)/2"),
+    (14102390469191270400, "(1+i)/4"),
+    (-943412955347681280, "(1+i)/8"),
+    (8628616191131674214400, "1/2"),
+    (8666542920405771878400, "-1/2"),
+    (8389140238437235200, "-1/4"),
+    (-73384332676300800, "-1/8"),
+)
+_F11_MONS = (
+    (-5097106123776, Monomial(log2=11)),
+    (9394465639680, Monomial(pi=2, log2=9)),
+    (-13065007342464, Monomial(pi=4, log2=7)),
+    (20585306545056, Monomial(pi=6, log2=5)),
+    (-42801564610332, Monomial(pi=8, log2=3)),
+    (139087141363625, Monomial(pi=10, log2=1)),
+)
+
+
+def _bars_vanish(name: str, n: int, ladders: str) -> Identity:
+    return Identity(name, "proven", n,
+                    ((),) + tuple(((1, x + "bar"),) for x in ladders))
+
+
+def _z(n: int, q: Fraction = _Q(1)) -> tuple[Fraction, Monomial]:
+    """q * lambda(n) as a term; lambda(n) = (1 - 2^-n) zeta(n)."""
+    return q * _Q((1 << n) - 1, 1 << n), Monomial(zeta=n)
+
+
+IDENTITIES: dict[str, Identity] = {i.name: i for i in [
+    _bars_vanish("r1", 1, "ABCDEFGH"),
+    _bars_vanish("r2", 2, "ABCDE"),
+    Identity("i2", "proven", 2, (
+        ((_Q(1, 2), "Fbar"),), ((_Q(3, 4), "Gbar"),), ((_Q(5, 8), "Hbar"),),
+        ((1, Monomial(beta=2)),))),
+    Identity("r3", "proven", 3, (
+        (_z(3),), ((1, "Abar"),), ((_Q(2, 5), "Bbar"),),
+        ((_Q(9, 7), "Cbar"),), ((3, "Dbar"),), ((_Q(25, 6), "Ebar"),))),
+    Identity("i3", "proven", 3, (
+        ((_B3, Monomial(pi=3)),),
+        ((_Q(2, 3), "Fbar"), (-1, "Gbar")),
+        ((_Q(20, 23), "Fbar"), (_Q(-25, 23), "Hbar")))),
+    *(Identity(key, "proven", 4, ((), ((1, x + "tilde"),)))
+      for key, (x, _, _) in _R4_RHS.items()),
+    Identity("i4g", "proven", 4, (
+        ((1, "Gbar"), (_Q(-2, 3), "Fbar"), (-_B3, Monomial(pi=3, log2=1))),
+        ((_Q(-80, 27), Monomial(beta=4)),))),
+    Identity("i4h", "proven", 4, (
+        ((1, "Hbar"), (_Q(-4, 5), "Fbar"),
+         (_Q(-23, 25) * _B3, Monomial(pi=3, log2=1))),
+        ((_Q(-384, 125), Monomial(beta=4)),))),
+    Identity("r5c", "proven", 5, (((1, "Ctilde"),), (_z(5, _Q(13, 81)),))),
+    Identity("r51", "proven", 5, (
+        ((1, "Btilde"), (_Q(9, 2), "Dtilde")), (_z(5, _Q(47, 6)),))),
+    Identity("r52", "proven", 5, (
+        ((1, "Btilde"), (_Q(-729, 8), "Dtilde"), (_Q(625, 16), "Etilde")),
+        (_z(5, _Q(18)),))),
+    Identity("qef", "numeric", 5, (((1, "Btilde"),), (_z(5, _Q(69, 8)),))),
+    Identity("n5h", "numeric", 5, (
+        ((1, "Htilde"),), ((_Q(-1567, 3125) * _B5, Monomial(pi=5)),))),
+    Identity("r5", "proven", 5, (
+        (_z(5),), ((_Q(8, 69), "Btilde"),), ((_Q(81, 13), "Ctilde"),),
+        ((_Q(-108, 19), "Dtilde"),), ((_Q(-1250, 213), "Etilde"),))),
+    Identity("b6", "numeric", 6, (
+        ((_Q(61, 3), Monomial(beta=6)),),
+        ((_Q(-3125, 256), "Htilde"),
+         (_Q(1567, 256) * _B5, Monomial(pi=5, log2=1))))),
+    Identity("z7", "numeric", 7, (
+        (_z(7, _Q(340, 23)),), ((_Q(384, 463), "U"),),
+        ((_Q(32, 53), "V"),), ((_Q(125, 819), "W"),))),
+    Identity("z9", "numeric", 9, (
+        (_z(9, _Q(217, 864)),), ((_Q(1, 10435), "X"),),
+        ((_Q(500, 37403), "Y"),))),
+    Identity("z11", "numeric", 11, (
+        (_z(11),), ((_Q(129600000, 41323873), "Z"),))),
+    Identity("cat", "proven", 2, (
+        ((1, Monomial(beta=2)),),
+        ((_Q(3, 2), "F"), (_Q(-3, 2), "G")),
+        ((3, ("(1+i)/2", "im")), (-1, ("(1+i)/4", "im")),
+         (_Q(3, 2), ("-i/2", "im"))))),
+    Identity("h22", "proven", 2, (
+        ((1, ("1/2", "re")),),
+        ((_Q(1, 12), Monomial(pi=2)), (_Q(-1, 2), Monomial(log2=2))))),
+    Identity("h23", "proven", 2, (
+        ((1, ("-i/sqrt8", "re")), (-6, ("i/sqrt2", "re"))),
+        ((_Q(1, 12), Monomial(pi=2)), (_Q(-3, 8), Monomial(log2=2))))),
+    Identity("f11", "numeric", 11, (
+        ((_F11_LHS, Monomial(zeta=11)),),
+        tuple((c, (arg, "re")) for c, arg in _F11_LIS) + _F11_MONS),
+        min_bits=1024),
+]}
+
+
+# ----------------------------------------------------------------------
+# exact elimination
+
+def monomial_name(m: Monomial) -> str:
+    """Catalog-style identifier for a constant monomial."""
+    if m == Monomial(beta=2):
+        return "catalan"
+    pieces = []
+    if m.pi:
+        pieces.append("pi" if m.pi == 1 else f"pi{m.pi}")
+    if m.log2:
+        pieces.append({1: "log2", 2: "log2sq", 3: "log2cu"}.get(
+            m.log2, f"log2_{m.log2}"))
+    if m.zeta:
+        pieces.append(f"zeta{m.zeta}")
+    if m.beta:
+        pieces.append(f"beta{m.beta}")
+    return "_".join(pieces) if pieces else "one"
 
 
 def _merge_p(coef: Fraction, spec: SeriesSpec) -> tuple[Fraction, SeriesSpec]:
@@ -320,12 +597,6 @@ def _merge_p(coef: Fraction, spec: SeriesSpec) -> tuple[Fraction, SeriesSpec]:
     out = _canon_term(coef, n, p, pat)
     assert out is not None
     return out
-
-
-def _add_terms(acc: dict[SeriesSpec, Fraction], coef: Fraction,
-               terms: Iterable[tuple[Fraction, SeriesSpec]]) -> None:
-    for c, spec in terms:
-        acc[spec] = acc.get(spec, _Q(0)) + coef * c
 
 
 def _tidy(svec: dict[SeriesSpec, Fraction]) -> tuple[tuple[Fraction, SeriesSpec], ...]:
@@ -355,50 +626,36 @@ def _tidy(svec: dict[SeriesSpec, Fraction]) -> tuple[tuple[Fraction, SeriesSpec]
     return tuple(out)
 
 
-def monomial_name(m: Monomial) -> str:
-    """Catalog-style identifier for a constant monomial."""
-    if m == Monomial(beta=2):
-        return "catalan"
-    pieces = []
-    if m.pi:
-        pieces.append("pi" if m.pi == 1 else f"pi{m.pi}")
-    if m.log2:
-        pieces.append({1: "log2", 2: "log2sq", 3: "log2cu"}.get(
-            m.log2, f"log2_{m.log2}"))
-    if m.zeta:
-        pieces.append(f"zeta{m.zeta}")
-    if m.beta:
-        pieces.append(f"beta{m.beta}")
-    return "_".join(pieces) if pieces else "one"
-
-
-def solve_formulas(relations: Sequence[RelationSpec],
+def solve_formulas(identities: Sequence[Identity],
                    targets: Sequence[Monomial]) -> list[Formula]:
-    """Eliminate monomials from relations, expressing targets in S-atoms.
+    """Eliminate monomials from identities, expressing targets in S-atoms.
 
-    The relations are rewritten through polylog_pattern into the S-basis
-    and the monomial side is solved by exact rational Gaussian
-    elimination.  Each target must come out as a unique combination of
-    S-atoms, otherwise RankDeficient is raised.
+    Each identity gives one row per side after the first: that side
+    minus the first, as a linear form.  The monomial part is solved by
+    exact rational Gaussian elimination with the S-atoms riding along.
+    Each target must come out as a unique combination of S-atoms,
+    otherwise RankDeficient is raised.
     """
+    forms: list[dict] = []
+    for ident in identities:
+        first, *rest = ident.forms()
+        for form in rest:
+            _add(form, _Q(-1), first)
+            forms.append(form)
     unknowns: list[Monomial] = []
-    for rel in relations:
-        for _, m in rel.rhs:
-            if m not in unknowns:
-                unknowns.append(m)
+    for form in forms:
+        for atom, c in form.items():
+            if isinstance(atom, Monomial) and c and atom not in unknowns:
+                unknowns.append(atom)
     for t in targets:
         if t not in unknowns:
             raise RankDeficient(f"target {t} never appears in the relations")
 
-    rows: list[tuple[list[Fraction], dict[SeriesSpec, Fraction]]] = []
-    for rel in relations:
-        mon = [_Q(0)] * len(unknowns)
-        for c, m in rel.rhs:
-            mon[unknowns.index(m)] += c
-        svec: dict[SeriesSpec, Fraction] = {}
-        for c, arg, n, part in rel.li_terms:
-            _add_terms(svec, c, polylog_pattern(arg, n, part))
-        rows.append((mon, svec))
+    # a row S + M = 0 reads -M = S: monomial coefficients, S-vector
+    rows: list[tuple[list[Fraction], dict[SeriesSpec, Fraction]]] = [
+        ([-form.get(m, _Q(0)) for m in unknowns],
+         {a: c for a, c in form.items() if isinstance(a, SeriesSpec)})
+        for form in forms]
 
     # reduced row echelon form over Q, S-vectors riding along
     pivot_of: dict[int, int] = {}
@@ -441,239 +698,40 @@ def solve_formulas(relations: Sequence[RelationSpec],
 
 
 # ----------------------------------------------------------------------
-# ladder building blocks shared with the ladders module
-
-LADDER_NAMES = "ABCDEFGH"
-
-_LADDER_ARGS = {
-    "A": ((None, "1/2", "re"),),
-    "B": (("2^", "(1+i)/2", "re"),),
-    "C": (("23^", "i/sqrt8", "re"), ("-2n", "-i/sqrt2", "re")),
-    "D": (("23^", "(1+i)/4", "re"), ("-1", "-i/2", "re")),
-    "E": (("25^", "(1-i)/8", "re"), ("-2", "-i/2", "re")),
-    "F": (("2^", "(1+i)/2", "im"),),
-    "G": (("23^", "(1+i)/4", "im"), ("-1", "-i/2", "im")),
-    "H": (("25^", "(1-i)/8", "im"), ("-2", "-i/2", "im")),
-}
-
-_BAR_L = {"A": _Q(1), "B": _Q(1, 2), "C": _Q(1, 2), "D": _Q(1, 2),
-          "E": _Q(1, 2)}
-_BAR_Z2 = {"A": _Q(-1, 2), "B": _Q(-5, 8), "C": _Q(-1, 3), "D": _Q(-5, 24),
-           "E": _Q(-7, 40)}
-
-
-def _coef(tag: str | None, n: int) -> Fraction:
-    if tag is None:
-        return _Q(1)
-    if tag == "2^":
-        return _Q(2) ** (n - 1)
-    if tag == "23^":
-        return _Q(2, 3) ** (n - 1)
-    if tag == "25^":
-        return _Q(2, 5) ** (n - 1)
-    if tag == "-2n":
-        return -(_Q(2) ** n)
-    return _Q(int(tag))
-
-
-def ladder_terms(name: str, n: int) -> tuple[tuple[Fraction, str, int, str], ...]:
-    """Raw Li terms (coef, arg, n, part) of ladder `name` at order n."""
-    return tuple((_coef(tag, n), arg, n, part)
-                 for tag, arg, part in _LADDER_ARGS[name])
-
-
-def _l_mon(j: int) -> tuple[Fraction, Monomial] | None:
-    """(-log2)^j / j! as a signed log2-power monomial; None when j < 0."""
-    if j < 0:
-        return None
-    return _Q(-1) ** j / factorial(j), Monomial(log2=j)
-
-
-def bar_monomials(name: str, n: int) -> tuple[tuple[Fraction, Monomial], ...]:
-    """Monomials added to the raw ladder to build its bar combination."""
-    out: list[tuple[Fraction, Monomial]] = []
-    if name in _BAR_L:
-        ln = _l_mon(n)
-        if ln is not None:
-            out.append((_BAR_L[name] * ln[0], ln[1]))
-        ln2 = _l_mon(n - 2)
-        if ln2 is not None:
-            c, m = ln2
-            out.append((_BAR_Z2[name] * c * _Q(1, 6),
-                        Monomial(pi=2 + m.pi, log2=m.log2)))
-    else:
-        ln1 = _l_mon(n - 1)
-        if ln1 is not None:
-            c, m = ln1
-            out.append((-_Q(1, 4) * c, Monomial(pi=1, log2=m.log2)))
-    return tuple(out)
-
-
-# tilde combinations: (bar coefficients, zeta(4) L_{n-4} coefficient)
-_TILDE = {
-    "B": ((("B", _Q(1)), ("A", _Q(-5, 2))), _Q(-343, 128)),
-    "C": ((("C", _Q(1)), ("A", _Q(-7, 9))), _Q(-5, 54)),
-    "D": ((("D", _Q(1)), ("A", _Q(-1, 3))), _Q(313, 3456)),
-    "E": ((("E", _Q(1)), ("A", _Q(-6, 25))), _Q(1547, 16000)),
-}
-
-
-def tilde_parts(name: str, n: int) -> tuple[
-        tuple[tuple[Fraction, str, int, str], ...],
-        tuple[tuple[Fraction, Monomial], ...]]:
-    """Tilde ladder at order n as raw Li terms plus monomial corrections."""
-    bars, z4c = _TILDE[name]
-    li: list[tuple[Fraction, str, int, str]] = []
-    mons: list[tuple[Fraction, Monomial]] = []
-    for bname, bc in bars:
-        li.extend((bc * c, arg, n, part)
-                  for c, arg, n, part in ladder_terms(bname, n))
-        mons.extend((bc * c, m) for c, m in bar_monomials(bname, n))
-    ln4 = _l_mon(n - 4)
-    if ln4 is not None:
-        c, m = ln4
-        # zeta(4) = pi^4/90
-        mons.append((z4c * c * _Q(1, 90), Monomial(pi=4 + m.pi, log2=m.log2)))
-    return tuple(li), tuple(mons)
-
-
-# ----------------------------------------------------------------------
-# the solve runs that generate the derived catalog
-
-def _lam(n: int) -> tuple[Fraction, Monomial]:
-    return _Q(2 ** n - 1, 2 ** n), Monomial(zeta=n)
-
-
-def _bar_relation(name: str, combo: Sequence[tuple[Fraction, str]], n: int,
-                  rhs: Sequence[tuple[Fraction, Monomial]]) -> RelationSpec:
-    """Relation sum(coef * bar(ladder)) at order n = rhs monomials."""
-    li: list[tuple[Fraction, str, int, str]] = []
-    corr: dict[Monomial, Fraction] = {}
-    for c, lname in combo:
-        li.extend((c * lc, arg, nn, part)
-                  for lc, arg, nn, part in ladder_terms(lname, n))
-        for mc, m in bar_monomials(lname, n):
-            corr[m] = corr.get(m, _Q(0)) + c * mc
-    rhs_all: dict[Monomial, Fraction] = {}
-    for c, m in rhs:
-        rhs_all[m] = rhs_all.get(m, _Q(0)) + c
-    for m, c in corr.items():
-        rhs_all[m] = rhs_all.get(m, _Q(0)) - c
-    return RelationSpec(name, tuple(li),
-                        tuple((c, m) for m, c in rhs_all.items() if c != 0))
-
-
-def _tilde_relation(name: str, combo: Sequence[tuple[Fraction, str]], n: int,
-                    rhs: Sequence[tuple[Fraction, Monomial]]) -> RelationSpec:
-    li: list[tuple[Fraction, str, int, str]] = []
-    corr: dict[Monomial, Fraction] = {}
-    for c, lname in combo:
-        tli, tmons = tilde_parts(lname, n)
-        li.extend((c * lc, arg, nn, part) for lc, arg, nn, part in tli)
-        for mc, m in tmons:
-            corr[m] = corr.get(m, _Q(0)) + c * mc
-    rhs_all: dict[Monomial, Fraction] = {}
-    for c, m in rhs:
-        rhs_all[m] = rhs_all.get(m, _Q(0)) + c
-    for m, c in corr.items():
-        rhs_all[m] = rhs_all.get(m, _Q(0)) - c
-    return RelationSpec(name, tuple(li),
-                        tuple((c, m) for m, c in rhs_all.items() if c != 0))
-
-
-def order2_im_relations() -> list[RelationSpec]:
-    """Imaginary parts of the two order-2 identities behind Catalan."""
-    G = Monomial(beta=2)
-    pl = Monomial(pi=1, log2=1)
-    return [
-        RelationSpec("w21.im",
-                     ((_Q(2), "(1+i)/2", 2, "im"),),
-                     ((_Q(2), G), (_Q(-1, 4), pl))),
-        RelationSpec("w23.im",
-                     ((_Q(2), "(1-i)/4", 2, "im"), (_Q(-3), "i/2", 2, "im")),
-                     ((_Q(-4), G), (_Q(3, 4), pl))),
-    ]
-
-
-def order3_im_relations() -> list[RelationSpec]:
-    b3 = Monomial(beta=3)
-    return [
-        _bar_relation("i3.fg", ((_Q(2, 3), "F"), (_Q(-1), "G")), 3,
-                      ((_Q(1), b3),)),
-        _bar_relation("i3.fh", ((_Q(20, 23), "F"), (_Q(-25, 23), "H")), 3,
-                      ((_Q(1), b3),)),
-    ]
-
-
-def order3_re_relations() -> list[RelationSpec]:
-    lam3 = _lam(3)
-    return [
-        _bar_relation("r3.a", ((_Q(1), "A"),), 3, (lam3,)),
-        _bar_relation("r3.b", ((_Q(2, 5), "B"),), 3, (lam3,)),
-        _bar_relation("r3.c", ((_Q(9, 7), "C"),), 3, (lam3,)),
-        _bar_relation("r3.d", ((_Q(3), "D"),), 3, (lam3,)),
-        _bar_relation("r3.e", ((_Q(25, 6), "E"),), 3, (lam3,)),
-    ]
-
-
-def order4_relations() -> list[RelationSpec]:
-    # right sides are rational multiples of zeta(4) = pi^4/90
-    z4 = Monomial(pi=4)
-    return [
-        _bar_relation("r4b", ((_Q(1), "B"), (_Q(-5, 2), "A")), 4,
-                      ((_Q(343, 128) / 90, z4),)),
-        _bar_relation("r4c", ((_Q(1), "C"), (_Q(-7, 9), "A")), 4,
-                      ((_Q(5, 54) / 90, z4),)),
-        _bar_relation("r4d", ((_Q(1), "D"), (_Q(-1, 3), "A")), 4,
-                      ((_Q(-313, 3456) / 90, z4),)),
-    ]
-
-
-def order5_relations() -> list[RelationSpec]:
-    lam5 = _lam(5)
-
-    def mult(q: Fraction) -> tuple[tuple[Fraction, Monomial], ...]:
-        return ((q * lam5[0], lam5[1]),)
-
-    return [
-        _tilde_relation("qef", ((_Q(1), "B"),), 5, mult(_Q(69, 8))),
-        _tilde_relation("r5c", ((_Q(1), "C"),), 5, mult(_Q(13, 81))),
-        _tilde_relation("r5d", ((_Q(1), "D"),), 5, mult(_Q(-19, 108))),
-        _tilde_relation("r5e", ((_Q(1), "E"),), 5, mult(_Q(-213, 1250))),
-    ]
-
+# the derived catalog, solved from the identity table
 
 @functools.cache
 def _derived() -> dict[str, Formula]:
     out: dict[str, Formula] = {}
 
-    def put(f: Formula, name: str | None = None, label: str = "") -> None:
-        g = Formula(name or f.name, f.scale, f.terms, f.description,
-                    label or f.label)
-        out[g.name] = g
+    def solve(names: Iterable[str], *targets: Monomial) -> list[Formula]:
+        return solve_formulas([IDENTITIES[k] for k in names], targets)
 
-    r2 = solve_formulas(order2_im_relations(),
-                        [Monomial(pi=1, log2=1)])
-    put(r2[0], label="n2")
+    def put(f: Formula, label: str) -> None:
+        out[f.name] = Formula(f.name, f.scale, f.terms, f.description, label)
 
-    b3, plsq = solve_formulas(order3_im_relations(),
-                              [Monomial(beta=3), Monomial(pi=1, log2=2)])
-    put(b3, name="beta3_alt", label="n3")
-    put(plsq, label="n3")
-    put(Formula("pi3", _Q(32), b3.terms,
-                "pi^3 as 32 times the solved beta(3) form.", "n3"))
+    (pl,) = solve(["i2"], Monomial(pi=1, log2=1))
+    put(pl, "n2")
 
-    (p2l,) = solve_formulas(order3_re_relations(), [Monomial(pi=2, log2=1)])
-    put(p2l, label="n3")
+    # i3 states beta(3) as pi^3/32; the catalog stores the solved form on
+    # the beta(3) scale, and pi3 as 32 times it
+    p3, plsq = solve(["i3"], Monomial(pi=3), Monomial(pi=1, log2=2))
+    b3 = tuple((c * _B3, spec) for c, spec in p3.terms)
+    put(Formula("beta3_alt", _Q(1), b3,
+                "Solved S-series form of beta(3)."), "n3")
+    put(plsq, "n3")
+    put(Formula("pi3", _Q(32), b3,
+                "pi^3 as 32 times the solved beta(3) form."), "n3")
 
-    (p2l2,) = solve_formulas(order4_relations(), [Monomial(pi=2, log2=2)])
-    put(p2l2, label="n4")
+    (p2l,) = solve(["r3"], Monomial(pi=2, log2=1))
+    put(p2l, "n3")
 
-    p2l3, p4l = solve_formulas(order5_relations(),
-                               [Monomial(pi=2, log2=3),
-                                Monomial(pi=4, log2=1)])
-    put(p2l3, label="n5")
-    put(p4l, label="n5")
+    (p2l2,) = solve(_R4_RHS, Monomial(pi=2, log2=2))
+    put(p2l2, "n4")
+
+    p2l3, p4l = solve(["r5"], Monomial(pi=2, log2=3), Monomial(pi=4, log2=1))
+    put(p2l3, "n5")
+    put(p4l, "n5")
     return out
 
 

@@ -10,10 +10,10 @@ import lihex.hyper  # noqa: F401  (its memos must be present to be cleared)
 from lihex.errors import PrecisionError, UndefinedOrder, UnknownName
 from lihex.ladders import (RELATIONS, _R4_RHS, CheckReport, check_all,
                            check_li5_identity, check_relation, eval_ladder,
-                           li5, monomial)
+                           li5)
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex
-from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
+from lihex.mp.real import MpReal
 from lihex.series import catalog, eval_formula
 
 SUITE_512 = {
@@ -103,18 +103,6 @@ def test_li5_functional_equation_point():
     y = MpComplex.from_fractions(Q(0), Q(1), P)
     rep = check_li5_identity(x, y, P)
     assert rep.passed
-
-
-def test_monomial_helper():
-    P = 256
-    wp = P + 32
-    got = monomial(2, 1, [(3, 2)], P)
-    want = (pow_int(pi_const(wp), 2, wp)
-            .mul(log2_const(wp), wp)
-            .mul(pow_int(sp.zeta(3, wp), 2, wp), P))
-    d = got - want
-    mag = d.man.bit_length() + d.exp if not d.is_zero else -10**9
-    assert mag < got.man.bit_length() + got.exp - (P - 16)
 
 
 def test_report_shape():

@@ -163,6 +163,29 @@ def test_verify_fourteen_term_vector():
     assert not verify_vector(bad, vals, 1024).passed
 
 
+def test_verify_allows_for_the_vector_height():
+    # values good to exactly 2**-8192 leave the f11 vector, of height
+    # about 2**73, a residual above 2**-(8192-64); it is still a relation
+    P = 4 * 2048
+    rep = verify_vector(F11_VECTOR, _f11_values(P), P)
+    assert rep.passed and rep.log2_residual > -(P - 64)
+
+
+def test_verify_rejects_a_pigeonhole_coincidence():
+    # the coincidence of test_pigeonhole_gate among the eight constants
+    # it came from: its residual is inside the height allowance, but not
+    # below the pigeonhole floor
+    fake = (3099624, 2382306, -12816464, 106971, 31551745, -302267,
+            -379542, -16475735)
+    vals = [eval_formula(c, 256) for c in
+            ("pi", "zeta3", "catalan", "log2cu", "zeta5", "pi4", "beta3",
+             "log2_4")]
+    rep = verify_vector(fake, vals, 256)
+    height = math.log2(max(abs(v) for v in fake))
+    assert rep.log2_residual <= height - (256 - 64)
+    assert not rep.passed
+
+
 def test_verify_zero_vector_and_mismatch():
     vals = (pi_const(256), log2_const(256))
     rep = verify_vector((0, 0), vals, 256)

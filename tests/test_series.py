@@ -2,16 +2,20 @@
 constant it claims to be, plus the series evaluator against an exact
 rational reference sum."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lihex import series
 from lihex.errors import UnknownName
+from lihex.ladders import RELATIONS, check_relation
 from lihex.mp import special as sp
 from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
-from lihex.series import (Monomial, SeriesSpec, catalog, dump_catalog,
-                          eval_formula, eval_series, load_catalog)
+from lihex.series import (IDENTITIES, Monomial, SeriesSpec, catalog,
+                          derived_catalog, dump_catalog, eval_formula,
+                          eval_series, load_catalog, solve_formulas)
 
 P = 192
 
@@ -115,3 +119,35 @@ def test_series_spec_validation():
         SeriesSpec(1, 7, (1,) * 8)
     with pytest.raises(ValueError):
         SeriesSpec(1, 1, (1, 2, 3))
+
+
+# sha256 of the canonical dump of the eight solved formulas; any change
+# to the identity table or the elimination that alters a formula moves it
+DERIVED_SHA256 = (
+    "188a7f6bd54577c6770f48a36dea3f47b18c578e1c73fcb5702c2eac64f6bfaf")
+
+
+def test_derived_catalog_is_pinned():
+    text = dump_catalog(derived_catalog().values())
+    assert hashlib.sha256(text.encode()).hexdigest() == DERIVED_SHA256
+
+
+def test_derived_formulas_come_from_checked_identities(monkeypatch):
+    used = []
+
+    def recording(identities, targets):
+        used.extend(identities)
+        return solve_formulas(identities, targets)
+
+    monkeypatch.setattr(series, "solve_formulas", recording)
+    series._derived.cache_clear()
+    try:
+        derived_catalog()
+    finally:
+        series._derived.cache_clear()
+    assert {i.name for i in used} == {
+        "i2", "i3", "r3", "r4b", "r4c", "r4d", "r4e", "r5"}
+    for ident in used:
+        assert IDENTITIES[ident.name] is ident
+        assert RELATIONS[ident.name].status == ident.status
+        assert check_relation(ident.name, 512).passed
