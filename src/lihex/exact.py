@@ -2,8 +2,10 @@
 
 Every argument that feeds the series machinery lives in the ring of
 complex numbers whose real and imaginary parts have the form
-a + b*sqrt(2) with rational a, b.  Working in this ring keeps argument
-classification (eighth powers, moduli, conjugation) exact.
+a + b*sqrt(2) with rational a, b.  Working in this ring keeps the
+classification of an argument exact: `series.polylog_pattern` reads its
+eighth power and the rational parts of its powers, and `ladders` rounds
+it to a multiprecision value only for Li_1(z) = -log(1 - z).
 """
 
 from __future__ import annotations
@@ -94,12 +96,6 @@ class ExactComplex:
             return ExactComplex(self.re * q, self.im * q)
         return ExactComplex(self.re * o.re - self.im * o.im,
                             self.re * o.im + self.im * o.re)
-
-    def conj(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
-    def abs2(self) -> QuadExt:
-        return self.re * self.re + self.im * self.im
 
     @property
     def is_zero(self) -> bool:

@@ -14,15 +14,35 @@ Everything here reduces to a single summation engine: a linearly
 convergent series is summed directly to a cutoff ``N`` and its tail is
 re-expanded as a combination of Hurwitz zeta values at ``N+1``, which a
 chained Euler-Maclaurin evaluation supplies at fixed cost per order.
+
+The inner sums run on plain fixed-point integers, each with an absolute
+error budget of one floor (one ulp) per term, held below the result's
+last bit by stated guard bits:
+
+- the 3F2 at unit argument, at prec + 64 bits: the ratio series is exact
+  before one floor per coefficient, the tail coefficients carry 64 more
+  bits for the cancellation of their binomial sums, and each tail term
+  d_j zeta(rho + j, N + 1) comes out of the Euler-Maclaurin chain within
+  one ulp (the Catalan tail does the same with 128 guard bits);
+- the pole sums, at prec + 48 bits: exact Gaussian-integer numerators and
+  one integer complex division per term, about 2 wp terms at most;
+- the asymptotic integers k_m: one pass over the kernel, at a precision
+  sized from m that keeps the rounding error below 1/8, cut where the
+  kernel's tail falls below 1/16.
+
+The Euler-Maclaurin chain of the tails and the Spouge sum behind the
+gammas are in :mod:`lihex.mp.special`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (
     DivergenceError,
@@ -33,16 +53,17 @@ from .errors import (
 )
 from .ladders import CheckReport, _log2_mag, eval_ladder
 from .mp import special as _sp
+from .mp.special import _HurwitzTail
 from .mp.cplx import MpComplex
 from .mp.real import (
     MpReal,
+    _log2_fixed,
+    _pi_fixed,
     cos,
     exp,
-    ln,
     log2_const,
     pi_const,
     pow_int,
-    pow_real,
     sin,
     tan,
 )
@@ -123,68 +144,6 @@ def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
 
 
 # ----------------------------------------------------------------------
-# Euler-Maclaurin tail chains
-#
-# The series engine needs zeta(s0 + j, N + 1) for j = 0, 1, 2, ... and,
-# for the harmonically weighted Catalan series, the log-weighted sums
-# sum_{n>N} ln(n) / n^(s0+j).  With the origin shifted to N+1 >> 1 the
-# Euler-Maclaurin expansion needs no direct terms at all, and stepping
-# j -> j+1 only divides one cached fixed-point power by N+1.
-
-class _HurwitzTail:
-    def __init__(self, s0: Fraction, a: int, wp: int):
-        if s0 <= 1:
-            raise DomainError("tail chain requires s0 > 1")
-        if a < 2:
-            raise DomainError("tail chain requires an origin >= 2")
-        self.s0 = s0
-        self.a = a
-        self.wp = wp
-        self._bp = pow_real(
-            MpReal.from_int(a, wp + 16),
-            MpReal.from_fraction(-s0, wp + 16),
-            wp + 8,
-        ).to_fixed(wp)
-        self._j = 0
-        self._ln_a = ln(MpReal.from_int(a, wp + 8), wp).to_fixed(wp)
-
-    def _advance(self, j: int) -> int:
-        if j < self._j:
-            raise DomainError("tail chain cannot step backwards")
-        while self._j < j:
-            self._bp //= self.a
-            self._j += 1
-        return self._bp
-
-    def value(self, j: int) -> MpReal:
-        """sum_{n >= a} n^-(s0+j) at the chain's working precision."""
-        acc = _sp._em_tail(self._advance(j), self.a, self.s0 + j)
-        return MpReal.from_fixed(acc, self.wp, self.wp)
-
-    def logvalue(self, j: int) -> MpReal:
-        """sum_{n >= a} ln(n) n^-(s0+j), the -d/ds of value(j)."""
-        bp = self._advance(j)
-        wp, a = self.wp, self.a
-        s = self.s0 + j
-        sm1 = s - 1
-        la = self._ln_a
-        # a^(1-s) [ln(a)/(s-1) + 1/(s-1)^2] + a^-s ln(a)/2
-        acc = (bp * a * sm1.denominator // sm1.numerator) * la >> wp
-        acc += bp * a * sm1.denominator**2 // sm1.numerator**2
-        acc += (bp * la >> wp) >> 1
-        # the i-th correction of value(j) is c_i(s) a^(1-s-2i); its -d/ds
-        # weights it by ln(a) - dl with dl = sum_{r<2i-1} 1/(s+r)
-        sn, sd = s.numerator, s.denominator
-        dl = (sd << wp) // sn
-        r = 1
-        for t in _sp._em_corrections(bp, a, s):
-            acc += t * (la - dl) >> wp
-            dl += (sd << wp) // (sn + r * sd) + (sd << wp) // (sn + (r + 1) * sd)
-            r += 2
-        return MpReal.from_fixed(acc, wp, wp)
-
-
-# ----------------------------------------------------------------------
 # the 3F2(1) summation engine
 #
 # For F = sum_m c_m with c_m = (al)_m (be)_m / ((ga)_m (de)_m) the terms
@@ -198,42 +157,58 @@ class _HurwitzTail:
 # lam * sum_j d_j zeta(rho + j, N + 1).
 
 def _ratio_series(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
-                  rho: Fraction, jmax: int) -> list[Fraction]:
-    n = jmax + 2
-    # (1 + al x)(1 + be x)
-    poly = [Q(1), al + be, al * be]
-    # times (1 + x)^rho
-    binom = [Q(1)]
-    for k in range(1, n):
-        binom.append(binom[-1] * (rho - k + 1) / k)
-    out = [Q(0)] * n
-    for i, p in enumerate(poly):
-        if p == 0:
-            continue
-        for k in range(n - i):
-            out[i + k] += p * binom[k]
-    # divided by (1 + ga x) and (1 + de x)
-    for root in (ga, de):
-        acc = Q(0)
-        for k in range(n):
-            acc = out[k] - root * acc
-            out[k] = acc
+                  rho: Fraction, jmax: int, wp: int) -> list[int]:
+    """r_0 .. r_(jmax+1) of R(x) = (1+al x)(1+be x)(1+x)^rho / ((1+ga x)(1+de x))
+    as fixed-point ints at wp bits, each floored once from its exact value.
+
+    With L the common denominator of the parameters, r_k is an integer
+    over L^(k+2) k!, so the whole series runs in exact integers.
+    """
+    lcd = math.lcm(*(v.denominator for v in (al, be, ga, de, rho)))
+    A, B, G, E, R = (v.numerator * (lcd // v.denominator)
+                     for v in (al, be, ga, de, rho))
+    out = []
+    nb = [1]  # nb[k] = prod_(i<k) (R - i L), so C(rho, k) = nb[k] / (L^k k!)
+    x = y = 0
+    den = lcd * lcd  # L^(k+2) k!
+    for k in range(jmax + 2):
+        if k:
+            nb.append(nb[-1] * (R - (k - 1) * lcd))
+            den *= lcd * k
+        # (1+al x)(1+be x)(1+x)^rho, then the two divisions, on L^(k+2) k!
+        o = lcd * lcd * nb[k]
+        if k >= 1:
+            o += (A + B) * lcd * lcd * k * nb[k - 1]
+        if k >= 2:
+            o += A * B * lcd * lcd * k * (k - 1) * nb[k - 2]
+        x = o - G * k * x
+        y = x - E * k * y
+        out.append((y << wp) // den)
     return out
 
 
-def _tail_coeffs(r: list[Fraction], jmax: int, wp: int) -> list[MpReal]:
-    rv = [MpReal.from_fraction(v, wp) for v in r]
-    d = [MpReal.from_int(1, wp)]
-    for big in range(2, jmax + 2):
-        acc = MpReal.zero(wp)
-        for j in range(big - 1):
-            k = big - j
-            w = MpReal.from_int(
-                (-1 if k % 2 else 1) * math.comb(big - 1, k), wp
-            ).add(-rv[k], wp)
-            acc = acc.add(d[j].mul(w, wp), wp)
-        d.append(acc.div(big - 1, wp))
-    return d
+def _tail_coeffs(rv: list[int], wp: int) -> Iterator[int]:
+    """d_0, d_1, ... of T(x) as fixed-point ints at wp bits, from the
+    r_k of `_ratio_series` at the same scale, each made when it is asked
+    for: the tails stop well before the last r_k.
+
+    Matching x^n in T(x/(1+x)) = T(x) R(x) gives
+    (n-1) d_(n-1) = sum_(j<n-1) d_j ((-1)^k C(n-1, k) - r_k), k = n - j.
+    The products are exact and each d takes one floor, 1 ulp, beyond what
+    it inherits; the binomials cancel to the far smaller d's, and the
+    callers' guard bits on wp cover that loss.
+    """
+    d = [1 << wp]
+    yield d[0]
+    row = [1, 1]  # C(n-1, k) for k = 0 .. n-1
+    for n in range(2, len(rv)):
+        # j = 0 pairs with k = n, where C(n-1, n) = 0
+        binom = [0] + [-row[k] if k % 2 else row[k] for k in range(n - 1, 1, -1)]
+        acc = (sum(map(operator.mul, d, binom)) << wp) - sum(
+            map(operator.mul, d, rv[n:1:-1]))
+        d.append(acc // ((n - 1) << wp))
+        yield d[-1]
+        row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
 
 
 def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
@@ -247,7 +222,11 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
             f"3F2 series diverges: unit-argument exponent {rho} <= 1"
         )
     wp = prec + 64
-    wp_d = wp + 320
+    # the d_j lose up to about 0.75 wp bits to their cancelling binomial
+    # sums, but each meets zeta(rho + j, big) < big^-j: against exact
+    # rational d_j at wp = 400 and 1100, every error times 128^-j stayed
+    # below 2^-wp even without guard bits; these 64 are margin
+    wp_d = wp + 64
     jmax = max(48, wp // 5)
     aln, ald = al.numerator, al.denominator
     ben, bed = be.numerator, be.denominator
@@ -268,16 +247,17 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
         head = MpReal.from_fixed(acc, wp, wp)
         if c == 0:
             return head.round_to(prec)  # terminating series
-        r = _ratio_series(al, be, ga, de, rho, jmax)
-        d = _tail_coeffs(r, jmax, wp_d)
-        chain = _HurwitzTail(rho, big, wp + 384)
-        tail = MpReal.zero(wp_d)
+        r = _ratio_series(al, be, ga, de, rho, jmax, wp_d)
+        chain = _HurwitzTail(rho, big, wp_d)
+        # tail = sum_j d_j zeta(rho + j, big) at wp_d, where each term
+        # costs at most 1 ulp: jmax + 1 ulps in all
+        tail = 0
         best = None
         done = False
-        for j in range(jmax + 1):
-            term = d[j].mul(chain.value(j), wp_d)
-            mag = _log2_mag(term)
-            if mag < -(wp + 16):
+        for j, dj in enumerate(_tail_coeffs(r, wp_d)):
+            term = chain.tail(j, dj)
+            mag = abs(term).bit_length() - wp_d
+            if term == 0 or mag < -(wp + 16):
                 done = True
                 break
             # term magnitudes sawtooth by a few bits; only a sustained
@@ -285,7 +265,7 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
             if best is not None and mag > best + 24:
                 break
             best = mag if best is None else min(best, mag)
-            tail = tail.add(term, wp_d)
+            tail += term
         if done:
             lam_wp = wp + 32
             lam = _gamma_q(ga, lam_wp).mul(_gamma_q(de, lam_wp), lam_wp)
@@ -293,7 +273,8 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
                 _gamma_q(al, lam_wp).mul(_gamma_q(be, lam_wp), lam_wp),
                 lam_wp,
             )
-            return head.add(lam.mul(tail.round_to(wp), wp), prec)
+            return head.add(lam.mul(MpReal.from_fixed(tail, wp_d, wp), wp),
+                            prec)
         big *= 2
         jmax += 32
     raise PrecisionError("3F2 tail expansion failed to converge")
@@ -459,39 +440,53 @@ def _pole_sum(
     wp: int,
     skip: frozenset[tuple[int, int]] = frozenset(),
 ) -> MpComplex:
-    acc = MpComplex.from_int(0, wp)
-    tmag = math.sqrt(max(t.abs2(53).to_float(), 0.0))
+    # fixed point at wp bits: with mu = p/q, k - mu t = D / (q 2^wp) for
+    # the Gaussian integer D = q k 2^wp - p t, so each term
+    # num q / (2^sc (k - mu t)) is one exact integer complex division,
+    # floored: kmax terms cost at most kmax ulps per component, and
+    # |t| + 1 times that after the product with t
+    tr, ti = t.re.to_fixed(wp), t.im.to_fixed(wp)
+    tmag = math.hypot(t.re.to_float(), t.im.to_float())
+    acc_r = acc_i = 0
     for fi, fam in enumerate(fams):
         zr, zi, shift, sel, mult, mu = fam
         bits = shift - 0.5 * math.log2(zr * zr + zi * zi)
         kmax = int((wp + 48) / bits + 3 * tmag) + 16
-        mu_t = t.mul(MpComplex.from_fractions(mu, Q(0), wp), wp)
-        ar, ai = zr, zi
+        p, q = mu.numerator, mu.denominator
+        di = -p * ti
+        dr = -p * tr
+        ar, ai = mult * zr, mult * zi  # mult (zr + i zi)^k, exact
         sc = shift
         for k in range(1, kmax + 1):
+            dr += q << wp
             if sel == "full":
-                num = MpComplex.from_fractions(
-                    Q(mult * ar, 1 << sc), Q(mult * ai, 1 << sc), wp
-                )
-                live = not num.is_zero
+                nr, ni = ar, ai
             else:
-                a_sel = ar if sel == "re" else ai
-                num = None
-                live = a_sel != 0
-            if live and (fi, k) not in skip:
-                den = MpComplex.from_int(k, wp).add(-mu_t, wp)
-                if den.abs2(32).is_zero:
+                nr, ni = (ar if sel == "re" else ai), 0
+            if (nr or ni) and (fi, k) not in skip:
+                if abs(dr) <= p and abs(di) <= p:
+                    # t lies within one ulp of the pole k / mu
                     raise PoleError(
                         f"generating function pole at k={k}, family {fi}"
                     )
-                if num is None:
-                    num = MpComplex.from_fractions(
-                        Q(mult * a_sel, 1 << sc), Q(0), wp
-                    )
-                acc = acc.add(num.div(den, wp), wp)
+                # num q conj(D) 2^(2 wp - sc) / |D|^2
+                den = dr * dr + di * di
+                xr = (nr * dr + ni * di) * q
+                xi = (ni * dr - nr * di) * q
+                e = 2 * wp - sc
+                if e >= 0:
+                    acc_r += (xr << e) // den
+                    acc_i += (xi << e) // den
+                else:
+                    den <<= -e
+                    acc_r += xr // den
+                    acc_i += xi // den
             ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
             sc += shift
-    return acc.mul(t, wp)
+    return MpComplex(
+        MpReal.from_fixed((acc_r * tr - acc_i * ti) >> wp, wp, wp),
+        MpReal.from_fixed((acc_r * ti + acc_i * tr) >> wp, wp, wp),
+    )
 
 
 def genfn_pf(name: str, t: MpComplex | MpReal | Fraction | int,
@@ -972,22 +967,18 @@ _G_LIMIT = 1 << 13
 
 
 @functools.cache
-def _kernel_coeffs() -> list[int]:
-    g = [0] * (_G_LIMIT + 1)
-    for j in range(0, (_G_LIMIT - 1) // 10 + 1):
-        base = 10 * j
-        if base + 1 <= _G_LIMIT:
-            g[base + 1] += 4
-        if base + 5 <= _G_LIMIT:
-            g[base + 5] -= 8
-        if base + 9 <= _G_LIMIT:
-            g[base + 9] += 4
-        u = base + 7
-        sign = 4
-        while u <= _G_LIMIT:
-            g[u] += sign
-            sign = -sign
-            u += 4
+def _kernel_coeffs() -> array:
+    """g_0 .. g_(_G_LIMIT) as signed bytes: a period-10 part (+4, -8, +4
+    at u = 1, 5, 9 mod 10) plus runs +4, -4, +4, ... that start at every
+    u = 7 mod 10 and step by 4; the runs sum to
+    alt[u] = 4 [u = 7 mod 10] - alt[u-4].  Every |g_u| <= 12."""
+    fixed = (0, 4, 0, 0, 0, -8, 0, 0, 0, 4)
+    g = array("b", bytes(_G_LIMIT + 1))
+    alt = [0, 0, 0, 0]  # alt[u - 4], indexed by u mod 4
+    for u in range(_G_LIMIT + 1):
+        a = (4 if u % 10 == 7 else 0) - alt[u % 4]
+        alt[u % 4] = a
+        g[u] = fixed[u % 10] + a
     return g
 
 
@@ -1004,42 +995,57 @@ _ASYMP_MAX_M = 64
 
 def asymp_coeff(m: int) -> int:
     """Exact integer k_m in U(t) ~ 6 sum_m k_m / (10 t)^m, for
-    1 <= m <= 64.  PrecisionError if the quadrature cannot resolve the
+    1 <= m <= 64.  PrecisionError if the sum cannot resolve the
     nearest integer with margin 1/4."""
     if not 1 <= m <= _ASYMP_MAX_M:
         raise DomainError(
             f"asymptotic coefficients computed for m <= {_ASYMP_MAX_M}")
-    wp = 256 + 10 * m
+    # k_m = sgn (scale / 24) sum_u g_u Part w_u^-e, w_u = u pi/10 + i ln 2
+    e = m + 1
+    scale = 5 * 10**m * math.factorial(m)
+    # Sum in fixed point at wp bits.  With the rounded pi and ln 2, the
+    # division and the <= 2 bitlen(e) products of the power, a term costs
+    # at most 8 (e + bitlen(e)) max(1, |w_u|^-e) ulps.  |w_u|^-e is below
+    # 1.32^e < 2^(2e/5) for u <= 2 and below 1 beyond, |g_u| <= 12 and
+    # there are under 2^13 terms: the sum costs under
+    # 2^(bitlen(e) + 2e/5 + 22) ulps, which these guard bits keep below
+    # 1/8 after scaling.
+    wp = scale.bit_length() + 2 * e // 5 + 2 * e.bit_length() + 24
+    # Past u_max the terms sum to at most 12 (10/pi)^e u_max^(1-e) / (e-1)
+    # <= 12 / 2^(bitlen(scale) + 3), 1/16 after scaling; u_max is 5257 at
+    # m = 1 and under 900 for every other m <= 64.
+    u_max = min(_G_LIMIT, math.ceil(
+        2 ** ((scale.bit_length() + 3 + 1.68 * e) / (e - 1))))
     g = _kernel_coeffs()
-    pi_ = pi_const(wp)
-    ln2 = log2_const(wp)
-    acc = MpReal.zero(wp)
-    one = MpComplex.from_int(1, wp)
-    for u in range(1, _G_LIMIT + 1):
+    pf = _pi_fixed(wp)
+    li = _log2_fixed(wp)
+    li2 = li * li
+    acc = 0
+    for u in range(1, u_max + 1):
         gu = g[u]
         if gu == 0:
             continue
-        w = MpComplex(pi_.mul(u, wp).div(10, wp), ln2)
-        p = one
-        e = m + 1
-        base = w
-        while e:
-            if e & 1:
-                p = p.mul(base, wp)
-            e >>= 1
-            if e:
-                base = base.mul(base, wp)
-        inv = one.div(p, wp)
-        part = inv.re if m % 2 == 1 else inv.im
-        acc = acc.add(part.mul(gu, wp), wp)
+        wr = u * pf // 10
+        d = wr * wr + li2
+        # z = 1/w, then z^e by binary powering
+        br = (wr << 2 * wp) // d
+        bi = -(li << 2 * wp) // d
+        pr, pi_ = 1 << wp, 0
+        n = e
+        while True:
+            if n & 1:
+                pr, pi_ = (pr * br - pi_ * bi) >> wp, (pr * bi + pi_ * br) >> wp
+            n >>= 1
+            if not n:
+                break
+            br, bi = (br + bi) * (br - bi) >> wp, (br * bi) >> (wp - 1)
+        acc += gu * (pr if m % 2 == 1 else pi_)
     # odd m take -(-1)^((m-1)/2) Re, even m take +(-1)^((m-2)/2) Im
     if m % 2 == 1:
         sgn = -1 if ((m - 1) // 2) % 2 == 0 else 1
     else:
         sgn = 1 if ((m - 2) // 2) % 2 == 0 else -1
-    val = acc.mul(
-        Q(sgn * 5 * 10**m * math.factorial(m), 24), wp)
-    vq = val.to_fraction()
+    vq = Q(sgn * scale * acc, 24 << wp)
     k = round(vq)
     if abs(vq - k) >= Q(1, 4):
         raise PrecisionError(
@@ -1238,39 +1244,39 @@ def catalan_binomial(prec: int) -> MpReal:
         n += 1
     head = MpReal.from_fixed(acc, wp, wp)
     # tail: c_n = lam n^-3/2 T(1/n), H_{2n} = ln n + (gamma + ln 2)
-    #        + 1/(4n) - sum B_{2k} / (2k (2n)^{2k})
+    #        + 1/(4n) - sum B_{2k} / (2k (2n)^{2k}), summed as fixed-point
+    #        ints at wd bits, where the floors cost a term under jmax ulps
     jmax = max(40, wp // 4)
-    r = _ratio_series(_HALF, _HALF, Q(1), Q(3, 2), Q(3, 2), jmax)
-    d = _tail_coeffs(r, jmax, wp + 128)
-    chain = _HurwitzTail(Q(3, 2), big + 1, wp + 160)
-    hco: dict[int, Fraction] = {1: Q(1, 4)}
+    wd = wp + 128
+    r = _ratio_series(_HALF, _HALF, Q(1), Q(3, 2), Q(3, 2), jmax, wd)
+    d: list[int] = []
+    chain = _HurwitzTail(Q(3, 2), big + 1, wd)
+    hco: list[tuple[int, Fraction]] = [(1, Q(1, 4))]
     k = 1
     while 2 * k <= jmax:
-        hco[2 * k] = -_sp.bernoulli(2 * k) / (2 * k * 4**k)
+        hco.append((2 * k, -_sp.bernoulli(2 * k) / (2 * k * 4**k)))
         k += 1
     gconst = _euler_gamma(wp + 32).add(log2_const(wp + 32), wp + 32)
-    tail = MpReal.zero(wp + 32)
+    gconst = gconst.to_fixed(wd)
+    tail = 0
     floor_mag = None
-    for j in range(jmax + 1):
-        term = d[j].mul(chain.logvalue(j), wp + 32)
-        term = term.add(d[j].mul(chain.value(j), wp + 32).mul(
-            gconst, wp + 32), wp + 32)
-        conv = MpReal.zero(wp + 32)
-        for kk, hv in hco.items():
-            if kk <= j:
-                conv = conv.add(
-                    d[j - kk].mul(hv, wp + 32), wp + 32)
-        term = term.add(conv.mul(chain.value(j), wp + 32), wp + 32)
-        mag = _log2_mag(term)
-        if mag < -(wp + 16):
+    for j, dj in enumerate(_tail_coeffs(r, wd)):
+        d.append(dj)
+        conv = sum(d[j - kk] * hv.numerator // hv.denominator
+                   for kk, hv in hco if kk <= j)
+        term = chain.logtail(j, dj) \
+            + chain.tail(j, (dj * gconst >> wd) + conv)
+        mag = abs(term).bit_length() - wd
+        if term == 0 or mag < -(wp + 16):
             break
         if floor_mag is not None and mag > floor_mag + 4:
             raise PrecisionError("harmonic tail turned before converging")
         floor_mag = mag if floor_mag is None else min(floor_mag, mag)
-        tail = tail.add(term, wp + 32)
+        tail += term
     lam = MpReal.from_int(1, wp).div(
         pi_const(wp).sqrt(wp).mul(2, wp), wp)
-    return head.add(lam.mul(tail.round_to(wp), wp).div(2, wp), prec)
+    return head.add(lam.mul(MpReal.from_fixed(tail, wd, wp), wp).div(2, wp),
+                    prec)
 
 
 # ----------------------------------------------------------------------

@@ -58,9 +58,6 @@ class MpComplex:
     def conj(self) -> "MpComplex":
         return MpComplex(self.re, -self.im)
 
-    def scalb(self, k: int) -> "MpComplex":
-        return MpComplex(self.re.scalb(k), self.im.scalb(k))
-
     def round_to(self, prec: int) -> "MpComplex":
         return MpComplex(self.re.round_to(prec), self.im.round_to(prec))
 
@@ -120,9 +117,6 @@ class MpComplex:
 
     def __hash__(self):
         return hash((self.re.to_fraction(), self.im.to_fraction()))
-
-    def to_complex(self) -> complex:
-        return complex(self.re.to_float(), self.im.to_float())
 
     def __repr__(self) -> str:
         return f"MpComplex({self.re.to_float()!r}, {self.im.to_float()!r})"

@@ -4,12 +4,18 @@ and numerical Taylor coefficients.
 Everything here reduces to integer fixed-point work on top of
 :class:`~lihex.mp.real.MpReal`.  Every Euler-Maclaurin tail in the
 package -- zeta, Dirichlet beta, the integer-argument Hurwitz zeta and
-the 3F2 and Catalan tails in :mod:`lihex.hyper` -- goes through one
-fixed-point kernel, :func:`_em_tail`, whose corrections read one shared
-table of exact Bernoulli numbers that grows entry by entry and never
-recomputes one.  :func:`hurwitz` takes integer s only and :func:`gamma`
-real arguments only; gamma uses a Spouge-style convergent approximation
-with reflection for the left half line.
+the 3F2 and Catalan tails that :mod:`lihex.hyper` reads from the chain
+:class:`_HurwitzTail` -- goes through one fixed-point kernel,
+:func:`_em_tail`, whose corrections read one shared table of exact
+Bernoulli numbers that grows entry by entry and never recomputes one.
+
+:func:`hurwitz` takes integer s only and :func:`gamma` real arguments
+only; gamma uses a Spouge-style convergent approximation with
+reflection for the left half line.  Its coefficients are cached as
+fixed-point ints and its partial-fraction sum runs in fixed point, one
+floor per term, at prec + prec/5 + 64 bits to start; the sum cancels
+further as the argument grows, so it measures that loss against the
+magnitudes of its terms and retries with the bits it lacks.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError, PrecisionError
 from .cplx import MpComplex
-from .real import MpReal, _div0, _exp_impl, _ln_impl, _pi_fixed, _shr0, _sincos
+from .real import (MpReal, _div0, _exp_impl, _ln_impl, _pi_fixed, _shr0,
+                   _sincos, ln, pow_real)
 
 __all__ = [
     "bernoulli",
@@ -136,6 +143,83 @@ def _em_tail(bp: int, x, s) -> int:
 
 
 # ----------------------------------------------------------------------
+# Euler-Maclaurin tail chains
+#
+# The 3F2 tails in lihex.hyper need c_j zeta(s0 + j, N + 1) for
+# j = 0, 1, 2, ... and, for the harmonically weighted Catalan series, the
+# log-weighted sums c_j sum_{n>N} ln(n) / n^(s0+j).  With the origin
+# shifted to N+1 >> 1 the Euler-Maclaurin expansion needs no direct
+# terms at all.  Both sums are linear in the boundary power
+# c_j (N+1)^-(s0+j), which one division forms from a cached (N+1)^-s0,
+# so each product comes out to the precision it needs: the kernel stops
+# once its corrections underflow, and a large c_j keeps its relative
+# precision.
+
+class _HurwitzTail:
+    def __init__(self, s0: Fraction, a: int, wp: int):
+        if s0 <= 1:
+            raise DomainError("tail chain requires s0 > 1")
+        if a < 2:
+            raise DomainError("tail chain requires an origin >= 2")
+        self.s0 = s0
+        self.a = a
+        self.wp = wp
+        # the kernel works at w bits: a floor in the boundary power costs
+        # a/(s0-1) + 1 ulps there, and each other floor one
+        sm1 = s0 - 1
+        w = wp + 16 + (a * sm1.denominator // sm1.numerator).bit_length()
+        self._w = w
+        # a^-s0 at g bits, so its relative error is below 2^-(w+24)
+        self._g = g = w + 24 + math.ceil(s0 * a.bit_length())
+        self._ap = pow_real(
+            MpReal.from_int(a, g + 16),
+            MpReal.from_fraction(-s0, g + 16),
+            g + 8,
+        ).to_fixed(g)
+
+    @functools.cached_property
+    def _ln_a(self) -> int:
+        """ln(a) at w bits, for the log-weighted sums only."""
+        w = self._w
+        return ln(MpReal.from_int(self.a, w + 8), w).to_fixed(w)
+
+    def _bp(self, j: int, c: int) -> int:
+        """c a^-(s0+j) at w bits, for c at wp bits."""
+        return c * self._ap // (self.a**j << (self._g + self.wp - self._w))
+
+    def tail(self, j: int, c: int) -> int:
+        """c sum_{n >= a} n^-(s0+j) at wp bits, for c at wp bits."""
+        acc = _em_tail(self._bp(j, c), self.a, self.s0 + j)
+        return acc >> (self._w - self.wp)
+
+    def value(self, j: int) -> MpReal:
+        """sum_{n >= a} n^-(s0+j) at the chain's working precision."""
+        return MpReal.from_fixed(self.tail(j, 1 << self.wp), self.wp, self.wp)
+
+    def logtail(self, j: int, c: int) -> int:
+        """c sum_{n >= a} ln(n) n^-(s0+j), the -d/ds of tail(j, c)."""
+        bp = self._bp(j, c)
+        w, a = self._w, self.a
+        s = self.s0 + j
+        sm1 = s - 1
+        la = self._ln_a
+        # a^(1-s) [ln(a)/(s-1) + 1/(s-1)^2] + a^-s ln(a)/2
+        acc = (bp * a * sm1.denominator // sm1.numerator) * la >> w
+        acc += bp * a * sm1.denominator**2 // sm1.numerator**2
+        acc += (bp * la >> w) >> 1
+        # the i-th correction of tail(j) is c_i(s) a^(1-s-2i); its -d/ds
+        # weights it by ln(a) - dl with dl = sum_{r<2i-1} 1/(s+r)
+        sn, sd = s.numerator, s.denominator
+        dl = (sd << w) // sn
+        r = 1
+        for t in _em_corrections(bp, a, s):
+            acc += t * (la - dl) >> w
+            dl += (sd << w) // (sn + r * sd) + (sd << w) // (sn + (r + 1) * sd)
+            r += 2
+        return acc >> (w - self.wp)
+
+
+# ----------------------------------------------------------------------
 # Riemann and Hurwitz zeta at integer arguments
 
 
@@ -206,23 +290,36 @@ def dirichlet_beta(n: int, prec: int) -> MpReal:
 
 
 @functools.cache
-def _spouge_coeffs(a: int, wp: int) -> list[MpReal]:
-    # c_0 = sqrt(2 pi); c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!
-    two_pi = MpReal.from_fixed(_pi_fixed(wp + 8), wp + 7, wp)  # 2*pi
-    coeffs = [two_pi.sqrt(wp)]
-    e1 = _exp_impl(MpReal.from_int(1, wp + 8), wp + 8)
-    epow = _exp_impl(MpReal.from_int(a - 1, wp + 8), wp + 8)
+def _spouge_coeffs(a: int, wp: int) -> tuple[int, ...]:
+    """c_0 .. c_(a-1) as fixed-point ints at wp bits: c_0 = sqrt(2 pi),
+    c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!.
+
+    The powers of e are carried at g = wp + bitlen(a) + 8 bits, where the
+    a - 2 products leave each under a 2^(-wp-6) relative error; each
+    coefficient is then formed from exact integers and floored once.
+    """
+    g = wp + a.bit_length() + 8
+    # e = sum 1/n! summed 16 bits below g: under 2 ulps at g
+    e1 = 0
+    t = 1 << (g + 16)
+    n = 0
+    while t:
+        e1 += t
+        n += 1
+        t //= n
+    e1 >>= 16
+    epow = [0, e1]  # epow[j] = e^j at g bits
+    for _ in range(2, a):
+        epow.append(epow[-1] * e1 >> g)
+    coeffs = [math.isqrt(_pi_fixed(2 * wp) << 1)]
     fact = 1
     for k in range(1, a):
         base = a - k
-        c = MpReal.from_fraction(Fraction(base**k, fact), wp)
-        c = c.div(MpReal.from_int(base, wp).sqrt(wp), wp).mul(epow, wp)
-        if k % 2 == 0:
-            c = -c
-        coeffs.append(c)
+        c = base ** (k - 1) * math.isqrt(base << 2 * g) * epow[base] \
+            // (fact << (2 * g - wp))
+        coeffs.append(c if k % 2 else -c)
         fact *= k
-        epow = epow.div(e1, wp + 8)
-    return coeffs
+    return tuple(coeffs)
 
 
 def _spouge_wp(prec: int) -> int:
@@ -234,17 +331,33 @@ def _spouge_wp(prec: int) -> int:
 def _gamma_pos_real(x: MpReal, prec: int) -> MpReal:
     """Gamma(x) for x >= 1/2 via the Spouge sum for Gamma(z+1) = z Gamma(z)."""
     wp = _spouge_wp(prec) + max(0, x.bit_top() if x.sign else 0)
-    a = int(wp / 2.65) + 3
-    coeffs = _spouge_coeffs(a, wp)
-    z = x.add(-1, wp)  # Gamma(x) = Gamma(z+1) with z = x-1
-    s = coeffs[0]
-    for k in range(1, a):
-        s = s.add(coeffs[k].div(z.add(k, wp), wp), wp)
+    while True:
+        a = int(wp / 2.65) + 3
+        coeffs = _spouge_coeffs(a, wp)
+        z = x.add(-1, wp)  # Gamma(x) = Gamma(z+1) with z = x-1
+        # s = c_0 + sum_k c_k / (z + k) in fixed point at wp bits, with
+        # the mass sum_k |c_k / (z + k)| it cancels from
+        one = 1 << wp
+        den = z.to_fixed(wp) + one
+        s = mass = coeffs[0]
+        for c in coeffs[1:]:
+            t = (c << wp) // den
+            s += t
+            mass += abs(t)
+            den += one
+        # each c_k is off by under 2^-(wp+5) of itself and each quotient
+        # by one floor: s is off by under mass 2^-(wp+5) + 2a ulps.  The
+        # sum cancels further as z grows; then retry with more bits
+        short = mass.bit_length() - abs(s).bit_length() \
+            - (wp - prec - 16 - a.bit_length())
+        if short <= 0:
+            break
+        wp += short + 16
     za = z.add(a, wp)
     lead = _exp_impl(
         z.add(Fraction(1, 2), wp).mul(_ln_impl(za, wp), wp).add(-za, wp), wp
     )
-    return lead.mul(s, prec)
+    return lead.mul(MpReal.from_fixed(s, wp, wp), prec)
 
 
 def _is_nonpos_int(x: MpReal) -> bool:

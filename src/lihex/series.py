@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (RankDeficient, UndefinedOrder, UnknownName,
                      UnsupportedArgument)
@@ -305,7 +306,7 @@ class Monomial:
 # A linear form is a dict from S-atoms (SeriesSpec) and Monomials to
 # rational coefficients; it stands for the sum of coefficient times value.
 
-def _add(acc: dict, coef: Fraction, form: dict) -> None:
+def _add(acc: dict, coef: Fraction, form: Mapping) -> None:
     for atom, c in form.items():
         acc[atom] = acc.get(atom, _Q(0)) + coef * c
 
@@ -446,21 +447,35 @@ class Identity:
     sides: tuple
     min_bits: int = 256
 
-    def forms(self) -> list[dict]:
-        """The sides as linear forms, built from the tables at this call."""
-        out = []
-        for side in self.sides:
-            form: dict = {}
-            for c, key in side:
-                if isinstance(key, Monomial):
-                    part = {key: _Q(1)}
-                elif isinstance(key, str):
-                    part = ladder(key, self.n)
-                else:
-                    part = _li(key[0], self.n, key[1])
-                _add(form, _Q(c), part)
-            out.append(form)
-        return out
+    def forms(self) -> list[Mapping]:
+        """The sides as linear forms, built from the tables as they stand.
+
+        The forms are cached on the identity and a snapshot of `_R4_RHS`,
+        the one table read at build time, so they are read-only views.
+        """
+        return list(_cached_forms(self, tuple(_R4_RHS.items())))
+
+
+def _build_forms(ident: Identity) -> list[dict]:
+    """The sides of `ident` as new linear forms, the caller's to change."""
+    out = []
+    for side in ident.sides:
+        form: dict = {}
+        for c, key in side:
+            if isinstance(key, Monomial):
+                part = {key: _Q(1)}
+            elif isinstance(key, str):
+                part = ladder(key, ident.n)
+            else:
+                part = _li(key[0], ident.n, key[1])
+            _add(form, _Q(c), part)
+        out.append(form)
+    return out
+
+
+@functools.cache
+def _cached_forms(ident: Identity, r4: tuple) -> tuple[Mapping, ...]:
+    return tuple(MappingProxyType(f) for f in _build_forms(ident))
 
 
 # the 14-term integer relation determining zeta(11)
@@ -638,7 +653,7 @@ def solve_formulas(identities: Sequence[Identity],
     """
     forms: list[dict] = []
     for ident in identities:
-        first, *rest = ident.forms()
+        first, *rest = _build_forms(ident)
         for form in rest:
             _add(form, _Q(-1), first)
             forms.append(form)

@@ -202,7 +202,6 @@ def test_asymp_bounds():
         asymp_coeff(65)
 
 
-@pytest.mark.slow
 def test_asymp_sign_change_spacing_through_64():
     signs = [asymp_coeff(m) > 0 for m in range(1, 65)]
     changes = [m + 1 for m in range(1, 64) if signs[m] != signs[m - 1]]
@@ -211,7 +210,6 @@ def test_asymp_sign_change_spacing_through_64():
     assert abs(sum(gaps) / len(gaps) - 7.38257) < 0.5
 
 
-@pytest.mark.slow
 def test_k39_structure():
     k = asymp_coeff(39)
     assert k < 0 and k % (3 * 5**8) == 0
