@@ -59,6 +59,7 @@ from .mp.real import (
     MpReal,
     _log2_fixed,
     _pi_fixed,
+    _sincos,
     cos,
     exp,
     log2_const,
@@ -396,6 +397,8 @@ def f5(args: F5Args) -> Fraction:
 # Each id carries families (zr, zi, shift, select, mult, mu): the pole
 # sum is t * sum_k mult * sel((zr+i zi)^k / 2^(shift k)) / (k - mu t).
 # The "A" series carries no factor 2; the others generate 2 sum X_n t^n.
+# With full=True the pole sum keeps the whole complex coefficient in place
+# of sel: that is the complex generating function behind F, G and H.
 
 _FamT = tuple[int, int, int, str, int, Fraction]
 
@@ -439,6 +442,7 @@ def _pole_sum(
     t: MpComplex,
     wp: int,
     skip: frozenset[tuple[int, int]] = frozenset(),
+    full: bool = False,
 ) -> MpComplex:
     # fixed point at wp bits: with mu = p/q, k - mu t = D / (q 2^wp) for
     # the Gaussian integer D = q k 2^wp - p t, so each term
@@ -459,7 +463,7 @@ def _pole_sum(
         sc = shift
         for k in range(1, kmax + 1):
             dr += q << wp
-            if sel == "full":
+            if full:
                 nr, ni = ar, ai
             else:
                 nr, ni = (ar if sel == "re" else ai), 0
@@ -501,24 +505,17 @@ def genfn_pf(name: str, t: MpComplex | MpReal | Fraction | int,
     return _pole_sum(_PF[name], tc, wp).round_to(prec)
 
 
-_CPLX_FAMS: dict[str, tuple[_FamT, ...]] = {
-    "F": ((1, 1, 1, "full", 2, Q(2)),),
-    "G": ((1, 1, 2, "full", 2, Q(2, 3)), (0, -1, 1, "full", -2, Q(1))),
-    "H": ((1, -1, 3, "full", 2, Q(2, 5)), (0, -1, 1, "full", -4, Q(1))),
-}
-
-
 def genfn_cplx(name: str, t: MpComplex | MpReal | Fraction | int,
                prec: int) -> MpComplex:
     """The complex-coefficient generating function (F, G or H) whose
     real/imaginary parts generate the paired real ladders."""
-    if name not in _CPLX_FAMS:
+    if name not in _RECUR:
         raise UnknownName(f"no complex generating function {name!r}")
     wp = prec + 48
     tc = _as_cplx(t, wp)
     if tc.is_zero:
         return MpComplex.from_int(0, prec)
-    return _pole_sum(_CPLX_FAMS[name], tc, wp).round_to(prec)
+    return _pole_sum(_PF[name], tc, wp, full=True).round_to(prec)
 
 
 # ----------------------------------------------------------------------
@@ -572,76 +569,53 @@ def _two_t(t: MpReal, wp: int) -> MpReal:
     return exp(t.mul(log2_const(wp), wp), wp)
 
 
-def _trig_A(t: MpReal, tq: Fraction, wp: int) -> tuple[MpReal, MpReal]:
-    pi_ = pi_const(wp)
-    pt = pi_.mul(t, wp)
-    con = pt.div(_two_t(t, wp).mul(sin(pt, wp), wp), wp)
-    w1 = eval_W(WArgs(tq / 2, Q(0), tq / 2, -tq / 2), wp)
-    v1 = MpReal.from_int(1, wp).add(-con, wp).add(
-        w1.mul(tq * tq, wp).div(2, wp), wp)
-    alt = pt.div(_two_t(t, wp).mul(tan(pt, wp), wp), wp)
-    w2 = eval_W(WArgs(tq / 2, -tq / 2, tq / 2, Q(0)), wp)
-    v2 = MpReal.from_int(1, wp).add(-alt, wp).add(
-        -w2.mul(tq * tq, wp).div(2, wp), wp)
-    return v1, v2
+def _times(x: MpReal, q: Fraction, wp: int) -> MpReal:
+    """x q, where a unit fraction divides (one rounding, not two)."""
+    return x.div(q.denominator, wp) if q.numerator == 1 else x.mul(q, wp)
 
 
-def _trig_B(t: MpReal, tq: Fraction, wp: int) -> tuple[MpReal, MpReal]:
-    pi_ = pi_const(wp)
-    pt = pi_.mul(t, wp)
-    half_pt = pt.div(2, wp)
-    con = half_pt.div(_two_t(t, wp).mul(sin(half_pt, wp), wp), wp)
-    w1 = eval_W(WArgs(tq, tq / 2, Q(0), -tq), wp)
-    v1 = MpReal.from_int(1, wp).add(-con, wp).add(
-        w1.mul(tq * tq, wp).div(2, wp), wp)
-    alt = pt.mul(2, wp).mul(cos(pt.mul(Q(3, 2), wp), wp), wp).div(
-        _two_t(t, wp).mul(sin(pt.mul(2, wp), wp), wp), wp)
-    w2 = eval_W(WArgs(Q(0), -tq, tq, tq / 2), wp)
-    v2 = MpReal.from_int(1, wp).add(-alt, wp).add(
-        -w2.mul(tq * tq, wp).div(2, wp), wp)
-    return v1, v2
+# name: (divisor of the W term, ("sum" form, "alt" form)); a form is
+# (W arguments as multiples of t, (c, num, den)) with the trig prefactor
+# c pi t prod f(q pi t) / (2^t prod f(q pi t)) over the (f, q) of num and
+# den.  A form's value is 1 - prefactor +- t^2 W / divisor, + for "sum".
+_Q1, _Q3, _Q6 = Q(1), Q(1, 3), Q(1, 6)
+_TRIG: dict[str, tuple] = {
+    "A": (2, (((_HALF, Q(0), _HALF, -_HALF), (_Q1, (), ((sin, _Q1),))),
+              ((_HALF, -_HALF, _HALF, Q(0)), (_Q1, (), ((tan, _Q1),))))),
+    "B": (2, (((_Q1, _HALF, Q(0), -_Q1), (_HALF, (), ((sin, _HALF),))),
+              ((Q(0), -_Q1, _Q1, _HALF),
+               (Q(2), ((cos, Q(3, 2)),), ((sin, Q(2)),))))),
+    "C": (3, (((_HALF, _Q3, _Q6, -_HALF),
+               (_HALF, (), ((sin, _HALF), (cos, _Q6)))),
+              ((_Q6, -_HALF, _HALF, _Q3),
+               (_Q1, (), ((tan, _Q1), (cos, _Q3)))))),
+    "D": (3, (((_Q3, _Q6, _Q3, -_Q3),
+               (_HALF, (), ((sin, _HALF), (cos, _Q3)))),
+              ((_Q3, -_Q3, _Q3, _Q6),
+               (_HALF, ((cos, Q(5, 6)),),
+                ((sin, _HALF), (cos, _Q6), (cos, _Q3)))))),
+}
 
 
-def _trig_C(t: MpReal, tq: Fraction, wp: int) -> tuple[MpReal, MpReal]:
-    pi_ = pi_const(wp)
-    pt = pi_.mul(t, wp)
-    half_pt = pt.div(2, wp)
-    con = half_pt.div(
-        _two_t(t, wp).mul(sin(half_pt, wp), wp).mul(
-            cos(pt.div(6, wp), wp), wp), wp)
-    w1 = eval_W(WArgs(tq / 2, tq / 3, tq / 6, -tq / 2), wp)
-    v1 = MpReal.from_int(1, wp).add(-con, wp).add(
-        w1.mul(tq * tq, wp).div(3, wp), wp)
-    alt = pt.div(
-        _two_t(t, wp).mul(tan(pt, wp), wp).mul(
-            cos(pt.div(3, wp), wp), wp), wp)
-    w2 = eval_W(WArgs(tq / 6, -tq / 2, tq / 2, tq / 3), wp)
-    v2 = MpReal.from_int(1, wp).add(-alt, wp).add(
-        -w2.mul(tq * tq, wp).div(3, wp), wp)
-    return v1, v2
-
-
-def _trig_D(t: MpReal, tq: Fraction, wp: int) -> tuple[MpReal, MpReal]:
-    pi_ = pi_const(wp)
-    pt = pi_.mul(t, wp)
-    half_pt = pt.div(2, wp)
-    con = half_pt.div(
-        _two_t(t, wp).mul(sin(half_pt, wp), wp).mul(
-            cos(pt.div(3, wp), wp), wp), wp)
-    w1 = eval_W(WArgs(tq / 3, tq / 6, tq / 3, -tq / 3), wp)
-    v1 = MpReal.from_int(1, wp).add(-con, wp).add(
-        w1.mul(tq * tq, wp).div(3, wp), wp)
-    alt = half_pt.mul(cos(pt.mul(Q(5, 6), wp), wp), wp).div(
-        _two_t(t, wp).mul(sin(half_pt, wp), wp).mul(
-            cos(pt.div(6, wp), wp), wp).mul(cos(pt.div(3, wp), wp), wp),
-        wp)
-    w2 = eval_W(WArgs(tq / 3, -tq / 3, tq / 3, tq / 6), wp)
-    v2 = MpReal.from_int(1, wp).add(-alt, wp).add(
-        -w2.mul(tq * tq, wp).div(3, wp), wp)
-    return v1, v2
-
-
-_TRIG = {"A": _trig_A, "B": _trig_B, "C": _trig_C, "D": _trig_D}
+def _trig_values(name: str, t: MpReal, tq: Fraction,
+                 wp: int) -> list[MpReal]:
+    """The "sum" and "alt" trigonometric+W values of generating function
+    `name` at t = tq."""
+    div, forms = _TRIG[name]
+    pt = pi_const(wp).mul(t, wp)
+    two = _two_t(t, wp)
+    out = []
+    for sign, (wargs, (c, num, den)) in zip((1, -1), forms):
+        top, bot = _times(pt, c, wp), two
+        for f, q in num:
+            top = top.mul(f(_times(pt, q, wp), wp), wp)
+        for f, q in den:
+            bot = bot.mul(f(_times(pt, q, wp), wp), wp)
+        w = eval_W(WArgs(*(m * tq for m in wargs)), wp)
+        wt = w.mul(tq * tq, wp).div(div, wp)
+        out.append(MpReal.from_int(1, wp).add(-top.div(bot, wp), wp).add(
+            wt if sign > 0 else -wt, wp))
+    return out
 
 
 def check_trig_forms(name: str, t: Fraction | MpReal, prec: int) -> CheckReport:
@@ -655,7 +629,7 @@ def check_trig_forms(name: str, t: Fraction | MpReal, prec: int) -> CheckReport:
     wp = prec + 48
     tr = MpReal.from_fraction(tq, wp)
     ref = genfn_pf(name, tq, wp).re
-    v1, v2 = _TRIG[name](tr, tq, wp)
+    v1, v2 = _trig_values(name, tr, tq, wp)
     r1 = v1.add(-ref, wp)
     r2 = v2.add(-ref, wp)
     worst = r1 if _log2_mag(r1) >= _log2_mag(r2) else r2
@@ -678,42 +652,34 @@ def _ci(re: int, im: int, wp: int) -> MpComplex:
     return MpComplex.from_fractions(Q(re), Q(im), wp)
 
 
+# name: (scale, shift, sign, rhs) for the equation
+#   scale G(t) / t + sign (i G(t - shift) - i) / (t - shift)
+#     = sum over rhs of (re + i im) / (a + b t)
+_RECUR: dict[str, tuple[int, int, int, tuple[tuple[int, ...], ...]]] = {
+    "F": (2, 1, -1, ((2, 2, 1, -2),)),
+    "G": (8, 3, -1, ((12, 12, 3, -2), (0, 8, 1, -1), (4, 0, 2, -1))),
+    "H": (32, 5, 1, ((40, -40, 5, -2), (0, 64, 1, -1), (32, 0, 2, -1),
+                     (0, -16, 3, -1), (-8, 0, 4, -1))),
+}
+
+
 def check_recurrence(name: str, t: MpComplex | MpReal | Fraction,
                      prec: int) -> CheckReport:
     """Functional equation linking G(t) to G(t - shift) for the complex
     generating functions F, G, H."""
-    if name not in _CPLX_FAMS:
+    if name not in _RECUR:
         raise UnknownName(f"no recurrence for {name!r}")
+    scale, shift, sign, rhs_terms = _RECUR[name]
     wp = prec + 48
     tc = _as_cplx(t, wp)
     i1 = _ci(0, 1, wp)
-    if name == "F":
-        lhs = genfn_cplx("F", tc, wp).mul(_ci(2, 0, wp), wp).div(tc, wp)
-        back = genfn_cplx("F", tc.add(_ci(-1, 0, wp), wp), wp)
-        lhs = lhs.add(
-            -back.mul(i1, wp).add(-i1, wp).mul(
-                _inv_lin(-1, 1, tc, wp), wp), wp)
-        rhs = _ci(2, 2, wp).mul(_inv_lin(1, -2, tc, wp), wp)
-    elif name == "G":
-        lhs = genfn_cplx("G", tc, wp).mul(_ci(8, 0, wp), wp).div(tc, wp)
-        back = genfn_cplx("G", tc.add(_ci(-3, 0, wp), wp), wp)
-        lhs = lhs.add(
-            -back.mul(i1, wp).add(-i1, wp).mul(
-                _inv_lin(-3, 1, tc, wp), wp), wp)
-        rhs = _ci(12, 12, wp).mul(_inv_lin(3, -2, tc, wp), wp)
-        rhs = rhs.add(_ci(0, 8, wp).mul(_inv_lin(1, -1, tc, wp), wp), wp)
-        rhs = rhs.add(_ci(4, 0, wp).mul(_inv_lin(2, -1, tc, wp), wp), wp)
-    else:
-        lhs = genfn_cplx("H", tc, wp).mul(_ci(32, 0, wp), wp).div(tc, wp)
-        back = genfn_cplx("H", tc.add(_ci(-5, 0, wp), wp), wp)
-        lhs = lhs.add(
-            back.mul(i1, wp).add(-i1, wp).mul(
-                _inv_lin(-5, 1, tc, wp), wp), wp)
-        rhs = _ci(40, -40, wp).mul(_inv_lin(5, -2, tc, wp), wp)
-        rhs = rhs.add(_ci(0, 64, wp).mul(_inv_lin(1, -1, tc, wp), wp), wp)
-        rhs = rhs.add(_ci(32, 0, wp).mul(_inv_lin(2, -1, tc, wp), wp), wp)
-        rhs = rhs.add(_ci(0, -16, wp).mul(_inv_lin(3, -1, tc, wp), wp), wp)
-        rhs = rhs.add(_ci(-8, 0, wp).mul(_inv_lin(4, -1, tc, wp), wp), wp)
+    lhs = genfn_cplx(name, tc, wp).mul(_ci(scale, 0, wp), wp).div(tc, wp)
+    back = genfn_cplx(name, tc.add(_ci(-shift, 0, wp), wp), wp)
+    step = back.mul(i1, wp).add(-i1, wp).mul(_inv_lin(-shift, 1, tc, wp), wp)
+    lhs = lhs.add(step if sign > 0 else -step, wp)
+    rhs = functools.reduce(lambda x, y: x.add(y, wp), (
+        _ci(re, im, wp).mul(_inv_lin(a, b, tc, wp), wp)
+        for re, im, a, b in rhs_terms))
     diff = lhs.add(-rhs, wp)
     resid = diff.abs_val(wp)
     return _mk_report(f"recur-{name}", prec, resid, 32)
@@ -734,17 +700,14 @@ def check_recurrence(name: str, t: MpComplex | MpReal | Fraction,
 _E_FAMS = _PF["E"]
 
 
-def _sec_bracket(t: MpReal, wp: int) -> tuple[MpReal, MpReal, MpReal]:
-    """(cos(pi t/5), sin(pi t/5), sin(pi t/2)) at wp bits."""
-    pi_ = pi_const(wp)
-    u = pi_.mul(t, wp).div(5, wp)
-    v = pi_.mul(t, wp).div(2, wp)
-    return cos(u, wp), sin(u, wp), sin(v, wp)
+def _sincos_pt(t: MpReal, d: int, wp: int) -> tuple[MpReal, MpReal]:
+    """(sin(pi t/d), cos(pi t/d)) at wp bits."""
+    return _sincos(pi_const(wp).mul(t, wp).div(d, wp), wp)
 
 
 def _u_trig_n(t: MpReal, wp: int) -> MpReal:
     """N(t) = (pi t / 2) [sec(pi t/5) - 8 sin^2(pi t/5)] / 2^t."""
-    cu, su, _ = _sec_bracket(t, wp)
+    su, cu = _sincos_pt(t, 5, wp)
     q = MpReal.from_int(1, wp).div(cu, wp).add(
         -su.mul(su, wp).mul(8, wp), wp)
     return pi_const(wp).mul(t, wp).div(2, wp).mul(q, wp).div(
@@ -754,7 +717,7 @@ def _u_trig_n(t: MpReal, wp: int) -> MpReal:
 def _u_trig_n_prime(t: MpReal, wp: int) -> MpReal:
     """d/dt of N(t) above, used for limits at even integers."""
     pi_ = pi_const(wp)
-    cu, su, _ = _sec_bracket(t, wp)
+    su, cu = _sincos_pt(t, 5, wp)
     sec = MpReal.from_int(1, wp).div(cu, wp)
     q = sec.add(-su.mul(su, wp).mul(8, wp), wp)
     # q' = (pi/5) [sec tan - 8 sin(2u)]
@@ -767,7 +730,7 @@ def _u_trig_n_prime(t: MpReal, wp: int) -> MpReal:
 
 def _u_trig_m(t: MpReal, wp: int) -> MpReal:
     """M(t) = (pi t / 2) / (2^t sin(pi t/2))."""
-    _, _, sv = _sec_bracket(t, wp)
+    sv, _ = _sincos_pt(t, 2, wp)
     return pi_const(wp).mul(t, wp).div(2, wp).div(
         _two_t(t, wp).mul(sv, wp), wp)
 
@@ -775,8 +738,7 @@ def _u_trig_m(t: MpReal, wp: int) -> MpReal:
 def _u_trig_m_prime(t: MpReal, wp: int) -> MpReal:
     """d/dt of M(t), used for limits at t in 5/2 + 5Z."""
     pi_ = pi_const(wp)
-    _, _, sv = _sec_bracket(t, wp)
-    cv = cos(pi_.mul(t, wp).div(2, wp), wp)
+    sv, cv = _sincos_pt(t, 2, wp)
     ln2 = log2_const(wp)
     inner = MpReal.from_int(1, wp).add(-t.mul(ln2, wp), wp).add(
         -pi_.mul(t, wp).div(2, wp).mul(cv, wp).div(sv, wp), wp)
@@ -807,8 +769,7 @@ def U(t: Fraction | int | MpReal, prec: int) -> MpReal:
     sec_hit = sec_q.denominator == 1 and int(sec_q) % 2 != 0
 
     if not hits and not even_hit and not sec_hit:
-        trig = _u_trig_n(tr, wp).div(
-            sin(pi_.mul(tr, wp).div(2, wp), wp), wp)
+        trig = _u_trig_n(tr, wp).div(_sincos_pt(tr, 2, wp)[0], wp)
         e_val = _pole_sum(_E_FAMS, MpComplex.from_real(tr), wp).re
         val = MpReal.from_int(1, wp).add(-trig, wp).add(-e_val, wp)
         return val.mul(Q(5, 2), prec)
@@ -1190,7 +1151,7 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
     out.append(_exact_report("geo-quarter", prec, lhs2 == Q(-1)))
     wp = prec + 32
     two = MpReal.from_int(2, wp)
-    cu, su, _ = _sec_bracket(two, wp)
+    su, cu = _sincos_pt(two, 5, wp)
     bracket = MpReal.from_int(1, wp).div(cu, wp).add(
         -su.mul(su, wp).mul(8, wp), wp)
     out.append(_mk_report(

@@ -109,15 +109,6 @@ class MpComplex:
     def __truediv__(self, other: CScalar) -> "MpComplex":
         return self.div(other)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (MpComplex, MpReal, int, Fraction)):
-            return NotImplemented
-        b = self._coerce(other)
-        return self.re == b.re and self.im == b.im
-
-    def __hash__(self):
-        return hash((self.re.to_fraction(), self.im.to_fraction()))
-
     def __repr__(self) -> str:
         return f"MpComplex({self.re.to_float()!r}, {self.im.to_float()!r})"
 

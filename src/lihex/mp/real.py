@@ -322,9 +322,6 @@ class MpReal:
             return NotImplemented
         return self._cmp(other) == 0
 
-    def __hash__(self):
-        return hash(self.to_fraction())
-
     def __repr__(self) -> str:
         if self.sign == 0:
             return f"MpReal(0, prec={self.prec})"

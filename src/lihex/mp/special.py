@@ -329,8 +329,13 @@ def _spouge_wp(prec: int) -> int:
 
 
 def _gamma_pos_real(x: MpReal, prec: int) -> MpReal:
-    """Gamma(x) for x >= 1/2 via the Spouge sum for Gamma(z+1) = z Gamma(z)."""
+    """Gamma(x) for x >= 1/2 via the Spouge sum for Gamma(z+1) = z Gamma(z).
+
+    Working precisions are rounded up to multiples of 64 bits so that
+    nearby requests share one `_spouge_coeffs` table.
+    """
     wp = _spouge_wp(prec) + max(0, x.bit_top() if x.sign else 0)
+    wp += -wp % 64
     while True:
         a = int(wp / 2.65) + 3
         coeffs = _spouge_coeffs(a, wp)
@@ -353,6 +358,7 @@ def _gamma_pos_real(x: MpReal, prec: int) -> MpReal:
         if short <= 0:
             break
         wp += short + 16
+        wp += -wp % 64
     za = z.add(a, wp)
     lead = _exp_impl(
         z.add(Fraction(1, 2), wp).mul(_ln_impl(za, wp), wp).add(-za, wp), wp

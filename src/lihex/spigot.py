@@ -4,7 +4,9 @@ Digits of a catalog constant starting at fractional position d are read
 off frac(16^(d-1) * value) without ever forming the full expansion.
 Terms whose net power of two is nonnegative reduce through three-line
 modular exponentiation; the small remainder of the series is added in
-fixed point.  Peak memory is therefore independent of d.
+fixed point.  Peak memory is therefore independent of d.  The guard bits
+below the window are sized from the number of summed terms, and a window
+is returned only when that error bound proves every digit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class DigitRequest:
     formula: str
     position: int
     count: int = 16
-    guard_bits: int = 64
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -38,8 +39,6 @@ class DigitRequest:
             raise DomainError("count must be in 1..64")
         if self.position + self.count > _MAX_POSITION:
             raise DomainError("position beyond the supported range")
-        if self.guard_bits < 16 or self.guard_bits % 4:
-            raise DomainError("guard_bits must be a multiple of 4, >= 16")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
 
@@ -92,25 +91,6 @@ def _sum_block(spec: SeriesSpec, u: int, v: int, shift: int, acc_bits: int,
     return acc
 
 
-def _carry_run(acc: int, acc_bits: int, count: int) -> int:
-    """Longest all-0 or all-F nibble run touching the window/guard boundary.
-
-    A long uniform run there means a small perturbation at the bottom of
-    the accumulator could ripple a carry into the output digits.
-    """
-    s = format(acc % (1 << acc_bits), f"0{acc_bits // 4}X")
-    longest = 0
-    for ch in "0F":
-        w = 0
-        while w < count and s[count - 1 - w] == ch:
-            w += 1
-        g = 0
-        while count + g < len(s) and s[count + g] == ch:
-            g += 1
-        longest = max(longest, w + g)
-    return longest
-
-
 def _job(args: tuple) -> int:
     n, p, pattern, u, v, shift, acc_bits, k0, k1 = args
     return _sum_block(SeriesSpec(n, p, pattern), u, v, shift, acc_bits,
@@ -157,43 +137,59 @@ def _lookup(name: str) -> Formula:
     return f
 
 
-def _accumulate(f: Formula, position: int, acc_bits: int,
-                threads: int) -> int:
-    shift0 = 4 * (position - 1)
-    jobs = _formula_jobs(f, shift0, acc_bits)
+def _error_bound(jobs: list[tuple]) -> int:
+    """E: the exact accumulator lies within (-1, E) ulps above the summed one.
+
+    Each summed term is floored once, always downwards; the terms dropped
+    below 2^-8 ulp and the tail past kmax stay under one ulp together.
+    """
+    return 1 + sum(j[-1] - j[-2] for j in jobs)
+
+
+def _proved(acc: int, guard: int, bound: int) -> bool:
+    """Whether every value within (-1, bound) ulps above acc has its digits."""
+    return bound <= acc % (1 << guard) <= (1 << guard) - bound
+
+
+def _window(f: Formula, position: int, count: int, guard: int,
+            threads: int = 1) -> tuple[str | None, int]:
+    """The count digits at position if guard bits prove them, else None;
+    and the error bound E of the accumulator."""
+    acc_bits = 4 * count + guard
+    jobs = _formula_jobs(f, 4 * (position - 1), acc_bits)
     if threads == 1 or len(jobs) <= 1:
-        total = sum(_job(j) for j in jobs)
+        acc = sum(map(_job, jobs))
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=threads) as pool:
-            total = sum(pool.map(_job, jobs, chunksize=1))
-    return total % (1 << acc_bits)
+        with multiprocessing.get_context("fork").Pool(threads) as pool:
+            acc = sum(pool.map(_job, jobs, chunksize=1))
+    bound = _error_bound(jobs)
+    if not _proved(acc, guard, bound):
+        return None, bound
+    return format(acc % (1 << acc_bits) >> guard, f"0{count}X"), bound
 
 
 def hex_digits(req: DigitRequest) -> DigitRun:
     """Hex digits of a catalog constant at the requested position.
 
-    The accumulator carries guard bits below the output window; when the
-    value sits too close to a carry boundary the computation is retried
-    with twice the guard, up to three times.
+    The guard is derived from the term count: with the error bound E of
+    `_error_bound`, the first guard is bitlen(E) + 16 bits, and a window
+    is accepted only when its guard bits lie in [E, 2^guard - E], which
+    proves every digit (`guard_ok`).  A value that close to a carry
+    boundary is retried with 32 more guard bits, up to three times.
     """
     f = _lookup(req.formula)
-    guard = req.guard_bits
-    retries = 0
-    while True:
-        acc_bits = 4 * req.count + guard
-        acc = _accumulate(f, req.position, acc_bits, req.threads)
-        guard_ok = _carry_run(acc, acc_bits, req.count) < 8
-        if guard_ok or retries >= 3:
-            break
-        guard *= 2
-        retries += 1
-    if not guard_ok:
-        raise GuardExhausted(
-            f"{req.formula} at position {req.position}: accumulator still "
-            f"hugs a carry boundary with {guard}-bit guard")
-    digits = format(acc >> guard, f"0{req.count}X")
-    return DigitRun(digits, req.position, guard_ok, retries)
+    bound = _error_bound(_formula_jobs(f, 4 * (req.position - 1),
+                                      4 * req.count))
+    guard = bound.bit_length() + 16
+    for retries in range(4):
+        digits, bound = _window(f, req.position, req.count, guard,
+                                req.threads)
+        if digits is not None:
+            return DigitRun(digits, req.position, True, retries)
+        guard += 32
+    raise GuardExhausted(
+        f"{req.formula} at position {req.position}: still within E = "
+        f"{bound} ulps of a carry boundary with a {guard - 32}-bit guard")
 
 
 def self_check(formula: str, d: int, count: int) -> bool:

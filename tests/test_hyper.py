@@ -5,6 +5,7 @@ pole-sum forms of U, the exact asymptotic integers, the Pochhammer
 product identities, and the exponential expansion of U.
 """
 
+import hashlib
 import math
 from fractions import Fraction as Q
 
@@ -14,7 +15,8 @@ from lihex.errors import DivergenceError, DomainError, PoleError, UnknownName
 from lihex.hyper import (CHECKS, F5Args, GENFN_IDS, POCHHAMMER_IDS, U, Utilde,
                          WArgs, asymp_battery, asymp_coeff, catalan_binomial,
                          check_recurrence, check_trig_forms, eval_W,
-                         expu_check, f5, genfn_hyp, genfn_pf, geo_checks,
+                         expu_check, f5, genfn_cplx, genfn_hyp, genfn_pf,
+                         geo_checks,
                          pochhammer_check, reflection_check, u_rational,
                          utilde_rational)
 from lihex.mp.cplx import MpComplex
@@ -259,3 +261,54 @@ def test_registry_is_the_nine_batteries():
                            "poch", "expu", "geo"}
     for r in CHECKS["U"](192):
         assert r.passed, r.name
+
+
+# ----------------------------------------------------------------------
+# pinned reports and values: any change to the summation engines, the
+# pole sums or the gammas behind them shows up here bit for bit
+
+BATTERY_SHA256 = {
+    256: "b7ad6ef785ed63515d118058623d434e5a8e68e2ecd92206705f713bb94f90f8",
+    512: "693590af70dd72901da848c142dd534aff2ef3dfce09bf635229904d67d0107d",
+}
+GENFN_SHA256 = (
+    "e0d9048cc660421654d974a53279c4b6de24ce8d08beb1eaa8c8a49a70437e81")
+W_U_SHA256 = (
+    "d7e9494356cfd4a1995d495abe4e02b495e5b806701ab43d06a6fd1500a253e5")
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("bits", sorted(BATTERY_SHA256))
+def test_battery_reports_are_pinned(bits):
+    lines = [f"{r.name} {r.passed} {r.log2_residual!r}"
+             for battery in CHECKS.values() for r in battery(bits)]
+    assert len(lines) == 45
+    assert _sha256(lines) == BATTERY_SHA256[bits]
+
+
+def test_generating_function_values_are_pinned():
+    lines = []
+    for t in (Q(1, 10), Q(-1, 7),
+              MpComplex.from_fractions(Q(1, 5), Q(1, 7), 256)):
+        for kind, fn, names in (("pf", genfn_pf, "ABCDEFGH"),
+                                ("cplx", genfn_cplx, "FGH")):
+            for name in names:
+                v = fn(name, t, 256)
+                lines.append(f"{kind} {name} {v.re.to_fixed(256)} "
+                             f"{v.im.to_fixed(256)}")
+    assert _sha256(lines) == GENFN_SHA256
+
+
+def test_w_and_u_values_are_pinned():
+    # the reports above resolve residuals to whole bits; these catch a
+    # change in the last bit of the gammas, the trig kernel or U's limits
+    lines = [f"W {eval_W(WArgs(*a), 256).to_fixed(256)}"
+             for a in ((Q(1, 10), Q(1, 8), Q(1, 10), Q(1, 8)),
+                       (Q(1, 3), Q(-1, 5), Q(1, 7), Q(1, 9)))]
+    for t in (Q(1, 3), Q(2), Q(5, 2), Q(15, 2), Q(-5)):
+        lines.append(f"U {t} {U(t, 256).to_fixed(256)}")
+    lines.append(f"Utilde {Utilde(Q(5, 2), 256).to_fixed(256)}")
+    assert _sha256(lines) == W_U_SHA256

@@ -1,15 +1,18 @@
 """Digit extraction: spigot runs against windows sliced from direct
-high-precision summation, window-overlap consistency, and the exact
-thread-count independence of the accumulator."""
+high-precision summation, window-overlap consistency, the exact
+thread-count independence of the accumulator, and the error-bound test
+that proves each window."""
 
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lihex.errors import DomainError
-from lihex.series import eval_formula
-from lihex.spigot import DigitRequest, DigitRun, _carry_run, hex_digits, self_check
+from lihex import spigot
+from lihex.errors import DomainError, GuardExhausted
+from lihex.series import catalog, eval_formula
+from lihex.spigot import (DigitRequest, DigitRun, _error_bound, _formula_jobs,
+                          _proved, _window, hex_digits, self_check)
 
 # windows produced by summing the constants conventionally at
 # 4*(d+16)+64 bits and slicing -- never by the spigot itself
@@ -73,8 +76,6 @@ def test_request_validation():
     with pytest.raises(ValueError):
         DigitRequest("pi", 1, 65)
     with pytest.raises(ValueError):
-        DigitRequest("pi", 1, 16, guard_bits=13)
-    with pytest.raises(ValueError):
         DigitRequest("pi", 1, 16, threads=0)
 
 
@@ -89,18 +90,61 @@ def test_unreachable_position_fails_before_summing():
         DigitRequest("pi", 0)
 
 
-def test_carry_run_measures_boundary_runs():
-    # acc layout: [count digits][guard digits]; runs touch the boundary
-    count = 8
-    acc_bits = 4 * (count + 8)
-    mk = lambda s: int(s, 16)
-    assert _carry_run(mk("12345678" + "9ABCDEF0"), acc_bits, count) == 0
-    # window ends in three F's, guard starts with two more
-    assert _carry_run(mk("12345FFF" + "FF345678"), acc_bits, count) == 5
-    # all-zero guard head only
-    assert _carry_run(mk("12345678" + "000ABCDE"), acc_bits, count) == 3
-    # a run of 8+ is what forces a retry inside hex_digits
-    assert _carry_run(mk("1234FFFF" + "FFFF5678"), acc_bits, count) == 8
+def _direct_window(name, d, count):
+    wp = 4 * (d + count) + 64
+    fx = eval_formula(name, wp).to_fixed(wp) << (4 * (d - 1))
+    return format((fx % (1 << wp)) >> (wp - 4 * count), f"0{count}X")
+
+
+def test_window_is_accepted_only_inside_the_error_interval():
+    guard, bound = 12, 100
+    top = 0xABC << guard  # window digits above the guard play no part
+    for r, ok in ((bound - 1, False), (bound, True),
+                  ((1 << guard) - bound, True),
+                  ((1 << guard) - bound + 1, False)):
+        assert _proved(top + r, guard, bound) is ok, r
+
+
+def test_error_bound_counts_every_summed_term():
+    f = catalog()["zeta3"]
+    jobs = _formula_jobs(f, 4 * 999, 4 * 16 + 24)
+    n = sum(k1 - k0 for *_, k0, k1 in jobs)
+    assert _error_bound(jobs) == n + 1
+    # the derived guard holds the window with room: no retry at 1000
+    assert hex_digits(DigitRequest("zeta3", 1000, 16)).retries == 0
+    digits, _ = _window(f, 1000, 16, 24)
+    assert digits == _direct_window("zeta3", 1000, 16)
+
+
+def test_rejected_windows_retry_with_32_more_guard_bits(monkeypatch):
+    guards = []
+
+    def reject_first(acc, guard, bound):
+        guards.append(guard)
+        return len(guards) > 1 and _proved(acc, guard, bound)
+
+    monkeypatch.setattr(spigot, "_proved", reject_first)
+    run = hex_digits(DigitRequest("pi", 1, 8))
+    assert run.digits == "243F6A88" and run.retries == 1 and run.guard_ok
+    assert guards[1] == guards[0] + 32
+    monkeypatch.setattr(spigot, "_proved", lambda acc, guard, bound: False)
+    with pytest.raises(GuardExhausted, match=r"E = \d+ .* \d+-bit guard"):
+        hex_digits(DigitRequest("pi", 1, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(catalog())),
+       st.integers(min_value=1, max_value=600),
+       st.integers(min_value=1, max_value=16),
+       st.integers(min_value=0, max_value=6))
+def test_forced_small_guards_accept_only_right_windows(name, d, count, extra):
+    # guards at and just above bitlen(E) reject many windows; every one
+    # they accept must still be the directly summed digits
+    f = catalog()[name]
+    bound = _error_bound(_formula_jobs(f, 4 * (d - 1), 4 * count))
+    digits, _ = _window(f, d, count, bound.bit_length() + extra)
+    if digits is not None:
+        assert digits == _direct_window(name, d, count)
 
 
 def test_digit_run_shape():
