@@ -147,6 +147,4 @@ ARGUMENTS: dict[str, ExactComplex] = {
     "-i/sqrt2": ExactComplex(QuadExt(), -SQRT2_HALF),
     "i/sqrt8": ExactComplex(QuadExt(), QuadExt(_Q(0), _Q(1, 4))),
     "-i/sqrt8": ExactComplex(QuadExt(), QuadExt(_Q(0), _Q(-1, 4))),
-    "i": ExactComplex.make(0, 1),
-    "-i": ExactComplex.make(0, -1),
 }

@@ -9,6 +9,8 @@ all three forms and cross-checks them, along with the reflection law for
 ``W``, recurrences for the complex generating functions, the integer
 coefficients of the asymptotic expansion of ``U``, Pochhammer ratio
 identities, and the central-binomial series for Catalan's constant.
+The ``order5`` battery runs the two-variable Li_5 equation of
+:mod:`lihex.ladders` and the exact coefficient ``f5``.
 
 Everything here reduces to a single summation engine: a linearly
 convergent series is summed directly to a cutoff ``N`` and its tail is
@@ -42,7 +44,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DivergenceError,
@@ -51,7 +53,7 @@ from .errors import (
     PrecisionError,
     UnknownName,
 )
-from .ladders import CheckReport, _log2_mag, eval_ladder
+from .ladders import CheckReport, _log2_mag, check_li5_identity, eval_ladder
 from .mp import special as _sp
 from .mp.special import _HurwitzTail
 from .mp.cplx import MpComplex
@@ -422,11 +424,6 @@ class GenFnId:
     has_hyp: bool
 
 
-GENFN_IDS: dict[str, GenFnId] = {
-    name: GenFnId(name, name in "ABCDFG") for name in "ABCDEFGH"
-}
-
-
 def _fam_coeff(fam: _FamT, k: int) -> Fraction:
     """Exact coefficient of 1/(k - mu t) in one family."""
     zr, zi, shift, sel, mult, _ = fam
@@ -532,6 +529,9 @@ _HYP_PARAMS: dict[str, Callable[[Fraction], tuple]] = {
     "G": lambda t: (_HALF - t / 2, _HALF - t / 3, Q(3, 2) - t / 2,
                     1 - 2 * t / 3, "ratio"),
 }
+
+GENFN_IDS: dict[str, GenFnId] = {
+    name: GenFnId(name, name in _HYP_PARAMS) for name in _PF}
 
 
 def genfn_hyp(name: str, t: Fraction | int | MpReal, prec: int) -> MpReal:
@@ -1033,18 +1033,21 @@ def _poch(a: Fraction, n: Fraction, wp: int) -> MpReal:
     return num.div(den, wp)
 
 
-def _closed_2pow(c: int, t: Fraction, ang: Fraction | None, wp: int) -> MpReal:
-    """2^(c-t), times cos(ang * pi * t) when ang is given."""
-    val = exp(
-        MpReal.from_fraction(Q(c) - t, wp).mul(log2_const(wp), wp), wp)
-    if ang is not None:
-        val = val.mul(
-            cos(pi_const(wp).mul(MpReal.from_fraction(ang * t, wp), wp), wp),
-            wp)
-    return val
+# id -> (n/t, numerator bases, denominator bases, c, angle, k).  With
+# n = (n/t) t - 1/2 and each base 1/2 + b t given by its b, the identity
+# reads prod (1/2 + b t)_n over the numerators / prod over the
+# denominators = 2^(c - t) cos(angle pi t)^k.
+_POCH: dict[str, tuple] = {
+    "poca": (Q(1, 2), (Q(0),), (Q(1, 2),), 1, Q(0), 0),
+    "pocb": (Q(1), (Q(-1, 2),), (Q(0),), 1, Q(1, 2), 1),
+    "pocc": (Q(1, 2), (Q(-1, 3),), (Q(1, 6),), 2, Q(1, 3), 1),
+    "pocd": (Q(1, 3), (Q(-1, 6),), (Q(1, 3),), 2, Q(1, 6), 1),
+    "poc4": (Q(1, 5), (Q(0), Q(-1, 10)), (Q(1, 5), Q(1, 5)), 3, Q(1, 10), 1),
+    "poc6": (Q(1, 5), (Q(-1, 10),) * 3, (Q(0), Q(0), Q(1, 5)), 4, Q(1, 10),
+             3),
+}
 
-
-POCHHAMMER_IDS = ("poca", "pocb", "pocc", "pocd", "poc4", "poc6")
+POCHHAMMER_IDS = tuple(_POCH)
 
 
 def pochhammer_check(which: str, t: Fraction | MpReal, prec: int) -> CheckReport:
@@ -1052,44 +1055,22 @@ def pochhammer_check(which: str, t: Fraction | MpReal, prec: int) -> CheckReport
     tq = _as_fraction(t)
     if not 0 < tq < 1:
         raise DomainError("ratio identities checked on 0 < t < 1")
-    wp = prec + 64
-    if which == "poca":
-        n = tq / 2 - _HALF
-        lhs = _poch(_HALF, n, wp).div(_poch(_HALF + tq / 2, n, wp), wp)
-        rhs = _closed_2pow(1, tq, None, wp)
-    elif which == "pocb":
-        n = tq - _HALF
-        lhs = _poch(_HALF - tq / 2, n, wp).div(_poch(_HALF, n, wp), wp)
-        rhs = _closed_2pow(1, tq, _HALF, wp)
-    elif which == "pocc":
-        n = tq / 2 - _HALF
-        lhs = _poch(_HALF - tq / 3, n, wp).div(
-            _poch(_HALF + tq / 6, n, wp), wp)
-        rhs = _closed_2pow(2, tq, Q(1, 3), wp)
-    elif which == "pocd":
-        n = tq / 3 - _HALF
-        lhs = _poch(_HALF - tq / 6, n, wp).div(
-            _poch(_HALF + tq / 3, n, wp), wp)
-        rhs = _closed_2pow(2, tq, Q(1, 6), wp)
-    elif which == "poc4":
-        n = tq / 5 - _HALF
-        lhs = _poch(_HALF, n, wp).mul(_poch(_HALF - tq / 10, n, wp), wp)
-        d = _poch(_HALF + tq / 5, n, wp)
-        lhs = lhs.div(d.mul(d, wp), wp)
-        rhs = _closed_2pow(3, tq, Q(1, 10), wp)
-    elif which == "poc6":
-        n = tq / 5 - _HALF
-        p = _poch(_HALF - tq / 10, n, wp)
-        lhs = p.mul(p, wp).mul(p, wp)
-        h = _poch(_HALF, n, wp)
-        lhs = lhs.div(
-            h.mul(h, wp).mul(_poch(_HALF + tq / 5, n, wp), wp), wp)
-        cs = cos(pi_const(wp).mul(
-            MpReal.from_fraction(tq / 10, wp), wp), wp)
-        rhs = _closed_2pow(4, tq, None, wp).mul(
-            cs.mul(cs, wp).mul(cs, wp), wp)
-    else:
+    if which not in _POCH:
         raise UnknownName(f"no ratio identity {which!r}")
+    n_t, nums, dens, c, ang, k = _POCH[which]
+    wp = prec + 64
+    n = n_t * tq - _HALF
+    poch = {b: _poch(_HALF + b * tq, n, wp) for b in {*nums, *dens}}
+
+    def prod(vals: Iterable[MpReal]) -> MpReal:
+        # left to right: the rounding order the pinned reports rest on
+        return functools.reduce(lambda x, y: x.mul(y, wp), vals)
+
+    lhs = prod(poch[b] for b in nums).div(prod(poch[b] for b in dens), wp)
+    rhs = exp(MpReal.from_fraction(c - tq, wp).mul(log2_const(wp), wp), wp)
+    if k:
+        cs = cos(pi_const(wp).mul(MpReal.from_fraction(ang * tq, wp), wp), wp)
+        rhs = rhs.mul(prod((cs,) * k), wp)
     return _mk_report(f"{which}@{tq}", prec, lhs.add(-rhs, wp), 48)
 
 
@@ -1353,11 +1334,9 @@ _ASYMP_KNOWN = (11, 157, -1749, -433651, -43430405, -4000517955)
 
 
 def _battery_asymp(prec: int) -> list[CheckReport]:
-    out = []
-    for m, known in enumerate(_ASYMP_KNOWN, start=1):
-        got = asymp_coeff(m)
-        out.append(_exact_report(f"asymp-k{m}", prec, got == known))
-    return out
+    return [_exact_report(f"asymp-k{a.m}", prec, a.value == known)
+            for a, known in zip(asymp_battery(len(_ASYMP_KNOWN)),
+                                _ASYMP_KNOWN)]
 
 
 def _battery_poch(prec: int) -> list[CheckReport]:
@@ -1384,6 +1363,31 @@ def _battery_geo(prec: int) -> list[CheckReport]:
     return out
 
 
+# the two-variable Li_5 equation at points that take every route of
+# `ladders.li5` (disc series, annulus expansion, inversion, unit-circle
+# landmarks), and f5 at its published values
+_LI5_POINTS = (
+    ((_HALF, Q(0)), (_HALF, Q(0))),
+    ((_HALF, Q(0)), (Q(0), Q(1))),
+    ((Q(1, 3), Q(0)), (Q(1, 5), Q(0))),
+)
+_F5_KNOWN = (
+    ((Q(1), _HALF, Q(0), Q(-1)), Q(69, 8)),
+    ((_HALF, Q(1, 3), Q(1, 6), -_HALF), Q(13, 54)),
+    ((Q(1, 3), Q(1, 6), Q(1, 3), Q(-1, 3)), Q(-19, 72)),
+)
+
+
+def _battery_order5(prec: int) -> list[CheckReport]:
+    wp = prec + 64
+    out = [check_li5_identity(MpComplex.from_fractions(*x, wp),
+                              MpComplex.from_fractions(*y, wp), prec)
+           for x, y in _LI5_POINTS]
+    out.append(_exact_report("f5-published-values", prec, all(
+        f5(F5Args(*a)) == want for a, want in _F5_KNOWN)))
+    return out
+
+
 CHECKS: dict[str, Callable[[int], list[CheckReport]]] = {
     "W": _battery_w,
     "inv": _battery_inv,
@@ -1394,4 +1398,5 @@ CHECKS: dict[str, Callable[[int], list[CheckReport]]] = {
     "poch": _battery_poch,
     "expu": _battery_expu,
     "geo": _battery_geo,
+    "order5": _battery_order5,
 }

@@ -31,7 +31,6 @@ __all__ = [
     "sin",
     "cos",
     "tan",
-    "atan",
     "pow_int",
     "pow_real",
 ]
@@ -157,17 +156,6 @@ class MpReal:
             return top < k + 1
         # |x| in [2**k, 2**(k+1)): equal to 2**k only for a pure power of two
         return False
-
-    def log2_abs(self) -> float:
-        """float approximation of log2|x| (for reports; -inf for zero)."""
-        if self.sign == 0:
-            return -math.inf
-        m = self.man
-        bl = m.bit_length()
-        if bl > 64:
-            m >>= bl - 64
-            return math.log2(m) + (bl - 64) + self.exp
-        return math.log2(m) + self.exp
 
     def to_fraction(self) -> Fraction:
         if self.sign == 0:
@@ -325,10 +313,11 @@ class MpReal:
     def __repr__(self) -> str:
         if self.sign == 0:
             return f"MpReal(0, prec={self.prec})"
-        approx = self.to_float()
-        if approx != 0.0 and math.isfinite(approx):
-            return f"MpReal({approx!r}, prec={self.prec})"
-        return f"MpReal(2**{self.log2_abs():.1f}{'-' if self.sign < 0 else '+'}, prec={self.prec})"
+        top = self.bit_top()
+        if abs(top) < 1000:        # within the range of a nonzero float
+            return f"MpReal({self.to_float()!r}, prec={self.prec})"
+        sign = "-" if self.sign < 0 else "+"
+        return f"MpReal({sign}, |x|<2**{top}, prec={self.prec})"
 
 
 # ----------------------------------------------------------------------
@@ -557,12 +546,6 @@ def tan(x: MpReal, prec: int) -> MpReal:
     if c.sign == 0 or c.abs_lt_2pow(-(prec + 4)):
         raise PoleError("tan evaluated too close to an odd multiple of pi/2")
     return s.div(c, prec)
-
-
-def atan(x: MpReal, prec: int) -> MpReal:
-    """Arc tangent at ``prec`` bits."""
-    _check_func_prec(prec)
-    return _atan_impl(x, prec)
 
 
 def _atan_impl(x: MpReal, prec: int) -> MpReal:

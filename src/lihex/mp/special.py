@@ -192,10 +192,6 @@ class _HurwitzTail:
         acc = _em_tail(self._bp(j, c), self.a, self.s0 + j)
         return acc >> (self._w - self.wp)
 
-    def value(self, j: int) -> MpReal:
-        """sum_{n >= a} n^-(s0+j) at the chain's working precision."""
-        return MpReal.from_fixed(self.tail(j, 1 << self.wp), self.wp, self.wp)
-
     def logtail(self, j: int, c: int) -> int:
         """c sum_{n >= a} ln(n) n^-(s0+j), the -d/ds of tail(j, c)."""
         bp = self._bp(j, c)

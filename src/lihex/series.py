@@ -38,7 +38,7 @@ from .mp import special as _sp
 __all__ = [
     "SeriesSpec", "Formula", "Monomial", "Identity", "IDENTITIES",
     "eval_series", "eval_formula", "polylog_pattern", "solve_formulas",
-    "catalog", "derived_catalog", "dump_catalog", "load_catalog",
+    "catalog", "derived_catalog", "dump_catalog",
     "ladder",
 ]
 
@@ -771,7 +771,7 @@ def eval_formula(name: str, prec: int) -> MpReal:
 
 
 # ----------------------------------------------------------------------
-# catalog (de)serialization
+# catalog serialization
 
 def _record(f: Formula) -> dict:
     return {
@@ -790,13 +790,3 @@ def dump_catalog(formulas: Iterable[Formula]) -> str:
     recs = sorted((_record(f) for f in formulas), key=lambda r: r["name"])
     return json.dumps(recs, sort_keys=True, separators=(",", ":"))
 
-
-def load_catalog(text: str) -> dict[str, Formula]:
-    out = {}
-    for r in json.loads(text):
-        terms = tuple((_Q(*t["coef"]), SeriesSpec(t["n"], t["p"],
-                                                  tuple(t["pattern"])))
-                      for t in r["terms"])
-        out[r["name"]] = Formula(r["name"], _Q(*r["scale"]), terms,
-                                 r.get("description", ""), r.get("label", ""))
-    return out

@@ -256,9 +256,9 @@ def test_catalan_binomial_form():
     assert _mag(d) < -(P - 8)
 
 
-def test_registry_is_the_nine_batteries():
+def test_registry_is_the_ten_batteries():
     assert set(CHECKS) == {"W", "inv", "genfn", "recur", "U", "asymp",
-                           "poch", "expu", "geo"}
+                           "poch", "expu", "geo", "order5"}
     for r in CHECKS["U"](192):
         assert r.passed, r.name
 
@@ -267,9 +267,15 @@ def test_registry_is_the_nine_batteries():
 # pinned reports and values: any change to the summation engines, the
 # pole sums or the gammas behind them shows up here bit for bit
 
+# the nine batteries that predate order5
+NINE = ("W", "inv", "genfn", "recur", "U", "asymp", "poch", "expu", "geo")
 BATTERY_SHA256 = {
     256: "b7ad6ef785ed63515d118058623d434e5a8e68e2ecd92206705f713bb94f90f8",
     512: "693590af70dd72901da848c142dd534aff2ef3dfce09bf635229904d67d0107d",
+}
+ORDER5_SHA256 = {
+    256: "87432758113fe72b55cbf2e1cce629c0f72ba927a9d4ad74381b1594bd8a8972",
+    512: "e8ca753ac8703129f8dc4d72f3dbeddc0e6ed5e80cd3132d38c912d8c9161ef9",
 }
 GENFN_SHA256 = (
     "e0d9048cc660421654d974a53279c4b6de24ce8d08beb1eaa8c8a49a70437e81")
@@ -281,12 +287,23 @@ def _sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _report_lines(names, bits) -> list[str]:
+    return [f"{r.name} {r.passed} {r.log2_residual!r}"
+            for name in names for r in CHECKS[name](bits)]
+
+
 @pytest.mark.parametrize("bits", sorted(BATTERY_SHA256))
 def test_battery_reports_are_pinned(bits):
-    lines = [f"{r.name} {r.passed} {r.log2_residual!r}"
-             for battery in CHECKS.values() for r in battery(bits)]
+    lines = _report_lines(NINE, bits)
     assert len(lines) == 45
     assert _sha256(lines) == BATTERY_SHA256[bits]
+
+
+@pytest.mark.parametrize("bits", sorted(ORDER5_SHA256))
+def test_order5_reports_are_pinned(bits):
+    reports = CHECKS["order5"](bits)
+    assert len(reports) == 4 and all(r.passed for r in reports)
+    assert _sha256(_report_lines(["order5"], bits)) == ORDER5_SHA256[bits]
 
 
 def test_generating_function_values_are_pinned():

@@ -15,7 +15,7 @@ from lihex.mp import special as sp
 from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
 from lihex.series import (IDENTITIES, Monomial, SeriesSpec, catalog,
                           derived_catalog, dump_catalog, eval_formula,
-                          eval_series, load_catalog, solve_formulas)
+                          eval_series, solve_formulas)
 
 P = 192
 
@@ -69,17 +69,6 @@ def test_formula_matches_reference(name):
 def test_unknown_formula():
     with pytest.raises(UnknownName):
         eval_formula("nope", 64)
-
-
-def test_catalog_serialization_roundtrip():
-    text = dump_catalog(catalog().values())
-    back = load_catalog(text)
-    assert set(back) == set(catalog())
-    for name, f in catalog().items():
-        g = back[name]
-        assert (g.scale, g.terms) == (f.scale, f.terms)
-    # canonical form: dumping again is byte-identical
-    assert dump_catalog(back.values()) == text
 
 
 def _brute(spec: SeriesSpec, kmax: int) -> Fraction:
