@@ -175,8 +175,9 @@ def _cmd_digits(args: argparse.Namespace) -> int:
     run = hex_digits(DigitRequest(args.constant, args.position,
                                   args.count, threads=args.threads))
     if args.json:
-        print(_jdump({"digits": run.digits, "guard_ok": run.guard_ok,
-                      "position": run.position, "retries": run.retries}))
+        print(_jdump({"digits": run.digits, "guard_bits": run.guard_bits,
+                      "guard_ok": run.guard_ok, "position": run.position,
+                      "retries": run.retries, "terms": run.terms}))
     else:
         print(run.digits)
     return 0

@@ -2,11 +2,14 @@
 
 Digits of a catalog constant starting at fractional position d are read
 off frac(16^(d-1) * value) without ever forming the full expansion.
-Terms whose net power of two is nonnegative reduce through three-line
-modular exponentiation; the small remainder of the series is added in
-fixed point.  Peak memory is therefore independent of d.  The guard bits
-below the window are sized from the number of summed terms, and a window
-is returned only when that error bound proves every digit.
+Terms whose net power of two is nonnegative are folded in groups: the
+fractions a 2^e / m of consecutive terms of one residue class of k mod 8
+are summed exactly over the product M of their moduli, so one modular
+exponentiation modulo M and one floor serve the whole group.  The small
+remainder of the series is added in fixed point.  Peak memory is
+therefore independent of d.  The guard bits below the window are sized
+from the number of summed terms, and a window is returned only when that
+error bound proves every digit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ __all__ = ["DigitRequest", "DigitRun", "hex_digits", "self_check",
 MAX_MODULUS_BITS = 192
 _BLOCK = 1 << 16
 _MAX_POSITION = 1 << 40
+# a group of terms is folded once the product of its moduli reaches this
+# many bits; on the catalog 400 ran faster than 200 (more groups, each
+# with its own pow and floor) and than 800 or 1600 (pow over a longer
+# modulus costs more than the terms it serves save)
+_FOLD_BITS = 400
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,8 @@ class DigitRun:
     position: int
     guard_ok: bool
     retries: int
+    terms: int
+    guard_bits: int
 
 
 def _term_ranges(spec: SeriesSpec, shift: int, bits_u: int,
@@ -65,29 +75,51 @@ def _term_ranges(spec: SeriesSpec, shift: int, bits_u: int,
 
 def _sum_block(spec: SeriesSpec, u: int, v: int, shift: int, acc_bits: int,
                k0: int, k1: int) -> int:
-    """Signed fixed-point contribution of terms k0 <= k < k1."""
+    """Signed fixed-point contribution of terms k0 <= k < k1.
+
+    Term k is a*u * 2^ee / m with m = v * odd(k)^n.  Terms with ee >= 0
+    are collected per residue class of k mod 8 (so a is fixed) until the
+    product M of their moduli reaches _FOLD_BITS; with e0 the least ee of
+    the group, C = sum 2^(ee - e0) * M/m, and the group is the one fraction
+    a*u * 2^e0 * C / M, exact mod 1 for any moduli, floored once.
+    """
     n, p = spec.n, spec.p
-    pattern = spec.pattern
     acc = 0
-    for k in range(k0, k1):
-        a = pattern[(k - 1) & 7]
+    for r, a in enumerate(spec.pattern):
         if not a:
             continue
-        e = (p * (k + 1)) // 2
-        v2 = (k & -k).bit_length() - 1
-        kodd = k >> v2
-        m = v * kodd ** n
-        ee = shift - e - v2 * n
         au = a * u
-        if ee >= 0:
-            t = (au * pow(2, ee, m)) % m
-            acc += (t << acc_bits) // m
-        else:
-            sh = acc_bits + ee
-            if sh >= 0:
-                acc += (au << sh) // m
-            elif -sh < au.bit_length() + 8:
-                acc += au // (m << -sh)
+        odd = not r & 1  # k = r + 1 (mod 8) is odd: no 2-adic valuation
+        C, M, e0 = 0, 1, 0
+        # largest k first: ee then mostly rises along a group, so C is
+        # seldom rescaled to a new least ee
+        for k in range(k1 - 1 - ((k1 - 2 - r) & 7), k0 - 1, -8):
+            ee = shift - (p * (k + 1) >> 1)
+            if odd:
+                m = v * k ** n
+            else:
+                v2 = (k & -k).bit_length() - 1
+                m = v * (k >> v2) ** n
+                ee -= v2 * n
+            if ee >= 0:
+                if not C:
+                    e0 = ee
+                elif ee < e0:
+                    C <<= e0 - ee
+                    e0 = ee
+                C = C * m + (M << (ee - e0))
+                M *= m
+                if M.bit_length() >= _FOLD_BITS:
+                    acc += (pow(2, e0, M) * (au * C) % M << acc_bits) // M
+                    C, M = 0, 1
+            else:
+                sh = acc_bits + ee
+                if sh >= 0:
+                    acc += (au << sh) // m
+                elif -sh < au.bit_length() + 8:
+                    acc += au // (m << -sh)
+        if C:
+            acc += (pow(2, e0, M) * (au * C) % M << acc_bits) // M
     return acc
 
 
@@ -140,8 +172,10 @@ def _lookup(name: str) -> Formula:
 def _error_bound(jobs: list[tuple]) -> int:
     """E: the exact accumulator lies within (-1, E) ulps above the summed one.
 
-    Each summed term is floored once, always downwards; the terms dropped
-    below 2^-8 ulp and the tail past kmax stay under one ulp together.
+    Each folded group and each tail term is floored once, always
+    downwards, and every group holds at least one of the N summed terms,
+    so there are at most N floors; the terms dropped below 2^-8 ulp and
+    the tail past kmax stay under one ulp together.
     """
     return 1 + sum(j[-1] - j[-2] for j in jobs)
 
@@ -176,16 +210,21 @@ def hex_digits(req: DigitRequest) -> DigitRun:
     is accepted only when its guard bits lie in [E, 2^guard - E], which
     proves every digit (`guard_ok`).  A value that close to a carry
     boundary is retried with 32 more guard bits, up to three times.
+    The run reports the terms summed over all attempts (E - 1 each) and
+    the guard of the accepted window.
     """
     f = _lookup(req.formula)
     bound = _error_bound(_formula_jobs(f, 4 * (req.position - 1),
                                       4 * req.count))
     guard = bound.bit_length() + 16
+    terms = 0
     for retries in range(4):
         digits, bound = _window(f, req.position, req.count, guard,
                                 req.threads)
+        terms += bound - 1
         if digits is not None:
-            return DigitRun(digits, req.position, True, retries)
+            return DigitRun(digits, req.position, True, retries, terms,
+                            guard)
         guard += 32
     raise GuardExhausted(
         f"{req.formula} at position {req.position}: still within E = "

@@ -37,7 +37,8 @@ def test_digits_json_is_canonical(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert json.dumps(doc, **CANONICAL) == out.strip()
-    assert set(doc) == {"digits", "guard_ok", "position", "retries"}
+    assert set(doc) == {"digits", "guard_bits", "guard_ok", "position",
+                        "retries", "terms"}
     assert doc["position"] == 100 and len(doc["digits"]) == 12
     assert doc["digits"] == doc["digits"].upper()
 

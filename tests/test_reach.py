@@ -95,7 +95,7 @@ def _drive() -> list[str]:
         "catalog": lihex.catalog,
         "eval_formula": lambda: lihex.eval_formula("zeta5", 128),
         "DigitRequest": lambda: lihex.DigitRequest("pi", 1, 8),
-        "DigitRun": lambda: lihex.DigitRun("243F6A88", 1, True, 0),
+        "DigitRun": lambda: lihex.DigitRun("243F6A88", 1, True, 0, 1, 24),
         "hex_digits": lambda: lihex.hex_digits(
             lihex.DigitRequest("catalan", 1000, 8)),
         "self_check": lambda: lihex.self_check("log2sq", 50, 8),

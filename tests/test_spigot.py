@@ -1,18 +1,21 @@
 """Digit extraction: spigot runs against windows sliced from direct
 high-precision summation, window-overlap consistency, the exact
-thread-count independence of the accumulator, and the error-bound test
-that proves each window."""
+thread-count independence of the accumulator, the grouped fold against
+exact fractions, and the error-bound test that proves each window."""
 
+import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihex import spigot
 from lihex.errors import DomainError, GuardExhausted
-from lihex.series import catalog, eval_formula
+from lihex.series import SeriesSpec, catalog, eval_formula
 from lihex.spigot import (DigitRequest, DigitRun, _error_bound, _formula_jobs,
-                          _proved, _window, hex_digits, self_check)
+                          _proved, _sum_block, _window, hex_digits,
+                          self_check)
 
 # windows produced by summing the constants conventionally at
 # 4*(d+16)+64 bits and slicing -- never by the spigot itself
@@ -61,6 +64,54 @@ def test_threads_do_not_change_a_single_bit():
     runs = {t: hex_digits(DigitRequest("zeta5", 3000, 48, threads=t))
             for t in (1, 4, 8)}
     assert runs[1] == runs[4] == runs[8]
+    # pi at 10000 sums past k = 2^16, so its job list holds two blocks
+    jobs = _formula_jobs(catalog()["pi"], 4 * 9999, 4 * 16 + 24)
+    assert len(jobs) == 2
+    runs = [hex_digits(DigitRequest("pi", 10000, 16, threads=t))
+            for t in (1, 2)]
+    assert runs[0] == runs[1]
+
+
+def _exact_block(spec, u, v, shift, k0, k1):
+    """The block's terms a_k * u/v * 2^shift / (2^e(k) * k^n), exactly."""
+    return sum(Fraction(spec.pattern[(k - 1) & 7] * u, v * k ** spec.n)
+               * Fraction(2) ** (shift - spec.exponent(k))
+               for k in range(k0, k1))
+
+
+def test_one_group_is_floored_once():
+    # k = 8, 16, ..., 72: moduli 9 * odd(k)^3 repeat (k = 8, 16, 32, 64)
+    # and share factors (k = 24, 48, 72); k = 64 has a smaller net power
+    # of two than k = 72; a and u are negative.  All of it is one group,
+    # so the block is the exact fractional part, floored once.
+    spec = SeriesSpec(3, 1, (0, 0, 0, 0, 0, 0, 0, -3))
+    u, v, shift, acc_bits = -5, 9, 60, 40
+    exact = _exact_block(spec, u, v, shift, 8, 80)
+    assert exact.denominator > 1
+    got = _sum_block(spec, u, v, shift, acc_bits, 8, 80)
+    assert got == math.floor(exact % 1 * 2 ** acc_bits)
+
+
+_JOBS = [j for f in catalog().values() for j in _formula_jobs(f, 0, 8)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_JOBS), st.integers(min_value=-16, max_value=400),
+       st.integers(min_value=16, max_value=80),
+       st.integers(min_value=1, max_value=600),
+       st.integers(min_value=1, max_value=160))
+def test_block_lies_within_the_error_interval(job, shift, acc_bits, k0, width):
+    # the interval `_error_bound` claims: above the summed block by less
+    # than one ulp per summed term plus one, below it by less than one
+    n, p, pattern, u, v = job[:5]
+    spec = SeriesSpec(n, p, pattern)
+    k1 = k0 + width
+    got = _sum_block(spec, u, v, shift, acc_bits, k0, k1)
+    one = 1 << acc_bits
+    diff = (_exact_block(spec, u, v, shift, k0, k1) * one - got) % one
+    if diff > one // 2:
+        diff -= one
+    assert -1 < diff < width + 1
 
 
 def test_self_check_facility():
