@@ -70,7 +70,7 @@ from .mp.real import (
     sin,
     tan,
 )
-from .series import eval_formula
+from .series import ARGUMENTS, _gaussian, eval_formula
 
 __all__ = [
     "WArgs",
@@ -396,23 +396,24 @@ def f5(args: F5Args) -> Fraction:
 # ----------------------------------------------------------------------
 # generating functions as pole sums
 #
-# Each id carries families (zr, zi, shift, select, mult, mu): the pole
-# sum is t * sum_k mult * sel((zr+i zi)^k / 2^(shift k)) / (k - mu t).
+# Each id carries families (arg, select, mult, mu), with arg one of the
+# Gaussian-rational names of `series.ARGUMENTS`, z = (zr + i zi) / 2^shift:
+# the pole sum is t * sum_k mult * sel(z^k) / (k - mu t).
 # The "A" series carries no factor 2; the others generate 2 sum X_n t^n.
 # With full=True the pole sum keeps the whole complex coefficient in place
 # of sel: that is the complex generating function behind F, G and H.
 
-_FamT = tuple[int, int, int, str, int, Fraction]
+_FamT = tuple[str, str, int, Fraction]
 
 _PF: dict[str, tuple[_FamT, ...]] = {
-    "A": ((1, 0, 1, "re", 1, Q(1)),),
-    "B": ((1, 1, 1, "re", 2, Q(2)),),
-    "C": ((-1, 0, 3, "re", 1, Q(1, 3)), (-1, 0, 1, "re", -2, Q(1))),
-    "D": ((1, 1, 2, "re", 2, Q(2, 3)), (0, -1, 1, "re", -2, Q(1))),
-    "E": ((1, -1, 3, "re", 2, Q(2, 5)), (0, -1, 1, "re", -4, Q(1))),
-    "F": ((1, 1, 1, "im", 2, Q(2)),),
-    "G": ((1, 1, 2, "im", 2, Q(2, 3)), (0, -1, 1, "im", -2, Q(1))),
-    "H": ((1, -1, 3, "im", 2, Q(2, 5)), (0, -1, 1, "im", -4, Q(1))),
+    "A": (("1/2", "re", 1, Q(1)),),
+    "B": (("(1+i)/2", "re", 2, Q(2)),),
+    "C": (("-1/8", "re", 1, Q(1, 3)), ("-1/2", "re", -2, Q(1))),
+    "D": (("(1+i)/4", "re", 2, Q(2, 3)), ("-i/2", "re", -2, Q(1))),
+    "E": (("(1-i)/8", "re", 2, Q(2, 5)), ("-i/2", "re", -4, Q(1))),
+    "F": (("(1+i)/2", "im", 2, Q(2)),),
+    "G": (("(1+i)/4", "im", 2, Q(2, 3)), ("-i/2", "im", -2, Q(1))),
+    "H": (("(1-i)/8", "im", 2, Q(2, 5)), ("-i/2", "im", -4, Q(1))),
 }
 
 
@@ -426,7 +427,8 @@ class GenFnId:
 
 def _fam_coeff(fam: _FamT, k: int) -> Fraction:
     """Exact coefficient of 1/(k - mu t) in one family."""
-    zr, zi, shift, sel, mult, _ = fam
+    arg, sel, mult, _ = fam
+    zr, zi, shift = _gaussian(arg)
     ar, ai = 1, 0
     for _ in range(k):
         ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
@@ -450,8 +452,9 @@ def _pole_sum(
     tmag = math.hypot(t.re.to_float(), t.im.to_float())
     acc_r = acc_i = 0
     for fi, fam in enumerate(fams):
-        zr, zi, shift, sel, mult, mu = fam
-        bits = shift - 0.5 * math.log2(zr * zr + zi * zi)
+        arg, sel, mult, mu = fam
+        zr, zi, shift = _gaussian(arg)
+        bits = ARGUMENTS[arg][0] / 2  # |z| = 2^(-p/2)
         kmax = int((wp + 48) / bits + 3 * tmag) + 16
         p, q = mu.numerator, mu.denominator
         di = -p * ti
@@ -758,7 +761,7 @@ def U(t: Fraction | int | MpReal, prec: int) -> MpReal:
 
     hits: list[tuple[Fraction, Fraction, int, int]] = []  # (c, mu, fam, k)
     for fi, fam in enumerate(_E_FAMS):
-        mu = fam[5]
+        mu = fam[3]
         kq = mu * tq
         if kq.denominator == 1 and kq >= 1:
             c = _fam_coeff(fam, int(kq))

@@ -8,7 +8,9 @@ catalog formulas.  This module evaluates those forms in fixed point
 and adds the identities whose members are complex (dilogarithm and
 order-1 relations through complex logarithms) and the two-variable
 Li_5 functional equation, which `hyper.CHECKS["order5"]` checks
-through `li5`.  A report passes when the residual is below
+through `li5`.  Arguments are the names of `series.ARGUMENTS`; the one
+relation that needs z itself, h1 through Li_1(z) = -log(1 - z), reads
+it from that table.  A report passes when the residual is below
 2**-(bits-64).
 """
 
@@ -22,11 +24,9 @@ from .errors import DomainError, PrecisionError, UnknownName
 from .mp import special as _sp
 from .mp.cplx import MpComplex, cln
 from .mp.real import MpReal, pi_const, pow_int
-from .series import (IDENTITIES, Identity, Monomial, SeriesSpec, eval_formula,
-                     eval_series, ladder, polylog_pattern)
-# the order-4 table and the zeta(11) relation's integers, defined in
-# `series`, are read from here too
-from .series import _F11_LHS, _F11_LIS, _F11_MONS, _R4_RHS  # noqa: F401
+from .series import (IDENTITIES, Identity, Monomial, SeriesSpec,
+                     _argument_value, eval_formula, eval_series, ladder,
+                     polylog_pattern)
 
 __all__ = ["CheckReport", "RELATIONS", "check_all", "check_li5_identity",
            "check_relation", "eval_ladder", "li5", "relation_names"]
@@ -296,9 +296,7 @@ def _ipi(c: Fraction):
 
 
 def _li1_log(arg: str, wp: int) -> MpComplex:
-    from .exact import ARGUMENTS
-    z = ARGUMENTS[arg].to_mp(wp)
-    return -cln(MpComplex.from_int(1, wp) - z, wp)
+    return -cln(MpComplex.from_int(1, wp) - _argument_value(arg, wp), wp)
 
 
 def _half_li1_half(wp: int) -> MpComplex:

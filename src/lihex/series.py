@@ -10,6 +10,12 @@ to evaluate such sums, how to expand Re/Im Li_n(z) into them for the
 special arguments with z^8 = 16^{-p}, and how to eliminate unwanted
 constants from exact linear identities so that new formulas fall out.
 
+Each special argument is z = 2^{-p/2} e^{i pi j/4}, kept as the pair
+(p, j) in `ARGUMENTS`.  That table is the one place an argument's value
+is written down: `polylog_pattern` reads each pattern entry from it in
+closed form, `ladders` reads z itself for Li_1(z) = -log(1 - z), and
+`hyper` reads the Gaussian-rational arguments of its pole sums.
+
 It is also where the ladders and their identities are defined, once,
 as exact linear forms over S-atoms and monomials: `ladder(name, n)`
 builds any ladder from the tables `_BASE`, `_COMBINED` and `_R4_RHS`,
@@ -29,9 +35,9 @@ from math import factorial, gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (RankDeficient, UndefinedOrder, UnknownName,
-                     UnsupportedArgument)
-from .exact import ARGUMENTS, ExactComplex
+from .errors import (DomainError, PrecisionError, RankDeficient,
+                     UndefinedOrder, UnknownName, UnsupportedArgument)
+from .mp.cplx import MpComplex
 from .mp.real import MpReal, _div0, log2_const, pi_const, pow_int
 from .mp import special as _sp
 
@@ -58,12 +64,12 @@ class SeriesSpec:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("order n must be >= 1")
+            raise DomainError("order n must be >= 1")
         if not 1 <= self.p <= 6:
-            raise ValueError("power p must be in 1..6")
+            raise DomainError("power p must be in 1..6")
         pat = tuple(int(c) for c in self.pattern)
         if len(pat) != 8:
-            raise ValueError("pattern must have 8 entries")
+            raise DomainError("pattern must have 8 entries")
         object.__setattr__(self, "pattern", pat)
 
     def exponent(self, k: int) -> int:
@@ -100,7 +106,7 @@ def _canon_term(coef: Fraction, n: int, p: int,
 def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
     """Sum the S-series to absolute error below 2^-prec."""
     if prec < 32:
-        raise ValueError("prec must be >= 32")
+        raise PrecisionError("prec must be >= 32")
     wp = prec + 32
     bits_a = max(abs(c) for c in spec.pattern).bit_length()
     if bits_a == 0:
@@ -206,57 +212,90 @@ FORMULAS: dict[str, Formula] = {f.name: f for f in [
 
 # ----------------------------------------------------------------------
 # argument expansion
+#
+# z = 2^(-p/2) e^(i pi j/4) is the pair (p, j).  With m = jk mod 8 and
+# Part(e^(i pi m/4)) = sign * 2^(-h/2) from `_UNIT_PARTS`, Part(z^k) is
+# sign * 2^(-(pk + h)/2).  Conjugates are both present because the source
+# identities use both half planes.
 
-def _arg_of(arg: "ExactComplex | str") -> ExactComplex:
-    if isinstance(arg, str):
-        try:
-            return ARGUMENTS[arg]
-        except KeyError:
-            raise UnsupportedArgument(f"unknown argument name {arg!r}") from None
-    return arg
+ARGUMENTS: Mapping[str, tuple[int, int]] = MappingProxyType({
+    "1/2": (2, 0), "-1/2": (2, 4), "-1/4": (4, 4), "-1/8": (6, 4),
+    "(1+i)/2": (1, 1), "(1-i)/2": (1, 7),
+    "(1+i)/4": (3, 1), "(1-i)/4": (3, 7),
+    "(1+i)/8": (5, 1), "(1-i)/8": (5, 7),
+    "i/2": (2, 2), "-i/2": (2, 6),
+    "i/sqrt2": (1, 2), "-i/sqrt2": (1, 6),
+    "i/sqrt8": (3, 2), "-i/sqrt8": (3, 6),
+})
+
+# (sign, h) for m = 0..7
+_UNIT_PARTS = {
+    "re": ((1, 0), (1, 1), (0, 0), (-1, 1), (-1, 0), (-1, 1), (0, 0), (1, 1)),
+    "im": ((0, 0), (1, 1), (1, 0), (1, 1), (0, 0), (-1, 1), (-1, 0), (-1, 1)),
+}
 
 
-_P_BY_DEN = {16: 1, 16 ** 2: 2, 16 ** 3: 3, 16 ** 4: 4, 16 ** 5: 5, 16 ** 6: 6}
+def _argument(arg: str) -> tuple[int, int]:
+    try:
+        return ARGUMENTS[arg]
+    except KeyError:
+        raise UnsupportedArgument(f"unknown argument name {arg!r}") from None
+
+
+def _power_part(p: int, j: int, k: int, part: str) -> tuple[int, int]:
+    """Part(z^k) as (sign, e): sign * 2^(-e/2)."""
+    if part not in _UNIT_PARTS:
+        raise DomainError("part must be 're' or 'im'")
+    sign, h = _UNIT_PARTS[part][j * k % 8]
+    return sign, p * k + h
+
+
+def _argument_value(arg: str, prec: int) -> MpComplex:
+    """z rounded to prec bits; an irrational part is sqrt(2) at prec + 8
+    bits scaled by a power of two."""
+    p, j = _argument(arg)
+
+    def comp(part: str) -> MpReal:
+        sign, e = _power_part(p, j, 1, part)
+        if not sign or e % 2 == 0:
+            return MpReal.from_fraction(_Q(sign, 1 << e // 2), prec)
+        v = MpReal.from_int(2, prec + 8).sqrt(prec + 8).scalb(-(e + 1) // 2)
+        return (v if sign > 0 else -v).round_to(prec)
+    return MpComplex(comp("re"), comp("im"))
+
+
+def _gaussian(arg: str) -> tuple[int, int, int]:
+    """(zr, zi, shift) with z = (zr + i zi) / 2^shift, for the arguments
+    that are Gaussian rationals: the nonzero parts of z are 2^(-(p + j mod
+    2)/2) in size, rational exactly when p + j is even."""
+    p, j = _argument(arg)
+    if (p + j) % 2:
+        raise UnsupportedArgument(f"{arg} is not a Gaussian rational")
+    return (_UNIT_PARTS["re"][j][0], _UNIT_PARTS["im"][j][0],
+            (p + j % 2) // 2)
 
 
 @functools.cache
-def polylog_pattern(arg: "ExactComplex | str", n: int,
+def polylog_pattern(arg: str, n: int,
                     part: str) -> tuple[tuple[Fraction, SeriesSpec], ...]:
-    """S-basis expansion of Re/Im Li_n(arg).
+    """S-basis expansion of Re/Im Li_n at a named argument.
 
-    Works for any argument with z^8 = 16^{-p}, 1 <= p <= 6, whose chosen
-    component expands with integer pattern entries; everything else
-    raises UnsupportedArgument.  An identically zero component (the
-    imaginary part of a real argument) returns the empty combination.
+    Entry k of the pattern is Part(z^k) * 2^floor(p(k+1)/2) = sign *
+    2^(t/2) with t = 2 floor(p(k+1)/2) - pk - h >= p - 1 - h >= -1; an
+    odd t under a nonzero sign makes the pattern irrational, which raises
+    UnsupportedArgument, and every other entry is an integer.  An
+    identically zero component (the imaginary part of a real argument)
+    returns the empty combination.
     """
-    if part not in ("re", "im"):
-        raise ValueError("part must be 're' or 'im'")
-    z = _arg_of(arg)
-    if z.is_zero:
-        return ()
-    if part == "im" and z.is_real:
-        return ()
-    z8 = z.pow(8)
-    if not z8.im.is_zero or not z8.re.is_rational:
-        raise UnsupportedArgument(f"{arg}: eighth power is not rational")
-    q = z8.re.rational()
-    if q.numerator != 1 or q.denominator not in _P_BY_DEN:
-        raise UnsupportedArgument(f"{arg}: z^8 = {q} is not 16^-p with p in 1..6")
-    p = _P_BY_DEN[q.denominator]
+    p, j = _argument(arg)
     pattern = []
-    zk = ExactComplex.make(1)
     for k in range(1, 9):
-        zk = zk * z
-        comp = zk.re if part == "re" else zk.im
-        scaled = comp * (1 << ((p * (k + 1)) // 2))
-        if not scaled.is_rational:
+        sign, e = _power_part(p, j, k, part)
+        t = 2 * ((p * (k + 1)) // 2) - e
+        if sign and t % 2:
             raise UnsupportedArgument(
                 f"{arg}: {part} part has an irrational pattern")
-        c = scaled.rational()
-        if c.denominator != 1:
-            raise UnsupportedArgument(
-                f"{arg}: {part} part has a non-integer pattern")
-        pattern.append(int(c))
+        pattern.append(sign << t // 2)
     term = _canon_term(_Q(1), n, p, pattern)
     return () if term is None else (term,)
 

@@ -239,7 +239,7 @@ def self_check(formula: str, d: int, count: int) -> bool:
     second run starting one position earlier.
     """
     if d > 100_000:
-        raise ValueError("self_check oracle is limited to d <= 100000")
+        raise DomainError("self_check oracle is limited to d <= 100000")
     run = hex_digits(DigitRequest(formula, d, count))
     wp = 4 * (d + count) + 64
     val = eval_formula(formula, wp)

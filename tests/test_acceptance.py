@@ -14,13 +14,13 @@ import pytest
 from lihex.hyper import (CHECKS, F5Args, U, WArgs, asymp_battery, eval_W,
                          expu_check, f5, genfn_hyp, genfn_pf, u_rational,
                          utilde_rational)
-from lihex.ladders import (_F11_LHS, _F11_LIS, _F11_MONS, _li_part_val,
-                           check_all, check_li5_identity, check_relation)
+from lihex.ladders import (_li_part_val, check_all, check_li5_identity,
+                           check_relation)
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal, pi_const
 from lihex.relfind import RelationQuery, pslq, verify_vector
-from lihex.series import (Monomial, SeriesSpec, catalog, eval_formula,
-                          eval_series)
+from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
+                          SeriesSpec, catalog, eval_formula, eval_series)
 from lihex.spigot import DigitRequest, hex_digits
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-import lihex.ladders
+import lihex.series
 from lihex.cli import main
 from lihex.hyper import CHECKS
 
@@ -84,8 +84,8 @@ def test_verify_all_default_bits(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from fractions import Fraction as Q
-    name, acoef, z4c = lihex.ladders._R4_RHS["r4b"]
-    monkeypatch.setitem(lihex.ladders._R4_RHS, "r4b",
+    name, acoef, z4c = lihex.series._R4_RHS["r4b"]
+    monkeypatch.setitem(lihex.series._R4_RHS, "r4b",
                         (name, acoef, z4c + Q(1, 2**100)))
     rc, out, _ = run(capsys, "verify", "--relation", "r4b")
     assert rc == 1

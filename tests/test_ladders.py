@@ -1,6 +1,8 @@
 """The identity suite: every catalog relation at 512 bits, the
 high-precision 14-term zeta(11) relation, and the Li_5 machinery."""
 
+import hashlib
+import json
 import sys
 from fractions import Fraction as Q
 
@@ -8,13 +10,13 @@ import pytest
 
 import lihex.hyper  # noqa: F401  (its memos must be present to be cleared)
 from lihex.errors import PrecisionError, UndefinedOrder, UnknownName
-from lihex.ladders import (RELATIONS, _R4_RHS, CheckReport, check_all,
+from lihex.ladders import (RELATIONS, CheckReport, check_all,
                            check_li5_identity, check_relation, eval_ladder,
                            li5)
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal
-from lihex.series import catalog, eval_formula
+from lihex.series import _R4_RHS, catalog, eval_formula
 
 SUITE_512 = {
     "r1", "r2", "i2", "r3", "i3",
@@ -33,6 +35,24 @@ def test_full_suite_at_512_bits():
     for r in reports:
         assert r.passed, f"{r.name}: 2^{r.log2_residual}"
         assert r.log2_residual < -448
+
+
+# sha256 of the JSON list of (name, bits, repr(log2_residual), passed)
+# over check_all(bits): any change to an argument, a table entry or the
+# fixed-point evaluation that moves a single residual bit moves it
+RESIDUAL_SHA256 = {
+    256: "e501510ccdbf4ba5bee6162c64bdf9a6b5ef2d95f55db75600cea314b9d3e4fd",
+    512: "719744ccc92869a31b398d0e3f0bf412a60907d0bd950a3eb4d94fb156fe1fdc",
+    1024: "ba13f345791c8f48538a353329270b371d2a3b5ba511acc0bc7b99d647c64704",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(RESIDUAL_SHA256))
+def test_relation_residuals_are_pinned(bits):
+    rows = [[r.name, r.bits, repr(r.log2_residual), r.passed]
+            for r in check_all(bits)]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == RESIDUAL_SHA256[bits]
 
 
 def test_f11_at_1024_bits():

@@ -26,8 +26,6 @@ import types
 
 # name -> why it stays although no entry point enters it
 ALLOWED = {
-    "exact.ExactComplex.__repr__": "debugging aid, read by no program path",
-    "exact.QuadExt.__repr__": "debugging aid, read by no program path",
     "mp.cplx.MpComplex.__repr__": "debugging aid, read by no program path",
     "mp.real.MpReal.__repr__": "debugging aid, read by no program path",
     "series.SeriesSpec.__str__": "debugging aid, read by no program path",

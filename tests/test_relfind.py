@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihex.errors import DomainError, PrecisionError
-from lihex.ladders import RELATIONS, _F11_LHS, _F11_LIS, _F11_MONS, _li_part_val
+from lihex.ladders import RELATIONS, _li_part_val
 from lihex.mp.real import MpReal, log2_const, pi_const
 from lihex.relfind import (RelationQuery, RelationResult, _canonical,
                            _pigeonhole, pslq, required_bits, verify_vector)
-from lihex.series import Monomial, SeriesSpec, eval_formula, eval_series
+from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
+                          SeriesSpec, eval_formula, eval_series)
 
 F11_VECTOR = tuple([_F11_LHS] + [-c for c, _ in _F11_LIS]
                    + [-c for c, _ in _F11_MONS])

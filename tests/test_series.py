@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihex import series
-from lihex.errors import UnknownName
+from lihex.errors import (DomainError, PrecisionError, UnknownName,
+                          UnsupportedArgument)
 from lihex.ladders import RELATIONS, check_relation
 from lihex.mp import special as sp
 from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
 from lihex.series import (IDENTITIES, Monomial, SeriesSpec, catalog,
                           derived_catalog, dump_catalog, eval_formula,
-                          eval_series, solve_formulas)
+                          eval_series, polylog_pattern, solve_formulas)
 
 P = 192
 
@@ -102,12 +103,63 @@ def test_monomial_values():
 
 
 def test_series_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SeriesSpec(0, 1, (1,) * 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SeriesSpec(1, 7, (1,) * 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SeriesSpec(1, 1, (1, 2, 3))
+    with pytest.raises(PrecisionError):
+        eval_series(SeriesSpec(1, 1, (1,) * 8), 31)
+    with pytest.raises(DomainError):
+        polylog_pattern("1/2", 2, "abs")
+    with pytest.raises(UnsupportedArgument):
+        polylog_pattern("1/3", 2, "re")
+
+
+# the sixteen special arguments written independently as complex literals
+R2 = 2 ** -0.5
+ARGUMENT_LITERALS = {
+    "1/2": 0.5, "-1/2": -0.5, "-1/4": -0.25, "-1/8": -0.125,
+    "(1+i)/2": 0.5 + 0.5j, "(1-i)/2": 0.5 - 0.5j,
+    "(1+i)/4": 0.25 + 0.25j, "(1-i)/4": 0.25 - 0.25j,
+    "(1+i)/8": 0.125 + 0.125j, "(1-i)/8": 0.125 - 0.125j,
+    "i/2": 0.5j, "-i/2": -0.5j,
+    "i/sqrt2": R2 * 1j, "-i/sqrt2": -R2 * 1j,
+    "i/sqrt8": R2 / 2 * 1j, "-i/sqrt8": -R2 / 2 * 1j,
+}
+
+
+def test_argument_table_matches_literals():
+    assert set(series.ARGUMENTS) == set(ARGUMENT_LITERALS)
+    for name, z in ARGUMENT_LITERALS.items():
+        p = next(p for p in range(1, 7) if abs(z ** 8 * 16 ** p - 1) < 1e-9)
+        assert series.ARGUMENTS[name][0] == p
+        v = series._argument_value(name, 64)
+        assert abs(complex(v.re.to_float(), v.im.to_float()) - z) < 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_LITERALS))
+def test_polylog_pattern_against_literal_powers(name):
+    z = ARGUMENT_LITERALS[name]
+    p = series.ARGUMENTS[name][0]
+    for part in ("re", "im"):
+        want = []
+        for k in range(1, 9):
+            zk = z ** k
+            want.append((zk.real if part == "re" else zk.imag)
+                        * 2 ** ((p * (k + 1)) // 2))
+        integral = all(abs(w - round(w)) < 1e-9 for w in want)
+        for n in range(1, 12):
+            if not integral:
+                with pytest.raises(UnsupportedArgument):
+                    polylog_pattern(name, n, part)
+                continue
+            got = [0] * 8
+            for coef, spec in polylog_pattern(name, n, part):
+                assert (spec.n, spec.p) == (n, p)
+                got = [g + coef * a for g, a in zip(got, spec.pattern)]
+            assert all(abs(g - w) < 1e-9 for g, w in zip(got, want))
 
 
 # sha256 of the canonical dump of the eight solved formulas; any change

@@ -117,7 +117,7 @@ def test_block_lies_within_the_error_interval(job, shift, acc_bits, k0, width):
 def test_self_check_facility():
     assert self_check("pi", 100, 24)
     assert self_check("zeta3", 50, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         self_check("pi", 200000, 8)
 
 
