@@ -40,7 +40,8 @@ def _jfloat(x: float | None):
 
 def _report_dict(r: CheckReport) -> dict:
     return {"name": r.name, "bits": r.bits,
-            "log2_residual": _jfloat(r.log2_residual), "passed": r.passed}
+            "log2_residual": _jfloat(r.log2_residual),
+            "log2_bound": _jfloat(r.log2_bound), "passed": r.passed}
 
 
 def _print_reports(reports: list[CheckReport], as_json: bool) -> int:
@@ -49,8 +50,10 @@ def _print_reports(reports: list[CheckReport], as_json: bool) -> int:
     else:
         for r in reports:
             mark = "pass" if r.passed else "FAIL"
+            bound = ("" if r.log2_bound is None
+                     else f"bound={r.log2_bound:<8g} ")
             print(f"{r.name:<14} bits={r.bits:<6} "
-                  f"log2|r|={r.log2_residual:<8g} {mark}")
+                  f"log2|r|={r.log2_residual:<8g} {bound}{mark}")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -1,32 +1,41 @@
-"""Numeric checks of the ladder identities, and the Li_5 evaluator.
+"""Certified checks of the ladder identities, and the Li_5 evaluator.
 
-The ladders (A..H, their bar and tilde forms, U..Z) and the linear
-identities among them are defined once, as exact linear forms, in
-`series`: `series.ladder` builds a ladder and `series.IDENTITIES` holds
-the linear identities, which `series` also solves for the derived
-catalog formulas.  This module evaluates those forms in fixed point
-and adds the identities whose members are complex (dilogarithm and
-order-1 relations through complex logarithms) and the two-variable
+The ladders (A..H, their bar and tilde forms, U..Z) and the identities
+among them are defined once, as exact linear forms, in `series`:
+`series.ladder` builds a ladder and `series.IDENTITIES` holds every
+identity as real rows, a complex relation (the dilogarithm and order-1
+relations through complex logarithms) as one row per part.  This
+module checks each row in exact fixed point: every S-atom and monomial
+enters as an integer at wp bits with a counted error bound in ulps,
+each side minus the first is one integer coefficient vector over a
+common denominator, and a report passes only when the residual plus
+its bound is at most 2**-(bits-64), which certifies the identity to
+that accuracy.  wp is prec + 32 bits, more for a row whose coefficient
+mass passes 2^32 (f11).
+
+One relation stays outside the table: h1 compares Li_1 at i/sqrt2 and
+-i/sqrt8, whose imaginary parts are arctangents without an S-basis
+expansion, so it sums complex logarithms and passes on its computed
+residual alone, with no bound.  The module also holds the two-variable
 Li_5 functional equation, which `hyper.CHECKS["order5"]` checks
-through `li5`.  Arguments are the names of `series.ARGUMENTS`; the one
-relation that needs z itself, h1 through Li_1(z) = -log(1 - z), reads
-it from that table.  A report passes when the residual is below
-2**-(bits-64).
+through `li5`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .errors import DomainError, PrecisionError, UnknownName
 from .mp import special as _sp
 from .mp.cplx import MpComplex, cln
 from .mp.real import MpReal, pi_const, pow_int
-from .series import (IDENTITIES, Identity, Monomial, SeriesSpec,
-                     _argument_value, eval_formula, eval_series, ladder,
-                     polylog_pattern)
+from .series import (IDENTITIES, Identity, IntegerRows, SeriesSpec,
+                     _argument_value, _monomial_fixed, _series_fixed,
+                     integer_rows, ladder)
 
 __all__ = ["CheckReport", "RELATIONS", "check_all", "check_li5_identity",
            "check_relation", "eval_ladder", "li5", "relation_names"]
@@ -36,33 +45,64 @@ _Q = Fraction
 
 @dataclass(frozen=True)
 class CheckReport:
+    """The outcome of one check at ``bits`` bits.
+
+    ``log2_residual`` is the smallest e with |residual| < 2^e (minus
+    infinity for an exact zero).  For an identity of the table,
+    ``log2_bound`` is the same for the counted bound on the error of
+    the computed residual, and a pass certifies that the true residual
+    is at most 2^-(bits-64): the computed residual plus its bound stays
+    there.  Checks that state no bound (h1, whose values go through
+    complex logarithms, the Li_5 equation and the batteries) carry
+    None and pass on the computed residual alone.
+    """
+
     name: str
     bits: int
     log2_residual: float
     passed: bool
+    log2_bound: float | None = None
 
 
 # ----------------------------------------------------------------------
-# evaluation of linear forms
+# evaluation of linear forms in fixed point
 
-def _eval_form(form: dict, wp: int) -> MpReal:
-    """Sum of c * eval_series(atom) and c * Monomial.value over a form."""
-    acc = MpReal.zero(wp)
-    for atom, c in form.items():
-        if c:
-            v = (eval_series(atom, wp) if isinstance(atom, SeriesSpec)
-                 else atom.value(wp))
-            acc = acc.add(v.mul(c, wp), wp)
-    return acc
+def _atom_fixed(atom, wp: int) -> tuple[int, int]:
+    if isinstance(atom, SeriesSpec):
+        return _series_fixed(atom, wp)
+    return _monomial_fixed(atom, wp)
 
 
-def _li_part_val(arg: str, n: int, part: str, wp: int) -> MpReal:
-    return _eval_form({s: c for c, s in polylog_pattern(arg, n, part)}, wp)
+@functools.cache
+def _atom_values(rows: IntegerRows, wp: int) -> tuple[tuple[int, ...], ...]:
+    """The rows' atoms at wp bits, and their bounds in ulps."""
+    pairs = [_atom_fixed(a, wp) for a in rows.atoms]
+    return tuple(v for v, _ in pairs), tuple(e for _, e in pairs)
 
 
-def _li_cplx_val(arg: str, n: int, wp: int) -> MpComplex:
-    return MpComplex(_li_part_val(arg, n, "re", wp),
-                     _li_part_val(arg, n, "im", wp))
+def _fixed_sums(rows: IntegerRows, prec: int, values=_atom_values):
+    """Each row summed in fixed point: (wp, [(sum, bound), ...]), row r
+    worth sum / (den 2^wp) and off by at most bound / (den 2^wp).
+
+    wp = prec + max(32, mass bits), so a bound, at most the mass times
+    E ulps of 2^-wp for atoms within E ulps, stays below E 2^-prec:
+    with E < 2^32 that is 2^32 under 2^-(prec-64).
+    """
+    wp = prec + max(32, rows.mass_bits)
+    vals, errs = values(rows, wp)
+    return wp, [(sum(map(mul, row, vals)),
+                 sum(map(mul, map(abs, row), errs)))
+                for row in rows.coefs]
+
+
+def _log2_top(num: int, den: int) -> float:
+    """The smallest e with num < den * 2^e for num >= 0, den > 0: minus
+    infinity for num = 0."""
+    if not num:
+        return float("-inf")
+    e = num.bit_length() - den.bit_length()
+    return float(e if (num < den << e if e >= 0 else num << -e < den)
+                 else e + 1)
 
 
 def eval_ladder(name: str, n: int, prec: int) -> MpReal:
@@ -72,7 +112,10 @@ def eval_ladder(name: str, n: int, prec: int) -> MpReal:
     Btilde..Etilde, Htilde and U..Z.  Orders outside 1..11 are not part
     of the scheme.
     """
-    return _eval_form(ladder(name, n), prec + 32).round_to(prec)
+    rows = integer_rows([ladder(name, n)])
+    # the rows are new on every call: sum them past the cache
+    wp, ((total, _),) = _fixed_sums(rows, prec, _atom_values.__wrapped__)
+    return MpReal.from_fraction(_Q(total, rows.den << wp), prec)
 
 
 # ----------------------------------------------------------------------
@@ -233,123 +276,51 @@ def _report(name: str, prec: int, resid: MpReal) -> CheckReport:
 
 @dataclass(frozen=True)
 class Relation:
+    """A catalog relation: real identity rows of the table, one per part
+    for a complex relation, or for h1 a callable giving its members."""
+
     name: str
     status: str                    # "proven" or "numeric"
-    members: Callable[[int], list[MpComplex]]
+    rows: tuple[Identity, ...] = ()
     min_bits: int = 256
+    members: Callable[[int], list[MpComplex]] | None = None
 
 
-def _mc(x: MpReal) -> MpComplex:
-    return MpComplex.from_real(x)
+# every identity of the table is a row of the relation that its name
+# names before the dot (w21.re and w21.im make w21); h1 compares the
+# imaginary parts of Li_1 at i/sqrt2 and -i/sqrt8, arctangents outside
+# the S-basis, so it goes through complex logarithms instead
+def _table_relations() -> dict[str, Relation]:
+    out: dict[str, Relation] = {}
+    for ident in IDENTITIES.values():
+        name = ident.name.partition(".")[0]
+        rows = out[name].rows if name in out else ()
+        out[name] = Relation(name, ident.status, rows + (ident,),
+                             ident.min_bits)
+    return out
 
 
-def _linear_members(ident: Identity) -> Callable[[int], list[MpComplex]]:
-    def members(wp: int) -> list[MpComplex]:
-        return [_mc(_eval_form(f, wp)) for f in ident.forms()]
-    return members
-
-
-# the linear identities come from the table in `series`; the complex
-# ones below compare values of Li_n and of complex logarithms
-RELATIONS: dict[str, Relation] = {
-    name: Relation(name, i.status, _linear_members(i), i.min_bits)
-    for name, i in IDENTITIES.items()}
-
-
-def _rel(name: str, status: str,
-         members: Callable[[int], list[MpComplex]]) -> None:
-    RELATIONS[name] = Relation(name, status, members)
-
-
-def relation_names() -> list[str]:
-    return list(RELATIONS)
-
-
-def _chain(*sides):
-    def members(wp: int) -> list[MpComplex]:
-        return [s(wp) for s in sides]
-    return members
-
-
-# --- dilogarithm and order-1 identities (complex members) ---
-
-def _wval(wp: int) -> MpComplex:
-    return MpComplex.from_fractions(_Q(1, 2), _Q(1, 2), wp)
-
-
-def _li2_minus_i(wp: int) -> MpComplex:
-    # Li_2(-i) = -pi^2/48 - i G, with G summed from its digit formula
-    g = eval_formula("catalan", wp)
-    re = pow_int(pi_const(wp), 2, wp).mul(_Q(-1, 48), wp)
-    return MpComplex(re, -g)
-
-
-def _ln_sq(z: MpComplex, wp: int) -> MpComplex:
-    l = cln(z, wp)
-    return l * l
-
-
-def _ipi(c: Fraction):
-    def side(wp: int) -> MpComplex:
-        return MpComplex(MpReal.zero(wp), pi_const(wp).mul(c, wp))
-    return side
+RELATIONS: dict[str, Relation] = _table_relations()
 
 
 def _li1_log(arg: str, wp: int) -> MpComplex:
     return -cln(MpComplex.from_int(1, wp) - _argument_value(arg, wp), wp)
 
 
-def _half_li1_half(wp: int) -> MpComplex:
-    return _mc(_li_part_val("1/2", 1, "re", wp).mul(_Q(1, 2), wp))
+def _h1_members(wp: int) -> list[MpComplex]:
+    lhs = (_li1_log("-i/sqrt8", wp) - _li1_log("i/sqrt2", wp) * 2
+           - _li1_log("1/2", wp) * _Q(1, 2))
+    return [lhs, MpComplex(MpReal.zero(wp), pi_const(wp).mul(_Q(-1, 2), wp))]
 
 
-_rel("w21", "proven", _chain(
-    lambda wp: _li_cplx_val("(1+i)/2", 2, wp) * 2,
-    lambda wp: (-_ln_sq(MpComplex.from_fractions(_Q(1, 2), _Q(-1, 2), wp), wp)
-                - _li2_minus_i(wp) * 2)))
-_rel("w23", "proven", _chain(
-    lambda wp: _li_cplx_val("(1-i)/4", 2, wp) * 2,
-    lambda wp: ((_li_cplx_val("i/2", 2, wp) - _ln_sq(_wval(wp), wp)) * 3
-                + _li2_minus_i(wp) * 4)))
-_rel("w25", "proven", _chain(
-    lambda wp: _li_cplx_val("(1+i)/8", 2, wp) * 2,
-    lambda wp: ((_li_cplx_val("i/2", 2, wp) * 2 - _ln_sq(_wval(wp), wp)) * 5
-                + _li2_minus_i(wp) * 8)))
-_rel("h21", "proven", _chain(
-    lambda wp: _mc((-_li_cplx_val("(1+i)/2", 2, wp)
-                    - _ln_sq(MpComplex.from_fractions(_Q(1, 2), _Q(-1, 2),
-                                                      wp), wp)
-                    * _Q(1, 2)).re),
-    lambda wp: _mc(Monomial(pi=2).value(wp).mul(_Q(-1, 48), wp))))
-_rel("w11", "proven", _chain(
-    lambda wp: _li_cplx_val("(1+i)/2", 1, wp) - _half_li1_half(wp),
-    _ipi(_Q(1, 4))))
-_rel("w13", "proven", _chain(
-    lambda wp: (_li_cplx_val("(1-i)/4", 1, wp)
-                - _li_cplx_val("i/2", 1, wp) - _half_li1_half(wp)),
-    _ipi(_Q(-1, 4))))
-_rel("w15", "proven", _chain(
-    lambda wp: (_li_cplx_val("(1+i)/8", 1, wp)
-                - _li_cplx_val("i/2", 1, wp) * 2 - _half_li1_half(wp)),
-    _ipi(_Q(-1, 4))))
-_rel("h1", "proven", _chain(
-    lambda wp: (_li1_log("-i/sqrt8", wp) - _li1_log("i/sqrt2", wp) * 2
-                - _half_li1_half(wp)),
-    _ipi(_Q(-1, 2))))
+RELATIONS["h1"] = Relation("h1", "proven", members=_h1_members)
 
 
-def check_relation(name: str, prec: int) -> CheckReport:
-    """Evaluate every member of a catalog identity and compare them.
+def relation_names() -> list[str]:
+    return list(RELATIONS)
 
-    The residual is the largest pairwise deviation; the check passes
-    when it stays below 2**-(prec-64).
-    """
-    rel = RELATIONS.get(name)
-    if rel is None:
-        raise UnknownName(name)
-    if prec < rel.min_bits:
-        raise PrecisionError(
-            f"{name} needs at least {rel.min_bits} bits, got {prec}")
+
+def _check_members(rel: Relation, prec: int) -> CheckReport:
     wp = prec + 32
     vals = rel.members(wp)
     resid = MpReal.zero(wp)
@@ -357,7 +328,36 @@ def check_relation(name: str, prec: int) -> CheckReport:
         d = (v - vals[0]).abs_val(wp)
         if d._cmp(resid) > 0:
             resid = d
-    return _report(name, prec, resid)
+    return _report(rel.name, prec, resid)
+
+
+def check_relation(name: str, prec: int) -> CheckReport:
+    """Check that every side of a catalog relation has one value.
+
+    Each row (a side minus the first) is summed exactly in integers
+    over fixed-point atoms with counted error bounds.  The residual is
+    the largest row sum; the check passes when every row's |sum| plus
+    its bound is at most 2**-(prec-64), which certifies the relation
+    to that accuracy.  h1 reports its residual without a bound.
+    """
+    rel = RELATIONS.get(name)
+    if rel is None:
+        raise UnknownName(name)
+    if prec < rel.min_bits:
+        raise PrecisionError(
+            f"{name} needs at least {rel.min_bits} bits, got {prec}")
+    if rel.members is not None:
+        return _check_members(rel, prec)
+    passed, resids, bounds = True, [], []
+    for ident in rel.rows:
+        rows = ident.rows()
+        wp, sums = _fixed_sums(rows, prec)
+        limit = rows.den << (wp - prec + 64)
+        for total, err in sums:
+            passed = passed and abs(total) + err <= limit
+            resids.append(_log2_top(abs(total), rows.den << wp))
+            bounds.append(_log2_top(err, rows.den << wp))
+    return CheckReport(name, prec, max(resids), passed, max(bounds))
 
 
 def check_all(prec: int) -> list[CheckReport]:

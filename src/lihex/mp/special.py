@@ -237,8 +237,12 @@ def _hurwitz_int(n: int, a: Fraction, prec: int) -> MpReal:
     """zeta(n, a) for integer n >= 2 and rational 0 < a <= 1."""
     wp = prec + 32
     # direct-sum length N: the correction at index J scales like
-    # ((n + 2J) / (2*pi*e*N))**(2J), so N puts it below 2**-(wp+16)
-    J = max(4, min((wp + 3) // 4, BERNOULLI_MAX // 2 - 2))
+    # ((n + 2J) / (2*pi*e*N))**(2J), so N puts it below 2**-(wp+16).
+    # J = wp/8 sums about wp/4 direct terms, each one fixed-point
+    # division, and needs Bernoulli numbers up to B_(wp/4), whose
+    # Fraction products cost far more per correction than a direct
+    # term does; J = wp/4 halved N but drew on the table up to B_(wp/2)
+    J = max(4, min((wp + 7) // 8, BERNOULLI_MAX // 2 - 2))
     N = max(16, math.ceil((n + 2 * J) / (2 * math.pi * math.e)
                           * 2.0 ** ((wp + 16) / (2 * J))) + 4)
     p, q = a.numerator, a.denominator

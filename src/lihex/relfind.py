@@ -38,12 +38,15 @@ Parameter choices, documented here because they are ours:
   below the pigeonhole floor h**-(n-1) for the vector's own height h:
   n reals admit a coincidental vector that close, and the first check
   alone admits such vectors when P is short for n.
-* absence is reported when 1/max|H_jj| exceeds 10**max_digits, the
-  standard norm bound: every relation, known or not, has Euclidean
-  norm at least 1/max|H_jj|.  It holds for H = A*H_0*Q with any
-  unimodular A and orthogonal Q, so it is read from the full-precision
-  H at a refresh and never from a copy.  ``bound_digits`` on the
-  result records the bound reached.
+* absence is reported when 1/max|H_jj| exceeds 10**max_digits *
+  (isqrt(n-1) + 1), from the standard norm bound: every relation,
+  known or not, has Euclidean norm at least 1/max|H_jj|.  A vector
+  whose n entries all lie below 10**max_digits has a norm below
+  sqrt(n) * 10**max_digits, and isqrt(n-1) + 1 >= sqrt(n), so such an
+  exclusion covers every such vector.  The bound holds for H =
+  A*H_0*Q with any unimodular A and orthogonal Q, so it is read from
+  the full-precision H at a refresh and never from a copy.
+  ``bound_digits`` on the result records the norm bound reached.
 
 The precision rule (``required_bits``) asks for P >= 16*max_digits and
 P >= n*max_digits*log2(10) + 64, which keeps a search from reaching
@@ -104,9 +107,11 @@ class RelationResult:
     "inconclusive".  ``vector`` is the primitive relation (gcd one,
     first nonzero entry positive) when found, else None, and
     ``log2_residual`` measures |sum v_i x_i| for the found vector.
-    ``bound_digits`` is the exclusion bound reached: no relation has
-    Euclidean norm below 10**bound_digits.  It is not part of
-    ``as_dict``.
+    ``bound_digits`` is the norm bound reached: no relation has
+    Euclidean norm below 10**bound_digits.  A "none_within_bound"
+    says more: no relation has every entry below 10**max_digits in
+    absolute value, which needs the norm bound to pass sqrt(n) *
+    10**max_digits.  ``bound_digits`` is not part of ``as_dict``.
     """
 
     status: str
@@ -362,6 +367,9 @@ def pslq(q: RelationQuery) -> RelationResult:
     # that round identically ARE a relation, and the trivial (1, -1)
     # that comes back is the honest answer
     height = 10 ** q.max_digits
+    # entries below 10**d allow a Euclidean norm up to sqrt(n) 10**d,
+    # and isqrt(n-1) + 1 >= sqrt(n): an exclusion must reach this norm
+    reach = height * (math.isqrt(n - 1) + 1)
     limit = q.max_iterations
     if limit is None:
         # generous: bound growth is ~0.1 bit per sweep of n rows
@@ -416,10 +424,11 @@ def pslq(q: RelationQuery) -> RelationResult:
                 return result("inconclusive")
         if hmax == 0 or it >= limit:
             return result("inconclusive")
-        if hmax * height < one:
-            # every relation has norm >= 2**prec / hmax > 10**max_digits
+        if hmax * reach < one:
+            # every relation has norm >= 2**prec / hmax > reach, so no
+            # relation has all its entries below 10**max_digits
             return result("none_within_bound")
-        Al, Bl, steps = _level(y, H, weights, limit - it, one // height)
+        Al, Bl, steps = _level(y, H, weights, limit - it, one // reach)
         it += steps
         _refresh(y, H, B, Al, Bl)
 

@@ -19,10 +19,11 @@ closed form, `ladders` reads z itself for Li_1(z) = -log(1 - z), and
 It is also where the ladders and their identities are defined, once,
 as exact linear forms over S-atoms and monomials: `ladder(name, n)`
 builds any ladder from the tables `_BASE`, `_COMBINED` and `_R4_RHS`,
-and `IDENTITIES` holds every linear identity of the suite.  Two
-consumers read them: `ladders` evaluates the identities numerically
-(`check_relation`), and `_derived` solves eight catalog formulas from
-named rows of the same table.
+and `IDENTITIES` holds every identity of the suite as real rows, a
+complex relation as one row per part.  Two consumers read them:
+`ladders` checks the identities in fixed point (`check_relation`) from
+their integer rows and the fixed-point atoms below, and `_derived`
+solves eight catalog formulas from named rows of the same table.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (DomainError, PrecisionError, RankDeficient,
                      UndefinedOrder, UnknownName, UnsupportedArgument)
 from .mp.cplx import MpComplex
-from .mp.real import MpReal, _div0, log2_const, pi_const, pow_int
+from .mp.real import (MpReal, _div0, _log2_fixed, _pi_fixed, log2_const,
+                      pi_const, pow_int)
 from .mp import special as _sp
 
 __all__ = [
@@ -103,17 +105,18 @@ def _canon_term(coef: Fraction, n: int, p: int,
 
 
 @functools.cache
-def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
-    """Sum the S-series to absolute error below 2^-prec."""
-    if prec < 32:
-        raise PrecisionError("prec must be >= 32")
-    wp = prec + 32
+def _series_fixed(spec: SeriesSpec, wp: int) -> tuple[int, int]:
+    """S * 2^wp as an integer, and a bound in ulps on its error.
+
+    Each of the N summed terms is truncated toward zero, under one ulp
+    each; the loop stops once 2^-e < 2^-(wp + bitlen(max|a|) + 8), and
+    the omitted tail (each exponent recurs at most twice) stays under
+    one ulp.  So the error is below N + 1 ulps.
+    """
     bits_a = max(abs(c) for c in spec.pattern).bit_length()
-    if bits_a == 0:
-        return MpReal.zero(prec)
-    acc = 0
+    acc = terms = 0
     k = 1
-    while True:
+    while bits_a:
         e = spec.exponent(k)
         if e > wp + bits_a + 8:
             break
@@ -124,8 +127,25 @@ def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
                 acc += _div0(a << (wp - e), kn)
             else:
                 acc += _div0(a, kn << (e - wp))
+            terms += 1
         k += 1
-    return MpReal.from_fixed(acc, wp, prec)
+    return acc, terms + 1
+
+
+@functools.cache
+def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
+    """Sum the S-series to absolute error below 2^-prec.
+
+    The sum is taken at prec + 32 bits and rounded to prec significant
+    bits plus one for each bit that |S| has above 16, so large atoms
+    keep their absolute accuracy; atoms with |S| < 16 round to prec.
+    """
+    if prec < 32:
+        raise PrecisionError("prec must be >= 32")
+    wp = prec + 32
+    acc, _ = _series_fixed(spec, wp)
+    top = abs(acc).bit_length() - wp        # |S| < 2^top
+    return MpReal.from_fixed(acc, wp, prec + max(0, top - 4))
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +362,33 @@ class Monomial:
         return v.round_to(prec)
 
 
+def _fmul(a: int, ea: int, b: int, eb: int, w: int) -> tuple[int, int]:
+    """Product of two w-bit fixed-point values off by at most ea and eb
+    ulps: the floored product and a bound in ulps on its error."""
+    return a * b >> w, (abs(a) * eb + abs(b) * ea + ea * eb >> w) + 2
+
+
+@functools.cache
+def _monomial_fixed(m: Monomial, wp: int) -> tuple[int, int]:
+    """The monomial times 2^wp as an integer, and a bound in ulps.
+
+    The factors enter at w = wp + 16 bits, each within one ulp: pi and
+    log 2 from their fixed-point series, zeta(n) < 2 and beta(n) < 1
+    from values good to a relative 2^-(w+2).  Each product adds its
+    propagated error and one floor; the final shift by 16 one more.
+    """
+    w = wp + 16
+    factors = [_pi_fixed(w)] * m.pi + [_log2_fixed(w)] * m.log2
+    if m.zeta:
+        factors.append(_sp.zeta(m.zeta, w + 2).to_fixed(w))
+    if m.beta:
+        factors.append(_sp.dirichlet_beta(m.beta, w + 2).to_fixed(w))
+    v, e = 1 << w, 0
+    for f in factors:
+        v, e = _fmul(v, e, f, 1, w)
+    return v >> 16, (e >> 16) + 2
+
+
 # A linear form is a dict from S-atoms (SeriesSpec) and Monomials to
 # rational coefficients; it stands for the sum of coefficient times value.
 
@@ -470,7 +517,7 @@ def ladder(name: str, n: int) -> dict:
 # ----------------------------------------------------------------------
 # the identity table
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Identity:
     """Linear identity of weight n: all of its sides have one value.
 
@@ -478,6 +525,7 @@ class Identity:
     (taken at order n), a Monomial, or an (argument, part) pair standing
     for Part Li_n(argument).  `ladders` checks every identity
     numerically; `_derived` solves catalog formulas from some of them.
+    Identities compare and hash by object, as the caches below key them.
     """
 
     name: str
@@ -486,13 +534,57 @@ class Identity:
     sides: tuple
     min_bits: int = 256
 
-    def forms(self) -> list[Mapping]:
-        """The sides as linear forms, built from the tables as they stand.
+    def rows(self) -> IntegerRows:
+        """Each side minus the first, as one integer coefficient matrix.
 
-        The forms are cached on the identity and a snapshot of `_R4_RHS`,
-        the one table read at build time, so they are read-only views.
+        Built from the tables as they stand and cached with the snapshot
+        of `_R4_RHS`, the one table read at build time, that it was
+        built from; comparing a snapshot costs far less than hashing one.
         """
-        return list(_cached_forms(self, tuple(_R4_RHS.items())))
+        snap = tuple(_R4_RHS.items())
+        slot = _rows_slot(self)
+        if slot[0] != snap:
+            first, *rest = _build_forms(self)
+            for form in rest:
+                _add(form, _Q(-1), first)
+            slot[:] = [snap, integer_rows(rest)]
+        return slot[1]
+
+
+@functools.cache
+def _rows_slot(ident: Identity) -> list:
+    """[snapshot, rows] of one identity, filled by `Identity.rows`."""
+    return [None, None]
+
+
+@dataclass(frozen=True, eq=False)
+class IntegerRows:
+    """Linear forms over shared atoms as integer rows over one denominator.
+
+    Row r stands for sum_i coefs[r][i] * value(atoms[i]) / den.
+    ``mass_bits`` bounds log2 of the largest row's sum |coefs| / den.
+    Compared and hashed by object.
+    """
+
+    den: int
+    atoms: tuple
+    coefs: tuple[tuple[int, ...], ...]
+    mass_bits: int
+
+
+def integer_rows(forms: Sequence[Mapping]) -> IntegerRows:
+    """The forms over the atoms any of them uses, on a common denominator."""
+    atoms = tuple(a for a in dict.fromkeys(a for f in forms for a in f)
+                  if any(f.get(a) for f in forms))
+    den = 1
+    for f in forms:
+        for c in f.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+    coefs = tuple(tuple(int(f.get(a, 0) * den) for a in atoms)
+                  for f in forms)
+    mass = max((sum(map(abs, row)) for row in coefs), default=0)
+    return IntegerRows(den, atoms, coefs,
+                       mass.bit_length() - den.bit_length() + 1)
 
 
 def _build_forms(ident: Identity) -> list[dict]:
@@ -510,11 +602,6 @@ def _build_forms(ident: Identity) -> list[dict]:
             _add(form, _Q(c), part)
         out.append(form)
     return out
-
-
-@functools.cache
-def _cached_forms(ident: Identity, r4: tuple) -> tuple[Mapping, ...]:
-    return tuple(MappingProxyType(f) for f in _build_forms(ident))
 
 
 # the 14-term integer relation determining zeta(11)
@@ -546,6 +633,35 @@ def _bars_vanish(name: str, n: int, ladders: str) -> Identity:
 def _z(n: int, q: Fraction = _Q(1)) -> tuple[Fraction, Monomial]:
     """q * lambda(n) as a term; lambda(n) = (1 - 2^-n) zeta(n)."""
     return q * _Q((1 << n) - 1, 1 << n), Monomial(zeta=n)
+
+
+# complex values as (re side, im side) pairs, for the relations of
+# `_complex` below: Li_n(arg) is the pair of its parts,
+# ln((1 -+ i)/2) = -log(2)/2 -+ i pi/4 squares to three monomials, and
+# Li_2(-i) = -pi^2/48 - i G
+def _li_c(arg: str) -> tuple:
+    return ((1, (arg, "re")),), ((1, (arg, "im")),)
+
+
+def _log_sq(sign: int) -> tuple:
+    """ln((1 + sign i)/2)^2."""
+    return (((_Q(1, 4), Monomial(log2=2)), (_Q(-1, 16), Monomial(pi=2))),
+            ((_Q(-sign, 4), Monomial(pi=1, log2=1)),))
+
+
+_LI2_MINUS_I = (((_Q(-1, 48), Monomial(pi=2)),), ((-1, Monomial(beta=2)),))
+_I_PI = ((), ((1, Monomial(pi=1)),))
+
+
+def _complex(name: str, n: int, *sides) -> list[Identity]:
+    """A relation among complex values of weight n as one real identity
+    per part, named name.re and name.im.  Each side is a sequence of
+    (rational c, value) for the sum of c * value."""
+    return [Identity(f"{name}.{part}", "proven", n, tuple(
+                tuple((c * c2, key) for c, value in side
+                      for c2, key in value[part == "im"])
+                for side in sides))
+            for part in ("re", "im")]
 
 
 IDENTITIES: dict[str, Identity] = {i.name: i for i in [
@@ -609,6 +725,24 @@ IDENTITIES: dict[str, Identity] = {i.name: i for i in [
         ((_F11_LHS, Monomial(zeta=11)),),
         tuple((c, (arg, "re")) for c, arg in _F11_LIS) + _F11_MONS),
         min_bits=1024),
+    # dilogarithm and order-1 relations through complex logarithms
+    *_complex("w21", 2, ((2, _li_c("(1+i)/2")),),
+              ((-1, _log_sq(-1)), (-2, _LI2_MINUS_I))),
+    *_complex("w23", 2, ((2, _li_c("(1-i)/4")),),
+              ((3, _li_c("i/2")), (-3, _log_sq(1)), (4, _LI2_MINUS_I))),
+    *_complex("w25", 2, ((2, _li_c("(1+i)/8")),),
+              ((10, _li_c("i/2")), (-5, _log_sq(1)), (8, _LI2_MINUS_I))),
+    # the real part only: Re Li_2(-i) = -pi^2/48
+    _complex("h21", 2, ((-1, _li_c("(1+i)/2")), (_Q(-1, 2), _log_sq(-1))),
+             ((1, _LI2_MINUS_I),))[0],
+    *_complex("w11", 1, ((1, _li_c("(1+i)/2")), (_Q(-1, 2), _li_c("1/2"))),
+              ((_Q(1, 4), _I_PI),)),
+    *_complex("w13", 1, ((1, _li_c("(1-i)/4")), (-1, _li_c("i/2")),
+                         (_Q(-1, 2), _li_c("1/2"))),
+              ((_Q(-1, 4), _I_PI),)),
+    *_complex("w15", 1, ((1, _li_c("(1+i)/8")), (-2, _li_c("i/2")),
+                         (_Q(-1, 2), _li_c("1/2"))),
+              ((_Q(-1, 4), _I_PI),)),
 ]}
 
 

@@ -14,13 +14,14 @@ import pytest
 from lihex.hyper import (CHECKS, F5Args, U, WArgs, asymp_battery, eval_W,
                          expu_check, f5, genfn_hyp, genfn_pf, u_rational,
                          utilde_rational)
-from lihex.ladders import (_li_part_val, check_all, check_li5_identity,
-                           check_relation)
+from lihex.ladders import (check_all, check_li5_identity, check_relation,
+                           eval_ladder)
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal, pi_const
 from lihex.relfind import RelationQuery, pslq, verify_vector
 from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
-                          SeriesSpec, catalog, eval_formula, eval_series)
+                          SeriesSpec, catalog, eval_formula, eval_series,
+                          polylog_pattern)
 from lihex.spigot import DigitRequest, hex_digits
 
 
@@ -140,18 +141,22 @@ def test_relation_recovery_and_exclusion():
     assert res.status == "found" and res.vector == (1, -3, 2)
     assert time.monotonic() - t0 < 30
 
-    from lihex.ladders import RELATIONS
     t0 = time.monotonic()
-    mem = RELATIONS["r3"].members(512)
-    res = pslq(RelationQuery((mem[0].re, mem[1].re), max_digits=8))
+    lam3 = Monomial(zeta=3).value(512).mul(Q(7, 8), 512)
+    res = pslq(RelationQuery((lam3, eval_ladder("Abar", 3, 512)),
+                             max_digits=8))
     assert res.status == "found" and res.vector == (1, -1)
     assert time.monotonic() - t0 < 30
 
     vector = tuple([_F11_LHS] + [-c for c, _ in _F11_LIS]
                    + [-c for c, _ in _F11_MONS])
 
+    def li11_re(arg, wp):
+        (c, spec), = polylog_pattern(arg, 11, "re")
+        return eval_series(spec, wp).mul(c, wp)
+
     def rhs(wp):
-        vals = [_li_part_val(arg, 11, "re", wp) for _, arg in _F11_LIS]
+        vals = [li11_re(arg, wp) for _, arg in _F11_LIS]
         return vals + [m.value(wp) for _, m in _F11_MONS]
 
     vals = [Monomial(zeta=11).value(1120)] + rhs(1120)

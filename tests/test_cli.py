@@ -69,11 +69,24 @@ def test_verify_single_relation(capsys):
 
 
 def test_verify_json_null_for_exact_zero(capsys):
-    rc, out, _ = run(capsys, "verify", "--relation", "r3", "--json")
+    # h1's members round to the same value at 512 bits; h1 states no bound
+    rc, out, _ = run(capsys, "verify", "--relation", "h1", "--bits", "512",
+                     "--json")
     assert rc == 0
     doc = json.loads(out)
-    assert doc == [{"bits": 256, "log2_residual": None,
-                    "name": "r3", "passed": True}]
+    assert doc == [{"bits": 512, "log2_bound": None, "log2_residual": None,
+                    "name": "h1", "passed": True}]
+
+
+def test_verify_json_carries_the_bound(capsys):
+    rc, out, _ = run(capsys, "verify", "--relation", "r3", "--json")
+    assert rc == 0
+    assert json.dumps(json.loads(out), **CANONICAL) == out.strip()
+    (doc,) = json.loads(out)
+    assert set(doc) == {"bits", "log2_bound", "log2_residual", "name",
+                        "passed"}
+    assert isinstance(doc["log2_bound"], float)
+    assert max(doc["log2_residual"], doc["log2_bound"]) < -(256 - 64)
 
 
 def test_verify_all_default_bits(capsys):

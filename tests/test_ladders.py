@@ -1,6 +1,7 @@
 """The identity suite: every catalog relation at 512 bits, the
 high-precision 14-term zeta(11) relation, and the Li_5 machinery."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -10,13 +11,14 @@ import pytest
 
 import lihex.hyper  # noqa: F401  (its memos must be present to be cleared)
 from lihex.errors import PrecisionError, UndefinedOrder, UnknownName
-from lihex.ladders import (RELATIONS, CheckReport, check_all,
+from lihex.ladders import (RELATIONS, CheckReport, _fixed_sums, check_all,
                            check_li5_identity, check_relation, eval_ladder,
                            li5)
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal
-from lihex.series import _R4_RHS, catalog, eval_formula
+from lihex.series import (_R4_RHS, IDENTITIES, Identity, Monomial, catalog,
+                          eval_formula)
 
 SUITE_512 = {
     "r1", "r2", "i2", "r3", "i3",
@@ -37,22 +39,91 @@ def test_full_suite_at_512_bits():
         assert r.log2_residual < -448
 
 
-# sha256 of the JSON list of (name, bits, repr(log2_residual), passed)
-# over check_all(bits): any change to an argument, a table entry or the
-# fixed-point evaluation that moves a single residual bit moves it
+# sha256 of the JSON list of (name, bits, repr(log2_residual),
+# repr(log2_bound), passed) over check_all(bits): any change to an
+# argument, a table entry or the fixed-point evaluation that moves a
+# single residual or bound bit moves it
 RESIDUAL_SHA256 = {
-    256: "e501510ccdbf4ba5bee6162c64bdf9a6b5ef2d95f55db75600cea314b9d3e4fd",
-    512: "719744ccc92869a31b398d0e3f0bf412a60907d0bd950a3eb4d94fb156fe1fdc",
-    1024: "ba13f345791c8f48538a353329270b371d2a3b5ba511acc0bc7b99d647c64704",
+    256: "fbed08f406b6b1f0714a9c54d3055ba0bba5696eb639676763b80ac574dec98b",
+    512: "b9b7ea5b79e9df9a35a218e5ffbc01f068dbc399d1b6308bcaa9ba49b9ac13bb",
+    1024: "a5ede091d57422233c075865677abed81846f7f726a3c1090829e7d5675d8667",
 }
 
 
 @pytest.mark.parametrize("bits", sorted(RESIDUAL_SHA256))
 def test_relation_residuals_are_pinned(bits):
-    rows = [[r.name, r.bits, repr(r.log2_residual), r.passed]
-            for r in check_all(bits)]
+    rows = [[r.name, r.bits, repr(r.log2_residual), repr(r.log2_bound),
+             r.passed] for r in check_all(bits)]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == RESIDUAL_SHA256[bits]
+
+
+@pytest.mark.parametrize("bits", [256, 512, 1024, 2048])
+def test_every_report_passes_with_its_bound_16_bits_clear(bits):
+    reports = check_all(bits)
+    assert len(reports) == (33 if bits >= 1024 else 32)
+    for r in reports:
+        assert r.passed, r
+        if r.name == "h1":
+            assert r.log2_bound is None
+        else:
+            assert r.log2_bound <= -(bits - 64) - 16, r
+
+
+@pytest.mark.parametrize("bits", [256, 512, 1024])
+def test_bounds_cover_the_error_at_four_times_the_precision(bits):
+    # a row sum t at wp bits and t4 at wp4 bits, bounds b and b4: if both
+    # bounds hold, |t 2^(wp4-wp) - t4| <= b 2^(wp4-wp) + b4
+    for rel in RELATIONS.values():
+        if bits < rel.min_bits:
+            continue
+        for ident in rel.rows:
+            rows = ident.rows()
+            wp, sums = _fixed_sums(rows, bits)
+            wp4, sums4 = _fixed_sums(rows, 4 * bits)
+            for (t, b), (t4, b4) in zip(sums, sums4):
+                shift = wp4 - wp
+                assert abs((t << shift) - t4) <= (b << shift) + b4, \
+                    (ident.name, bits)
+
+
+def test_working_precision_follows_the_coefficient_mass():
+    # prec + 32 bits cover every row but f11's, whose mass is 2^74.9
+    masses = {i.name: i.rows().mass_bits for i in IDENTITIES.values()}
+    assert masses.pop("f11") == 75
+    assert max(masses.values()) == masses["z11"] == 19
+    rows = IDENTITIES["f11"].rows()
+    assert _fixed_sums(rows, 1024)[0] == 1024 + 75
+    assert _fixed_sums(IDENTITIES["z11"].rows(), 1024)[0] == 1024 + 32
+
+
+def _with_unit_term(monkeypatch, name: str, delta: Q) -> None:
+    """Add delta times the rational unit to the last side of the first
+    row of relation `name`."""
+    rel = RELATIONS[name]
+    first = rel.rows[0]
+    sides = first.sides[:-1] + (first.sides[-1] + ((delta, Monomial()),),)
+    row = Identity(first.name, first.status, first.n, sides, first.min_bits)
+    monkeypatch.setitem(RELATIONS, name,
+                        dataclasses.replace(rel, rows=(row,) + rel.rows[1:]))
+
+
+@pytest.mark.parametrize("name,bits", [("r3", 256), ("w21", 512),
+                                       ("z11", 256), ("f11", 1024)])
+def test_threshold_is_sharp(monkeypatch, name, bits):
+    threshold = Q(1, 1 << (bits - 64))
+    _with_unit_term(monkeypatch, name, threshold * (1 - Q(1, 1 << 16)))
+    assert check_relation(name, bits).passed
+    _with_unit_term(monkeypatch, name, threshold * (1 + Q(1, 1 << 16)))
+    assert not check_relation(name, bits).passed
+
+
+def test_complex_relations_are_rows_of_the_table():
+    for name in ("w21", "w23", "w25", "w11", "w13", "w15"):
+        assert [i.name for i in RELATIONS[name].rows] == [
+            f"{name}.re", f"{name}.im"]
+    assert [i.name for i in RELATIONS["h21"].rows] == ["h21.re"]
+    assert RELATIONS["h1"].rows == () and RELATIONS["h1"].members
 
 
 def test_f11_at_1024_bits():

@@ -1,26 +1,33 @@
 """Integer-relation detection and vector verification."""
 
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihex.errors import DomainError, PrecisionError
-from lihex.ladders import RELATIONS, _li_part_val
+from lihex.ladders import eval_ladder
 from lihex.mp.real import MpReal, log2_const, pi_const
 from lihex.relfind import (RelationQuery, RelationResult, _canonical,
                            _pigeonhole, pslq, required_bits, verify_vector)
 from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
-                          SeriesSpec, eval_formula, eval_series)
+                          SeriesSpec, eval_formula, eval_series,
+                          polylog_pattern)
 
 F11_VECTOR = tuple([_F11_LHS] + [-c for c, _ in _F11_LIS]
                    + [-c for c, _ in _F11_MONS])
 
 
+def _li11_re(arg, wp):
+    (c, spec), = polylog_pattern(arg, 11, "re")
+    return eval_series(spec, wp).mul(c, wp)
+
+
 def _f11_values(wp):
     vals = [Monomial(zeta=11).value(wp)]
-    vals += [_li_part_val(arg, 11, "re", wp) for _, arg in _F11_LIS]
+    vals += [_li11_re(arg, wp) for _, arg in _F11_LIS]
     vals += [m.value(wp) for _, m in _F11_MONS]
     return vals
 
@@ -44,10 +51,15 @@ def test_recovers_catalan_series_relation():
     assert verify_vector(res.vector, vals, 512).passed
 
 
+def _r3_pair(prec):
+    """The first two sides of r3: lambda(3) = (7/8) zeta(3) and Abar_3."""
+    return (Monomial(zeta=3).value(prec).mul(Q(7, 8), prec),
+            eval_ladder("Abar", 3, prec))
+
+
 @pytest.mark.parametrize("bits", [256, 512])
 def test_recovers_equal_pair(bits):
-    mem = RELATIONS["r3"].members(bits)
-    lam, abar = mem[0].re, mem[1].re
+    lam, abar = _r3_pair(bits)
     res = pslq(RelationQuery((lam, abar), max_digits=8))
     assert res.status == "found"
     assert res.vector == (1, -1)
@@ -273,6 +285,27 @@ def test_unrelated_values_are_never_found(data):
     assert res.status != "found", (exprs, P, res)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 2**32))
+def test_planted_tall_vectors_are_never_excluded(n, d, seed):
+    # every entry in [10**d / 2, 10**d): the vector is within max_digits
+    # entry by entry, though its Euclidean norm reaches sqrt(n) 10**d.
+    # The other values are random, so the planted vector is the only
+    # relation; a seeded generator keeps them so while shrinking
+    rng = random.Random(seed)
+    m = [rng.choice((-1, 1)) * rng.randrange(10 ** d // 2, 10 ** d)
+         for _ in range(n)]
+    P = required_bits(n, d)
+    w = P + 64
+    xs = [rng.getrandbits(w) | 1 << (w - 1) for _ in range(n - 1)]
+    vals = [MpReal.from_fixed(x, w, P) for x in xs]
+    last = Q(-sum(mi * xi for mi, xi in zip(m, xs)), m[-1] << w)
+    vals.append(MpReal.from_fraction(last, P))
+    res = pslq(RelationQuery(tuple(vals), max_digits=d))
+    assert res.status == "found", (m, res)
+    assert res.vector == _canonical(m)
+
+
 # padding of weights 1, 3, 4 and 5 for the weight-2 catalan triple
 _PADDING = ("pi", "zeta3", "pi4", "zeta5")
 
@@ -293,11 +326,6 @@ def test_planted_relation_follows_a_permutation(order):
     assert res.vector == _canonical([want[i] for i in order])
     vals4 = _padded_triple(len(order) - 3, 4 * P)
     assert verify_vector(res.vector, [vals4[i] for i in order], 4 * P).passed
-
-
-def _r3_pair(prec):
-    mem = RELATIONS["r3"].members(prec)
-    return mem[0].re, mem[1].re
 
 
 # every query above that expects "found": (values at a precision, bits,

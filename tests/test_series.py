@@ -95,6 +95,20 @@ def test_eval_series_matches_rational_sum(n, p, pattern):
     assert abs(got - want) < Fraction(1, 1 << (prec - 8))
 
 
+def test_eval_series_error_is_absolute_for_large_atoms():
+    # an atom of pi2_log2cu with |S| = 8490.5: prec significant bits
+    # alone would leave an error near 2^-248 at 256 bits
+    big = SeriesSpec(5, 3, (65725, 143736, -65725, -209461,
+                            -65725, 143736, 65725, -78011))
+    prec = 256
+    want = _brute(big, 2 * (prec + 64) // 3 + 8)
+    assert abs(eval_series(big, prec).to_fraction() - want) \
+        < Fraction(1, 1 << prec)
+    # atoms with |S| < 16 keep prec significant bits
+    small = SeriesSpec(2, 1, (1, -1, 1, 0, -1, 1, -1, 0))
+    assert eval_series(small, prec).man.bit_length() == prec + 4
+
+
 def test_monomial_values():
     m = Monomial(pi=2, log2=1, zeta=3)
     want = _mono(pi=2, log2=1).mul(sp.zeta(3, P), P)
