@@ -4,14 +4,15 @@ The ladders (A..H, their bar and tilde forms, U..Z) and the identities
 among them are defined once, as exact linear forms, in `series`:
 `series.ladder` builds a ladder and `series.IDENTITIES` holds every
 identity as real rows, a complex relation (the dilogarithm and order-1
-relations through complex logarithms) as one row per part.  This
-module checks each row in exact fixed point: every S-atom and monomial
-enters as an integer at wp bits with a counted error bound in ulps,
-each side minus the first is one integer coefficient vector over a
-common denominator, and a report passes only when the residual plus
-its bound is at most 2**-(bits-64), which certifies the identity to
-that accuracy.  wp is prec + 32 bits, more for a row whose coefficient
-mass passes 2^32 (f11).
+relations through complex logarithms) as one row per part.  `series`
+also evaluates them, by its one fixed-point evaluator; this module
+checks.  Each side minus the first is one integer coefficient vector
+over a common denominator, summed over atoms that enter at wp bits with
+a counted error bound in ulps, and a report passes only when the
+residual plus its bound is at most 2**-(bits-64), which certifies the
+identity to that accuracy.  wp is prec + 32 bits, more for a row whose
+coefficient mass passes 2^32 (f11).  `eval_ladder` reads one ladder's
+value from the same evaluator.
 
 One relation stays outside the table: h1 compares Li_1 at i/sqrt2 and
 -i/sqrt8, whose imaginary parts are arctangents without an S-basis
@@ -26,16 +27,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Callable
 
 from .errors import DomainError, PrecisionError, UnknownName
 from .mp import special as _sp
 from .mp.cplx import MpComplex, cln
 from .mp.real import MpReal, pi_const, pow_int
-from .series import (IDENTITIES, Identity, IntegerRows, SeriesSpec,
-                     _argument_value, _monomial_fixed, _series_fixed,
-                     integer_rows, ladder)
+from .series import (IDENTITIES, Identity, IntegerRows, _argument_value,
+                     _fixed_sums, _row_value, integer_rows, ladder)
 
 __all__ = ["CheckReport", "RELATIONS", "check_all", "check_li5_identity",
            "check_relation", "eval_ladder", "li5", "relation_names"]
@@ -64,37 +63,6 @@ class CheckReport:
     log2_bound: float | None = None
 
 
-# ----------------------------------------------------------------------
-# evaluation of linear forms in fixed point
-
-def _atom_fixed(atom, wp: int) -> tuple[int, int]:
-    if isinstance(atom, SeriesSpec):
-        return _series_fixed(atom, wp)
-    return _monomial_fixed(atom, wp)
-
-
-@functools.cache
-def _atom_values(rows: IntegerRows, wp: int) -> tuple[tuple[int, ...], ...]:
-    """The rows' atoms at wp bits, and their bounds in ulps."""
-    pairs = [_atom_fixed(a, wp) for a in rows.atoms]
-    return tuple(v for v, _ in pairs), tuple(e for _, e in pairs)
-
-
-def _fixed_sums(rows: IntegerRows, prec: int, values=_atom_values):
-    """Each row summed in fixed point: (wp, [(sum, bound), ...]), row r
-    worth sum / (den 2^wp) and off by at most bound / (den 2^wp).
-
-    wp = prec + max(32, mass bits), so a bound, at most the mass times
-    E ulps of 2^-wp for atoms within E ulps, stays below E 2^-prec:
-    with E < 2^32 that is 2^32 under 2^-(prec-64).
-    """
-    wp = prec + max(32, rows.mass_bits)
-    vals, errs = values(rows, wp)
-    return wp, [(sum(map(mul, row, vals)),
-                 sum(map(mul, map(abs, row), errs)))
-                for row in rows.coefs]
-
-
 def _log2_top(num: int, den: int) -> float:
     """The smallest e with num < den * 2^e for num >= 0, den > 0: minus
     infinity for num = 0."""
@@ -105,6 +73,11 @@ def _log2_top(num: int, den: int) -> float:
                  else e + 1)
 
 
+@functools.cache
+def _ladder_rows(name: str, n: int) -> IntegerRows:
+    return integer_rows([ladder(name, n)])
+
+
 def eval_ladder(name: str, n: int, prec: int) -> MpReal:
     """Value of a ladder sequence at order n.
 
@@ -112,10 +85,7 @@ def eval_ladder(name: str, n: int, prec: int) -> MpReal:
     Btilde..Etilde, Htilde and U..Z.  Orders outside 1..11 are not part
     of the scheme.
     """
-    rows = integer_rows([ladder(name, n)])
-    # the rows are new on every call: sum them past the cache
-    wp, ((total, _),) = _fixed_sums(rows, prec, _atom_values.__wrapped__)
-    return MpReal.from_fraction(_Q(total, rows.den << wp), prec)
+    return _row_value(_ladder_rows(name, n), prec)
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +253,7 @@ class Relation:
     status: str                    # "proven" or "numeric"
     rows: tuple[Identity, ...] = ()
     min_bits: int = 256
-    members: Callable[[int], list[MpComplex]] | None = None
+    members: Callable[[int], tuple[MpComplex, ...]] | None = None
 
 
 # every identity of the table is a row of the relation that its name
@@ -307,10 +277,11 @@ def _li1_log(arg: str, wp: int) -> MpComplex:
     return -cln(MpComplex.from_int(1, wp) - _argument_value(arg, wp), wp)
 
 
-def _h1_members(wp: int) -> list[MpComplex]:
+@functools.cache
+def _h1_members(wp: int) -> tuple[MpComplex, ...]:
     lhs = (_li1_log("-i/sqrt8", wp) - _li1_log("i/sqrt2", wp) * 2
            - _li1_log("1/2", wp) * _Q(1, 2))
-    return [lhs, MpComplex(MpReal.zero(wp), pi_const(wp).mul(_Q(-1, 2), wp))]
+    return lhs, MpComplex(MpReal.zero(wp), pi_const(wp).mul(_Q(-1, 2), wp))
 
 
 RELATIONS["h1"] = Relation("h1", "proven", members=_h1_members)

@@ -10,6 +10,11 @@ to evaluate such sums, how to expand Re/Im Li_n(z) into them for the
 special arguments with z^8 = 16^{-p}, and how to eliminate unwanted
 constants from exact linear identities so that new formulas fall out.
 
+It holds the one evaluator of linear forms: a catalog formula, a
+ladder, a monomial and an identity row each get their value from
+integer rows over one denominator, summed over fixed-point atoms with
+counted error bounds (`_fixed_sums`), and rounded once.
+
 Each special argument is z = 2^{-p/2} e^{i pi j/4}, kept as the pair
 (p, j) in `ARGUMENTS`.  That table is the one place an argument's value
 is written down: `polylog_pattern` reads each pattern entry from it in
@@ -21,9 +26,10 @@ as exact linear forms over S-atoms and monomials: `ladder(name, n)`
 builds any ladder from the tables `_BASE`, `_COMBINED` and `_R4_RHS`,
 and `IDENTITIES` holds every identity of the suite as real rows, a
 complex relation as one row per part.  Two consumers read them:
-`ladders` checks the identities in fixed point (`check_relation`) from
-their integer rows and the fixed-point atoms below, and `_derived`
-solves eight catalog formulas from named rows of the same table.
+`ladders` checks the identities (`check_relation`) from the sums of
+their integer rows, and `_derived` solves eight catalog formulas from
+named rows of the same table.  The three ladder tables are read-only,
+so each identity's rows are built once.
 """
 
 from __future__ import annotations
@@ -33,14 +39,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DomainError, PrecisionError, RankDeficient,
                      UndefinedOrder, UnknownName, UnsupportedArgument)
 from .mp.cplx import MpComplex
-from .mp.real import (MpReal, _div0, _log2_fixed, _pi_fixed, log2_const,
-                      pi_const, pow_int)
+from .mp.real import MpReal, _div0, _log2_fixed, _pi_fixed
 from .mp import special as _sp
 
 __all__ = [
@@ -132,13 +138,13 @@ def _series_fixed(spec: SeriesSpec, wp: int) -> tuple[int, int]:
     return acc, terms + 1
 
 
-@functools.cache
 def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
     """Sum the S-series to absolute error below 2^-prec.
 
-    The sum is taken at prec + 32 bits and rounded to prec significant
-    bits plus one for each bit that |S| has above 16, so large atoms
-    keep their absolute accuracy; atoms with |S| < 16 round to prec.
+    The sum is `_series_fixed` at prec + 32 bits, rounded to prec
+    significant bits plus one for each bit that |S| has above 16, so
+    large atoms keep their absolute accuracy; atoms with |S| < 16 round
+    to prec.
     """
     if prec < 32:
         raise PrecisionError("prec must be >= 32")
@@ -161,13 +167,15 @@ class Formula:
     description: str = ""
     label: str = ""
 
-    def value(self, prec: int) -> MpReal:
-        wp = prec + 16
-        acc = MpReal.zero(wp)
+    @functools.cached_property
+    def _rows(self) -> IntegerRows:
+        form: dict = {}
         for coef, spec in self.terms:
-            t = eval_series(spec, wp).mul(MpReal.from_fraction(coef, wp), wp)
-            acc = acc.add(t, wp)
-        return acc.mul(MpReal.from_fraction(self.scale, wp), prec)
+            form[spec] = form.get(spec, _Q(0)) + self.scale * coef
+        return integer_rows([form])
+
+    def value(self, prec: int) -> MpReal:
+        return _row_value(self._rows, prec)
 
 
 def _f(name: str, scale: Fraction | int, terms: Iterable, description: str,
@@ -321,7 +329,7 @@ def polylog_pattern(arg: str, n: int,
 
 
 # ----------------------------------------------------------------------
-# monomials and linear forms
+# monomials
 
 @dataclass(frozen=True)
 class Monomial:
@@ -349,17 +357,10 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
     def value(self, prec: int) -> MpReal:
-        wp = prec + 32
-        v = MpReal.from_int(1, wp)
-        if self.pi:
-            v = v.mul(pow_int(pi_const(wp), self.pi, wp), wp)
-        if self.log2:
-            v = v.mul(pow_int(log2_const(wp), self.log2, wp), wp)
-        if self.zeta:
-            v = v.mul(_sp.zeta(self.zeta, wp), wp)
-        if self.beta:
-            v = v.mul(_sp.dirichlet_beta(self.beta, wp), wp)
-        return v.round_to(prec)
+        # |value| > 2^-(17 log2 / 32 + 1), as pi, zeta(n) > 1, beta(n) > 1/2
+        # and log 2 > 2^(-17/32): wp keeps prec + 32 bits below its top
+        wp = prec + 33 + (17 * self.log2 + 31) // 32
+        return MpReal.from_fixed(_monomial_fixed(self, wp)[0], wp, prec)
 
 
 def _fmul(a: int, ea: int, b: int, eb: int, w: int) -> tuple[int, int]:
@@ -389,8 +390,70 @@ def _monomial_fixed(m: Monomial, wp: int) -> tuple[int, int]:
     return v >> 16, (e >> 16) + 2
 
 
+# ----------------------------------------------------------------------
+# linear forms and their one evaluator
+#
 # A linear form is a dict from S-atoms (SeriesSpec) and Monomials to
 # rational coefficients; it stands for the sum of coefficient times value.
+
+@dataclass(frozen=True, eq=False)
+class IntegerRows:
+    """Linear forms over shared atoms as integer rows over one denominator.
+
+    Row r stands for sum_i coefs[r][i] * value(atoms[i]) / den.
+    ``mass_bits`` bounds log2 of the largest row's sum |coefs| / den.
+    Compared and hashed by object.
+    """
+
+    den: int
+    atoms: tuple
+    coefs: tuple[tuple[int, ...], ...]
+    mass_bits: int
+
+
+def integer_rows(forms: Sequence[Mapping]) -> IntegerRows:
+    """The forms over the atoms any of them uses, on a common denominator."""
+    atoms = tuple(a for a in dict.fromkeys(a for f in forms for a in f)
+                  if any(f.get(a) for f in forms))
+    den = 1
+    for f in forms:
+        for c in f.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+    coefs = tuple(tuple(int(f.get(a, 0) * den) for a in atoms)
+                  for f in forms)
+    mass = max((sum(map(abs, row)) for row in coefs), default=0)
+    return IntegerRows(den, atoms, coefs,
+                       mass.bit_length() - den.bit_length() + 1)
+
+
+@functools.cache
+def _atom_values(rows: IntegerRows, wp: int) -> tuple[tuple[int, ...], ...]:
+    """The rows' atoms at wp bits, and their bounds in ulps."""
+    pairs = [_series_fixed(a, wp) if isinstance(a, SeriesSpec)
+             else _monomial_fixed(a, wp) for a in rows.atoms]
+    return tuple(v for v, _ in pairs), tuple(e for _, e in pairs)
+
+
+def _fixed_sums(rows: IntegerRows, prec: int):
+    """Each row summed in fixed point: (wp, [(sum, bound), ...]), row r
+    worth sum / (den 2^wp) and off by at most bound / (den 2^wp).
+
+    wp = prec + max(32, mass bits), so a bound, at most the mass times
+    E ulps of 2^-wp for atoms within E ulps, stays below E 2^-prec:
+    with E < 2^32 that is 2^32 under 2^-(prec-64).
+    """
+    wp = prec + max(32, rows.mass_bits)
+    vals, errs = _atom_values(rows, wp)
+    return wp, [(sum(map(mul, row, vals)),
+                 sum(map(mul, map(abs, row), errs)))
+                for row in rows.coefs]
+
+
+def _row_value(rows: IntegerRows, prec: int) -> MpReal:
+    """The value of a one-row form, its fixed-point sum rounded to prec."""
+    wp, ((total, _),) = _fixed_sums(rows, prec)
+    return MpReal.from_fraction(_Q(total, rows.den << wp), prec)
+
 
 def _add(acc: dict, coef: Fraction, form: Mapping) -> None:
     for atom, c in form.items():
@@ -413,7 +476,7 @@ def _li(arg: str, n: int, part: str) -> dict:
 # relations, and U..Z the zeta(6), zeta(8) and zeta(10) steps.
 
 # (c, r, argument, part) per term
-_BASE = {
+_BASE = MappingProxyType({
     "A": ((1, 1, "1/2", "re"),),
     "B": ((1, 2, "(1+i)/2", "re"),),
     "C": ((1, _Q(2, 3), "i/sqrt8", "re"), (-2, 2, "-i/sqrt2", "re")),
@@ -422,22 +485,22 @@ _BASE = {
     "F": ((1, 2, "(1+i)/2", "im"),),
     "G": ((1, _Q(2, 3), "(1+i)/4", "im"), (-1, 1, "-i/2", "im")),
     "H": ((1, _Q(2, 5), "(1-i)/8", "im"), (-2, 1, "-i/2", "im")),
-}
+})
 
 # zeta(2m) / pi^(2m) and beta(3) / pi^3, beta(5) / pi^5
 _Z2, _Z4, _Z6, _Z8, _Z10 = (_Q(1, 6), _Q(1, 90), _Q(1, 945), _Q(1, 9450),
                             _Q(1, 93555))
 _B3, _B5 = _Q(1, 32), _Q(5, 1536)
 
-# the order-4 relations Xbar - a Abar = z zeta(4), read at every use.
-# Xtilde = Xbar - a Abar - z zeta(4) L_{n-4} is built from them, so the
-# relation r4x states that Xtilde vanishes at order 4
-_R4_RHS: dict[str, tuple[str, Fraction, Fraction]] = {
+# the order-4 relations Xbar - a Abar = z zeta(4).  Xtilde = Xbar - a Abar
+# - z zeta(4) L_{n-4} is built from them, so the relation r4x states that
+# Xtilde vanishes at order 4
+_R4_RHS: Mapping[str, tuple[str, Fraction, Fraction]] = MappingProxyType({
     "r4b": ("B", _Q(5, 2), _Q(343, 128)),
     "r4c": ("C", _Q(7, 9), _Q(5, 54)),
     "r4d": ("D", _Q(1, 3), _Q(-313, 3456)),
     "r4e": ("E", _Q(6, 25), _Q(-1547, 16000)),
-}
+})
 
 
 def _bar(x: str, l_n: Fraction, z2: Fraction):
@@ -451,7 +514,7 @@ def _ibar(x: str):
 
 
 # name -> (((coef, ladder), ...), ((q, k), ...))
-_COMBINED = {
+_COMBINED = MappingProxyType({
     "Abar": _bar("A", _Q(1), _Q(-1, 2)),
     "Bbar": _bar("B", _Q(1, 2), _Q(-5, 8)),
     "Cbar": _bar("C", _Q(1, 2), _Q(-1, 3)),
@@ -477,7 +540,7 @@ _COMBINED = {
           ((_Q(-602893337, 113246208) * _Z8, 8),)),
     "Z": (((_Q(2087, 4823), "Y"), (_Q(-37403, 12057500), "X")),
           ((_Q(-12227440999, 135895449600) * _Z10, 10),)),
-}
+})
 
 
 def _combination(name: str):
@@ -525,7 +588,8 @@ class Identity:
     (taken at order n), a Monomial, or an (argument, part) pair standing
     for Part Li_n(argument).  `ladders` checks every identity
     numerically; `_derived` solves catalog formulas from some of them.
-    Identities compare and hash by object, as the caches below key them.
+    Identities compare and hash by object, as the `rows` cache keys
+    them.
     """
 
     name: str
@@ -534,62 +598,15 @@ class Identity:
     sides: tuple
     min_bits: int = 256
 
+    @functools.cache
     def rows(self) -> IntegerRows:
-        """Each side minus the first, as one integer coefficient matrix.
-
-        Built from the tables as they stand and cached with the snapshot
-        of `_R4_RHS`, the one table read at build time, that it was
-        built from; comparing a snapshot costs far less than hashing one.
-        """
-        snap = tuple(_R4_RHS.items())
-        slot = _rows_slot(self)
-        if slot[0] != snap:
-            first, *rest = _build_forms(self)
-            for form in rest:
-                _add(form, _Q(-1), first)
-            slot[:] = [snap, integer_rows(rest)]
-        return slot[1]
+        """Each side minus the first, as one integer coefficient matrix."""
+        return integer_rows(_differences(self))
 
 
-@functools.cache
-def _rows_slot(ident: Identity) -> list:
-    """[snapshot, rows] of one identity, filled by `Identity.rows`."""
-    return [None, None]
-
-
-@dataclass(frozen=True, eq=False)
-class IntegerRows:
-    """Linear forms over shared atoms as integer rows over one denominator.
-
-    Row r stands for sum_i coefs[r][i] * value(atoms[i]) / den.
-    ``mass_bits`` bounds log2 of the largest row's sum |coefs| / den.
-    Compared and hashed by object.
-    """
-
-    den: int
-    atoms: tuple
-    coefs: tuple[tuple[int, ...], ...]
-    mass_bits: int
-
-
-def integer_rows(forms: Sequence[Mapping]) -> IntegerRows:
-    """The forms over the atoms any of them uses, on a common denominator."""
-    atoms = tuple(a for a in dict.fromkeys(a for f in forms for a in f)
-                  if any(f.get(a) for f in forms))
-    den = 1
-    for f in forms:
-        for c in f.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-    coefs = tuple(tuple(int(f.get(a, 0) * den) for a in atoms)
-                  for f in forms)
-    mass = max((sum(map(abs, row)) for row in coefs), default=0)
-    return IntegerRows(den, atoms, coefs,
-                       mass.bit_length() - den.bit_length() + 1)
-
-
-def _build_forms(ident: Identity) -> list[dict]:
-    """The sides of `ident` as new linear forms, the caller's to change."""
-    out = []
+def _differences(ident: Identity) -> list[dict]:
+    """Each side of `ident` minus the first, as new linear forms."""
+    forms = []
     for side in ident.sides:
         form: dict = {}
         for c, key in side:
@@ -600,8 +617,11 @@ def _build_forms(ident: Identity) -> list[dict]:
             else:
                 part = _li(key[0], ident.n, key[1])
             _add(form, _Q(c), part)
-        out.append(form)
-    return out
+        forms.append(form)
+    first, *rest = forms
+    for form in rest:
+        _add(form, _Q(-1), first)
+    return rest
 
 
 # the 14-term integer relation determining zeta(11)
@@ -824,12 +844,7 @@ def solve_formulas(identities: Sequence[Identity],
     Each target must come out as a unique combination of S-atoms,
     otherwise RankDeficient is raised.
     """
-    forms: list[dict] = []
-    for ident in identities:
-        first, *rest = _build_forms(ident)
-        for form in rest:
-            _add(form, _Q(-1), first)
-            forms.append(form)
+    forms = [form for ident in identities for form in _differences(ident)]
     unknowns: list[Monomial] = []
     for form in forms:
         for atom, c in form.items():
@@ -936,8 +951,9 @@ def catalog() -> dict[str, Formula]:
 
 
 def eval_formula(name: str, prec: int) -> MpReal:
-    """Evaluate a catalog constant to error below 2^-(prec-8)."""
-    f = FORMULAS.get(name) or derived_catalog().get(name)
+    """Evaluate a catalog constant to error below 2^-(prec-8): its one
+    integer row, summed in fixed point and rounded once."""
+    f = FORMULAS.get(name) or _derived().get(name)
     if f is None:
         raise UnknownName(name)
     return f.value(prec)

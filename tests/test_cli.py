@@ -95,11 +95,14 @@ def test_verify_all_default_bits(capsys):
     assert out.count(" pass") == 32 and "FAIL" not in out
 
 
-def test_verify_failure_exit_code(capsys, monkeypatch):
+def test_verify_failure_exit_code(capsys, monkeypatch, clear_caches):
     from fractions import Fraction as Q
-    name, acoef, z4c = lihex.series._R4_RHS["r4b"]
-    monkeypatch.setitem(lihex.series._R4_RHS, "r4b",
-                        (name, acoef, z4c + Q(1, 2**100)))
+    from types import MappingProxyType
+    table = dict(lihex.series._R4_RHS)
+    name, acoef, z4c = table["r4b"]
+    table["r4b"] = (name, acoef, z4c + Q(1, 2**100))
+    monkeypatch.setattr(lihex.series, "_R4_RHS", MappingProxyType(table))
+    clear_caches()
     rc, out, _ = run(capsys, "verify", "--relation", "r4b")
     assert rc == 1
     assert "FAIL" in out

@@ -4,12 +4,13 @@ high-precision 14-term zeta(11) relation, and the Li_5 machinery."""
 import dataclasses
 import hashlib
 import json
-import sys
 from fractions import Fraction as Q
+from types import MappingProxyType
 
 import pytest
 
 import lihex.hyper  # noqa: F401  (its memos must be present to be cleared)
+from lihex import series
 from lihex.errors import PrecisionError, UndefinedOrder, UnknownName
 from lihex.ladders import (RELATIONS, CheckReport, _fixed_sums, check_all,
                            check_li5_identity, check_relation, eval_ladder,
@@ -17,8 +18,7 @@ from lihex.ladders import (RELATIONS, CheckReport, _fixed_sums, check_all,
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal
-from lihex.series import (_R4_RHS, IDENTITIES, Identity, Monomial, catalog,
-                          eval_formula)
+from lihex.series import IDENTITIES, Identity, Monomial, catalog, eval_formula
 
 SUITE_512 = {
     "r1", "r2", "i2", "r3", "i3",
@@ -141,11 +141,17 @@ def test_unknown_relation_name():
         check_relation("zz99", 256)
 
 
-def test_perturbed_coefficient_is_caught(monkeypatch):
+def test_perturbed_coefficient_is_caught(monkeypatch, clear_caches):
     # poison one rational in the order-4 table by 2^-100 and make sure
-    # the checker notices; the sibling relations must keep passing
-    name, acoef, z4c = _R4_RHS["r4b"]
-    monkeypatch.setitem(_R4_RHS, "r4b", (name, acoef, z4c + Q(1, 1 << 100)))
+    # the checker notices; the sibling relations must keep passing.  The
+    # table is read-only, so the test swaps in a perturbed copy
+    with pytest.raises(TypeError):
+        series._R4_RHS["r4b"] = series._R4_RHS["r4b"]
+    table = dict(series._R4_RHS)
+    name, acoef, z4c = table["r4b"]
+    table["r4b"] = (name, acoef, z4c + Q(1, 1 << 100))
+    monkeypatch.setattr(series, "_R4_RHS", MappingProxyType(table))
+    clear_caches()
     assert not check_relation("r4b", 256).passed
     assert check_relation("r4c", 256).passed
 
@@ -203,21 +209,6 @@ def test_report_shape():
     assert RELATIONS["r1"].status == "proven"
 
 
-def _clear_caches() -> set[str]:
-    """Empty every functools cache in the package's modules and return
-    the names found."""
-    found = set()
-    for name, mod in list(sys.modules.items()):
-        if name != "lihex" and not name.startswith("lihex."):
-            continue
-        for attr, obj in vars(mod).items():
-            clear = getattr(obj, "cache_clear", None)
-            if callable(clear):
-                clear()
-                found.add(attr)
-    return found
-
-
 def _suite(order: tuple[int, ...]) -> tuple[dict, dict]:
     values, reports = {}, {}
     for bits in order:
@@ -229,13 +220,12 @@ def _suite(order: tuple[int, ...]) -> tuple[dict, dict]:
     return values, reports
 
 
-def test_results_do_not_depend_on_earlier_requests():
-    assert _clear_caches() >= {
+def test_results_do_not_depend_on_earlier_requests(clear_caches):
+    assert clear_caches() >= {
         "_pi_fixed", "_log2_fixed", "zeta", "dirichlet_beta",
-        "_spouge_coeffs", "_polylog", "eval_series", "_derived",
+        "_spouge_coeffs", "_polylog", "_series_fixed", "_derived",
         "_kernel_coeffs", "_euler_gamma"}
     up = _suite((256, 300))
-    _clear_caches()
+    clear_caches()
     down = _suite((300, 256))
-    _clear_caches()
     assert up == down

@@ -3,6 +3,7 @@ constant it claims to be, plus the series evaluator against an exact
 rational reference sum."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,47 @@ def test_monomial_values():
     want = _mono(pi=2, log2=1).mul(sp.zeta(3, P), P)
     assert _close(m.value(P), want)
     assert Monomial().value(P).to_fraction() == 1
+
+
+# sha256 of the JSON list of [name, bits, value] over eval_formula and
+# [a, b, bits, value] over pi^a log2^b, each value as [sign, hexadecimal
+# mantissa, exponent, prec]: a change to the evaluator that moves one
+# bit of one value moves it
+VALUE_SHA256 = (
+    "e9e393bc00846ae443a29e4275efd20e09f9d38518b36921bb4616c8562d1a29")
+
+
+def _fields(v: MpReal) -> list:
+    return [v.sign, f"{v.man:x}", v.exp, v.prec]
+
+
+def test_values_are_pinned():
+    rows = [[name, bits, _fields(eval_formula(name, bits))]
+            for bits in (64, 128, 256, 300, 544, 1056, 2080)
+            for name in sorted(catalog())]
+    rows += [[a, b, bits, _fields(Monomial(pi=a, log2=b).value(bits))]
+             for bits in (128, 544, 2080)
+             for a in range(13) for b in range(13 - a)]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == VALUE_SHA256
+
+
+@pytest.mark.parametrize("m", [Monomial(log2=11), Monomial(log2=100),
+                               Monomial(log2=200),
+                               Monomial(pi=3, log2=7, zeta=3, beta=4)])
+def test_monomial_value_keeps_relative_accuracy(m):
+    # log2^200 is about 2^-106: a working precision fixed above the
+    # binary point would leave it far fewer than 256 significant bits
+    wp = 4 * 256
+    want = pow_int(pi_const(wp), m.pi, wp).mul(
+        pow_int(log2_const(wp), m.log2, wp), wp)
+    if m.zeta:
+        want = want.mul(sp.zeta(m.zeta, wp), wp)
+    if m.beta:
+        want = want.mul(sp.dirichlet_beta(m.beta, wp), wp)
+    want = want.to_fraction()
+    got = m.value(256).to_fraction()
+    assert abs(got - want) <= abs(want) / (1 << 252)
 
 
 def test_series_spec_validation():
