@@ -236,7 +236,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         print(f"found ({vec}) log2|r|={res.log2_residual:g} "
               f"after {res.iterations} iterations")
     else:
-        print(f"{res.status} after {res.iterations} iterations")
+        print(f"{res.status} after {res.iterations} iterations: no "
+              f"relation has norm below 10^{res.bound_digits}")
     return 0 if res.status in ("found", "none_within_bound") else 1
 
 

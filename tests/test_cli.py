@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -150,6 +151,30 @@ def test_discover_inconclusive_is_failure(capsys):
                      "--max-digits", "1", "--json")
     assert rc == 1
     assert json.loads(out)["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("argv, status, code", [
+    (("pi,log2sq,catalan", "--bits", "256"), "none_within_bound", 0),
+    (("S(2,1,1,-1,1,0,-1,1,-1,0),S(2,1,101,-101,101,0,-101,101,-101,0)",
+      "--max-digits", "1"), "inconclusive", 1),
+])
+def test_discover_names_the_bound_reached(capsys, argv, status, code):
+    rc, out, _ = run(capsys, "discover", "--values", *argv)
+    assert rc == code
+    assert re.fullmatch(rf"{status} after \d+ iterations: "
+                        r"no relation has norm below 10\^\d+\n", out)
+    # --json keeps its three keys
+    rc, out, _ = run(capsys, "discover", "--values", *argv, "--json")
+    doc = json.loads(out)
+    assert rc == code and doc["status"] == status
+    assert sorted(doc) == ["log2_residual", "status", "vector"]
+
+
+def test_discover_rejects_a_nonpositive_iteration_cap(capsys):
+    rc, out, err = run(capsys, "discover", "--values", "pi,log2sq,catalan",
+                       "--max-iterations", "-3")
+    assert rc == 2 and out == ""
+    assert "usage error" in err and "max_iterations" in err
 
 
 def test_discover_power_grammar(capsys):

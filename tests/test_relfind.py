@@ -102,6 +102,7 @@ def test_exclusion_over_thirteen_constants():
     vals = _f11_values(P)[1:]
     res = pslq(RelationQuery(tuple(vals), max_digits=30))
     assert res.status == "none_within_bound"
+    assert res.iterations <= 6000
 
 
 @pytest.mark.slow
@@ -112,6 +113,7 @@ def test_recovers_fourteen_term_vector():
     assert res.status == "found"
     assert res.vector == F11_VECTOR
     assert res.log2_residual < -1900
+    assert res.iterations <= 5000
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +136,10 @@ def test_query_validation():
         RelationQuery((pi_const(256),), max_digits=4)
     with pytest.raises(DomainError):
         RelationQuery((pi_const(256), log2_const(256)), max_digits=0)
+    for cap in (0, -3):
+        with pytest.raises(DomainError):
+            RelationQuery((pi_const(256), log2_const(256)), max_digits=4,
+                          max_iterations=cap)
     q = RelationQuery((pi_const(256), log2_const(128)), max_digits=4)
     assert q.prec == 128
 
