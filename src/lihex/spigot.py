@@ -2,23 +2,33 @@
 
 Digits of a catalog constant starting at fractional position d are read
 off frac(16^(d-1) * value) without ever forming the full expansion.
-Terms whose net power of two is nonnegative are folded in groups: the
-fractions a 2^e / m of consecutive terms of one residue class of k mod 8
-are summed exactly over the product M of their moduli, so one modular
-exponentiation modulo M and one floor serve the whole group.  The small
-remainder of the series is added in fixed point.  Peak memory is
-therefore independent of d.  The guard bits below the window are sized
-from the number of summed terms, and a window is returned only when that
-error bound proves every digit.
+Every catalog formula is a sum of S_{n,p} with one order n, and term k
+of S_{n,p} is 2^-floor(p/2) * p^n times term K = p*k of S_{n,1}, since
+floor(p(k+1)/2) = floor((K+1)/2) + floor(p/2).  So a formula is summed
+as one S_{n,1} series over K, its numerators periodic in K mod
+P = 8*lcm(p) over one odd denominator V.  Terms whose net power of two
+is nonnegative are folded in groups: the fractions A 2^e / odd(K)^n of
+consecutive terms of one residue class of K mod P are summed exactly
+over V times the product of their moduli, so one modular exponentiation
+and one floor serve the whole group.  The small remainder of the series
+is added in fixed point.  Peak memory is therefore independent of d.
+The guard bits below the window are sized from the number of summed
+terms, and a window is returned only when that error bound proves every
+digit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .errors import DomainError, GuardExhausted, UnknownName
-from .series import Formula, SeriesSpec, catalog, eval_formula
+from .series import Formula, catalog, eval_formula
 
 __all__ = ["DigitRequest", "DigitRun", "hex_digits", "self_check",
            "MAX_MODULUS_BITS"]
@@ -26,6 +36,9 @@ __all__ = ["DigitRequest", "DigitRun", "hex_digits", "self_check",
 MAX_MODULUS_BITS = 192
 _BLOCK = 1 << 16
 _MAX_POSITION = 1 << 40
+# a fixed bound, so that whether a request is valid never depends on the
+# machine; a pool never gets more workers than the request has jobs
+_MAX_THREADS = 256
 # a group of terms is folded once the product of its moduli reaches this
 # many bits; on the catalog 400 ran faster than 200 (more groups, each
 # with its own pow and floor) and than 800 or 1600 (pow over a longer
@@ -47,8 +60,8 @@ class DigitRequest:
             raise DomainError("count must be in 1..64")
         if self.position + self.count > _MAX_POSITION:
             raise DomainError("position beyond the supported range")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        if not 1 <= self.threads <= _MAX_THREADS:
+            raise DomainError(f"threads must be in 1..{_MAX_THREADS}")
 
 
 @dataclass(frozen=True)
@@ -61,45 +74,84 @@ class DigitRun:
     guard_bits: int
 
 
-def _term_ranges(spec: SeriesSpec, shift: int, bits_u: int,
-                 acc_bits: int) -> int:
-    """Largest k worth summing: beyond it every term is below resolution."""
-    # exponent(k) grows like p*k/2; stop once shift - exponent(k) plus the
-    # numerator magnitude is under -(acc_bits + 8)
-    bits_a = max(abs(a) for a in spec.pattern).bit_length()
-    target = shift + bits_u + bits_a + acc_bits + 8
-    # smallest k with p*(k+1)//2 > target
-    k = (2 * target) // spec.p + 2
-    return max(k, 1)
+class _Table(NamedTuple):
+    """A formula as one series: term K >= 1 is
+    nums[K mod P] * 2^shift / (v * K^n * 2^floor((K+1)/2)), P = len(nums).
 
-
-def _sum_block(spec: SeriesSpec, u: int, v: int, shift: int, acc_bits: int,
-               k0: int, k1: int) -> int:
-    """Signed fixed-point contribution of terms k0 <= k < k1.
-
-    Term k is a*u * 2^ee / m with m = v * odd(k)^n.  Terms with ee >= 0
-    are collected per residue class of k mod 8 (so a is fixed) until the
-    product M of their moduli reaches _FOLD_BITS; with e0 the least ee of
-    the group, C = sum 2^(ee - e0) * M/m, and the group is the one fraction
-    a*u * 2^e0 * C / M, exact mod 1 for any moduli, floored once.
+    v is odd, and counts[i] is the number of nonzero nums[:i].
     """
-    n, p = spec.n, spec.p
+
+    n: int
+    nums: tuple[int, ...]
+    v: int
+    shift: int
+    counts: tuple[int, ...]
+
+
+@functools.cache
+def _table(f: Formula) -> _Table:
+    """Merge the formula's S_{n,p} into one S_{n,1} over K = p*k.
+
+    K = r (mod P) takes a term of S_{n,p} exactly when p | r, with
+    k = K/p = r/p (mod 8), since 8 divides P/p.  Every catalog formula
+    has one order n (unpacking fails otherwise).
+    """
+    (n,) = {spec.n for _, spec in f.terms}
+    period = 8 * lcm(*(spec.p for _, spec in f.terms))
+    nums = [Fraction(0)] * period
+    for coef, spec in f.terms:
+        q = f.scale * coef * spec.p ** n / 2 ** (spec.p // 2)
+        for r in range(0, period, spec.p):
+            nums[r] += q * spec.pattern[(r // spec.p - 1) & 7]
+    den = lcm(*(a.denominator for a in nums))
+    ints = [int(a * den) for a in nums]
+    # powers of two of the common denominator and of the numerators'
+    # content move into the shift
+    tz = min(((a & -a).bit_length() - 1 for a in ints if a), default=0)
+    td = (den & -den).bit_length() - 1
+    counts = itertools.accumulate((a != 0 for a in ints), initial=0)
+    return _Table(n, tuple(a >> tz for a in ints), den >> td, tz - td,
+                  tuple(counts))
+
+
+def _terms(t: _Table, k0: int, k1: int) -> int:
+    """How many K in [k0, k1) have a nonzero numerator."""
+    period = len(t.nums)
+
+    def below(x: int) -> int:
+        q, r = divmod(x, period)
+        return q * t.counts[-1] + t.counts[r]
+    return below(k1) - below(k0)
+
+
+def _sum_block(t: _Table, shift: int, acc_bits: int, k0: int,
+               k1: int) -> int:
+    """Signed fixed-point contribution of terms k0 <= K < k1.
+
+    Term K is a * 2^ee / (v*m) with m = odd(K)^n.  Terms with ee >= 0
+    are collected per residue class of K mod P (so a is fixed) until the
+    product M of their m reaches _FOLD_BITS less the bits of v; with e0
+    the least ee of the group, C = sum 2^(ee - e0) * M/m, and the group is
+    the one fraction a * 2^e0 * C / (v*M), exact mod 1 for any moduli,
+    floored once.
+    """
+    n, v, period = t.n, t.v, len(t.nums)
+    fold = _FOLD_BITS - v.bit_length()
     acc = 0
-    for r, a in enumerate(spec.pattern):
+    for r, a in enumerate(t.nums):
         if not a:
             continue
-        au = a * u
-        odd = not r & 1  # k = r + 1 (mod 8) is odd: no 2-adic valuation
+        odd = r & 1  # 8 | P, so K is odd with r: no 2-adic valuation
         C, M, e0 = 0, 1, 0
-        # largest k first: ee then mostly rises along a group, so C is
+        # largest K first: ee then mostly rises along a group, so C is
         # seldom rescaled to a new least ee
-        for k in range(k1 - 1 - ((k1 - 2 - r) & 7), k0 - 1, -8):
-            ee = shift - (p * (k + 1) >> 1)
+        for K in range(k1 - 1 - (k1 - 1 - r) % period, k0 - 1, -period):
+            ee = shift - ((K + 1) >> 1)
             if odd:
-                m = v * k ** n
+                m = K ** n
             else:
-                v2 = (k & -k).bit_length() - 1
-                m = v * (k >> v2) ** n
+                v2 = (K & -K).bit_length() - 1
+                m = (K >> v2) ** n
                 ee -= v2 * n
             if ee >= 0:
                 if not C:
@@ -109,57 +161,45 @@ def _sum_block(spec: SeriesSpec, u: int, v: int, shift: int, acc_bits: int,
                     e0 = ee
                 C = C * m + (M << (ee - e0))
                 M *= m
-                if M.bit_length() >= _FOLD_BITS:
-                    acc += (pow(2, e0, M) * (au * C) % M << acc_bits) // M
+                if M.bit_length() >= fold:
+                    M *= v
+                    acc += (pow(2, e0, M) * (a * C) % M << acc_bits) // M
                     C, M = 0, 1
             else:
                 sh = acc_bits + ee
                 if sh >= 0:
-                    acc += (au << sh) // m
-                elif -sh < au.bit_length() + 8:
-                    acc += au // (m << -sh)
+                    acc += (a << sh) // (v * m)
+                elif -sh < a.bit_length() + 8:
+                    acc += a // (v * m << -sh)
         if C:
-            acc += (pow(2, e0, M) * (au * C) % M << acc_bits) // M
+            M *= v
+            acc += (pow(2, e0, M) * (a * C) % M << acc_bits) // M
     return acc
 
 
-def _job(args: tuple) -> int:
-    n, p, pattern, u, v, shift, acc_bits, k0, k1 = args
-    return _sum_block(SeriesSpec(n, p, pattern), u, v, shift, acc_bits,
-                      k0, k1)
-
-
 def _formula_jobs(f: Formula, shift0: int, acc_bits: int) -> list[tuple]:
-    jobs = []
-    for coef, spec in f.terms:
-        q = f.scale * coef
-        u, v = q.numerator, q.denominator
-        if u == 0:
-            continue
-        tz = (u & -u).bit_length() - 1
-        u >>= tz
-        shift = shift0 + tz
-        tz = (v & -v).bit_length() - 1
-        v >>= tz
-        shift -= tz
-        kmax = _term_ranges(spec, shift, abs(u).bit_length(), acc_bits)
-        # the largest modulus v * odd(k)^n: each residue of k mod 8 reaches
-        # its largest odd part within the last 16 k, so only those count
-        top = max((k >> ((k & -k).bit_length() - 1)
-                   for k in range(max(1, kmax - 15), kmax + 1)
-                   if spec.pattern[(k - 1) & 7]), default=1)
-        bits = (v * top ** spec.n).bit_length()
-        if bits > MAX_MODULUS_BITS:
-            raise DomainError(
-                f"position needs a {bits}-bit modulus, above the "
-                f"{MAX_MODULUS_BITS}-bit cap")
-        k = 1
-        while k <= kmax:
-            hi = min(k + _BLOCK, kmax + 1)
-            jobs.append((spec.n, spec.p, spec.pattern, u, v, shift,
-                         acc_bits, k, hi))
-            k = hi
-    return jobs
+    """The formula's series as (table, shift, acc_bits, k0, k1) blocks of
+    2^16 K each, cut at fixed K so that the jobs never depend on threads."""
+    t = _table(f)
+    shift = shift0 + t.shift
+    # beyond kmax every term is below 2^-(acc_bits + 8): floor((K+1)/2)
+    # passes shift + bitlen(max |a|) + acc_bits + 8
+    bits_a = max(abs(a) for a in t.nums).bit_length()
+    kmax = max(2 * (shift + bits_a + acc_bits + 8) + 2, 1)
+    # the largest modulus v * odd(K)^n: a class of K mod P with K mod 8
+    # nonzero has its largest odd part at its last K, within the last P;
+    # the classes K = 0 (mod 8), whose odd parts vary, count as K/8
+    period = len(t.nums)
+    top = max((K >> min((K & -K).bit_length() - 1, 3)
+               for K in range(max(1, kmax - period + 1), kmax + 1)
+               if t.nums[K % period]), default=1)
+    bits = (t.v * top ** t.n).bit_length()
+    if bits > MAX_MODULUS_BITS:
+        raise DomainError(
+            f"position needs a {bits}-bit modulus, above the "
+            f"{MAX_MODULUS_BITS}-bit cap")
+    return [(t, shift, acc_bits, k, min(k + _BLOCK, kmax + 1))
+            for k in range(1, kmax + 1, _BLOCK)]
 
 
 def _lookup(name: str) -> Formula:
@@ -173,11 +213,12 @@ def _error_bound(jobs: list[tuple]) -> int:
     """E: the exact accumulator lies within (-1, E) ulps above the summed one.
 
     Each folded group and each tail term is floored once, always
-    downwards, and every group holds at least one of the N summed terms,
-    so there are at most N floors; the terms dropped below 2^-8 ulp and
-    the tail past kmax stay under one ulp together.
+    downwards, and every group holds at least one of the N summed terms
+    (those with a nonzero numerator), so there are at most N floors; the
+    terms dropped below 2^-8 ulp and the tail past kmax stay under one
+    ulp together.
     """
-    return 1 + sum(j[-1] - j[-2] for j in jobs)
+    return 1 + sum(_terms(t, k0, k1) for t, _, _, k0, k1 in jobs)
 
 
 def _proved(acc: int, guard: int, bound: int) -> bool:
@@ -191,11 +232,12 @@ def _window(f: Formula, position: int, count: int, guard: int,
     and the error bound E of the accumulator."""
     acc_bits = 4 * count + guard
     jobs = _formula_jobs(f, 4 * (position - 1), acc_bits)
-    if threads == 1 or len(jobs) <= 1:
-        acc = sum(map(_job, jobs))
+    threads = min(threads, len(jobs))
+    if threads == 1:
+        acc = sum(itertools.starmap(_sum_block, jobs))
     else:
         with multiprocessing.get_context("fork").Pool(threads) as pool:
-            acc = sum(pool.map(_job, jobs, chunksize=1))
+            acc = sum(pool.starmap(_sum_block, jobs, chunksize=1))
     bound = _error_bound(jobs)
     if not _proved(acc, guard, bound):
         return None, bound

@@ -1,20 +1,24 @@
 """Digit extraction: spigot runs against windows sliced from direct
 high-precision summation, window-overlap consistency, the exact
-thread-count independence of the accumulator, the grouped fold against
-exact fractions, and the error-bound test that proves each window."""
+thread-count independence of the accumulator, the merged series and the
+grouped fold against exact fractions built from the catalog's own
+per-spec terms, and the error-bound test that proves each window."""
 
+import contextlib
+import itertools
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihex import spigot
 from lihex.errors import DomainError, GuardExhausted
-from lihex.series import SeriesSpec, catalog, eval_formula
+from lihex.series import Formula, SeriesSpec, catalog, eval_formula
 from lihex.spigot import (DigitRequest, DigitRun, _error_bound, _formula_jobs,
-                          _proved, _sum_block, _window, hex_digits,
+                          _proved, _sum_block, _table, _window, hex_digits,
                           self_check)
 
 # windows produced by summing the constants conventionally at
@@ -27,6 +31,8 @@ ORACLE_WINDOWS = [
     ("log2sq", 1, "7AFEF7FE0B163AA1"),
     ("zeta5", 500, "8E30B7F175E774D9"),
     ("pi4_log2", 250, "FC92A69B9D3E32E1"),
+    ("pi2_log2cu", 10000, "35D3D0372A6B3A92"),
+    ("beta3", 10000, "5EE1F94870EEFD74"),
 ]
 
 
@@ -72,46 +78,91 @@ def test_threads_do_not_change_a_single_bit():
     assert runs[0] == runs[1]
 
 
-def _exact_block(spec, u, v, shift, k0, k1):
-    """The block's terms a_k * u/v * 2^shift / (2^e(k) * k^n), exactly."""
-    return sum(Fraction(spec.pattern[(k - 1) & 7] * u, v * k ** spec.n)
-               * Fraction(2) ** (shift - spec.exponent(k))
-               for k in range(k0, k1))
+def _spec_terms(f, shift0, k0, k1):
+    """Each K in [k0, k1) that is p*k for some spec, with the sum of those
+    terms scale*coef*a_k * 2^(shift0 - e(k)) / k^n, exactly: read from the
+    catalog's own per-spec terms, not from the merged table."""
+    out = {}
+    for coef, spec in f.terms:
+        q = f.scale * coef
+        for k in range(-(-k0 // spec.p), -(-k1 // spec.p)):
+            term = (q * spec.pattern[(k - 1) & 7] / k ** spec.n
+                    * Fraction(2) ** (shift0 - spec.exponent(k)))
+            out[spec.p * k] = out.get(spec.p * k, 0) + term
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_merged_table_is_the_sum_of_the_specs(name):
+    # one order n and p = 1 in every formula: then term k of S_{n,p} is
+    # term K = p*k of one S_{n,1}, and K runs over every integer
+    f = catalog()[name]
+    assert len({spec.n for _, spec in f.terms}) == 1
+    assert 1 in {spec.p for _, spec in f.terms}
+    t = _table(f)
+    period = len(t.nums)
+    assert period == 8 * math.lcm(*(spec.p for _, spec in f.terms))
+    assert t.v & 1
+    want = _spec_terms(f, 0, 1, 3 * period + 1)
+    for K in range(1, 3 * period + 1):
+        got = (Fraction(t.nums[K % period], t.v * K ** t.n)
+               * Fraction(2) ** (t.shift - (K + 1) // 2))
+        assert got == want.get(K, 0), K
 
 
 def test_one_group_is_floored_once():
-    # k = 8, 16, ..., 72: moduli 9 * odd(k)^3 repeat (k = 8, 16, 32, 64)
-    # and share factors (k = 24, 48, 72); k = 64 has a smaller net power
-    # of two than k = 72; a and u are negative.  All of it is one group,
-    # so the block is the exact fractional part, floored once.
-    spec = SeriesSpec(3, 1, (0, 0, 0, 0, 0, 0, 0, -3))
-    u, v, shift, acc_bits = -5, 9, 60, 40
-    exact = _exact_block(spec, u, v, shift, 8, 80)
-    assert exact.denominator > 1
-    got = _sum_block(spec, u, v, shift, acc_bits, 8, 80)
-    assert got == math.floor(exact % 1 * 2 ** acc_bits)
-
-
-_JOBS = [j for f in catalog().values() for j in _formula_jobs(f, 0, 8)]
+    # P = 24: the p = 1 spec reaches K = 0, 8, 16 (mod 24), the p = 3 spec
+    # K = 0 (mod 24), where the two add to a negative numerator.  In each
+    # class the moduli odd(K)^3 repeat (K = 8, 32, 128) and share factors
+    # (K = 24, 72, 216), and K = 256 has a smaller net power of two than
+    # K = 280 before it.  Every class stays under the fold, so each is one
+    # group: its exact fractional part, floored once.
+    f = Formula("test", Fraction(-5, 9),
+                ((Fraction(1), SeriesSpec(3, 1, (0, 0, 0, 0, 0, 0, 0, -3))),
+                 (Fraction(2, 7), SeriesSpec(3, 3, (0, 0, 0, 0, 0, 0, 0, 1)))))
+    shift0, acc_bits, k0, k1 = 160, 40, 8, 288
+    t, shift, *_ = _formula_jobs(f, shift0, acc_bits)[0]
+    assert len(t.nums) == 24 and t.nums[0] < 0
+    terms = _spec_terms(f, shift0, k0, k1)
+    want = 0
+    for r in (0, 8, 16):
+        exact = sum(x for K, x in terms.items() if K % 24 == r)
+        assert exact.denominator > 1
+        want += math.floor(exact % 1 * 2 ** acc_bits)
+    assert _sum_block(t, shift, acc_bits, k0, k1) == want
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(_JOBS), st.integers(min_value=-16, max_value=400),
+@given(st.sampled_from(sorted(catalog())),
+       st.integers(min_value=-16, max_value=400),
        st.integers(min_value=16, max_value=80),
        st.integers(min_value=1, max_value=600),
        st.integers(min_value=1, max_value=160))
-def test_block_lies_within_the_error_interval(job, shift, acc_bits, k0, width):
+def test_block_lies_within_the_error_interval(name, shift0, acc_bits, k0,
+                                              width):
     # the interval `_error_bound` claims: above the summed block by less
     # than one ulp per summed term plus one, below it by less than one
-    n, p, pattern, u, v = job[:5]
-    spec = SeriesSpec(n, p, pattern)
-    k1 = k0 + width
-    got = _sum_block(spec, u, v, shift, acc_bits, k0, k1)
+    f = catalog()[name]
+    t, shift, *_ = _formula_jobs(f, shift0, acc_bits)[0]
+    job = (t, shift, acc_bits, k0, k0 + width)
+    got = _sum_block(*job)
     one = 1 << acc_bits
-    diff = (_exact_block(spec, u, v, shift, k0, k1) * one - got) % one
+    exact = sum(_spec_terms(f, shift0, k0, k0 + width).values())
+    diff = (exact * one - got) % one
     if diff > one // 2:
         diff -= one
-    assert -1 < diff < width + 1
+    assert -1 < diff < _error_bound([job])
+
+
+@pytest.mark.parametrize("name", ["pi", "catalan", "zeta3", "beta3",
+                                  "pi4", "zeta5"])
+def test_term_count_matches_a_brute_force_count(name):
+    # only K whose per-spec terms sum to nonzero are summed and counted
+    f = catalog()[name]
+    t = _table(f)
+    for k0, k1 in ((1, 2), (1, 500), (37, 1000), (119, 241), (5, 5)):
+        want = sum(1 for x in _spec_terms(f, 0, k0, k1).values() if x)
+        assert _error_bound([(t, 0, 8, k0, k1)]) == want + 1, (k0, k1)
 
 
 def test_self_check_facility():
@@ -128,6 +179,28 @@ def test_request_validation():
         DigitRequest("pi", 1, 65)
     with pytest.raises(ValueError):
         DigitRequest("pi", 1, 16, threads=0)
+    # a fixed bound, whatever the machine; construction starts no pool
+    assert DigitRequest("pi", 1, 16, threads=256).threads == 256
+    with pytest.raises(DomainError):
+        DigitRequest("pi", 1, 16, threads=257)
+
+
+def test_pool_never_outgrows_the_job_list(monkeypatch):
+    sizes = []
+
+    def pool(size):
+        sizes.append(size)
+        return contextlib.nullcontext(SimpleNamespace(
+            starmap=lambda fn, jobs, chunksize: itertools.starmap(fn, jobs)))
+
+    monkeypatch.setattr(spigot.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=pool))
+    assert hex_digits(DigitRequest("pi", 1, 8, threads=256)).digits \
+        == "243F6A88"
+    assert sizes == []  # one job: summed in process
+    run = hex_digits(DigitRequest("zeta3", 10000, 16, threads=256))
+    assert run.digits == "8F811A52EA1EFFB4"
+    assert sizes == [2]
 
 
 def test_unreachable_position_fails_before_summing():
@@ -159,7 +232,8 @@ def test_window_is_accepted_only_inside_the_error_interval():
 def test_error_bound_counts_every_summed_term():
     f = catalog()["zeta3"]
     jobs = _formula_jobs(f, 4 * 999, 4 * 16 + 24)
-    n = sum(k1 - k0 for *_, k0, k1 in jobs)
+    kmax = jobs[-1][-1] - 1
+    n = sum(1 for x in _spec_terms(f, 0, 1, kmax + 1).values() if x)
     assert _error_bound(jobs) == n + 1
     # the derived guard holds the window with room: no retry at 1000
     assert hex_digits(DigitRequest("zeta3", 1000, 16)).retries == 0
