@@ -53,7 +53,8 @@ from .errors import (
     PrecisionError,
     UnknownName,
 )
-from .ladders import CheckReport, _log2_mag, check_li5_identity, eval_ladder
+from .ladders import (CheckReport, _log2_mag, _report, check_li5_identity,
+                      eval_ladder)
 from .mp import special as _sp
 from .mp.special import _HurwitzTail
 from .mp.cplx import MpComplex
@@ -108,12 +109,6 @@ _HALF = Q(1, 2)
 # ----------------------------------------------------------------------
 # small helpers
 
-def _as_fraction(x: Fraction | int | MpReal) -> Fraction:
-    if isinstance(x, MpReal):
-        return x.to_fraction()
-    return Q(x)
-
-
 def _as_real(x: Fraction | int | MpReal, wp: int) -> MpReal:
     if isinstance(x, MpReal):
         return x.round_to(wp)
@@ -126,16 +121,6 @@ def _as_cplx(t: MpComplex | MpReal | Fraction | int, wp: int) -> MpComplex:
     if isinstance(t, MpReal):
         return MpComplex.from_real(t.round_to(wp))
     return MpComplex.from_fractions(Q(t), Q(0), wp)
-
-
-def _mk_report(name: str, prec: int, resid: MpReal, slack: int) -> CheckReport:
-    mag = _log2_mag(resid)
-    return CheckReport(
-        name=name,
-        bits=prec,
-        log2_residual=mag,
-        passed=mag <= -(prec - slack),
-    )
 
 
 def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
@@ -303,7 +288,7 @@ class WArgs:
 
     def __post_init__(self) -> None:
         for f in ("a1", "a2", "a3", "a4"):
-            object.__setattr__(self, f, _as_fraction(getattr(self, f)))
+            object.__setattr__(self, f, Q(getattr(self, f)))
         if self.a3 <= -_HALF or self.a4 <= -_HALF:
             raise DomainError("W needs 1/2 + a3 and 1/2 + a4 positive")
 
@@ -349,7 +334,7 @@ def reflection_check(args: WArgs, prec: int) -> CheckReport:
     name = "reflect({},{};{},{})".format(
         args.a1, args.a2, args.a3, args.a4
     )
-    return _mk_report(name, prec, lhs.add(-rhs, wp), 32)
+    return _report(name, prec, lhs.add(-rhs, wp), 32)
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +522,7 @@ GENFN_IDS: dict[str, GenFnId] = {
     name: GenFnId(name, name in _HYP_PARAMS) for name in _PF}
 
 
-def genfn_hyp(name: str, t: Fraction | int | MpReal, prec: int) -> MpReal:
+def genfn_hyp(name: str, t: Fraction | int, prec: int) -> MpReal:
     """Closed 3F2 form of a generating function, for |t| < 1/2.
 
     Only A, B, C, D, F and G reduce to a single 3F2; E and H have no
@@ -547,7 +532,7 @@ def genfn_hyp(name: str, t: Fraction | int | MpReal, prec: int) -> MpReal:
         raise UnknownName(f"no generating function {name!r}")
     if not GENFN_IDS[name].has_hyp:
         raise DomainError(f"generating function {name} has no 3F2 form")
-    tq = _as_fraction(t)
+    tq = Q(t)
     if abs(tq) >= _HALF:
         raise DomainError("3F2 forms hold for |t| < 1/2")
     wp = prec + 32
@@ -621,12 +606,12 @@ def _trig_values(name: str, t: MpReal, tq: Fraction,
     return out
 
 
-def check_trig_forms(name: str, t: Fraction | MpReal, prec: int) -> CheckReport:
+def check_trig_forms(name: str, t: Fraction, prec: int) -> CheckReport:
     """Compare both trigonometric+W decompositions of a generating
     function against its pole-sum value, for rational 0 < t < 1/3."""
     if name not in _TRIG:
         raise UnknownName(f"no trigonometric form for {name!r}")
-    tq = _as_fraction(t)
+    tq = Q(t)
     if not 0 < tq < Q(1, 3):
         raise DomainError("trigonometric forms checked on 0 < t < 1/3")
     wp = prec + 48
@@ -636,7 +621,7 @@ def check_trig_forms(name: str, t: Fraction | MpReal, prec: int) -> CheckReport:
     r1 = v1.add(-ref, wp)
     r2 = v2.add(-ref, wp)
     worst = r1 if _log2_mag(r1) >= _log2_mag(r2) else r2
-    return _mk_report(f"trig-{name}@{tq}", prec, worst, 32)
+    return _report(f"trig-{name}@{tq}", prec, worst, 32)
 
 
 # ----------------------------------------------------------------------
@@ -685,7 +670,7 @@ def check_recurrence(name: str, t: MpComplex | MpReal | Fraction,
         for re, im, a, b in rhs_terms))
     diff = lhs.add(-rhs, wp)
     resid = diff.abs_val(wp)
-    return _mk_report(f"recur-{name}", prec, resid, 32)
+    return _report(f"recur-{name}", prec, resid, 32)
 
 
 # ----------------------------------------------------------------------
@@ -1053,9 +1038,9 @@ _POCH: dict[str, tuple] = {
 POCHHAMMER_IDS = tuple(_POCH)
 
 
-def pochhammer_check(which: str, t: Fraction | MpReal, prec: int) -> CheckReport:
+def pochhammer_check(which: str, t: Fraction, prec: int) -> CheckReport:
     """One of six Pochhammer-ratio identities at rational 0 < t < 1."""
-    tq = _as_fraction(t)
+    tq = Q(t)
     if not 0 < tq < 1:
         raise DomainError("ratio identities checked on 0 < t < 1")
     if which not in _POCH:
@@ -1074,7 +1059,7 @@ def pochhammer_check(which: str, t: Fraction | MpReal, prec: int) -> CheckReport
     if k:
         cs = cos(pi_const(wp).mul(MpReal.from_fraction(ang * tq, wp), wp), wp)
         rhs = rhs.mul(prod((cs,) * k), wp)
-    return _mk_report(f"{which}@{tq}", prec, lhs.add(-rhs, wp), 48)
+    return _report(f"{which}@{tq}", prec, lhs.add(-rhs, wp), 48)
 
 
 # ----------------------------------------------------------------------
@@ -1138,7 +1123,7 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
     su, cu = _sincos_pt(two, 5, wp)
     bracket = MpReal.from_int(1, wp).div(cu, wp).add(
         -su.mul(su, wp).mul(8, wp), wp)
-    out.append(_mk_report(
+    out.append(_report(
         "sec-bracket@2", prec, bracket.add(4, wp), 16))
     return out
 
@@ -1232,7 +1217,7 @@ def _battery_w(prec: int) -> list[CheckReport]:
     base = eval_W(WArgs(Q(0), Q(0), Q(0), Q(0)), wp)
     pi_ = pi_const(wp)
     ref = pi_.mul(pi_, wp).div(2, wp)
-    out = [_mk_report("W(0,0;0,0)", prec, base.add(-ref, wp), 8)]
+    out = [_report("W(0,0;0,0)", prec, base.add(-ref, wp), 8)]
     # self-reflection points exercise the kernel against pure gammas
     out.append(reflection_check(
         WArgs(Q(1, 10), Q(1, 8), Q(1, 10), Q(1, 8)), prec))
@@ -1259,7 +1244,7 @@ def _battery_genfn(prec: int) -> list[CheckReport]:
     out = []
     c = _sp.taylor_coeffs(
         lambda x, w: genfn_pf("A", x, w).re, 1, prec, Q(1, 4))
-    out.append(_mk_report(
+    out.append(_report(
         "A-linear-term", prec, c[1].add(-log2_const(wp), wp),
         prec - prec // 2 + 16))
     cf = _sp.taylor_coeffs(
@@ -1267,7 +1252,7 @@ def _battery_genfn(prec: int) -> list[CheckReport]:
     cg = _sp.taylor_coeffs(
         lambda x, w: genfn_pf("G", x, w).re, 2, prec, Q(1, 4))
     probe = cf[2].add(-cg[2], wp).mul(Q(3, 4), wp)  # (3/2)(F2 - G2)
-    out.append(_mk_report(
+    out.append(_report(
         "catalan-from-F-G", prec,
         probe.add(-eval_formula("catalan", wp), wp),
         prec - prec // 2 + 16))
@@ -1275,7 +1260,7 @@ def _battery_genfn(prec: int) -> list[CheckReport]:
         t = Q(1, 10)
         pf = genfn_pf(name, t, wp).re
         hyp = genfn_hyp(name, t, wp)
-        out.append(_mk_report(
+        out.append(_report(
             f"pf-vs-hyp-{name}@{t}", prec, pf.add(-hyp, wp), 32))
     out.append(check_trig_forms("A", Q(1, 10), prec))
     out.append(check_trig_forms("B", Q(1, 4), prec))
@@ -1298,7 +1283,7 @@ def _battery_u(prec: int) -> list[CheckReport]:
     wp = prec + 32
     out = []
     u5 = U(Q(5), wp)
-    out.append(_mk_report(
+    out.append(_report(
         "U(5)-series-vs-rational", prec,
         u5.add(-MpReal.from_fraction(u_rational(5), wp), wp), 32))
     ok = (u_rational(5) == Q(20, 3) and u_rational(10) == Q(20, 3)
@@ -1311,7 +1296,7 @@ def _battery_u(prec: int) -> list[CheckReport]:
     out.append(_exact_report(
         "Utilde(5/2)", prec, utilde_rational(Q(5, 2)) == 15))
     ut = Utilde(Q(5, 2), wp)
-    out.append(_mk_report(
+    out.append(_report(
         "Utilde(5/2)-series", prec,
         ut.add(-15, wp), 32))
     u50 = U(Q(50), 64)
@@ -1362,7 +1347,7 @@ def _battery_geo(prec: int) -> list[CheckReport]:
     p = min(prec, 128)
     wp = p + 16
     diff = catalan_binomial(p).add(-eval_formula("catalan", wp), wp)
-    out.append(_mk_report("catalan-binomial", p, diff, 8))
+    out.append(_report("catalan-binomial", p, diff, 8))
     return out
 
 

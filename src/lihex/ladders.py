@@ -3,7 +3,7 @@
 The ladders (A..H, their bar and tilde forms, U..Z) and the identities
 among them are defined once, as exact linear forms, in `series`:
 `series.ladder` builds a ladder and `series.IDENTITIES` holds every
-identity as real rows, a complex relation (the dilogarithm and order-1
+relation as real rows, a complex relation (the dilogarithm and order-1
 relations through complex logarithms) as one row per part.  `series`
 also evaluates them, by its one fixed-point evaluator; this module
 checks.  Each side minus the first is one integer coefficient vector
@@ -14,12 +14,8 @@ identity to that accuracy.  wp is prec + 32 bits, more for a row whose
 coefficient mass passes 2^32 (f11).  `eval_ladder` reads one ladder's
 value from the same evaluator.
 
-One relation stays outside the table: h1 compares Li_1 at i/sqrt2 and
--i/sqrt8, whose imaginary parts are arctangents without an S-basis
-expansion, so it sums complex logarithms and passes on its computed
-residual alone, with no bound.  The module also holds the two-variable
-Li_5 functional equation, which `hyper.CHECKS["order5"]` checks
-through `li5`.
+The module also holds the two-variable Li_5 functional equation, which
+`hyper.CHECKS["order5"]` checks through `li5`.
 """
 
 from __future__ import annotations
@@ -27,14 +23,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DomainError, PrecisionError, UnknownName
 from .mp import special as _sp
 from .mp.cplx import MpComplex, cln
 from .mp.real import MpReal, pi_const, pow_int
-from .series import (IDENTITIES, Identity, IntegerRows, _argument_value,
-                     _fixed_sums, _row_value, integer_rows, ladder)
+from .series import (IDENTITIES, Identity, IntegerRows, _fixed_sums,
+                     _row_value, integer_rows, ladder)
 
 __all__ = ["CheckReport", "RELATIONS", "check_all", "check_li5_identity",
            "check_relation", "eval_ladder", "li5", "relation_names"]
@@ -51,9 +46,8 @@ class CheckReport:
     ``log2_bound`` is the same for the counted bound on the error of
     the computed residual, and a pass certifies that the true residual
     is at most 2^-(bits-64): the computed residual plus its bound stays
-    there.  Checks that state no bound (h1, whose values go through
-    complex logarithms, the Li_5 equation and the batteries) carry
-    None and pass on the computed residual alone.
+    there.  Checks that state no bound (the Li_5 equation and the
+    batteries) carry None and pass on the computed residual alone.
     """
 
     name: str
@@ -223,7 +217,7 @@ def check_li5_identity(x: MpComplex, y: MpComplex,
            + pi2 * (lxi - leta * 3) * lxi2 * _Q(1, 2)
            + pi4 * lxi * _Q(1, 5))
     resid = (lhs - rhs).abs_val(wp)
-    return _report(f"li5({_cfmt(x)},{_cfmt(y)})", prec, resid)
+    return _report(f"li5({_cfmt(x)},{_cfmt(y)})", prec, resid, 64)
 
 
 def _cfmt(z: MpComplex) -> str:
@@ -239,27 +233,26 @@ def _log2_mag(x: MpReal) -> float:
     return float(x.man.bit_length() + x.exp)
 
 
-def _report(name: str, prec: int, resid: MpReal) -> CheckReport:
+def _report(name: str, prec: int, resid: MpReal, slack: int) -> CheckReport:
+    """A check without a stated bound: it passes when the computed
+    residual is at most 2^-(prec-slack)."""
     mag = _log2_mag(resid)
-    return CheckReport(name, prec, mag, mag <= -(prec - 64))
+    return CheckReport(name, prec, mag, mag <= -(prec - slack))
 
 
 @dataclass(frozen=True)
 class Relation:
     """A catalog relation: real identity rows of the table, one per part
-    for a complex relation, or for h1 a callable giving its members."""
+    for a complex relation."""
 
     name: str
     status: str                    # "proven" or "numeric"
-    rows: tuple[Identity, ...] = ()
+    rows: tuple[Identity, ...]
     min_bits: int = 256
-    members: Callable[[int], tuple[MpComplex, ...]] | None = None
 
 
 # every identity of the table is a row of the relation that its name
-# names before the dot (w21.re and w21.im make w21); h1 compares the
-# imaginary parts of Li_1 at i/sqrt2 and -i/sqrt8, arctangents outside
-# the S-basis, so it goes through complex logarithms instead
+# names before the dot (w21.re and w21.im make w21)
 def _table_relations() -> dict[str, Relation]:
     out: dict[str, Relation] = {}
     for ident in IDENTITIES.values():
@@ -273,33 +266,8 @@ def _table_relations() -> dict[str, Relation]:
 RELATIONS: dict[str, Relation] = _table_relations()
 
 
-def _li1_log(arg: str, wp: int) -> MpComplex:
-    return -cln(MpComplex.from_int(1, wp) - _argument_value(arg, wp), wp)
-
-
-@functools.cache
-def _h1_members(wp: int) -> tuple[MpComplex, ...]:
-    lhs = (_li1_log("-i/sqrt8", wp) - _li1_log("i/sqrt2", wp) * 2
-           - _li1_log("1/2", wp) * _Q(1, 2))
-    return lhs, MpComplex(MpReal.zero(wp), pi_const(wp).mul(_Q(-1, 2), wp))
-
-
-RELATIONS["h1"] = Relation("h1", "proven", members=_h1_members)
-
-
 def relation_names() -> list[str]:
     return list(RELATIONS)
-
-
-def _check_members(rel: Relation, prec: int) -> CheckReport:
-    wp = prec + 32
-    vals = rel.members(wp)
-    resid = MpReal.zero(wp)
-    for v in vals[1:]:
-        d = (v - vals[0]).abs_val(wp)
-        if d._cmp(resid) > 0:
-            resid = d
-    return _report(rel.name, prec, resid)
 
 
 def check_relation(name: str, prec: int) -> CheckReport:
@@ -309,7 +277,7 @@ def check_relation(name: str, prec: int) -> CheckReport:
     over fixed-point atoms with counted error bounds.  The residual is
     the largest row sum; the check passes when every row's |sum| plus
     its bound is at most 2**-(prec-64), which certifies the relation
-    to that accuracy.  h1 reports its residual without a bound.
+    to that accuracy.
     """
     rel = RELATIONS.get(name)
     if rel is None:
@@ -317,8 +285,6 @@ def check_relation(name: str, prec: int) -> CheckReport:
     if prec < rel.min_bits:
         raise PrecisionError(
             f"{name} needs at least {rel.min_bits} bits, got {prec}")
-    if rel.members is not None:
-        return _check_members(rel, prec)
     passed, resids, bounds = True, [], []
     for ident in rel.rows:
         rows = ident.rows()

@@ -402,15 +402,11 @@ def beta_fn(a: MpReal, b: MpReal, prec: int) -> MpReal:
 # polylogarithm inside the convergence disc
 
 
-def polylog(n: int, z: MpComplex | MpReal | Fraction, prec: int) -> MpComplex:
+def polylog(n: int, z: MpComplex, prec: int) -> MpComplex:
     """Li_n(z) = sum_{k>0} z^k / k^n for |z| <= 3/4, absolute error < 2**-prec."""
     if n < 1:
         raise DomainError("polylog order must be >= 1")
     _check_prec(prec)
-    if isinstance(z, Fraction):
-        z = MpComplex.from_fractions(z, Fraction(0), prec + 32)
-    elif isinstance(z, MpReal):
-        z = MpComplex.from_real(z)
     # |z| <= 3/4 check: |z|^2 <= 9/16, exact on the stored values
     if z.abs2(z.prec + 8)._cmp(Fraction(9, 16)) > 0:
         raise DomainError("polylog argument must satisfy |z| <= 3/4")
@@ -454,7 +450,7 @@ def taylor_coeffs(
     f: Callable[[MpReal, int], MpReal],
     order: int,
     prec: int,
-    radius: MpReal | Fraction,
+    radius: Fraction,
 ) -> list[MpReal]:
     """Taylor coefficients c_0..c_order of f at 0, each within 2**-(prec/2).
 
@@ -466,16 +462,12 @@ def taylor_coeffs(
     if not 0 <= order <= 12:
         raise DomainError("taylor_coeffs supports orders 0..12")
     _check_prec(prec)
-    if isinstance(radius, MpReal):
-        rq = radius.to_fraction()
-    else:
-        rq = Fraction(radius)
-    if rq <= 0:
+    if radius <= 0:
         raise DomainError("radius must be positive")
     wp = 2 * prec + 64
     m = order
     t = prec // (order + 1) + 3
-    h = rq * Fraction(1, 1 << t)
+    h = radius * Fraction(1, 1 << t)
     nodes = [j * h for j in range(-m, m + 1)]
     # Lagrange basis expansion: rows[j][i] = coefficient of x^i in ell_j(x)
     rows: list[list[Fraction]] = []

@@ -18,13 +18,13 @@ counted error bounds (`_fixed_sums`), and rounded once.
 Each special argument is z = 2^{-p/2} e^{i pi j/4}, kept as the pair
 (p, j) in `ARGUMENTS`.  That table is the one place an argument's value
 is written down: `polylog_pattern` reads each pattern entry from it in
-closed form, `ladders` reads z itself for Li_1(z) = -log(1 - z), and
-`hyper` reads the Gaussian-rational arguments of its pole sums.
+closed form, and `hyper` reads the Gaussian-rational arguments of its
+pole sums.
 
 It is also where the ladders and their identities are defined, once,
 as exact linear forms over S-atoms and monomials: `ladder(name, n)`
 builds any ladder from the tables `_BASE`, `_COMBINED` and `_R4_RHS`,
-and `IDENTITIES` holds every identity of the suite as real rows, a
+and `IDENTITIES` holds every relation of the suite as real rows, a
 complex relation as one row per part.  Two consumers read them:
 `ladders` checks the identities (`check_relation`) from the sums of
 their integer rows, and `_derived` solves eight catalog formulas from
@@ -35,25 +35,22 @@ so each identity's rows are built once.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DomainError, PrecisionError, RankDeficient,
                      UndefinedOrder, UnknownName, UnsupportedArgument)
-from .mp.cplx import MpComplex
 from .mp.real import MpReal, _div0, _log2_fixed, _pi_fixed
 from .mp import special as _sp
 
 __all__ = [
     "SeriesSpec", "Formula", "Monomial", "Identity", "IDENTITIES",
     "eval_series", "eval_formula", "polylog_pattern", "solve_formulas",
-    "catalog", "derived_catalog", "dump_catalog",
-    "ladder",
+    "catalog", "derived_catalog", "ladder",
 ]
 
 _Q = Fraction
@@ -278,20 +275,6 @@ def _power_part(p: int, j: int, k: int, part: str) -> tuple[int, int]:
     return sign, p * k + h
 
 
-def _argument_value(arg: str, prec: int) -> MpComplex:
-    """z rounded to prec bits; an irrational part is sqrt(2) at prec + 8
-    bits scaled by a power of two."""
-    p, j = _argument(arg)
-
-    def comp(part: str) -> MpReal:
-        sign, e = _power_part(p, j, 1, part)
-        if not sign or e % 2 == 0:
-            return MpReal.from_fraction(_Q(sign, 1 << e // 2), prec)
-        v = MpReal.from_int(2, prec + 8).sqrt(prec + 8).scalb(-(e + 1) // 2)
-        return (v if sign > 0 else -v).round_to(prec)
-    return MpComplex(comp("re"), comp("im"))
-
-
 def _gaussian(arg: str) -> tuple[int, int, int]:
     """(zr, zi, shift) with z = (zr + i zi) / 2^shift, for the arguments
     that are Gaussian rationals: the nonzero parts of z are 2^(-(p + j mod
@@ -333,7 +316,7 @@ def polylog_pattern(arg: str, n: int,
 
 @dataclass(frozen=True)
 class Monomial:
-    """Product pi^pi_exp * log2^log2_exp * zeta(zeta) * beta(beta).
+    """Product pi^pi * log2^log2 * zeta(zeta) * beta(beta) * sqrt2^sqrt2.
 
     A zero order in the zeta/beta slots means that factor is absent;
     the empty monomial is the rational unit.
@@ -343,6 +326,7 @@ class Monomial:
     log2: int = 0
     zeta: int = 0
     beta: int = 0
+    sqrt2: int = 0
 
     def __str__(self) -> str:
         parts = []
@@ -354,6 +338,8 @@ class Monomial:
             parts.append(f"zeta({self.zeta})")
         if self.beta:
             parts.append(f"beta({self.beta})")
+        if self.sqrt2:
+            parts.append("sqrt2" if self.sqrt2 == 1 else f"sqrt2^{self.sqrt2}")
         return "*".join(parts) if parts else "1"
 
     def value(self, prec: int) -> MpReal:
@@ -374,12 +360,14 @@ def _monomial_fixed(m: Monomial, wp: int) -> tuple[int, int]:
     """The monomial times 2^wp as an integer, and a bound in ulps.
 
     The factors enter at w = wp + 16 bits, each within one ulp: pi and
-    log 2 from their fixed-point series, zeta(n) < 2 and beta(n) < 1
-    from values good to a relative 2^-(w+2).  Each product adds its
-    propagated error and one floor; the final shift by 16 one more.
+    log 2 from their fixed-point series, sqrt 2 as isqrt(2^(2w+1)), and
+    zeta(n) < 2 and beta(n) < 1 from values good to a relative
+    2^-(w+2).  Each product adds its propagated error and one floor;
+    the final shift by 16 one more.
     """
     w = wp + 16
-    factors = [_pi_fixed(w)] * m.pi + [_log2_fixed(w)] * m.log2
+    factors = ([_pi_fixed(w)] * m.pi + [_log2_fixed(w)] * m.log2
+               + [isqrt(2 << 2 * w)] * m.sqrt2)
     if m.zeta:
         factors.append(_sp.zeta(m.zeta, w + 2).to_fixed(w))
     if m.beta:
@@ -585,9 +573,10 @@ class Identity:
     """Linear identity of weight n: all of its sides have one value.
 
     A side is a sum of (coefficient, key) terms; a key is a ladder name
-    (taken at order n), a Monomial, or an (argument, part) pair standing
-    for Part Li_n(argument).  `ladders` checks every identity
-    numerically; `_derived` solves catalog formulas from some of them.
+    (taken at order n), a Monomial, a SeriesSpec, or an (argument, part)
+    pair standing for Part Li_n(argument).  `ladders` checks every
+    identity numerically; `_derived` solves catalog formulas from some
+    of them.
     Identities compare and hash by object, as the `rows` cache keys
     them.
     """
@@ -610,7 +599,7 @@ def _differences(ident: Identity) -> list[dict]:
     for side in ident.sides:
         form: dict = {}
         for c, key in side:
-            if isinstance(key, Monomial):
+            if isinstance(key, (Monomial, SeriesSpec)):
                 part = {key: _Q(1)}
             elif isinstance(key, str):
                 part = ladder(key, ident.n)
@@ -763,6 +752,19 @@ IDENTITIES: dict[str, Identity] = {i.name: i for i in [
     *_complex("w15", 1, ((1, _li_c("(1+i)/8")), (-2, _li_c("i/2")),
                          (_Q(-1, 2), _li_c("1/2"))),
               ((_Q(-1, 4), _I_PI),)),
+    # h1: Li_1(-i/sqrt8) - 2 Li_1(i/sqrt2) - Li_1(1/2)/2 = -i pi/2.  Every
+    # nonzero entry of the imaginary patterns at i/sqrt2 and -i/sqrt8 is a
+    # multiple of sqrt2 (polylog_pattern refuses them): with
+    # c = (1,0,-1,0,1,0,-1,0), Im Li_1(i/sqrt2) = sqrt2 S_{1,1}(c) and
+    # Im Li_1(-i/sqrt8) = -2 sqrt2 S_{1,3}(c), so the imaginary part reads
+    # S_{1,1}(c) + S_{1,3}(c) = (sqrt2/8) pi
+    _complex("h1", 1, ((1, _li_c("-i/sqrt8")), (-2, _li_c("i/sqrt2")),
+                       (_Q(-1, 2), _li_c("1/2"))),
+             ((_Q(-1, 2), _I_PI),))[0],
+    Identity("h1.im", "proven", 1, (
+        tuple((1, SeriesSpec(1, p, (1, 0, -1, 0, 1, 0, -1, 0)))
+              for p in (1, 3)),
+        ((_Q(1, 8), Monomial(pi=1, sqrt2=1)),))),
 ]}
 
 
@@ -957,25 +959,3 @@ def eval_formula(name: str, prec: int) -> MpReal:
     if f is None:
         raise UnknownName(name)
     return f.value(prec)
-
-
-# ----------------------------------------------------------------------
-# catalog serialization
-
-def _record(f: Formula) -> dict:
-    return {
-        "name": f.name,
-        "scale": [f.scale.numerator, f.scale.denominator],
-        "terms": [{"coef": [c.numerator, c.denominator],
-                   "n": s.n, "p": s.p, "pattern": list(s.pattern)}
-                  for c, s in f.terms],
-        "description": f.description,
-        "label": f.label,
-    }
-
-
-def dump_catalog(formulas: Iterable[Formula]) -> str:
-    """Deterministic JSON for a formula collection."""
-    recs = sorted((_record(f) for f in formulas), key=lambda r: r["name"])
-    return json.dumps(recs, sort_keys=True, separators=(",", ":"))
-

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import multiprocessing
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -177,9 +178,32 @@ def _sum_block(t: _Table, shift: int, acc_bits: int, k0: int,
     return acc
 
 
-def _formula_jobs(f: Formula, shift0: int, acc_bits: int) -> list[tuple]:
-    """The formula's series as (table, shift, acc_bits, k0, k1) blocks of
-    2^16 K each, cut at fixed K so that the jobs never depend on threads."""
+class _Jobs(Sequence):
+    """A series as (table, shift, acc_bits, k0, k1) blocks of 2^16 K each
+    over [1, kmax], cut at fixed K so that the jobs never depend on
+    threads.  Each block is made when it is read: only kmax is stored."""
+
+    def __init__(self, table: _Table, shift: int, acc_bits: int,
+                 kmax: int) -> None:
+        self.table, self.shift = table, shift
+        self.acc_bits, self.kmax = acc_bits, kmax
+
+    def __len__(self) -> int:
+        return -(-self.kmax // _BLOCK)
+
+    def __getitem__(self, i: int) -> tuple:
+        k = range(1, self.kmax + 1, _BLOCK)[i]
+        return (self.table, self.shift, self.acc_bits, k,
+                min(k + _BLOCK, self.kmax + 1))
+
+
+def _sum_job(job: tuple) -> int:
+    return _sum_block(*job)
+
+
+def _formula_jobs(f: Formula, shift0: int, acc_bits: int) -> _Jobs:
+    """The formula's series as blocks of 2^16 K, after checking that
+    every modulus stays under the cap."""
     t = _table(f)
     shift = shift0 + t.shift
     # beyond kmax every term is below 2^-(acc_bits + 8): floor((K+1)/2)
@@ -198,8 +222,7 @@ def _formula_jobs(f: Formula, shift0: int, acc_bits: int) -> list[tuple]:
         raise DomainError(
             f"position needs a {bits}-bit modulus, above the "
             f"{MAX_MODULUS_BITS}-bit cap")
-    return [(t, shift, acc_bits, k, min(k + _BLOCK, kmax + 1))
-            for k in range(1, kmax + 1, _BLOCK)]
+    return _Jobs(t, shift, acc_bits, kmax)
 
 
 def _lookup(name: str) -> Formula:
@@ -209,16 +232,17 @@ def _lookup(name: str) -> Formula:
     return f
 
 
-def _error_bound(jobs: list[tuple]) -> int:
+def _error_bound(jobs: _Jobs) -> int:
     """E: the exact accumulator lies within (-1, E) ulps above the summed one.
 
     Each folded group and each tail term is floored once, always
     downwards, and every group holds at least one of the N summed terms
     (those with a nonzero numerator), so there are at most N floors; the
     terms dropped below 2^-8 ulp and the tail past kmax stay under one
-    ulp together.
+    ulp together.  The blocks partition [1, kmax], so N is counted over
+    that range at once.
     """
-    return 1 + sum(_terms(t, k0, k1) for t, _, _, k0, k1 in jobs)
+    return 1 + _terms(jobs.table, 1, jobs.kmax + 1)
 
 
 def _proved(acc: int, guard: int, bound: int) -> bool:
@@ -234,10 +258,12 @@ def _window(f: Formula, position: int, count: int, guard: int,
     jobs = _formula_jobs(f, 4 * (position - 1), acc_bits)
     threads = min(threads, len(jobs))
     if threads == 1:
-        acc = sum(itertools.starmap(_sum_block, jobs))
+        acc = sum(map(_sum_job, jobs))
     else:
+        # Pool.starmap would list every job first; imap_unordered reads
+        # them as workers free up, and the sum does not depend on order
         with multiprocessing.get_context("fork").Pool(threads) as pool:
-            acc = sum(pool.starmap(_sum_block, jobs, chunksize=1))
+            acc = sum(pool.imap_unordered(_sum_job, jobs, chunksize=1))
     bound = _error_bound(jobs)
     if not _proved(acc, guard, bound):
         return None, bound

@@ -70,13 +70,15 @@ def test_verify_single_relation(capsys):
 
 
 def test_verify_json_null_for_exact_zero(capsys):
-    # h1's members round to the same value at 512 bits; h1 states no bound
-    rc, out, _ = run(capsys, "verify", "--relation", "h1", "--bits", "512",
-                     "--json")
+    # the asymptotic coefficients are compared exactly: a zero residual
+    # and no bound, both printed as null
+    rc, out, _ = run(capsys, "hyper", "--check", "asymp", "--json")
     assert rc == 0
     doc = json.loads(out)
-    assert doc == [{"bits": 512, "log2_bound": None, "log2_residual": None,
-                    "name": "h1", "passed": True}]
+    assert [r["name"] for r in doc] == [f"asymp-k{m}" for m in range(1, 7)]
+    for r in doc:
+        assert r == {"bits": 256, "log2_bound": None, "log2_residual": None,
+                     "name": r["name"], "passed": True}
 
 
 def test_verify_json_carries_the_bound(capsys):

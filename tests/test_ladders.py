@@ -44,9 +44,9 @@ def test_full_suite_at_512_bits():
 # argument, a table entry or the fixed-point evaluation that moves a
 # single residual or bound bit moves it
 RESIDUAL_SHA256 = {
-    256: "fbed08f406b6b1f0714a9c54d3055ba0bba5696eb639676763b80ac574dec98b",
-    512: "b9b7ea5b79e9df9a35a218e5ffbc01f068dbc399d1b6308bcaa9ba49b9ac13bb",
-    1024: "a5ede091d57422233c075865677abed81846f7f726a3c1090829e7d5675d8667",
+    256: "331d789fc3206e4edc87f46903921bbf7330dba1e12271f996d54b427609835a",
+    512: "bde391b3aad607f4cf2ed41dfe3b775c1ccef9b16d8d1a84f9e21504bc134b4b",
+    1024: "a848ca7737bb83449d9f3245125ef767c1c23de20527b02169610c63bcc49a9c",
 }
 
 
@@ -64,10 +64,7 @@ def test_every_report_passes_with_its_bound_16_bits_clear(bits):
     assert len(reports) == (33 if bits >= 1024 else 32)
     for r in reports:
         assert r.passed, r
-        if r.name == "h1":
-            assert r.log2_bound is None
-        else:
-            assert r.log2_bound <= -(bits - 64) - 16, r
+        assert r.log2_bound <= -(bits - 64) - 16, r
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1024])
@@ -109,7 +106,8 @@ def _with_unit_term(monkeypatch, name: str, delta: Q) -> None:
 
 
 @pytest.mark.parametrize("name,bits", [("r3", 256), ("w21", 512),
-                                       ("z11", 256), ("f11", 1024)])
+                                       ("z11", 256), ("f11", 1024),
+                                       ("h1", 256)])
 def test_threshold_is_sharp(monkeypatch, name, bits):
     threshold = Q(1, 1 << (bits - 64))
     _with_unit_term(monkeypatch, name, threshold * (1 - Q(1, 1 << 16)))
@@ -123,7 +121,7 @@ def test_complex_relations_are_rows_of_the_table():
         assert [i.name for i in RELATIONS[name].rows] == [
             f"{name}.re", f"{name}.im"]
     assert [i.name for i in RELATIONS["h21"].rows] == ["h21.re"]
-    assert RELATIONS["h1"].rows == () and RELATIONS["h1"].members
+    assert [i.name for i in RELATIONS["h1"].rows] == ["h1.re", "h1.im"]
 
 
 def test_f11_at_1024_bits():

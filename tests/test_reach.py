@@ -31,9 +31,6 @@ ALLOWED = {
     "series.SeriesSpec.__str__": "debugging aid, read by no program path",
     "mp.special.hurwitz":
         "perfbench/tracing.py wraps it by name for the traced benchmark",
-    "series.dump_catalog":
-        "the derived-catalog sha256 pin hashes its canonical form",
-    "series._record": "dump_catalog's record of one formula",
 }
 
 

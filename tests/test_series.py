@@ -2,6 +2,7 @@
 constant it claims to be, plus the series evaluator against an exact
 rational reference sum."""
 
+import cmath
 import hashlib
 import json
 from fractions import Fraction
@@ -14,10 +15,11 @@ from lihex.errors import (DomainError, PrecisionError, UnknownName,
                           UnsupportedArgument)
 from lihex.ladders import RELATIONS, check_relation
 from lihex.mp import special as sp
+from lihex.mp.cplx import MpComplex, cln
 from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
 from lihex.series import (IDENTITIES, Monomial, SeriesSpec, catalog,
-                          derived_catalog, dump_catalog, eval_formula,
-                          eval_series, polylog_pattern, solve_formulas)
+                          derived_catalog, eval_formula, eval_series,
+                          polylog_pattern, solve_formulas)
 
 P = 192
 
@@ -142,7 +144,8 @@ def test_values_are_pinned():
 
 @pytest.mark.parametrize("m", [Monomial(log2=11), Monomial(log2=100),
                                Monomial(log2=200),
-                               Monomial(pi=3, log2=7, zeta=3, beta=4)])
+                               Monomial(pi=3, log2=7, zeta=3, beta=4),
+                               Monomial(pi=1, sqrt2=1)])
 def test_monomial_value_keeps_relative_accuracy(m):
     # log2^200 is about 2^-106: a working precision fixed above the
     # binary point would leave it far fewer than 256 significant bits
@@ -153,6 +156,8 @@ def test_monomial_value_keeps_relative_accuracy(m):
         want = want.mul(sp.zeta(m.zeta, wp), wp)
     if m.beta:
         want = want.mul(sp.dirichlet_beta(m.beta, wp), wp)
+    for _ in range(m.sqrt2):
+        want = want.mul(MpReal.from_int(2, wp).sqrt(wp), wp)
     want = want.to_fraction()
     got = m.value(256).to_fraction()
     assert abs(got - want) <= abs(want) / (1 << 252)
@@ -191,8 +196,9 @@ def test_argument_table_matches_literals():
     for name, z in ARGUMENT_LITERALS.items():
         p = next(p for p in range(1, 7) if abs(z ** 8 * 16 ** p - 1) < 1e-9)
         assert series.ARGUMENTS[name][0] == p
-        v = series._argument_value(name, 64)
-        assert abs(complex(v.re.to_float(), v.im.to_float()) - z) < 1e-15
+        j = series.ARGUMENTS[name][1]
+        assert abs(2 ** (-p / 2) * cmath.exp(1j * cmath.pi * j / 4) - z) \
+            < 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(ARGUMENT_LITERALS))
@@ -218,6 +224,53 @@ def test_polylog_pattern_against_literal_powers(name):
             assert all(abs(g - w) < 1e-9 for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_h1_rows_against_complex_logarithms(bits):
+    # Li_1(z) = -log(1 - z) at four times the precision: the sqrt2-scaled
+    # S-atoms of the imaginary parts, the real parts' S-basis expansions,
+    # and h1 itself, Li_1(-i/sqrt8) - 2 Li_1(i/sqrt2) - Li_1(1/2)/2 = -i pi/2
+    wp = 4 * bits
+    r2 = MpReal.from_int(2, wp).sqrt(wp)
+    zero = MpReal.zero(wp)
+    z = {"1/2": MpComplex.from_fractions(Fraction(1, 2), Fraction(0), wp),
+         "i/sqrt2": MpComplex(zero, r2.mul(Fraction(1, 2), wp)),
+         "-i/sqrt8": MpComplex(zero, r2.mul(Fraction(-1, 4), wp))}
+    li1 = {arg: -cln(MpComplex.from_int(1, wp) - v, wp)
+           for arg, v in z.items()}
+
+    def close(a, b):
+        d = (a - b).to_fraction()
+        return abs(d) < Fraction(1, 1 << (bits - 8))
+
+    c = (1, 0, -1, 0, 1, 0, -1, 0)
+    s11 = eval_series(SeriesSpec(1, 1, c), wp)
+    s13 = eval_series(SeriesSpec(1, 3, c), wp)
+    assert close(li1["i/sqrt2"].im, r2.mul(s11, wp))
+    assert close(li1["-i/sqrt8"].im, r2.mul(s13, wp).mul(-2, wp))
+    for arg, v in li1.items():
+        (coef, spec), = polylog_pattern(arg, 1, "re")
+        assert close(v.re, eval_series(spec, wp).mul(coef, wp))
+    h1 = (li1["-i/sqrt8"] - li1["i/sqrt2"] * 2
+          - li1["1/2"] * Fraction(1, 2))
+    assert close(h1.re, zero)
+    assert close(h1.im, pi_const(wp).mul(Fraction(-1, 2), wp))
+    assert check_relation("h1", bits).log2_bound <= -(bits - 64) - 16
+
+
+def _dump(formulas) -> str:
+    """Deterministic JSON for a formula collection."""
+    recs = sorted(({
+        "name": f.name,
+        "scale": [f.scale.numerator, f.scale.denominator],
+        "terms": [{"coef": [c.numerator, c.denominator],
+                   "n": s.n, "p": s.p, "pattern": list(s.pattern)}
+                  for c, s in f.terms],
+        "description": f.description,
+        "label": f.label,
+    } for f in formulas), key=lambda r: r["name"])
+    return json.dumps(recs, sort_keys=True, separators=(",", ":"))
+
+
 # sha256 of the canonical dump of the eight solved formulas; any change
 # to the identity table or the elimination that alters a formula moves it
 DERIVED_SHA256 = (
@@ -225,7 +278,7 @@ DERIVED_SHA256 = (
 
 
 def test_derived_catalog_is_pinned():
-    text = dump_catalog(derived_catalog().values())
+    text = _dump(derived_catalog().values())
     assert hashlib.sha256(text.encode()).hexdigest() == DERIVED_SHA256
 
 

@@ -5,9 +5,9 @@ grouped fold against exact fractions built from the catalog's own
 per-spec terms, and the error-bound test that proves each window."""
 
 import contextlib
-import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,8 +18,8 @@ from lihex import spigot
 from lihex.errors import DomainError, GuardExhausted
 from lihex.series import Formula, SeriesSpec, catalog, eval_formula
 from lihex.spigot import (DigitRequest, DigitRun, _error_bound, _formula_jobs,
-                          _proved, _sum_block, _table, _window, hex_digits,
-                          self_check)
+                          _proved, _sum_block, _table, _terms, _window,
+                          hex_digits, self_check)
 
 # windows produced by summing the constants conventionally at
 # 4*(d+16)+64 bits and slicing -- never by the spigot itself
@@ -144,14 +144,13 @@ def test_block_lies_within_the_error_interval(name, shift0, acc_bits, k0,
     # than one ulp per summed term plus one, below it by less than one
     f = catalog()[name]
     t, shift, *_ = _formula_jobs(f, shift0, acc_bits)[0]
-    job = (t, shift, acc_bits, k0, k0 + width)
-    got = _sum_block(*job)
+    got = _sum_block(t, shift, acc_bits, k0, k0 + width)
     one = 1 << acc_bits
     exact = sum(_spec_terms(f, shift0, k0, k0 + width).values())
     diff = (exact * one - got) % one
     if diff > one // 2:
         diff -= one
-    assert -1 < diff < _error_bound([job])
+    assert -1 < diff < _terms(t, k0, k0 + width) + 1
 
 
 @pytest.mark.parametrize("name", ["pi", "catalan", "zeta3", "beta3",
@@ -162,7 +161,7 @@ def test_term_count_matches_a_brute_force_count(name):
     t = _table(f)
     for k0, k1 in ((1, 2), (1, 500), (37, 1000), (119, 241), (5, 5)):
         want = sum(1 for x in _spec_terms(f, 0, k0, k1).values() if x)
-        assert _error_bound([(t, 0, 8, k0, k1)]) == want + 1, (k0, k1)
+        assert _terms(t, k0, k1) == want, (k0, k1)
 
 
 def test_self_check_facility():
@@ -191,7 +190,7 @@ def test_pool_never_outgrows_the_job_list(monkeypatch):
     def pool(size):
         sizes.append(size)
         return contextlib.nullcontext(SimpleNamespace(
-            starmap=lambda fn, jobs, chunksize: itertools.starmap(fn, jobs)))
+            imap_unordered=lambda fn, jobs, chunksize: map(fn, jobs)))
 
     monkeypatch.setattr(spigot.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=pool))
@@ -201,6 +200,23 @@ def test_pool_never_outgrows_the_job_list(monkeypatch):
     run = hex_digits(DigitRequest("zeta3", 10000, 16, threads=256))
     assert run.digits == "8F811A52EA1EFFB4"
     assert sizes == [2]
+
+
+def test_sizing_a_far_window_lists_no_jobs():
+    # pi at position 2^30 spans 131,073 blocks of 2^16 K; the jobs and
+    # their error bound come from arithmetic on kmax, not from a list
+    f = catalog()["pi"]
+    _table(f)  # the formula's cached table is not part of the sizing
+    tracemalloc.start()
+    try:
+        jobs = _formula_jobs(f, 4 * (2**30 - 1), 4 * 16)
+        bound = _error_bound(jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(jobs) == 131_073
+    assert bound == _terms(_table(f), 1, jobs[-1][-1]) + 1
+    assert peak < 1 << 20
 
 
 def test_unreachable_position_fails_before_summing():
