@@ -42,7 +42,6 @@ import functools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -74,11 +73,6 @@ from .mp.real import (
 from .series import ARGUMENTS, _gaussian, eval_formula
 
 __all__ = [
-    "WArgs",
-    "F5Args",
-    "GenFnId",
-    "AsympCoeff",
-    "GENFN_IDS",
     "eval_W",
     "reflection_check",
     "f5",
@@ -92,9 +86,7 @@ __all__ = [
     "u_rational",
     "utilde_rational",
     "asymp_coeff",
-    "asymp_battery",
     "pochhammer_check",
-    "POCHHAMMER_IDS",
     "expu_check",
     "geo_checks",
     "catalan_binomial",
@@ -109,18 +101,17 @@ _HALF = Q(1, 2)
 # ----------------------------------------------------------------------
 # small helpers
 
-def _as_real(x: Fraction | int | MpReal, wp: int) -> MpReal:
-    if isinstance(x, MpReal):
-        return x.round_to(wp)
-    return MpReal.from_fraction(Q(x), wp)
-
-
-def _as_cplx(t: MpComplex | MpReal | Fraction | int, wp: int) -> MpComplex:
+def _as_cplx(t: MpComplex | Fraction, wp: int) -> MpComplex:
     if isinstance(t, MpComplex):
         return t.round_to(wp)
-    if isinstance(t, MpReal):
-        return MpComplex.from_real(t.round_to(wp))
     return MpComplex.from_fractions(Q(t), Q(0), wp)
+
+
+def _z(arg: str) -> tuple[Fraction, Fraction]:
+    """(Re z, Im z) of the Gaussian-rational argument named `arg` in
+    `series.ARGUMENTS`."""
+    zr, zi, shift = _gaussian(arg)
+    return Q(zr, 1 << shift), Q(zi, 1 << shift)
 
 
 def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
@@ -269,60 +260,35 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
 
 
 def _gamma_q(x: Fraction, wp: int) -> MpReal:
-    g = _sp.gamma(MpReal.from_fraction(x, wp), wp)
-    assert isinstance(g, MpReal)
-    return g
+    return _sp.gamma(MpReal.from_fraction(x, wp), wp)
 
 
 # ----------------------------------------------------------------------
 # the W kernel and its reflection law
 
-@dataclass(frozen=True)
-class WArgs:
-    """Arguments of the kernel W(a1, a2; a3, a4)."""
-
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-
-    def __post_init__(self) -> None:
-        for f in ("a1", "a2", "a3", "a4"):
-            object.__setattr__(self, f, Q(getattr(self, f)))
-        if self.a3 <= -_HALF or self.a4 <= -_HALF:
-            raise DomainError("W needs 1/2 + a3 and 1/2 + a4 positive")
-
-    @property
-    def sigma1(self) -> Fraction:
-        return self.a1 + self.a2 + self.a3 + self.a4
-
-
-def eval_W(args: WArgs, prec: int) -> MpReal:
+def eval_W(args: tuple[Fraction, ...], prec: int) -> MpReal:
     """W(a1, a2; a3, a4) = 3F2(1/2-a1, 1/2-a2, 1; 3/2+a3, 3/2+a4; 1)
-    divided by (1/2+a3)(1/2+a4).  Requires every |a_k| < 1/2."""
-    for a in (args.a1, args.a2, args.a3, args.a4):
+    divided by (1/2+a3)(1/2+a4), for args = (a1, a2, a3, a4).  Requires
+    every |a_k| < 1/2."""
+    for a in args:
         if abs(a) >= _HALF:
             raise DivergenceError(f"W argument {a} outside (-1/2, 1/2)")
-    f = _hyp3f2_unit(
-        _HALF - args.a1, _HALF - args.a2,
-        Q(3, 2) + args.a3, Q(3, 2) + args.a4,
-        prec + 16,
-    )
-    scale = (_HALF + args.a3) * (_HALF + args.a4)
-    return f.div(scale, prec)
+    a1, a2, a3, a4 = args
+    f = _hyp3f2_unit(_HALF - a1, _HALF - a2, Q(3, 2) + a3, Q(3, 2) + a4,
+                     prec + 16)
+    return f.div((_HALF + a3) * (_HALF + a4), prec)
 
 
-def reflection_check(args: WArgs, prec: int) -> CheckReport:
+def reflection_check(args: tuple[Fraction, ...], prec: int) -> CheckReport:
     """W(a1,a2;a3,a4) + W(a3,a4;a1,a2) against its gamma closed form."""
+    a1, a2, a3, a4 = args
     wp = prec + 32
-    lhs = eval_W(args, wp).add(
-        eval_W(WArgs(args.a3, args.a4, args.a1, args.a2), wp), wp
-    )
-    rhs = _gamma_q(1 + args.sigma1, wp)
-    for a in (args.a1, args.a2, args.a3, args.a4):
+    lhs = eval_W(args, wp).add(eval_W((a3, a4, a1, a2), wp), wp)
+    rhs = _gamma_q(1 + a1 + a2 + a3 + a4, wp)
+    for a in args:
         rhs = rhs.div(_gamma_q(_HALF + a, wp), wp)
-    for ai in (args.a1, args.a2):
-        for aj in (args.a3, args.a4):
+    for ai in (a1, a2):
+        for aj in (a3, a4):
             rhs = rhs.mul(
                 _sp.beta_fn(
                     MpReal.from_fraction(_HALF + ai, wp),
@@ -331,50 +297,21 @@ def reflection_check(args: WArgs, prec: int) -> CheckReport:
                 ),
                 wp,
             )
-    name = "reflect({},{};{},{})".format(
-        args.a1, args.a2, args.a3, args.a4
-    )
+    name = "reflect({},{};{},{})".format(*args)
     return _report(name, prec, lhs.add(-rhs, wp), 32)
 
 
 # ----------------------------------------------------------------------
 # the fifth-order obstruction coefficient
 
-@dataclass(frozen=True)
-class F5Args:
-    """Parameter quadruple for the order-5 coefficient of the
-    antisymmetrised W expansion."""
-
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-
-    def __post_init__(self) -> None:
-        for f in ("a1", "a2", "a3", "a4"):
-            object.__setattr__(self, f, Q(getattr(self, f)))
-
-    @property
-    def sigma1(self) -> Fraction:
-        return self.a1 + self.a2 + self.a3 + self.a4
-
-    @property
-    def sigma2(self) -> Fraction:
-        return self.a1**2 + self.a2**2 + self.a3**2 + self.a4**2
-
-    @property
-    def delta1(self) -> Fraction:
-        return self.a1 + self.a2 - self.a3 - self.a4
-
-    @property
-    def delta2(self) -> Fraction:
-        return self.a1 * self.a2 - self.a3 * self.a4
-
-
-def f5(args: F5Args) -> Fraction:
-    """Exact coefficient 2 s2 d1 - 3 s1 (d2 + s1 d1) of the t^5 term."""
-    s1, s2 = args.sigma1, args.sigma2
-    d1, d2 = args.delta1, args.delta2
+def f5(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction) -> Fraction:
+    """Exact coefficient 2 s2 d1 - 3 s1 (d2 + s1 d1) of the t^5 term of
+    the antisymmetrised W expansion, where s1 and s2 sum the a_k and
+    their squares, d1 = a1 + a2 - a3 - a4 and d2 = a1 a2 - a3 a4."""
+    s1 = a1 + a2 + a3 + a4
+    s2 = a1**2 + a2**2 + a3**2 + a4**2
+    d1 = a1 + a2 - a3 - a4
+    d2 = a1 * a2 - a3 * a4
     return 2 * s2 * d1 - 3 * s1 * (d2 + s1 * d1)
 
 
@@ -400,25 +337,6 @@ _PF: dict[str, tuple[_FamT, ...]] = {
     "G": (("(1+i)/4", "im", 2, Q(2, 3)), ("-i/2", "im", -2, Q(1))),
     "H": (("(1-i)/8", "im", 2, Q(2, 5)), ("-i/2", "im", -4, Q(1))),
 }
-
-
-@dataclass(frozen=True)
-class GenFnId:
-    """A generating-function identifier and which forms it supports."""
-
-    name: str
-    has_hyp: bool
-
-
-def _fam_coeff(fam: _FamT, k: int) -> Fraction:
-    """Exact coefficient of 1/(k - mu t) in one family."""
-    arg, sel, mult, _ = fam
-    zr, zi, shift = _gaussian(arg)
-    ar, ai = 1, 0
-    for _ in range(k):
-        ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
-    num = ar if sel == "re" else ai
-    return Q(mult * num, 1 << (shift * k))
 
 
 def _pole_sum(
@@ -478,8 +396,7 @@ def _pole_sum(
     )
 
 
-def genfn_pf(name: str, t: MpComplex | MpReal | Fraction | int,
-             prec: int) -> MpComplex:
+def genfn_pf(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
     """Partial-fraction value of generating function `name` at t."""
     if name not in _PF:
         raise UnknownName(f"no generating function {name!r}")
@@ -490,8 +407,7 @@ def genfn_pf(name: str, t: MpComplex | MpReal | Fraction | int,
     return _pole_sum(_PF[name], tc, wp).round_to(prec)
 
 
-def genfn_cplx(name: str, t: MpComplex | MpReal | Fraction | int,
-               prec: int) -> MpComplex:
+def genfn_cplx(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
     """The complex-coefficient generating function (F, G or H) whose
     real/imaginary parts generate the paired real ladders."""
     if name not in _RECUR:
@@ -518,19 +434,15 @@ _HYP_PARAMS: dict[str, Callable[[Fraction], tuple]] = {
                     1 - 2 * t / 3, "ratio"),
 }
 
-GENFN_IDS: dict[str, GenFnId] = {
-    name: GenFnId(name, name in _HYP_PARAMS) for name in _PF}
-
-
-def genfn_hyp(name: str, t: Fraction | int, prec: int) -> MpReal:
+def genfn_hyp(name: str, t: Fraction, prec: int) -> MpReal:
     """Closed 3F2 form of a generating function, for |t| < 1/2.
 
     Only A, B, C, D, F and G reduce to a single 3F2; E and H have no
-    known form of this shape (GENFN_IDS records which is which).
+    known form of this shape.
     """
-    if name not in GENFN_IDS:
+    if name not in _PF:
         raise UnknownName(f"no generating function {name!r}")
-    if not GENFN_IDS[name].has_hyp:
+    if name not in _HYP_PARAMS:
         raise DomainError(f"generating function {name} has no 3F2 form")
     tq = Q(t)
     if abs(tq) >= _HALF:
@@ -599,7 +511,7 @@ def _trig_values(name: str, t: MpReal, tq: Fraction,
             top = top.mul(f(_times(pt, q, wp), wp), wp)
         for f, q in den:
             bot = bot.mul(f(_times(pt, q, wp), wp), wp)
-        w = eval_W(WArgs(*(m * tq for m in wargs)), wp)
+        w = eval_W(tuple(m * tq for m in wargs), wp)
         wt = w.mul(tq * tq, wp).div(div, wp)
         out.append(MpReal.from_int(1, wp).add(-top.div(bot, wp), wp).add(
             wt if sign > 0 else -wt, wp))
@@ -651,7 +563,7 @@ _RECUR: dict[str, tuple[int, int, int, tuple[tuple[int, ...], ...]]] = {
 }
 
 
-def check_recurrence(name: str, t: MpComplex | MpReal | Fraction,
+def check_recurrence(name: str, t: MpComplex | Fraction,
                      prec: int) -> CheckReport:
     """Functional equation linking G(t) to G(t - shift) for the complex
     generating functions F, G, H."""
@@ -734,55 +646,45 @@ def _u_trig_m_prime(t: MpReal, wp: int) -> MpReal:
         _two_t(t, wp).mul(sv, wp), wp)
 
 
-def U(t: Fraction | int | MpReal, prec: int) -> MpReal:
+def U(t: Fraction, prec: int) -> MpReal:
     """The interpolation U(t), finite for t > -2; PoleError at genuine
     poles (even integers t <= -2), removable points handled exactly."""
     wp = prec + 96
-    tr = _as_real(t, wp)
-    tq = tr.to_fraction()
-    if tq == 0:
-        return MpReal.zero(prec)
+    tq = Q(t)
+    tr = MpReal.from_fraction(tq, wp)
     pi_ = pi_const(wp)
 
     hits: list[tuple[Fraction, Fraction, int, int]] = []  # (c, mu, fam, k)
-    for fi, fam in enumerate(_E_FAMS):
-        mu = fam[3]
+    for fi, (arg, _sel, mult, mu) in enumerate(_E_FAMS):
         kq = mu * tq
         if kq.denominator == 1 and kq >= 1:
-            c = _fam_coeff(fam, int(kq))
+            c = mult * _gpow(*_z(arg), int(kq))[0]  # E takes real parts
             if c != 0:
                 hits.append((c, mu, fi, int(kq)))
     even_hit = tq.denominator == 1 and int(tq) % 2 == 0
     sec_q = 2 * tq / 5
     sec_hit = sec_q.denominator == 1 and int(sec_q) % 2 != 0
 
-    if not hits and not even_hit and not sec_hit:
-        trig = _u_trig_n(tr, wp).div(_sincos_pt(tr, 2, wp)[0], wp)
-        e_val = _pole_sum(_E_FAMS, MpComplex.from_real(tr), wp).re
-        val = MpReal.from_int(1, wp).add(-trig, wp).add(-e_val, wp)
-        return val.mul(Q(5, 2), prec)
-
-    # limit assembly: bracket = 1 - T - E with T and the hit terms of E
-    # replaced by the constant parts of their Laurent expansions
+    # bracket = 1 - T - E, where at a singular point T and the hit terms
+    # of E are replaced by the constant parts of their Laurent expansions
     res = MpReal.zero(wp)
-    cst = MpReal.zero(wp)
     mags = [0.0]
     if even_hit:
         sgn = 1 if (int(tq) // 2) % 2 == 0 else -1
         part = _u_trig_n(tr, wp).mul(2 * sgn, wp).div(pi_, wp)
         res = res.add(part, wp)
         mags.append(_log2_mag(part))
-        cst = cst.add(
-            _u_trig_n_prime(tr, wp).mul(2 * sgn, wp).div(pi_, wp), wp)
+        cst = _u_trig_n_prime(tr, wp).mul(2 * sgn, wp).div(pi_, wp)
     elif sec_hit:
         sgn = 1 if ((int(sec_q) - 1) // 2) % 2 == 0 else -1
         m_val = _u_trig_m(tr, wp)
         part = m_val.mul(-5 * sgn, wp).div(pi_, wp)
         res = res.add(part, wp)
         mags.append(_log2_mag(part))
-        cst = cst.add(
-            _u_trig_m_prime(tr, wp).mul(-5 * sgn, wp).div(pi_, wp), wp)
+        cst = _u_trig_m_prime(tr, wp).mul(-5 * sgn, wp).div(pi_, wp)
         cst = cst.add(m_val.mul(-8, wp), wp)  # -8 M sin^2 with sin^2 = 1
+    else:
+        cst = _u_trig_n(tr, wp).div(_sincos_pt(tr, 2, wp)[0], wp)
     for c, mu, _fi, _k in hits:
         part = MpReal.from_fraction(-tq * c / mu, wp)
         res = res.add(part, wp)
@@ -799,16 +701,16 @@ def U(t: Fraction | int | MpReal, prec: int) -> MpReal:
     return val.mul(Q(5, 2), prec)
 
 
-def Utilde(t: Fraction | int | MpReal, prec: int) -> MpReal:
+def Utilde(t: Fraction, prec: int) -> MpReal:
     """U(t) - 5 pi t / (2^t sin(pi t/2)): removes the reflected trig
     term so the half-odd lattice values become rational."""
     wp = prec + 48
-    tr = _as_real(t, wp)
-    tq = tr.to_fraction()
+    tq = Q(t)
     if tq.denominator == 1 and int(tq) % 2 == 0 and tq != 0:
         raise PoleError("the subtracted term has a pole at even t")
-    u = U(tr, wp)
-    sub = _u_trig_m(tr, wp).mul(10, wp)  # 5 pi t / (2^t sin) = 10 M(t)
+    u = U(tq, wp)
+    # 5 pi t / (2^t sin) = 10 M(t)
+    sub = _u_trig_m(MpReal.from_fraction(tq, wp), wp).mul(10, wp)
     return u.add(-sub, prec)
 
 
@@ -931,14 +833,6 @@ def _kernel_coeffs() -> array:
     return g
 
 
-@dataclass(frozen=True)
-class AsympCoeff:
-    """One exact coefficient of the large-t expansion of U."""
-
-    m: int
-    value: int
-
-
 _ASYMP_MAX_M = 64
 
 
@@ -1003,10 +897,6 @@ def asymp_coeff(m: int) -> int:
     return k
 
 
-def asymp_battery(count: int = 6) -> list[AsympCoeff]:
-    return [AsympCoeff(m, asymp_coeff(m)) for m in range(1, count + 1)]
-
-
 # ----------------------------------------------------------------------
 # Pochhammer ratio identities
 #
@@ -1034,9 +924,6 @@ _POCH: dict[str, tuple] = {
     "poc6": (Q(1, 5), (Q(-1, 10),) * 3, (Q(0), Q(0), Q(1, 5)), 4, Q(1, 10),
              3),
 }
-
-POCHHAMMER_IDS = tuple(_POCH)
-
 
 def pochhammer_check(which: str, t: Fraction, prec: int) -> CheckReport:
     """One of six Pochhammer-ratio identities at rational 0 < t < 1."""
@@ -1073,8 +960,7 @@ def expu_check(prec: int = 512) -> CheckReport:
     no known closed form and is excluded."""
     if prec < 512:
         raise DomainError("the Taylor probe needs prec >= 512")
-    coeffs = _sp.taylor_coeffs(
-        lambda x, wp: U(x, wp), 5, prec, Q(1, 4))
+    coeffs = _sp.taylor_coeffs(U, 5, prec)
     wp = prec + 32
     pi_ = pi_const(wp)
     ln2 = log2_const(wp)
@@ -1108,16 +994,17 @@ def expu_check(prec: int = 512) -> CheckReport:
 def geo_checks(prec: int = 256) -> list[CheckReport]:
     """Exact geometric resummations underlying the C and D pole sums,
     and the sec - 8 sin^2 bracket value at t = 2."""
-    out = []
-    s8 = Q(-1, 8) / (1 - Q(-1, 8))
-    s2 = Q(-1, 2) / (1 - Q(-1, 2))
-    out.append(_exact_report(
-        "geo-eighth", prec, -3 * s8 + 2 * s2 == Q(-1, 3)))
-    zr, zi = Q(1, 4), Q(1, 4)
-    d = (1 - zr) ** 2 + zi * zi
-    re_sum = (zr * (1 - zr) - zi * zi) / d
-    lhs2 = -3 * re_sum + 2 * (Q(-1, 4) / (1 - Q(-1, 4)))
-    out.append(_exact_report("geo-quarter", prec, lhs2 == Q(-1)))
+    def geo(arg: str) -> Fraction:
+        """Re of sum_(k>=1) z^k = z / (1 - z)."""
+        zr, zi = _z(arg)
+        return (zr * (1 - zr) - zi * zi) / ((1 - zr) ** 2 + zi * zi)
+
+    out = [
+        _exact_report("geo-eighth", prec,
+                      -3 * geo("-1/8") + 2 * geo("-1/2") == Q(-1, 3)),
+        _exact_report("geo-quarter", prec,
+                      -3 * geo("(1+i)/4") + 2 * geo("-1/4") == -1),
+    ]
     wp = prec + 32
     two = MpReal.from_int(2, wp)
     su, cu = _sincos_pt(two, 5, wp)
@@ -1214,15 +1101,13 @@ def catalan_binomial(prec: int) -> MpReal:
 
 def _battery_w(prec: int) -> list[CheckReport]:
     wp = prec + 32
-    base = eval_W(WArgs(Q(0), Q(0), Q(0), Q(0)), wp)
+    base = eval_W((Q(0),) * 4, wp)
     pi_ = pi_const(wp)
     ref = pi_.mul(pi_, wp).div(2, wp)
     out = [_report("W(0,0;0,0)", prec, base.add(-ref, wp), 8)]
     # self-reflection points exercise the kernel against pure gammas
-    out.append(reflection_check(
-        WArgs(Q(1, 10), Q(1, 8), Q(1, 10), Q(1, 8)), prec))
-    out.append(reflection_check(
-        WArgs(Q(-1, 6), Q(1, 4), Q(-1, 6), Q(1, 4)), prec))
+    out.append(reflection_check((Q(1, 10), Q(1, 8), Q(1, 10), Q(1, 8)), prec))
+    out.append(reflection_check((Q(-1, 6), Q(1, 4), Q(-1, 6), Q(1, 4)), prec))
     return out
 
 
@@ -1236,21 +1121,18 @@ _REFLECT_POINTS = (
 
 
 def _battery_inv(prec: int) -> list[CheckReport]:
-    return [reflection_check(WArgs(*p), prec) for p in _REFLECT_POINTS]
+    return [reflection_check(p, prec) for p in _REFLECT_POINTS]
 
 
 def _battery_genfn(prec: int) -> list[CheckReport]:
     wp = prec + 32
     out = []
-    c = _sp.taylor_coeffs(
-        lambda x, w: genfn_pf("A", x, w).re, 1, prec, Q(1, 4))
+    c = _sp.taylor_coeffs(lambda x, w: genfn_pf("A", x, w).re, 1, prec)
     out.append(_report(
         "A-linear-term", prec, c[1].add(-log2_const(wp), wp),
         prec - prec // 2 + 16))
-    cf = _sp.taylor_coeffs(
-        lambda x, w: genfn_pf("F", x, w).re, 2, prec, Q(1, 4))
-    cg = _sp.taylor_coeffs(
-        lambda x, w: genfn_pf("G", x, w).re, 2, prec, Q(1, 4))
+    cf = _sp.taylor_coeffs(lambda x, w: genfn_pf("F", x, w).re, 2, prec)
+    cg = _sp.taylor_coeffs(lambda x, w: genfn_pf("G", x, w).re, 2, prec)
     probe = cf[2].add(-cg[2], wp).mul(Q(3, 4), wp)  # (3/2)(F2 - G2)
     out.append(_report(
         "catalan-from-F-G", prec,
@@ -1322,9 +1204,8 @@ _ASYMP_KNOWN = (11, 157, -1749, -433651, -43430405, -4000517955)
 
 
 def _battery_asymp(prec: int) -> list[CheckReport]:
-    return [_exact_report(f"asymp-k{a.m}", prec, a.value == known)
-            for a, known in zip(asymp_battery(len(_ASYMP_KNOWN)),
-                                _ASYMP_KNOWN)]
+    return [_exact_report(f"asymp-k{m}", prec, asymp_coeff(m) == known)
+            for m, known in enumerate(_ASYMP_KNOWN, 1)]
 
 
 def _battery_poch(prec: int) -> list[CheckReport]:
@@ -1372,19 +1253,34 @@ def _battery_order5(prec: int) -> list[CheckReport]:
                               MpComplex.from_fractions(*y, wp), prec)
            for x, y in _LI5_POINTS]
     out.append(_exact_report("f5-published-values", prec, all(
-        f5(F5Args(*a)) == want for a, want in _F5_KNOWN)))
+        f5(*a) == want for a, want in _F5_KNOWN)))
     return out
 
 
+# a report passes when its residual is below 2^(slack - bits), and the
+# fixed slacks reach 64 bits: below twice that a pass certifies little
+_MIN_BITS = 128
+
+
+def _floored(battery: Callable[[int], list[CheckReport]]) -> Callable:
+    """The battery, refusing a precision below _MIN_BITS before any work."""
+    def run(prec: int) -> list[CheckReport]:
+        if prec < _MIN_BITS:
+            raise PrecisionError(
+                f"check batteries need at least {_MIN_BITS} bits, not {prec}")
+        return battery(prec)
+    return run
+
+
 CHECKS: dict[str, Callable[[int], list[CheckReport]]] = {
-    "W": _battery_w,
-    "inv": _battery_inv,
-    "genfn": _battery_genfn,
-    "recur": _battery_recur,
-    "U": _battery_u,
-    "asymp": _battery_asymp,
-    "poch": _battery_poch,
-    "expu": _battery_expu,
-    "geo": _battery_geo,
-    "order5": _battery_order5,
+    "W": _floored(_battery_w),
+    "inv": _floored(_battery_inv),
+    "genfn": _floored(_battery_genfn),
+    "recur": _floored(_battery_recur),
+    "U": _floored(_battery_u),
+    "asymp": _floored(_battery_asymp),
+    "poch": _floored(_battery_poch),
+    "expu": _floored(_battery_expu),
+    "geo": _floored(_battery_geo),
+    "order5": _floored(_battery_order5),
 }

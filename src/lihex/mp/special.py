@@ -447,27 +447,24 @@ def _polylog(n: int, zr: int, zi: int, wp: int, prec: int) -> MpComplex:
 
 
 def taylor_coeffs(
-    f: Callable[[MpReal, int], MpReal],
+    f: Callable[[Fraction, int], MpReal],
     order: int,
     prec: int,
-    radius: Fraction,
 ) -> list[MpReal]:
     """Taylor coefficients c_0..c_order of f at 0, each within 2**-(prec/2).
 
-    Samples f at the symmetric grid j*h (|j| <= order) and applies the
-    exact rational inverse of the Vandermonde system, so the only error
-    sources are f's own evaluations and the series truncation controlled
-    by the grid spacing h.
+    Samples f at the exact symmetric grid j*h (|j| <= order), with h a
+    power of two below 1/4, and applies the exact rational inverse of the
+    Vandermonde system, so the only error sources are f's own evaluations
+    and the series truncation controlled by the grid spacing h.
     """
     if not 0 <= order <= 12:
         raise DomainError("taylor_coeffs supports orders 0..12")
     _check_prec(prec)
-    if radius <= 0:
-        raise DomainError("radius must be positive")
     wp = 2 * prec + 64
     m = order
     t = prec // (order + 1) + 3
-    h = radius * Fraction(1, 1 << t)
+    h = Fraction(1, 4 << t)
     nodes = [j * h for j in range(-m, m + 1)]
     # Lagrange basis expansion: rows[j][i] = coefficient of x^i in ell_j(x)
     rows: list[list[Fraction]] = []
@@ -495,7 +492,7 @@ def taylor_coeffs(
             raise IllConditionedError(
                 f"coefficient {i}: losing {w_bits} of {wp} working bits"
             )
-    samples = [f(MpReal.from_fraction(xj, wp), wp) for xj in nodes]
+    samples = [f(xj, wp) for xj in nodes]
     out: list[MpReal] = []
     for i in range(order + 1):
         acc = MpReal.zero(wp)

@@ -36,7 +36,9 @@ __all__ = ["DigitRequest", "DigitRun", "hex_digits", "self_check",
 
 MAX_MODULUS_BITS = 192
 _BLOCK = 1 << 16
-_MAX_POSITION = 1 << 40
+# a window at position d sums K up to about 8d, so a request sums at most
+# about 2^30 terms: roughly an hour on one core at 3.3 us per term
+_MAX_POSITION = 1 << 27
 # a fixed bound, so that whether a request is valid never depends on the
 # machine; a pool never gets more workers than the request has jobs
 _MAX_THREADS = 256

@@ -118,6 +118,12 @@ def test_hyper_battery(capsys):
     assert "catalan-binomial" in out
 
 
+def test_hyper_battery_refuses_too_few_bits(capsys):
+    rc, out, err = run(capsys, "hyper", "--check", "W", "--bits", "0")
+    assert rc == 2 and out == ""
+    assert "usage error" in err
+
+
 @pytest.mark.parametrize("check", sorted(CHECKS))
 def test_hyper_json_residuals_are_floats(capsys, check):
     # the same field from `verify --json` is a float too

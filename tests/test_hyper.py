@@ -11,9 +11,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lihex.errors import DivergenceError, DomainError, PoleError, UnknownName
-from lihex.hyper import (CHECKS, F5Args, GENFN_IDS, POCHHAMMER_IDS, U, Utilde,
-                         WArgs, asymp_battery, asymp_coeff, catalan_binomial,
+from lihex.errors import (DivergenceError, DomainError, PoleError,
+                          PrecisionError, UnknownName)
+from lihex.hyper import (CHECKS, U, Utilde, asymp_coeff, catalan_binomial,
                          check_recurrence, check_trig_forms, eval_W,
                          expu_check, f5, genfn_cplx, genfn_hyp, genfn_pf,
                          geo_checks,
@@ -33,7 +33,7 @@ def _mag(x: MpReal) -> float:
 
 def test_w_at_origin_is_half_pi_squared():
     P = 512
-    w = eval_W(WArgs(Q(0), Q(0), Q(0), Q(0)), P)
+    w = eval_W((Q(0), Q(0), Q(0), Q(0)), P)
     pi_ = pi_const(P + 16)
     assert _mag(w - pi_.mul(pi_, P + 16).mul(Q(1, 2), P)) < -500
 
@@ -45,9 +45,9 @@ def test_w_at_origin_is_half_pi_squared():
 def test_w_argument_pair_symmetry(pt):
     P = 256
     a1, a2, a3, a4 = pt
-    base = eval_W(WArgs(a1, a2, a3, a4), P)
-    assert _mag(base - eval_W(WArgs(a2, a1, a3, a4), P)) < -(P - 16)
-    assert _mag(base - eval_W(WArgs(a1, a2, a4, a3), P)) < -(P - 16)
+    base = eval_W((a1, a2, a3, a4), P)
+    assert _mag(base - eval_W((a2, a1, a3, a4), P)) < -(P - 16)
+    assert _mag(base - eval_W((a1, a2, a4, a3), P)) < -(P - 16)
 
 
 @pytest.mark.parametrize("pt", [
@@ -56,18 +56,16 @@ def test_w_argument_pair_symmetry(pt):
     (Q(1, 3), Q(-1, 7), Q(2, 5), Q(1, 9)),
 ])
 def test_reflection_formula(pt):
-    rep = reflection_check(WArgs(*pt), 256)
+    rep = reflection_check(pt, 256)
     assert rep.passed, rep
 
 
 def test_w_divergence_outside_open_box():
     with pytest.raises(DivergenceError):
-        eval_W(WArgs(Q(1, 2), Q(0), Q(0), Q(0)), 128)
-
-
-def test_w_args_validation():
-    with pytest.raises(DomainError):
-        WArgs(Q(0), Q(0), Q(-1, 2), Q(0))
+        eval_W((Q(1, 2), Q(0), Q(0), Q(0)), 128)
+    # 1/2 + a3 = 0 would divide by zero
+    with pytest.raises(DivergenceError):
+        eval_W((Q(0), Q(0), Q(-1, 2), Q(0)), 128)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +78,7 @@ def test_w_args_validation():
     ((Q(1, 3), Q(1, 6), Q(1, 3), Q(-1, 3)), Q(-19, 72)),
 ])
 def test_f5_exact_rationals(args, want):
-    assert f5(F5Args(*args)) == want
+    assert f5(*args) == want
 
 
 # ----------------------------------------------------------------------
@@ -95,9 +93,10 @@ def test_genfn_forms_agree_at_one_tenth():
 
 
 def test_genfn_registry_and_guards():
-    assert {n for n, g in GENFN_IDS.items() if g.has_hyp} == set("ABCDFG")
-    with pytest.raises(DomainError):
-        genfn_hyp("E", Q(1, 10), 128)
+    assert all(genfn_hyp(n, Q(1, 10), 128).sign for n in "ABCDFG")
+    for name in "EH":
+        with pytest.raises(DomainError):
+            genfn_hyp(name, Q(1, 10), 128)
     with pytest.raises(UnknownName):
         genfn_hyp("X", Q(1, 10), 128)
     with pytest.raises(DomainError):
@@ -133,6 +132,8 @@ def test_u_series_matches_rational_at_five():
     P = 256
     d = U(Q(5), P) - MpReal.from_fraction(Q(20, 3), P)
     assert _mag(d) < -(P - 16)
+    # t = 0 is a removable point of the limit assembly, where U vanishes
+    assert U(Q(0), P).is_zero and u_rational(0) == 0
 
 
 def test_u_lattice_closed_forms():
@@ -187,7 +188,7 @@ ASYMP_SIX = (11, 157, -1749, -433651, -43430405, -4000517955)
 
 
 def test_first_six_asymptotic_integers():
-    assert tuple(a.value for a in asymp_battery(6)) == ASYMP_SIX
+    assert tuple(map(asymp_coeff, range(1, 7))) == ASYMP_SIX
 
 
 def test_asymp_oddness_and_divisibility():
@@ -230,8 +231,6 @@ def test_pochhammer_identities(which, t):
 
 
 def test_pochhammer_guards():
-    assert set(POCHHAMMER_IDS) == {"poca", "pocb", "pocc", "pocd",
-                                   "poc4", "poc6"}
     with pytest.raises(UnknownName):
         pochhammer_check("poce", Q(1, 2), 128)
     with pytest.raises(DomainError):
@@ -261,6 +260,14 @@ def test_registry_is_the_ten_batteries():
                            "poch", "expu", "geo", "order5"}
     for r in CHECKS["U"](192):
         assert r.passed, r.name
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_batteries_refuse_too_few_bits(name):
+    # residuals pass below 2^(slack - bits) with slacks up to 64 bits
+    for bits in (0, 127):
+        with pytest.raises(PrecisionError):
+            CHECKS[name](bits)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +329,7 @@ def test_generating_function_values_are_pinned():
 def test_w_and_u_values_are_pinned():
     # the reports above resolve residuals to whole bits; these catch a
     # change in the last bit of the gammas, the trig kernel or U's limits
-    lines = [f"W {eval_W(WArgs(*a), 256).to_fixed(256)}"
+    lines = [f"W {eval_W(a, 256).to_fixed(256)}"
              for a in ((Q(1, 10), Q(1, 8), Q(1, 10), Q(1, 8)),
                        (Q(1, 3), Q(-1, 5), Q(1, 7), Q(1, 9)))]
     for t in (Q(1, 3), Q(2), Q(5, 2), Q(15, 2), Q(-5)):

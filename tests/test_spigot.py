@@ -182,6 +182,13 @@ def test_request_validation():
     assert DigitRequest("pi", 1, 16, threads=256).threads == 256
     with pytest.raises(DomainError):
         DigitRequest("pi", 1, 16, threads=257)
+    # positions are capped by the work they imply: pi at 2^39 would sum
+    # about 2.2e12 terms, zeta(5) at 10^8 about 8e8
+    with pytest.raises(DomainError):
+        DigitRequest("pi", 2**39)
+    for name in ("zeta3", "zeta5"):
+        for position in (10**7, 10**8):
+            assert DigitRequest(name, position).position == position
 
 
 def test_pool_never_outgrows_the_job_list(monkeypatch):
@@ -220,11 +227,14 @@ def test_sizing_a_far_window_lists_no_jobs():
 
 
 def test_unreachable_position_fails_before_summing():
-    # weight-5 moduli pass the 192-bit cap near position 4.98e9; the
-    # request is refused before any of its ~2**35 terms is summed
+    # the position cap refuses the request before any of its ~2**35 terms
+    # is summed; the 192-bit modulus cap, which first binds at weight 5
+    # near position 4.98e9, still guards the job list
     t0 = time.perf_counter()
     with pytest.raises(DomainError):
         hex_digits(DigitRequest("zeta5", 2**33))
+    with pytest.raises(DomainError, match="192-bit cap"):
+        _formula_jobs(catalog()["zeta5"], 4 * (2**33 - 1), 4 * 16)
     assert time.perf_counter() - t0 < 1.0
     with pytest.raises(DomainError):
         DigitRequest("pi", 0)
