@@ -63,7 +63,11 @@ def test_reflection_formula(pt):
 def test_w_divergence_outside_open_box():
     with pytest.raises(DivergenceError):
         eval_W((Q(1, 2), Q(0), Q(0), Q(0)), 128)
-    # 1/2 + a3 = 0 would divide by zero
+
+
+def test_w_args_validation():
+    # eval_W checks its plain arguments itself: 1/2 + a3 = 0 would
+    # divide by zero, so a3 = -1/2 is refused before any summation
     with pytest.raises(DivergenceError):
         eval_W((Q(0), Q(0), Q(-1, 2), Q(0)), 128)
 
