@@ -733,26 +733,28 @@ def _gpow(re: Fraction, im: Fraction, k: int) -> tuple[Fraction, Fraction]:
 
 def _u_plus(n: int) -> Fraction:
     """U(5n) for integer n >= 1."""
+    p, q = _z("(1-i)/4"), _z("i/2")  # 1/p = 2+2i
     total = Q(0)
     for k in range(1, 2 * n + 1):
-        pr, pi_ = _gpow(Q(2), Q(2), k)
-        qr, qi = _gpow(Q(0), _HALF, 5 * n - k)
+        pr, pi_ = _gpow(*p, -k)
+        qr, qi = _gpow(*q, 5 * n - k)
         total += ((pr - 2) * qr - pi_ * qi) / k
     for k in range(2 * n + 1, 5 * n + 1):
-        qr, _qi = _gpow(Q(0), _HALF, 5 * n - k)
+        qr, _qi = _gpow(*q, 5 * n - k)
         total -= Q(2, k) * qr
     return 25 * n * total
 
 
 def _v_minus(n: int) -> Fraction:
     """The finite sum V(n); equals U(-5n) for odd n."""
+    p, q = _z("(1-i)/4"), _z("i/2")
     total = Q(0)
     for k in range(1, 2 * n):
-        pr, pi_ = _gpow(Q(2), Q(2), -k)
-        qr, qi = _gpow(Q(0), _HALF, k - 5 * n)
+        pr, pi_ = _gpow(*p, k)
+        qr, qi = _gpow(*q, k - 5 * n)
         total += ((pr - 2) * qr - pi_ * qi) / k
     for k in range(2 * n, 5 * n):
-        qr, _qi = _gpow(Q(0), _HALF, k - 5 * n)
+        qr, _qi = _gpow(*q, k - 5 * n)
         total -= Q(2, k) * qr
     return -25 * n * total
 
@@ -785,23 +787,24 @@ def utilde_rational(t: Fraction) -> Fraction | tuple[Fraction, Fraction]:
         raise DomainError(
             "closed forms exist at odd multiples of 5/2 only")
     n = int(n)
+    p, m = _z("(1-i)/8"), _z("-1/4")[0]  # 1/p = 4+4i
     if n > 0:
         total = Q(0)
         for k in range(n):
-            pr, _pi = _gpow(Q(4), Q(4), -k)
+            pr, _pi = _gpow(*p, k)
             total += Q(25 * n) * pr / (2 * n - 2 * k)
         for k in range(5 * n // 4 + 1):
-            total -= Q(50 * n) * (Q(-4) ** -k) / (5 * n - 4 * k)
+            total -= Q(50 * n) * m**k / (5 * n - 4 * k)
         return total
     n = -n
-    pr_n, _ = _gpow(Q(4), Q(4), n)
+    pr_n, _ = _gpow(*p, -n)
     residue = pr_n * Q(125 * n, 4)
     total = -pr_n * Q(25, 2)
     for k in range(1, n):
-        pr, _pi = _gpow(Q(4), Q(4), k)
+        pr, _pi = _gpow(*p, -k)
         total -= Q(25 * n) * pr / (2 * n - 2 * k)
     for k in range(1, 5 * n // 4 + 1):
-        total += Q(50 * n) * (Q(-4) ** k) / (5 * n - 4 * k)
+        total += Q(50 * n) * m**-k / (5 * n - 4 * k)
     return residue, total
 
 
@@ -1258,16 +1261,19 @@ def _battery_order5(prec: int) -> list[CheckReport]:
 
 
 # a report passes when its residual is below 2^(slack - bits), and the
-# fixed slacks reach 64 bits: below twice that a pass certifies little
+# fixed slacks reach 64 bits: below twice that a pass certifies little.
+# _MAX_BITS bounds the work that one request can ask for
 _MIN_BITS = 128
+_MAX_BITS = 32768
 
 
 def _floored(battery: Callable[[int], list[CheckReport]]) -> Callable:
-    """The battery, refusing a precision below _MIN_BITS before any work."""
+    """The battery, refusing a precision outside _MIN_BITS.._MAX_BITS
+    before any work."""
     def run(prec: int) -> list[CheckReport]:
-        if prec < _MIN_BITS:
-            raise PrecisionError(
-                f"check batteries need at least {_MIN_BITS} bits, not {prec}")
+        if not _MIN_BITS <= prec <= _MAX_BITS:
+            raise PrecisionError(f"check batteries take {_MIN_BITS}.."
+                                 f"{_MAX_BITS} bits, not {prec}")
         return battery(prec)
     return run
 

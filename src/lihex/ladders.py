@@ -298,6 +298,11 @@ def check_relation(name: str, prec: int) -> CheckReport:
 
 
 def check_all(prec: int) -> list[CheckReport]:
-    """Reports for every identity whose bit requirement prec meets."""
-    return [check_relation(name, prec) for name, rel in RELATIONS.items()
-            if prec >= rel.min_bits]
+    """Reports for every identity whose bit requirement prec meets;
+    PrecisionError when prec meets none, so no run passes unchecked."""
+    names = [name for name, rel in RELATIONS.items() if prec >= rel.min_bits]
+    if not names:
+        floor = min(rel.min_bits for rel in RELATIONS.values())
+        raise PrecisionError(
+            f"the relations need at least {floor} bits, got {prec}")
+    return [check_relation(name, prec) for name in names]

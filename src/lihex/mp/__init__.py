@@ -12,4 +12,7 @@ only.  Every memo in the package is ``functools.cache`` on a function of
 its arguments alone, or ``functools.cached_property`` on an immutable
 object, so no value depends on what the process computed before; the
 Bernoulli table, which only grows one prefix, is the one exception.
+The kernels check their domains but carry no precision policy beyond
+the 2..2^23-bit range of an ``MpReal``: the entry point that receives a
+request checks its precision before any work.
 """

@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Union
 
 from ..errors import DomainError
-from .real import MpReal, _atan_impl, _ln_impl, _pi_fixed
+from .real import MpReal, _atan_impl, _pi_fixed, ln
 
 __all__ = ["MpComplex", "cln"]
 
@@ -122,9 +122,9 @@ def cln(z: MpComplex, prec: int) -> MpComplex:
         raise DomainError("log of zero")
     wp = prec + 8
     if z.im.is_zero and z.re.sign > 0:
-        return MpComplex(_ln_impl(z.re, prec), MpReal.zero(prec))
-    mag = _ln_impl(z.abs2(2 * wp), wp).scalb(-1)
-    # atan2 inline, reusing private kernels so elevated precision is legal
+        return MpComplex(ln(z.re, prec), MpReal.zero(prec))
+    mag = ln(z.abs2(2 * wp), wp).scalb(-1)
+    # atan2 inline
     x, y = z.re, z.im
     if x.is_zero:
         ang = MpReal.from_fixed(_pi_fixed(wp), wp, wp).scalb(-1)

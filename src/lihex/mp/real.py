@@ -9,7 +9,9 @@ operation below ``2**(4 - prec)``.
 The transcendental kernel at the bottom of this file (exp, ln, sin, cos,
 atan, ...) works on fixed-point integers internally and uses the two
 series-built constants ``pi_const`` and ``log2_const`` for argument
-reduction.
+reduction.  It has no precision ceiling of its own: every precision in
+``MpReal``'s 2..2^23-bit range is accepted, and the entry point that
+receives a request bounds what it asks for.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from ..errors import DomainError, PoleError, PrecisionError
 
 __all__ = [
     "MpReal",
-    "MAX_FUNC_PREC",
     "pi_const",
     "log2_const",
     "exp",
@@ -35,10 +36,6 @@ __all__ = [
     "pow_real",
 ]
 
-# Hard ceiling for the transcendental kernel.  Plain field arithmetic is
-# allowed to go far beyond this: series-based digit oracles legitimately
-# carry hundreds of kilobits of fixed point state.
-MAX_FUNC_PREC = 32768
 _MAX_CORE_PREC = 1 << 23
 
 # Extra mantissa bits carried beyond the nominal precision.
@@ -324,15 +321,6 @@ class MpReal:
 # constants
 
 
-def _check_func_prec(prec: int) -> None:
-    if prec > MAX_FUNC_PREC:
-        raise PrecisionError(
-            f"function precision {prec} exceeds the {MAX_FUNC_PREC}-bit ceiling"
-        )
-    if prec < 2:
-        raise PrecisionError("function precision must be at least 2 bits")
-
-
 @functools.cache
 def _pi_fixed(wp: int) -> int:
     """pi * 2**wp, accurate to a few ulps, from the hexadecimal
@@ -362,14 +350,12 @@ def _log2_fixed(wp: int) -> int:
 
 def pi_const(prec: int) -> MpReal:
     """pi at ``prec`` bits."""
-    _check_func_prec(prec)
     wp = prec + 16
     return MpReal.from_fixed(_pi_fixed(wp), wp, prec)
 
 
 def log2_const(prec: int) -> MpReal:
     """log(2) at ``prec`` bits."""
-    _check_func_prec(prec)
     wp = prec + 16
     return MpReal.from_fixed(_log2_fixed(wp), wp, prec)
 
@@ -380,11 +366,6 @@ def log2_const(prec: int) -> MpReal:
 
 def exp(x: MpReal, prec: int) -> MpReal:
     """e**x at ``prec`` bits."""
-    _check_func_prec(prec)
-    return _exp_impl(x, prec)
-
-
-def _exp_impl(x: MpReal, prec: int) -> MpReal:
     if x.sign == 0:
         return MpReal.from_int(1, prec)
     mag = x.bit_top()
@@ -416,11 +397,6 @@ def _exp_impl(x: MpReal, prec: int) -> MpReal:
 
 def ln(x: MpReal, prec: int) -> MpReal:
     """Natural logarithm at ``prec`` bits (x > 0)."""
-    _check_func_prec(prec)
-    return _ln_impl(x, prec)
-
-
-def _ln_impl(x: MpReal, prec: int) -> MpReal:
     if x.sign <= 0:
         raise DomainError("ln requires a positive argument")
     wp = prec + 16
@@ -473,12 +449,11 @@ def pow_int(x: MpReal, n: int, prec: int) -> MpReal:
 
 def pow_real(x: MpReal, y: MpReal, prec: int) -> MpReal:
     """x**y for positive x."""
-    _check_func_prec(prec)
     if x.sign <= 0:
         raise DomainError("pow_real requires a positive base")
     wp = prec + 16
-    lx = _ln_impl(x, wp + max(0, y.sign and y.bit_top()))
-    return _exp_impl(lx.mul(y, wp + 8), prec)
+    lx = ln(x, wp + max(0, y.sign and y.bit_top()))
+    return exp(lx.mul(y, wp + 8), prec)
 
 
 # ----------------------------------------------------------------------
@@ -531,17 +506,14 @@ def _sincos(x: MpReal, prec: int) -> tuple[MpReal, MpReal]:
 
 
 def sin(x: MpReal, prec: int) -> MpReal:
-    _check_func_prec(prec)
     return _sincos(x, prec)[0]
 
 
 def cos(x: MpReal, prec: int) -> MpReal:
-    _check_func_prec(prec)
     return _sincos(x, prec)[1]
 
 
 def tan(x: MpReal, prec: int) -> MpReal:
-    _check_func_prec(prec)
     s, c = _sincos(x, prec + 8)
     if c.sign == 0 or c.abs_lt_2pow(-(prec + 4)):
         raise PoleError("tan evaluated too close to an odd multiple of pi/2")

@@ -26,10 +26,9 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from ..errors import DomainError, IllConditionedError, PoleError, PrecisionError
+from ..errors import DomainError, IllConditionedError, PoleError
 from .cplx import MpComplex
-from .real import (MpReal, _div0, _exp_impl, _ln_impl, _pi_fixed, _shr0,
-                   _sincos, ln, pow_real)
+from .real import MpReal, _div0, _pi_fixed, _shr0, _sincos, exp, ln, pow_real
 
 __all__ = [
     "bernoulli",
@@ -219,17 +218,11 @@ class _HurwitzTail:
 # Riemann and Hurwitz zeta at integer arguments
 
 
-def _check_prec(prec: int) -> None:
-    if prec < 32:
-        raise PrecisionError("zeta-family functions need at least 32 bits")
-
-
 @functools.cache
 def zeta(n: int, prec: int) -> MpReal:
     """Riemann zeta at integer n >= 2, relative error below 2**-prec."""
     if n < 2:
         raise DomainError("zeta requires an integer argument >= 2")
-    _check_prec(prec)
     return _hurwitz_int(n, Fraction(1), prec)
 
 
@@ -265,7 +258,6 @@ def hurwitz(s: Fraction, a: Fraction, prec: int) -> MpReal:
         raise DomainError("hurwitz requires an integer s >= 2")
     if not 0 < a <= 1:
         raise DomainError("hurwitz requires 0 < a <= 1")
-    _check_prec(prec)
     return _hurwitz_int(int(s), a, prec)
 
 
@@ -278,7 +270,6 @@ def dirichlet_beta(n: int, prec: int) -> MpReal:
     """Dirichlet beta at integer n >= 2: sum_{k>=0} (-1)^k (2k+1)^-n."""
     if n < 2:
         raise DomainError("dirichlet_beta requires n >= 2")
-    _check_prec(prec)
     wp = prec + 16
     hi = _hurwitz_int(n, Fraction(1, 4), wp)
     lo = _hurwitz_int(n, Fraction(3, 4), wp)
@@ -360,9 +351,7 @@ def _gamma_pos_real(x: MpReal, prec: int) -> MpReal:
         wp += short + 16
         wp += -wp % 64
     za = z.add(a, wp)
-    lead = _exp_impl(
-        z.add(Fraction(1, 2), wp).mul(_ln_impl(za, wp), wp).add(-za, wp), wp
-    )
+    lead = exp(z.add(Fraction(1, 2), wp).mul(ln(za, wp), wp).add(-za, wp), wp)
     return lead.mul(MpReal.from_fixed(s, wp, wp), prec)
 
 
@@ -376,7 +365,6 @@ def _is_nonpos_int(x: MpReal) -> bool:
 
 def gamma(z: MpReal, prec: int) -> MpReal:
     """Gamma function of a real argument, relative error below 2**-prec."""
-    _check_prec(prec)
     if _is_nonpos_int(z):
         raise PoleError("gamma pole at a non-positive integer")
     if z._cmp(Fraction(1, 2)) >= 0:
@@ -406,7 +394,6 @@ def polylog(n: int, z: MpComplex, prec: int) -> MpComplex:
     """Li_n(z) = sum_{k>0} z^k / k^n for |z| <= 3/4, absolute error < 2**-prec."""
     if n < 1:
         raise DomainError("polylog order must be >= 1")
-    _check_prec(prec)
     # |z| <= 3/4 check: |z|^2 <= 9/16, exact on the stored values
     if z.abs2(z.prec + 8)._cmp(Fraction(9, 16)) > 0:
         raise DomainError("polylog argument must satisfy |z| <= 3/4")
@@ -417,15 +404,6 @@ def polylog(n: int, z: MpComplex, prec: int) -> MpComplex:
 @functools.cache
 def _polylog(n: int, zr: int, zi: int, wp: int, prec: int) -> MpComplex:
     """Li_n at the fixed-point argument (zr + i zi) / 2**wp."""
-    if zi == 0:
-        acc = 0
-        pw = zr
-        k = 1
-        while pw:
-            acc += _div0(pw, k**n)
-            pw = _shr0(pw * zr, wp)
-            k += 1
-        return MpComplex(MpReal.from_fixed(acc, wp, prec), MpReal.zero(prec))
     ar = ai = 0
     pr, pi_ = zr, zi
     k = 1
@@ -460,7 +438,6 @@ def taylor_coeffs(
     """
     if not 0 <= order <= 12:
         raise DomainError("taylor_coeffs supports orders 0..12")
-    _check_prec(prec)
     wp = 2 * prec + 64
     m = order
     t = prec // (order + 1) + 3

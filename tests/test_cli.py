@@ -119,9 +119,18 @@ def test_hyper_battery(capsys):
 
 
 def test_hyper_battery_refuses_too_few_bits(capsys):
-    rc, out, err = run(capsys, "hyper", "--check", "W", "--bits", "0")
-    assert rc == 2 and out == ""
-    assert "usage error" in err
+    for bits in ("0", "32769"):
+        rc, out, err = run(capsys, "hyper", "--check", "poch", "--bits", bits)
+        assert rc == 2 and out == ""
+        assert "usage error" in err
+
+
+def test_verify_all_refuses_too_few_bits(capsys):
+    # below every relation's min_bits there is nothing to check
+    for flag in ((), ("--json",)):
+        rc, out, err = run(capsys, "verify", "--all", "--bits", "255", *flag)
+        assert rc == 2 and out == ""
+        assert "usage error" in err
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))

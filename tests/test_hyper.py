@@ -7,6 +7,7 @@ product identities, and the exponential expansion of U.
 
 import hashlib
 import math
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -268,10 +269,13 @@ def test_registry_is_the_ten_batteries():
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_batteries_refuse_too_few_bits(name):
-    # residuals pass below 2^(slack - bits) with slacks up to 64 bits
-    for bits in (0, 127):
+    # residuals pass below 2^(slack - bits) with slacks up to 64 bits;
+    # above 32768 bits a request is refused too, before any work
+    for bits in (0, 127, 32769):
+        t0 = time.perf_counter()
         with pytest.raises(PrecisionError):
             CHECKS[name](bits)
+        assert time.perf_counter() - t0 < 1
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,12 @@ def test_f11_rejects_low_precision():
         check_relation("f11", 512)
 
 
+def test_check_all_refuses_precision_below_every_relation():
+    # an empty list of reports would pass without checking anything
+    with pytest.raises(PrecisionError):
+        check_all(255)
+
+
 def test_unknown_relation_name():
     with pytest.raises(UnknownName):
         check_relation("zz99", 256)
