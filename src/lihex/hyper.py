@@ -218,14 +218,10 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
         c = 1 << wp
         for m in range(big):
             acc += c
-            if c == 0:
-                break
             num = (aln + ald * m) * (ben + bed * m) * gad * ded
             den = ald * bed * (gan + gad * m) * (den_ + ded * m)
             c = c * num // den
         head = MpReal.from_fixed(acc, wp, wp)
-        if c == 0:
-            return head.round_to(prec)  # terminating series
         r = _ratio_series(al, be, ga, de, rho, jmax, wp_d)
         chain = _HurwitzTail(rho, big, wp_d)
         # tail = sum_j d_j zeta(rho + j, big) at wp_d, where each term
@@ -396,15 +392,20 @@ def _pole_sum(
     )
 
 
-def genfn_pf(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
-    """Partial-fraction value of generating function `name` at t."""
-    if name not in _PF:
-        raise UnknownName(f"no generating function {name!r}")
+def _genfn(name: str, t: MpComplex | Fraction, prec: int,
+           full: bool) -> MpComplex:
     wp = prec + 48
     tc = _as_cplx(t, wp)
     if tc.is_zero:
         return MpComplex.from_int(0, prec)
-    return _pole_sum(_PF[name], tc, wp).round_to(prec)
+    return _pole_sum(_PF[name], tc, wp, full=full).round_to(prec)
+
+
+def genfn_pf(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
+    """Partial-fraction value of generating function `name` at t."""
+    if name not in _PF:
+        raise UnknownName(f"no generating function {name!r}")
+    return _genfn(name, t, prec, full=False)
 
 
 def genfn_cplx(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
@@ -412,11 +413,7 @@ def genfn_cplx(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
     real/imaginary parts generate the paired real ladders."""
     if name not in _RECUR:
         raise UnknownName(f"no complex generating function {name!r}")
-    wp = prec + 48
-    tc = _as_cplx(t, wp)
-    if tc.is_zero:
-        return MpComplex.from_int(0, prec)
-    return _pole_sum(_PF[name], tc, wp, full=True).round_to(prec)
+    return _genfn(name, t, prec, full=True)
 
 
 # ----------------------------------------------------------------------
@@ -1262,9 +1259,11 @@ def _battery_order5(prec: int) -> list[CheckReport]:
 
 # a report passes when its residual is below 2^(slack - bits), and the
 # fixed slacks reach 64 bits: below twice that a pass certifies little.
-# _MAX_BITS bounds the work that one request can ask for
+# _MAX_BITS is the largest power of two at which every battery finishes
+# within about an hour of one core: each doubling costs 5-14x, and inv
+# and genfn, the slowest, took 20 and 22 minutes at 8192 bits
 _MIN_BITS = 128
-_MAX_BITS = 32768
+_MAX_BITS = 8192
 
 
 def _floored(battery: Callable[[int], list[CheckReport]]) -> Callable:

@@ -140,8 +140,6 @@ def li5(z: MpComplex, prec: int) -> MpComplex:
     """
     wp = prec + 48
     re, im = z.re, z.im
-    if im.is_zero and re.is_zero:
-        return MpComplex.from_int(0, prec)
     z5 = _sp.zeta(5, wp)
     if im.is_zero and re == 1:
         return MpComplex.from_real(z5.round_to(prec))

@@ -10,7 +10,7 @@ from .real import MpReal, _atan_impl, _pi_fixed, ln
 
 __all__ = ["MpComplex", "cln"]
 
-CScalar = Union["MpComplex", MpReal, int, Fraction]
+CScalar = Union["MpComplex", int, Fraction]
 
 
 class MpComplex:
@@ -39,13 +39,12 @@ class MpComplex:
     def _coerce(self, other: CScalar) -> "MpComplex":
         if isinstance(other, MpComplex):
             return other
-        if isinstance(other, MpReal):
-            return MpComplex.from_real(other)
         if isinstance(other, int):
             return MpComplex.from_int(other, self.prec)
         if isinstance(other, Fraction):
             return MpComplex.from_fractions(other, Fraction(0), self.prec)
-        return NotImplemented  # type: ignore[return-value]
+        raise TypeError(
+            f"MpComplex does not combine with {type(other).__name__}")
 
     @property
     def prec(self) -> int:

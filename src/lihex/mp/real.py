@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -129,7 +130,7 @@ class MpReal:
             return MpReal.from_int(other, self.prec)
         if isinstance(other, Fraction):
             return MpReal.from_fraction(other, self.prec)
-        return NotImplemented  # type: ignore[return-value]
+        raise TypeError(f"MpReal does not combine with {type(other).__name__}")
 
     # ------------------------------------------------------------------
     # predicates / conversions
@@ -145,14 +146,8 @@ class MpReal:
         return self.exp + self.man.bit_length()
 
     def abs_lt_2pow(self, k: int) -> bool:
-        """Exact test |x| < 2**k."""
-        if self.sign == 0:
-            return True
-        top = self.bit_top()
-        if top != k + 1:
-            return top < k + 1
-        # |x| in [2**k, 2**(k+1)): equal to 2**k only for a pure power of two
-        return False
+        """Exact test |x| < 2**k: 2**(bit_top-1) <= |x| < 2**bit_top."""
+        return self.sign == 0 or self.bit_top() <= k
 
     def to_fraction(self) -> Fraction:
         if self.sign == 0:
@@ -186,8 +181,9 @@ class MpReal:
         q = self.to_fraction() * 10**digits
         n = q.numerator // q.denominator
         neg = n < 0 or (n == 0 and self.sign < 0)
-        n = abs(n)
-        s = str(n).rjust(digits + 1, "0")
+        # Decimal prints an int of any length; str(int) stops at the
+        # interpreter's digit limit (4300 digits by default)
+        s = str(Decimal(abs(n))).rjust(digits + 1, "0")
         out = s[:-digits] + "." + s[-digits:] if digits else s
         return ("-" if neg else "") + out
 
@@ -210,8 +206,6 @@ class MpReal:
 
     def add(self, other: Scalar, prec: int | None = None) -> "MpReal":
         b = self._coerce(other)
-        if b is NotImplemented:
-            raise TypeError(f"cannot add MpReal and {type(other).__name__}")
         prec = prec or max(self.prec, b.prec)
         a = self
         if a.sign == 0:
@@ -220,20 +214,11 @@ class MpReal:
             return a.round_to(prec)
         if a.exp < b.exp:
             a, b = b, a
-        d = a.exp - b.exp
-        cap = prec + 16 + a.man.bit_length()
-        if d > cap:
-            # b is far below one ulp of a: fold it into a sticky nudge so
-            # that rounding still moves in the right direction.
-            ia = (a.sign * a.man << 16) + b.sign
-            return MpReal.make(1, ia, a.exp - 16, prec)
-        ic = (a.sign * a.man << d) + b.sign * b.man
+        ic = (a.sign * a.man << (a.exp - b.exp)) + b.sign * b.man
         return MpReal.make(1, ic, b.exp, prec)
 
     def mul(self, other: Scalar, prec: int | None = None) -> "MpReal":
         b = self._coerce(other)
-        if b is NotImplemented:
-            raise TypeError(f"cannot multiply MpReal and {type(other).__name__}")
         prec = prec or max(self.prec, b.prec)
         if self.sign == 0 or b.sign == 0:
             return MpReal.zero(prec)
@@ -241,8 +226,6 @@ class MpReal:
 
     def div(self, other: Scalar, prec: int | None = None) -> "MpReal":
         b = self._coerce(other)
-        if b is NotImplemented:
-            raise TypeError(f"cannot divide MpReal by {type(other).__name__}")
         prec = prec or max(self.prec, b.prec)
         if b.sign == 0:
             raise ZeroDivisionError("division by zero MpReal")
@@ -265,8 +248,6 @@ class MpReal:
         prec = prec or self.prec
         if self.sign < 0:
             raise DomainError("sqrt of negative value")
-        if self.sign == 0:
-            return MpReal.zero(prec)
         # shift mantissa so the exponent is even and the shifted mantissa
         # has at least 2*(prec+8) bits
         shift = 2 * (prec + 8) - self.man.bit_length()
@@ -283,8 +264,6 @@ class MpReal:
 
     def _cmp(self, other: Scalar) -> int:
         b = self._coerce(other)
-        if b is NotImplemented:
-            raise TypeError(f"cannot compare MpReal and {type(other).__name__}")
         if self.sign != b.sign:
             return -1 if self.sign < b.sign else 1
         if self.sign == 0:
@@ -425,18 +404,12 @@ def ln(x: MpReal, prec: int) -> MpReal:
 
 
 def pow_int(x: MpReal, n: int, prec: int) -> MpReal:
-    """x**n for integer n (exact repeated squaring with per-step rounding)."""
-    if n == 0:
-        return MpReal.from_int(1, prec)
-    if x.sign == 0:
-        if n < 0:
-            raise ZeroDivisionError("0 to a negative power")
-        return MpReal.zero(prec)
-    wp = prec + 8 + 2 * max(1, abs(n).bit_length())
-    base = x.round_to(wp)
+    """x**n for an integer n >= 0 (repeated squaring with per-step
+    rounding); DomainError for n < 0."""
     if n < 0:
-        base = MpReal.from_int(1, wp).div(base, wp)
-        n = -n
+        raise DomainError(f"pow_int takes n >= 0, not {n}")
+    wp = prec + 8 + 2 * max(1, n.bit_length())
+    base = x.round_to(wp)
     acc = MpReal.from_int(1, wp)
     while n:
         if n & 1:
@@ -521,8 +494,6 @@ def tan(x: MpReal, prec: int) -> MpReal:
 
 
 def _atan_impl(x: MpReal, prec: int) -> MpReal:
-    if x.sign == 0:
-        return MpReal.zero(prec)
     wp = prec + 24
     if x.sign < 0:
         return -_atan_impl(-x, prec)

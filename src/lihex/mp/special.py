@@ -242,10 +242,7 @@ def _hurwitz_int(n: int, a: Fraction, prec: int) -> MpReal:
     acc = 0
     qn = q**n
     for k in range(N):
-        t = (qn << wp) // (q * k + p) ** n
-        acc += t
-        if t == 0 and k > 0:
-            return MpReal.from_fixed(acc, wp, prec)
+        acc += (qn << wp) // (q * k + p) ** n
     bp = (qn << wp) // (q * N + p) ** n
     acc += _em_tail(bp, Fraction(q * N + p, q), n)
     return MpReal.from_fixed(acc, wp, prec)
@@ -358,8 +355,6 @@ def _gamma_pos_real(x: MpReal, prec: int) -> MpReal:
 def _is_nonpos_int(x: MpReal) -> bool:
     if x.sign > 0:
         return False
-    if x.sign == 0:
-        return True
     return x.to_fraction().denominator == 1
 
 

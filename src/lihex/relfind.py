@@ -142,11 +142,7 @@ class RelationResult:
 # integer helpers
 
 def _round_div(a: int, b: int) -> int:
-    """Nearest integer to a/b, halves away from zero."""
-    if b == 0:
-        return 0
-    if b < 0:
-        a, b = -a, -b
+    """Nearest integer to a/b for b > 0, halves away from zero."""
     if a >= 0:
         return (2 * a + b) // (2 * b)
     return -((-2 * a + b) // (2 * b))

@@ -7,7 +7,7 @@ import pytest
 
 import lihex.series
 from lihex.cli import main
-from lihex.hyper import CHECKS
+from lihex.hyper import _MAX_BITS, CHECKS
 
 CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
@@ -60,6 +60,20 @@ def test_eval_json_round_trip(capsys):
     assert set(doc) == {"dec", "hex"}
     assert doc["hex"].startswith("3.243F6A8885A308D3")
     assert json.dumps(doc, **CANONICAL) == out.strip()
+
+
+def test_eval_prints_decimals_past_the_int_to_str_limit(capsys):
+    # 14,400 bits print 4,333 decimal places, past the 4,300 digits that
+    # str(int) converts by default
+    lines = {}
+    for bits in ("14000", "14400"):
+        rc, out, _ = run(capsys, "eval", "--constant", "pi", "--bits", bits)
+        assert rc == 0
+        lines[bits] = out.splitlines()[1]
+    short, long = lines["14000"], lines["14400"]
+    assert short.startswith("dec 3.14159265358979")
+    assert len(long) > len(short) > 4200
+    assert long.startswith(short)
 
 
 def test_verify_single_relation(capsys):
@@ -119,8 +133,9 @@ def test_hyper_battery(capsys):
 
 
 def test_hyper_battery_refuses_too_few_bits(capsys):
-    for bits in ("0", "32769"):
-        rc, out, err = run(capsys, "hyper", "--check", "poch", "--bits", bits)
+    for bits in (0, _MAX_BITS + 1, 32769):
+        rc, out, err = run(capsys, "hyper", "--check", "poch",
+                           "--bits", str(bits))
         assert rc == 2 and out == ""
         assert "usage error" in err
 
@@ -151,6 +166,16 @@ def test_discover_found(capsys):
     doc = json.loads(out)
     assert doc["status"] == "found"
     assert doc["vector"] == [1, -3, 2]
+
+
+def test_discover_found_plain(capsys):
+    rc, out, _ = run(capsys, "discover", "--values",
+                     "catalan,S(2,1,1,-1,1,0,-1,1,-1,0),"
+                     "S(2,3,1,1,1,0,-1,-1,-1,0)",
+                     "--bits", "512", "--max-digits", "8")
+    assert rc == 0
+    assert re.fullmatch(r"found \(1 -3 2\) log2\|r\|=\S+ "
+                        r"after \d+ iterations\n", out), out
 
 
 def test_discover_products_and_exclusion(capsys):

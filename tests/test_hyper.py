@@ -14,7 +14,8 @@ import pytest
 
 from lihex.errors import (DivergenceError, DomainError, PoleError,
                           PrecisionError, UnknownName)
-from lihex.hyper import (CHECKS, U, Utilde, asymp_coeff, catalan_binomial,
+from lihex.hyper import (_MAX_BITS, CHECKS, U, Utilde, asymp_coeff,
+                         catalan_binomial,
                          check_recurrence, check_trig_forms, eval_W,
                          expu_check, f5, genfn_cplx, genfn_hyp, genfn_pf,
                          geo_checks,
@@ -270,8 +271,8 @@ def test_registry_is_the_ten_batteries():
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_batteries_refuse_too_few_bits(name):
     # residuals pass below 2^(slack - bits) with slacks up to 64 bits;
-    # above 32768 bits a request is refused too, before any work
-    for bits in (0, 127, 32769):
+    # above _MAX_BITS a request is refused too, before any work
+    for bits in (0, 127, _MAX_BITS + 1, 32769):
         t0 = time.perf_counter()
         with pytest.raises(PrecisionError):
             CHECKS[name](bits)

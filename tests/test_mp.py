@@ -122,6 +122,45 @@ def test_pow_int_matches_repeated_mul():
     assert d.is_zero or d.man.bit_length() + d.exp < acc.man.bit_length() + acc.exp - (wp - 16)
 
 
+def test_pow_int_refuses_a_negative_exponent():
+    with pytest.raises(DomainError):
+        pow_int(MpReal.from_int(3, 64), -1, 64)
+
+
+def test_real_and_complex_do_not_mix_with_other_types():
+    # a real enters complex arithmetic through MpComplex.from_real
+    with pytest.raises(TypeError):
+        MpComplex.from_int(1, 64) + MpReal.from_int(1, 64)
+    x = MpReal.from_int(1, 64)
+    for op in (x.add, x.mul, x.div):
+        with pytest.raises(TypeError):
+            op("1")
+
+
+def _assert_abs_lt_2pow_exact(x: MpReal, k: int) -> None:
+    assert x.abs_lt_2pow(k) == (abs(x.to_fraction()) < Fraction(2) ** k)
+
+
+@pytest.mark.parametrize("k", [-70, -1, 0, 1, 5, 70])
+def test_abs_lt_2pow_at_the_power_and_one_ulp_either_side(k):
+    p = 64
+    top = p + 4  # a normalized mantissa holds p + 4 bits
+    _assert_abs_lt_2pow_exact(MpReal.zero(p), k)
+    for sign in (1, -1):
+        for man, shift in (((1 << top) - 1, top),      # 2^k - 1 ulp
+                           (1 << (top - 1), top - 1),  # 2^k
+                           ((1 << (top - 1)) + 1, top - 1)):  # 2^k + 1 ulp
+            x = MpReal.make(sign, man, k - shift, p)
+            assert x.man == man
+            _assert_abs_lt_2pow_exact(x, k)
+
+
+@given(st.sampled_from([1, -1]), st.integers(1, 1 << 100),
+       st.integers(-200, 200), st.integers(-300, 300))
+def test_abs_lt_2pow_matches_the_exact_comparison(sign, man, e, k):
+    _assert_abs_lt_2pow_exact(MpReal.make(sign, man, e, 64), k)
+
+
 def test_zeta_and_beta_guards():
     with pytest.raises(Exception):
         sp.zeta(1, 128)
