@@ -13,7 +13,10 @@ constants from exact linear identities so that new formulas fall out.
 It holds the one evaluator of linear forms: a catalog formula, a
 ladder, a monomial and an identity row each get their value from
 integer rows over one denominator, summed over fixed-point atoms with
-counted error bounds (`_fixed_sums`), and rounded once.
+counted error bounds (`_fixed_sums`), and rounded once.  An atom's
+fixed-point sum splits by residue class k = r+1 (mod 8): each class is
+one cached floor sum `_class_sum` keyed on (n, p, r, |a_r|, wp), so
+atoms that share an order, a power and an entry's size share that sum.
 
 Each special argument is z = 2^{-p/2} e^{i pi j/4}, kept as the pair
 (p, j) in `ARGUMENTS`.  That table is the one place an argument's value
@@ -44,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DomainError, PrecisionError, RankDeficient,
                      UndefinedOrder, UnknownName, UnsupportedArgument)
-from .mp.real import MpReal, _div0, _log2_fixed, _pi_fixed
+from .mp.real import MpReal, _log2_fixed, _pi_fixed
 from .mp import special as _sp
 
 __all__ = [
@@ -77,9 +80,6 @@ class SeriesSpec:
             raise DomainError("pattern must have 8 entries")
         object.__setattr__(self, "pattern", pat)
 
-    def exponent(self, k: int) -> int:
-        return (self.p * (k + 1)) // 2
-
     def __str__(self) -> str:
         body = ",".join(str(c) for c in self.pattern)
         return f"S_{{{self.n},{self.p}}}({body})"
@@ -108,30 +108,40 @@ def _canon_term(coef: Fraction, n: int, p: int,
 
 
 @functools.cache
+def _class_sum(n: int, p: int, r: int, m: int, wp: int) -> int:
+    """Sum over k = r+1 (mod 8) of floor(m 2^(wp-e) / k^n), where
+    e = floor(p(k+1)/2).
+
+    The sum runs to e = wp + bitlen(m): past that 2^(e-wp) > m, so every
+    term floors to 0 and the sum depends on its arguments alone.
+    """
+    kmid = (2 * wp + 1) // p                   # e <= wp for k < kmid
+    ks = range(r + 1, (2 * (wp + m.bit_length()) + 1) // p, 8)
+    lo = len(range(r + 1, kmid, 8))
+    return (sum([(m << wp - p * (k + 1) // 2) // k ** n for k in ks[:lo]])
+            + sum([m // (k ** n << p * (k + 1) // 2 - wp) for k in ks[lo:]]))
+
+
+@functools.cache
 def _series_fixed(spec: SeriesSpec, wp: int) -> tuple[int, int]:
     """S * 2^wp as an integer, and a bound in ulps on its error.
 
-    Each of the N summed terms is truncated toward zero, under one ulp
-    each; the loop stops once 2^-e < 2^-(wp + bitlen(max|a|) + 8), and
-    the omitted tail (each exponent recurs at most twice) stays under
-    one ulp.  So the error is below N + 1 ulps.
+    Each of the N terms a_k 2^(wp-e)/k^n with e <= wp + bitlen(max|a|)
+    + 8 is truncated toward zero, under one ulp each, and the omitted
+    tail (each exponent recurs at most twice) stays under one ulp.  So
+    the error is below N + 1 ulps.  Truncation toward zero is sign(a_r)
+    times the floor of |a_r| 2^(wp-e)/k^n, so the sum is that signed
+    sum of the eight class sums `_class_sum(n, p, r, |a_r|, wp)`; a
+    class's terms past e = wp + bitlen(|a_r|) are 0 and are not summed.
     """
-    bits_a = max(abs(c) for c in spec.pattern).bit_length()
+    bits_a = max(map(abs, spec.pattern)).bit_length()
+    kmax = (2 * (wp + bits_a + 8) + 1) // spec.p   # the terms summed: k < kmax
     acc = terms = 0
-    k = 1
-    while bits_a:
-        e = spec.exponent(k)
-        if e > wp + bits_a + 8:
-            break
-        a = spec.pattern[(k - 1) & 7]
+    for r, a in enumerate(spec.pattern):
         if a:
-            kn = k ** spec.n
-            if e <= wp:
-                acc += _div0(a << (wp - e), kn)
-            else:
-                acc += _div0(a, kn << (e - wp))
-            terms += 1
-        k += 1
+            t = _class_sum(spec.n, spec.p, r, abs(a), wp)
+            acc += t if a > 0 else -t
+            terms += len(range(r + 1, kmax, 8))
     return acc, terms + 1
 
 

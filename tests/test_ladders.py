@@ -224,11 +224,30 @@ def _suite(order: tuple[int, ...]) -> tuple[dict, dict]:
     return values, reports
 
 
+def test_atoms_share_their_class_sums(clear_caches, monkeypatch):
+    # a cold check_all sums each (n, p, r, |a_r|, wp) class once, however
+    # many (spec, wp) atoms hold it
+    clear_caches()
+    used = set()
+    summed = series._series_fixed
+
+    def record(spec, wp):
+        used.add((spec, wp))
+        return summed(spec, wp)
+
+    monkeypatch.setattr(series, "_series_fixed", record)
+    check_all(256)
+    classes = [(spec.n, spec.p, r, abs(a), wp) for spec, wp in used
+               for r, a in enumerate(spec.pattern) if a]
+    assert series._class_sum.cache_info().currsize == len(set(classes))
+    assert len(set(classes)) < len(classes)
+
+
 def test_results_do_not_depend_on_earlier_requests(clear_caches):
     assert clear_caches() >= {
         "_pi_fixed", "_log2_fixed", "zeta", "dirichlet_beta",
-        "_spouge_coeffs", "_polylog", "_series_fixed", "_derived",
-        "_kernel_coeffs", "_euler_gamma"}
+        "_spouge_coeffs", "_polylog", "_series_fixed", "_class_sum",
+        "_derived", "_kernel_coeffs", "_euler_gamma"}
     up = _suite((256, 300))
     clear_caches()
     down = _suite((300, 256))

@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lihex import series
 from lihex.errors import (DomainError, PrecisionError, UnknownName,
@@ -80,7 +80,7 @@ def _brute(spec: SeriesSpec, kmax: int) -> Fraction:
     for k in range(1, kmax + 1):
         a = spec.pattern[(k - 1) % 8]
         if a:
-            total += Fraction(a, k**spec.n << spec.exponent(k))
+            total += Fraction(a, k**spec.n << spec.p * (k + 1) // 2)
     return total
 
 
@@ -96,6 +96,55 @@ def test_eval_series_matches_rational_sum(n, p, pattern):
     kmax = 2 * (prec + 40) // p + 8
     want = _brute(spec, kmax)
     assert abs(got - want) < Fraction(1, 1 << (prec - 8))
+
+
+def _div0(n: int, d: int) -> int:
+    return -((-n) // d) if n < 0 else n // d
+
+
+def _per_term_fixed(spec: SeriesSpec, wp: int) -> tuple[int, int]:
+    """The fixed-point sum term by term, each term truncated toward zero,
+    up to e = wp + bitlen(max|a|) + 8: (S * 2^wp, terms summed + 1)."""
+    bits_a = max(abs(c) for c in spec.pattern).bit_length()
+    acc = terms = 0
+    k = 1
+    while bits_a:
+        e = spec.p * (k + 1) // 2
+        if e > wp + bits_a + 8:
+            break
+        a = spec.pattern[(k - 1) & 7]
+        if a:
+            kn = k ** spec.n
+            if e <= wp:
+                acc += _div0(a << (wp - e), kn)
+            else:
+                acc += _div0(a, kn << (e - wp))
+            terms += 1
+        k += 1
+    return acc, terms + 1
+
+
+# At wp >= 64 the last nonzero term of a class lies at least 5 bits
+# below e = wp + bitlen(|a_r|); the first example has one exactly there
+# (k = 27, a_3 = 2^25 - 1), so a class that stops short of it fails.
+@settings(max_examples=150, deadline=None)
+@example(1, 6, [0, 0, 2**25 - 1, 0, 0, 0, 0, 0], 64)
+@example(1, 6, [99999999, 0, -100000000, 0, 0, 7, 0, -1], 64)
+@example(2, 1, [3, -100000000, 0, 0, 1, 0, 0, 0], 3000)
+@given(st.integers(1, 12), st.integers(1, 6),
+       st.lists(st.one_of(st.just(0), st.integers(-10**8, 10**8)),
+                min_size=8, max_size=8),
+       st.integers(64, 3000))
+def test_class_sums_give_the_per_term_sum_bit_for_bit(n, p, pattern, wp):
+    spec = SeriesSpec(n, p, tuple(pattern))
+    assert series._series_fixed(spec, wp) == _per_term_fixed(spec, wp)
+    # each class sum is a function of (n, p, r, |a_r|, wp) alone
+    for r, a in enumerate(pattern):
+        if a:
+            one = SeriesSpec(n, p, tuple(abs(a) if i == r else 0
+                                         for i in range(8)))
+            assert (series._class_sum(n, p, r, abs(a), wp)
+                    == _per_term_fixed(one, wp)[0])
 
 
 def test_eval_series_error_is_absolute_for_large_atoms():

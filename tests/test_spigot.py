@@ -87,7 +87,7 @@ def _spec_terms(f, shift0, k0, k1):
         q = f.scale * coef
         for k in range(-(-k0 // spec.p), -(-k1 // spec.p)):
             term = (q * spec.pattern[(k - 1) & 7] / k ** spec.n
-                    * Fraction(2) ** (shift0 - spec.exponent(k)))
+                    * Fraction(2) ** (shift0 - spec.p * (k + 1) // 2))
             out[spec.p * k] = out.get(spec.p * k, 0) + term
     return out
 
