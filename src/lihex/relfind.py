@@ -4,9 +4,29 @@ Given real numbers x_1..x_n, the PSLQ iteration either produces an
 integer vector v with v.x = 0 to working accuracy, or certifies that
 no relation exists with Euclidean norm below an exclusion bound that
 grows as the iteration proceeds.  Everything runs in fixed-point
-integer arithmetic: the inputs are scaled by 2**P, y and H are kept at
-the same scale, and the transforms stay exactly integral, so a query
-is reproducible bit for bit across runs and platforms.
+integer arithmetic, and the transforms stay exactly integral, so a
+query is reproducible bit for bit across runs and platforms.
+
+Every input is read as an integer at one scale, set by the largest.
+With t and b the largest and smallest ``bit_top()`` of the inputs and
+P their common precision:
+
+* the search runs on x_i = round(v_i * 2**(W-t)), with y, H and every
+  exit test at scale 2**W, where W = min(P, required_bits(n, d) + 64 +
+  (t - b)): the smallest input keeps at least required_bits + 64 bits
+  of its own.  W = P whenever a query needs all its bits, as with the
+  CLI's default max_digits for up to 19 values.
+* a candidate is confirmed exactly against all P bits at the same
+  scale, round(v_i * 2**(P-t)), and its accept and pigeonhole tests
+  read the residual relative to the largest input.
+
+The cut is sound: the search is the one the library already runs, and
+certifies, for the same values rounded to W bits, which meet the
+precision rule, and a ``found`` is still checked against every input
+bit.  The common scale is not optional.  Read at a fixed scale 2**-P,
+values far below 1 lose their low bits until the detect gate never
+opens, and the residual of values far above 1 fails an absolute accept
+bound; either way a true relation was reported ``none_within_bound``.
 
 The iteration has two levels (Bailey & Broadhurst, "Parallel integer
 relation detection", Math. Comp. 70, 2001):
@@ -19,7 +39,7 @@ relation detection", Math. Comp. 70, 2001):
   copy has lost 96 bits (a tiny |y| is a relation candidate), when the
   copy's max |H_jj| says the exclusion bound may hold, or when the row
   choice degenerates.
-* a refresh applies the level at full precision: y := y*B, B_total :=
+* a refresh applies the level at W bits: y := y*B, B_total :=
   B_total*B, H := A*H brought back to lower-trapezoidal form by Givens
   rotations, then a full Hermite reduction.  Only then are the exits
   tested, so rounding in the copies can cost iterations but never
@@ -27,24 +47,25 @@ relation detection", Math. Comp. 70, 2001):
 
 Parameter choices, documented here because they are ours:
 
-* gamma = 2.  Ferguson, Bailey & Arno's PSLQ(tau) takes gamma =
+* gamma = 4.  Ferguson, Bailey & Arno's PSLQ(tau) takes gamma =
   1/sqrt(1/tau**2 - 1/4) with 1 < tau <= 2, and bounds the iterations
-  by a multiple of 1/log(tau); gamma = 2 gives tau = sqrt(2).  The
-  limit gamma = sqrt(4/3) is tau = 1, where that bound says nothing,
-  and it took about 1.6 times as many iterations: 202,710 against
-  128,754 over the 462 queries of the benchmark's seed-1 relations
-  list, 7,474 against 3,662 for the 14-term f11 relation at 2048
-  bits, 8,960 against 4,443 for the 13-value exclusion beside it,
-  with the same answers.  Row selection maximizes 2**i * |H_ii|, an
-  exact integer comparison, ties going to the lowest row.
+  by a multiple of 1/log(tau); gamma = 4 gives tau = 4/sqrt(5).  Row
+  selection maximizes 4**i * |H_ii|, an exact integer comparison, ties
+  going to the lowest row.  Over the 462 queries of the benchmark's
+  seed-1 relations list it took 112,845 iterations against 128,754 for
+  gamma = 2 and 202,710 for the limit gamma = sqrt(4/3) (tau = 1, where
+  the bound says nothing); 3,295 against 3,662 and 7,474 for the
+  14-term f11 relation at 2048 bits, and 3,811 against 4,443 and 8,960
+  for the 13-value exclusion beside it, with the same answers.
 * nearest-integer reductions round halves up.
 * a candidate relation (the column of B under the smallest |y|) is
-  accepted only after an exact confirmation against the unnormalized
-  inputs.  The residual must be below n * height input ulps with 40
-  bits of slack, and never above 2**(-P/2).  It must also lie 32 bits
-  below the pigeonhole floor h**-(n-1) for the vector's own height h:
-  n reals admit a coincidental vector that close, and the first check
-  alone admits such vectors when P is short for n.
+  accepted only after an exact confirmation against the P-bit inputs.
+  The residual must be below n * height ulps of the largest input with
+  40 bits of slack, and never above 2**(-P/2) relative to it.  It must
+  also lie 32 bits below the pigeonhole floor h**-(n-1) for the
+  vector's own height h: n reals admit a coincidental vector that
+  close, and the first check alone admits such vectors when P is short
+  for n.
 * absence is reported when 1/max|H_jj| exceeds 10**max_digits *
   (isqrt(n-1) + 1), from the standard norm bound: every relation,
   known or not, has Euclidean norm at least 1/max|H_jj|.  A vector
@@ -52,7 +73,7 @@ Parameter choices, documented here because they are ours:
   sqrt(n) * 10**max_digits, and isqrt(n-1) + 1 >= sqrt(n), so such an
   exclusion covers every such vector.  The bound holds for H =
   A*H_0*Q with any unimodular A and orthogonal Q, so it is read from
-  the full-precision H at a refresh and never from a copy.
+  the W-bit H at a refresh and never from a copy.
   ``bound_digits`` on the result records the norm bound reached.
 
 The precision rule (``required_bits``) asks for P >= 16*max_digits and
@@ -86,9 +107,15 @@ class RelationQuery:
     ``max_digits`` bounds the decimal size of acceptable coefficients.
     The values' common precision P must be at least
     ``required_bits(len(values), max_digits)``, or neither a find nor an
-    exclusion would be trustworthy.  ``max_iterations``, when given,
-    must be positive and caps the iterations made (the default grows
-    with the size of the search).
+    exclusion would be trustworthy.  The search itself runs at W =
+    required_bits + 64 + (t - b) bits when that is less than P, t and b
+    the largest and smallest ``bit_top()`` of the values; bits beyond W
+    only confirm a candidate, and they make its ``log2_residual`` and
+    pigeonhole test sharper, never the search longer.  A value that is
+    zero at P bits relative to the largest raises DomainError from
+    ``pslq``.  ``max_iterations``, when given, must be positive and caps
+    the iterations made (the default grows with the size of the
+    search).
     """
 
     values: tuple[MpReal, ...]
@@ -116,7 +143,8 @@ class RelationResult:
     ``status`` is one of "found", "none_within_bound" or
     "inconclusive".  ``vector`` is the primitive relation (gcd one,
     first nonzero entry positive) when found, else None, and
-    ``log2_residual`` measures |sum v_i x_i| for the found vector.
+    ``log2_residual`` measures |sum v_i x_i| for the found vector from
+    all P bits of the values, in the values' own units.
     ``bound_digits`` is the norm bound reached: no relation has
     Euclidean norm below 10**bound_digits.  A "none_within_bound"
     says more: no relation has every entry below 10**max_digits in
@@ -164,8 +192,13 @@ def _canonical(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _top(values) -> int:
+    """bit_top() of the largest nonzero value: the inputs' common scale."""
+    return max((v.bit_top() for v in values if not v.is_zero), default=0)
+
+
 def _dot_mag(vec, x: list[int], prec: int) -> tuple[int, float]:
-    """Exact scaled residual sum(v*x) and its log2 magnitude in value."""
+    """Exact residual sum(v*x) and its log2 magnitude at scale 2**prec."""
     r = 0
     for v, xi in zip(vec, x):
         r += int(v) * xi
@@ -266,7 +299,7 @@ def _level(y, H, budget: int, stop: int):
     ends when it has made ``budget`` iterations, when a copy or a
     transform runs out of room (see _LEVEL_BITS), when the row choice
     degenerates, or when every |H_jj| of the copy has fallen below
-    ``stop`` (full-precision scale), where the exclusion bound may hold.
+    ``stop`` (W-bit scale), where the exclusion bound may hold.
     Returns (A, B, steps): the exact integer transforms of the level,
     A = B**-1 with A acting on the rows of H and B on y (B stored by
     columns), and the number of iterations made, at least one.
@@ -285,11 +318,11 @@ def _level(y, H, budget: int, stop: int):
     k = _width(Hl) + _TRANSFORM_BITS + 8
     steps = 0
     while steps < budget:
-        # row choice: largest 2**i |H_ii|, exact, ties to the lowest row
+        # row choice: largest 4**i |H_ii|, exact, ties to the lowest row
         m, best, top = 0, 0, 0
         for i in range(n - 1):
             h = abs(Hl[i][i])
-            sc = h << i
+            sc = h << 2 * i
             if sc > best:
                 m, best = i, sc
             if h > top:
@@ -316,7 +349,7 @@ def _level(y, H, budget: int, stop: int):
 
 
 def _refresh(y, H, B, Al, Bl) -> None:
-    """Apply a level's transforms to the full-precision state.
+    """Apply a level's transforms to the W-bit state.
 
     y := y*Bl and B := B*Bl (both B's stored by columns), H := Al*H
     brought back to lower-trapezoidal form by Givens rotations, then a
@@ -357,7 +390,7 @@ def pslq(q: RelationQuery) -> RelationResult:
     Deterministic: the same query always yields the same result.
     Raises PrecisionError when the inputs carry too few bits for the
     requested coefficient height (see ``required_bits``), DomainError on
-    zero inputs.
+    an input that is zero at P bits relative to the largest one.
     """
     prec = q.prec
     n = len(q.values)
@@ -366,9 +399,16 @@ def pslq(q: RelationQuery) -> RelationResult:
         raise PrecisionError(
             f"{q.max_digits}-digit search over {n} values needs {need} "
             f"bits, values carry {prec}")
-    x = [v.to_fixed(prec) for v in q.values]
-    if any(xi == 0 for xi in x):
-        raise DomainError("relation inputs must be nonzero")
+    # every input as an integer at one scale, set by the largest: all P
+    # bits for the confirmation, wp for the search, which leaves the
+    # smallest input need + 64 bits of its own
+    top = _top(q.values)
+    xp = [v.to_fixed(prec - top) for v in q.values]
+    if 0 in xp:
+        raise DomainError(f"relation inputs must be nonzero at {prec} "
+                          f"bits relative to the largest")
+    wp = min(prec, need + 64 + top - min(v.bit_top() for v in q.values))
+    x = [v.to_fixed(wp - top) for v in q.values]
     # inputs that agree to all P bits are not rejected: two constants
     # that round identically ARE a relation, and the trivial (1, -1)
     # that comes back is the honest answer
@@ -381,16 +421,16 @@ def pslq(q: RelationQuery) -> RelationResult:
         # generous: bound growth is ~0.1 bit per sweep of n rows
         limit = max(2000, 100 * n * q.max_digits)
 
-    one = 1 << prec
+    one = 1 << wp
 
     # partial norms s_k = |(x_k..x_n)| and the normalized vector y
     ss = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         ss[k] = ss[k + 1] + x[k] * x[k]
-    s = [math.isqrt(ss[k]) for k in range(n)]       # scale 2**prec
+    s = [math.isqrt(ss[k]) for k in range(n)]       # scale 2**wp
     y = [_round_div(xi * one, s[0]) for xi in x]
 
-    # lower-trapezoidal H (n rows, n-1 columns), scale 2**prec
+    # lower-trapezoidal H (n rows, n-1 columns), scale 2**wp
     H = [[0] * (n - 1) for _ in range(n)]
     for j in range(n - 1):
         H[j][j] = _round_div(s[j + 1] * one, s[j])
@@ -402,35 +442,36 @@ def pslq(q: RelationQuery) -> RelationResult:
     _reduce(y, H, B, None, 1, n - 2)
 
     # |y| gate below which a column is worth confirming exactly, and
-    # the accept bound: n * height ulps with 40 bits of slack, capped
-    # so an accepted residual always sits below 2**(-prec/2)
-    detect = 1 << (prec // 2)
+    # the accept bound on the P-bit residual: n * height ulps with 40
+    # bits of slack, capped so an accepted residual always sits below
+    # 2**(-prec/2) relative to the largest input
+    detect = 1 << (wp // 2)
     accept = 1 << min(height.bit_length() + 40 + n.bit_length(),
                       prec - prec // 2 - 1)
 
     def result(status, vec=None, mag=None):
-        return RelationResult(status, vec, mag, it, _bound_digits(hmax, prec))
+        return RelationResult(status, vec, mag, it, _bound_digits(hmax, wp))
 
     it = 0
     while True:
-        # checks on the full-precision state, after each refresh
+        # checks on the W-bit state, after each refresh
         hmax = max(abs(H[j][j]) for j in range(n - 1))
         # smallest |y_i| names the candidate column of B; the exact
         # residual decides, a failed confirmation just keeps iterating
         mi = min(range(n), key=lambda i: abs(y[i]))
         if abs(y[mi]) < detect:
             vec = _canonical(B[mi])
-            r, mag = _dot_mag(vec, x, prec)
+            r, mag = _dot_mag(vec, xp, prec)
             if abs(r) < accept and not _pigeonhole(vec, mag):
                 if max(abs(v) for v in vec) < height:
-                    return result("found", vec, mag)
+                    return result("found", vec, mag + top)
                 # a genuine relation, but taller than asked for: the
                 # exclusion bound can never clear it, so stop here
                 return result("inconclusive")
         if hmax == 0 or it >= limit:
             return result("inconclusive")
         if hmax * reach < one:
-            # every relation has norm >= 2**prec / hmax > reach, so no
+            # every relation has norm >= 2**wp / hmax > reach, so no
             # relation has all its entries below 10**max_digits
             return result("none_within_bound")
         Al, Bl, steps = _level(y, H, limit - it, one // reach)
@@ -445,11 +486,13 @@ def verify_vector(vector, values, prec: int) -> CheckReport:
     """Check a claimed relation against values at a pass threshold.
 
     The residual |sum v_i x_i| is computed exactly from the values'
-    own bits.  Values good to 2**-prec leave a true relation a residual
-    up to max|v_i| times that, so the report passes iff the residual
-    stays below 2**-(prec-64) * max|v_i| and, as for a `found` from
-    `pslq`, well below the pigeonhole floor for the vector's height.
-    A zero residual, as for the all-zero vector, passes.
+    own bits, at the scale of the largest value, as in `pslq`.  Values
+    good to 2**-prec relative to the largest leave a true relation a
+    relative residual up to max|v_i| times that, so the report passes
+    iff that residual stays below 2**-(prec-64) * max|v_i| and, as for
+    a `found` from `pslq`, well below the pigeonhole floor for the
+    vector's height.  ``log2_residual`` is in the values' own units.  A
+    zero residual, as for the all-zero vector, passes.
     """
     vec = tuple(int(v) for v in vector)
     vals = list(values)
@@ -459,10 +502,11 @@ def verify_vector(vector, values, prec: int) -> CheckReport:
     if not vals:
         return CheckReport("vector", prec, float("-inf"), True)
     wp = max(v.prec for v in vals) + 64
-    x = [v.to_fixed(wp) for v in vals]
+    top = _top(vals)
+    x = [v.to_fixed(wp - top) for v in vals]
     r, mag = _dot_mag(vec, x, wp)
     if r == 0:
         return CheckReport("vector", prec, mag, True)
     height = math.log2(max(abs(v) for v in vec))
     passed = mag <= height - (prec - 64) and not _pigeonhole(vec, mag)
-    return CheckReport("vector", prec, mag, passed)
+    return CheckReport("vector", prec, mag + top, passed)

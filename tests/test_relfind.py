@@ -86,6 +86,25 @@ def test_recovery_is_scale_invariant(c):
     assert res.vector == (1, -3, 2)
 
 
+@pytest.mark.parametrize("P", [512, 2048])
+@pytest.mark.parametrize("k", [-1100, -260, 0, 60, 100, 600])
+def test_recovery_at_any_binary_scale(P, k):
+    # the inputs are read at the scale of the largest: values far from 1
+    # keep all their bits for the search, the detect gate and the accept
+    # bound
+    vals = tuple(v.mul(Q(2) ** k, P) for v in _catalan_triple(P))
+    res = pslq(RelationQuery(vals, max_digits=8))
+    assert res.status == "found"
+    assert res.vector == (1, -3, 2)
+
+
+def test_confirmation_reads_every_input_bit():
+    # the search runs at about 210 bits, the confirmation at all 4096
+    res = pslq(RelationQuery(_catalan_triple(4096), max_digits=8))
+    assert res.status == "found" and res.vector == (1, -3, 2)
+    assert res.log2_residual == -4095
+
+
 # ----------------------------------------------------------------------
 # exclusion bounds
 
@@ -102,7 +121,7 @@ def test_exclusion_over_thirteen_constants():
     vals = _f11_values(P)[1:]
     res = pslq(RelationQuery(tuple(vals), max_digits=30))
     assert res.status == "none_within_bound"
-    assert res.iterations <= 6000
+    assert res.iterations <= 4200
 
 
 @pytest.mark.slow
@@ -113,7 +132,7 @@ def test_recovers_fourteen_term_vector():
     assert res.status == "found"
     assert res.vector == F11_VECTOR
     assert res.log2_residual < -1900
-    assert res.iterations <= 5000
+    assert res.iterations <= 3700
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +224,27 @@ def test_verify_rejects_a_pigeonhole_coincidence():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("k", [-64, -1000])
+def test_verify_rejects_a_scaled_pigeonhole_coincidence(k):
+    # the residual is judged relative to the largest value: scaling the
+    # values leaves the coincidence above its pigeonhole floor
+    fake = (3099624, 2382306, -12816464, 106971, 31551745, -302267,
+            -379542, -16475735)
+    vals = [eval_formula(c, 256).mul(Q(2) ** k, 256) for c in
+            ("pi", "zeta3", "catalan", "log2cu", "zeta5", "pi4", "beta3",
+             "log2_4")]
+    rep = verify_vector(fake, vals, 256)
+    assert not rep.passed
+    assert rep.log2_residual > k - 256
+
+
+def test_verify_passes_a_scaled_relation():
+    P = 512
+    vals = [v.mul(Q(2) ** 100, P) for v in _catalan_triple(P)]
+    rep = verify_vector((1, -3, 2), vals, P)
+    assert rep.passed and rep.log2_residual < 100 - (P - 64)
+
+
 def test_verify_zero_vector_and_mismatch():
     vals = (pi_const(256), log2_const(256))
     rep = verify_vector((0, 0), vals, 256)
@@ -291,9 +331,23 @@ def test_unrelated_values_are_never_found(data):
     assert res.status != "found", (exprs, P, res)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 2**32))
-def test_planted_tall_vectors_are_never_excluded(n, d, seed):
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_unrelated_values_are_never_found_far_above_the_rule(data):
+    # P well beyond required_bits: the search runs at a fraction of P,
+    # the confirmation at all of it
+    n = data.draw(st.integers(3, 8))
+    weights = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n,
+                                 unique=True))
+    exprs = [data.draw(st.sampled_from(_BY_WEIGHT[w])) for w in weights]
+    digits = data.draw(st.integers(2, 8))
+    P = data.draw(st.integers(2 * required_bits(n, digits), 1024))
+    res = pslq(RelationQuery(tuple(_value(e, P) for e in exprs),
+                             max_digits=digits))
+    assert res.status != "found", (exprs, P, res)
+
+
+def _planted_tall(n, d, seed, P):
     # every entry in [10**d / 2, 10**d): the vector is within max_digits
     # entry by entry, though its Euclidean norm reaches sqrt(n) 10**d.
     # The other values are random, so the planted vector is the only
@@ -301,15 +355,41 @@ def test_planted_tall_vectors_are_never_excluded(n, d, seed):
     rng = random.Random(seed)
     m = [rng.choice((-1, 1)) * rng.randrange(10 ** d // 2, 10 ** d)
          for _ in range(n)]
-    P = required_bits(n, d)
     w = P + 64
     xs = [rng.getrandbits(w) | 1 << (w - 1) for _ in range(n - 1)]
     vals = [MpReal.from_fixed(x, w, P) for x in xs]
     last = Q(-sum(mi * xi for mi, xi in zip(m, xs)), m[-1] << w)
     vals.append(MpReal.from_fraction(last, P))
-    res = pslq(RelationQuery(tuple(vals), max_digits=d))
+    return m, tuple(vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 2**32))
+def test_planted_tall_vectors_are_never_excluded(n, d, seed):
+    m, vals = _planted_tall(n, d, seed, required_bits(n, d))
+    res = pslq(RelationQuery(vals, max_digits=d))
     assert res.status == "found", (m, res)
     assert res.vector == _canonical(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_bits_beyond_the_search_precision_change_no_answer(data):
+    # values at P bits are searched at W = required_bits + 64 + (t - b)
+    # bits, t and b the largest and smallest bit_top, and answer as the
+    # same query with its values rounded to W bits
+    n = data.draw(st.integers(3, 8))
+    d = data.draw(st.integers(2, 4))
+    P = data.draw(st.integers(required_bits(n, d) + 64, 1024))
+    m, vals = _planted_tall(n, d, data.draw(st.integers(0, 2**32)), P)
+    tops = [v.bit_top() for v in vals]
+    W = min(P, required_bits(n, d) + 64 + max(tops) - min(tops))
+    res = pslq(RelationQuery(vals, max_digits=d))
+    short = pslq(RelationQuery(tuple(v.round_to(W) for v in vals),
+                               max_digits=d))
+    assert res.status == "found", (m, P, res)
+    assert res.vector == _canonical(m)
+    assert (short.status, short.vector) == (res.status, res.vector)
 
 
 # padding of weights 1, 3, 4 and 5 for the weight-2 catalan triple
