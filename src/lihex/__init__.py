@@ -12,10 +12,10 @@ the integer-backed arithmetic in :mod:`lihex.mp`.
 """
 
 from .errors import LihexError
+from .series import catalog, eval_formula
 from .ladders import (CheckReport, check_all, check_relation, eval_ladder,
                       relation_names)
 from .relfind import RelationQuery, RelationResult, pslq, verify_vector
-from .series import catalog, eval_formula
 from .spigot import DigitRequest, DigitRun, hex_digits, self_check
 
 __all__ = [

@@ -1,16 +1,17 @@
 """Hypergeometric forms of the ladder generating functions.
 
 The level-one ladders have generating functions expressible three ways:
-as pole sums over shifted integers (partial fractions), as terminating
-combinations of a two-parameter kernel ``W`` built from a 3F2 at unit
-argument, and -- for the wider family -- through a meromorphic function
-``U`` whose lattice values are exact rationals.  This module evaluates
+as pole sums over shifted integers (partial fractions) read from the
+ladder table ``series._BASE``, as terminating combinations of a
+two-parameter kernel ``W`` built from a 3F2 at unit argument, and -- for
+the wider family -- through a meromorphic function ``U`` whose lattice
+values are exact rationals.  This module evaluates
 all three forms and cross-checks them, along with the reflection law for
 ``W``, recurrences for the complex generating functions, the integer
 coefficients of the asymptotic expansion of ``U``, Pochhammer ratio
 identities, and the central-binomial series for Catalan's constant.
-The ``order5`` battery runs the two-variable Li_5 equation of
-:mod:`lihex.ladders` and the exact coefficient ``f5``.
+The ``order5`` battery checks ``f5`` and the two-variable Li_5
+equation, which lives here.
 
 Everything here reduces to a single summation engine: a linearly
 convergent series is summed directly to a cutoff ``N`` and its tail is
@@ -32,8 +33,8 @@ last bit by stated guard bits:
   sized from m that keeps the rounding error below 1/8, cut where the
   kernel's tail falls below 1/16.
 
-The Euler-Maclaurin chain of the tails and the Spouge sum behind the
-gammas are in :mod:`lihex.mp.special`.
+The Euler-Maclaurin chain of the tails, the Spouge sum behind the
+gammas and ``li5`` are in :mod:`lihex.mp.special`.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ from .errors import (
     PrecisionError,
     UnknownName,
 )
-from .ladders import (CheckReport, _log2_mag, _report, check_li5_identity,
-                      eval_ladder)
+from .ladders import CheckReport, _log2_mag, _report, eval_ladder
 from .mp import special as _sp
-from .mp.special import _HurwitzTail
-from .mp.cplx import MpComplex
+from .mp.special import _HurwitzTail, li5
+from .mp.cplx import MpComplex, cln
 from .mp.real import (
     MpReal,
     _log2_fixed,
@@ -70,7 +70,8 @@ from .mp.real import (
     sin,
     tan,
 )
-from .series import ARGUMENTS, _gaussian, eval_formula
+from .series import (_BASE, _UNIT_PARTS, ARGUMENTS, _exact_part,
+                     eval_formula)
 
 __all__ = [
     "eval_W",
@@ -90,6 +91,7 @@ __all__ = [
     "expu_check",
     "geo_checks",
     "catalan_binomial",
+    "check_li5_identity",
     "CHECKS",
 ]
 
@@ -105,13 +107,6 @@ def _as_cplx(t: MpComplex | Fraction, wp: int) -> MpComplex:
     if isinstance(t, MpComplex):
         return t.round_to(wp)
     return MpComplex.from_fractions(Q(t), Q(0), wp)
-
-
-def _z(arg: str) -> tuple[Fraction, Fraction]:
-    """(Re z, Im z) of the Gaussian-rational argument named `arg` in
-    `series.ARGUMENTS`."""
-    zr, zi, shift = _gaussian(arg)
-    return Q(zr, 1 << shift), Q(zi, 1 << shift)
 
 
 def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
@@ -314,69 +309,52 @@ def f5(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction) -> Fraction:
 # ----------------------------------------------------------------------
 # generating functions as pole sums
 #
-# Each id carries families (arg, select, mult, mu), with arg one of the
-# Gaussian-rational names of `series.ARGUMENTS`, z = (zr + i zi) / 2^shift:
-# the pole sum is t * sum_k mult * sel(z^k) / (k - mu t).
-# The "A" series carries no factor 2; the others generate 2 sum X_n t^n.
-# With full=True the pole sum keeps the whole complex coefficient in place
-# of sel: that is the complex generating function behind F, G and H.
+# Ladder X_n is sum c r^(n-1) Part Li_n(z) over its terms (c, r, z, part)
+# in `series._BASE`, so sum_n w X_n t^n (w = 2, 1 for A) is the pole sum
+# t sum_k w c Part(z^k) / (k - r t).  With full=True a term keeps w c z^k
+# whole: the complex generating function behind F, G and H.
 
-_FamT = tuple[str, str, int, Fraction]
-
-_PF: dict[str, tuple[_FamT, ...]] = {
-    "A": (("1/2", "re", 1, Q(1)),),
-    "B": (("(1+i)/2", "re", 2, Q(2)),),
-    "C": (("-1/8", "re", 1, Q(1, 3)), ("-1/2", "re", -2, Q(1))),
-    "D": (("(1+i)/4", "re", 2, Q(2, 3)), ("-i/2", "re", -2, Q(1))),
-    "E": (("(1-i)/8", "re", 2, Q(2, 5)), ("-i/2", "re", -4, Q(1))),
-    "F": (("(1+i)/2", "im", 2, Q(2)),),
-    "G": (("(1+i)/4", "im", 2, Q(2, 3)), ("-i/2", "im", -2, Q(1))),
-    "H": (("(1-i)/8", "im", 2, Q(2, 5)), ("-i/2", "im", -4, Q(1))),
-}
-
-
-def _pole_sum(
-    fams: tuple[_FamT, ...],
-    t: MpComplex,
-    wp: int,
-    skip: frozenset[tuple[int, int]] = frozenset(),
-    full: bool = False,
-) -> MpComplex:
-    # fixed point at wp bits: with mu = p/q, k - mu t = D / (q 2^wp) for
+def _pole_sum(name: str, t: MpComplex, wp: int,
+              skip: frozenset[tuple[int, int]] = frozenset(),
+              full: bool = False) -> MpComplex:
+    # fixed point at wp bits: with r = p/q, k - r t = D / (q 2^wp) for
     # the Gaussian integer D = q k 2^wp - p t, so each term
-    # num q / (2^sc (k - mu t)) is one exact integer complex division,
+    # num q / (2^sc (k - r t)) is one exact integer complex division,
     # floored: kmax terms cost at most kmax ulps per component, and
-    # |t| + 1 times that after the product with t
+    # |t| + 1 times that after the product with t.  Part(z^k) = sign
+    # 2^-sc, sc = (pz k + h)/2, with (sign, h) from `_UNIT_PARTS` at jk
+    # mod 8: the rows share h, and an odd pz k + h has sign 0
     tr, ti = t.re.to_fixed(wp), t.im.to_fixed(wp)
     tmag = math.hypot(t.re.to_float(), t.im.to_float())
+    w = 1 if name == "A" else 2
+    re_row, im_row = _UNIT_PARTS["re"], _UNIT_PARTS["im"]
     acc_r = acc_i = 0
-    for fi, fam in enumerate(fams):
-        arg, sel, mult, mu = fam
-        zr, zi, shift = _gaussian(arg)
-        bits = ARGUMENTS[arg][0] / 2  # |z| = 2^(-p/2)
-        kmax = int((wp + 48) / bits + 3 * tmag) + 16
-        p, q = mu.numerator, mu.denominator
+    for fi, (c, r, arg, part) in enumerate(_BASE[name]):
+        pz, j = ARGUMENTS[arg]
+        kmax = int((wp + 48) / (pz / 2) + 3 * tmag) + 16
+        p, q = Q(r).numerator, Q(r).denominator
+        mult = q * w * c
         di = -p * ti
         dr = -p * tr
-        ar, ai = mult * zr, mult * zi  # mult (zr + i zi)^k, exact
-        sc = shift
+        row = _UNIT_PARTS[part]
         for k in range(1, kmax + 1):
             dr += q << wp
+            m = j * k % 8
             if full:
-                nr, ni = ar, ai
+                (nr, h), (ni, _h) = re_row[m], im_row[m]
             else:
-                nr, ni = (ar if sel == "re" else ai), 0
+                (nr, h), ni = row[m], 0
             if (nr or ni) and (fi, k) not in skip:
                 if abs(dr) <= p and abs(di) <= p:
-                    # t lies within one ulp of the pole k / mu
+                    # t lies within one ulp of the pole k / r
                     raise PoleError(
                         f"generating function pole at k={k}, family {fi}"
                     )
-                # num q conj(D) 2^(2 wp - sc) / |D|^2
+                # mult sign conj(D) 2^(2 wp - sc) / |D|^2
                 den = dr * dr + di * di
-                xr = (nr * dr + ni * di) * q
-                xi = (ni * dr - nr * di) * q
-                e = 2 * wp - sc
+                xr = (nr * dr + ni * di) * mult
+                xi = (ni * dr - nr * di) * mult
+                e = 2 * wp - (pz * k + h) // 2
                 if e >= 0:
                     acc_r += (xr << e) // den
                     acc_i += (xi << e) // den
@@ -384,8 +362,6 @@ def _pole_sum(
                     den <<= -e
                     acc_r += xr // den
                     acc_i += xi // den
-            ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
-            sc += shift
     return MpComplex(
         MpReal.from_fixed((acc_r * tr - acc_i * ti) >> wp, wp, wp),
         MpReal.from_fixed((acc_r * ti + acc_i * tr) >> wp, wp, wp),
@@ -398,12 +374,12 @@ def _genfn(name: str, t: MpComplex | Fraction, prec: int,
     tc = _as_cplx(t, wp)
     if tc.is_zero:
         return MpComplex.from_int(0, prec)
-    return _pole_sum(_PF[name], tc, wp, full=full).round_to(prec)
+    return _pole_sum(name, tc, wp, full=full).round_to(prec)
 
 
 def genfn_pf(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
     """Partial-fraction value of generating function `name` at t."""
-    if name not in _PF:
+    if name not in _BASE:
         raise UnknownName(f"no generating function {name!r}")
     return _genfn(name, t, prec, full=False)
 
@@ -437,7 +413,7 @@ def genfn_hyp(name: str, t: Fraction, prec: int) -> MpReal:
     Only A, B, C, D, F and G reduce to a single 3F2; E and H have no
     known form of this shape.
     """
-    if name not in _PF:
+    if name not in _BASE:
         raise UnknownName(f"no generating function {name!r}")
     if name not in _HYP_PARAMS:
         raise DomainError(f"generating function {name} has no 3F2 form")
@@ -594,9 +570,6 @@ def check_recurrence(name: str, t: MpComplex | Fraction,
 # assembles the two Laurent expansions and keeps the finite parts. When
 # the 1/eps parts do *not* cancel the point is a genuine pole of U.
 
-_E_FAMS = _PF["E"]
-
-
 def _sincos_pt(t: MpReal, d: int, wp: int) -> tuple[MpReal, MpReal]:
     """(sin(pi t/d), cos(pi t/d)) at wp bits."""
     return _sincos(pi_const(wp).mul(t, wp).div(d, wp), wp)
@@ -651,13 +624,13 @@ def U(t: Fraction, prec: int) -> MpReal:
     tr = MpReal.from_fraction(tq, wp)
     pi_ = pi_const(wp)
 
-    hits: list[tuple[Fraction, Fraction, int, int]] = []  # (c, mu, fam, k)
-    for fi, (arg, _sel, mult, mu) in enumerate(_E_FAMS):
+    hits: list[tuple] = []  # (c, mu, fam, k)
+    for fi, (c, mu, arg, part) in enumerate(_BASE["E"]):
         kq = mu * tq
         if kq.denominator == 1 and kq >= 1:
-            c = mult * _gpow(*_z(arg), int(kq))[0]  # E takes real parts
-            if c != 0:
-                hits.append((c, mu, fi, int(kq)))
+            hit = 2 * c * _exact_part(arg, int(kq), part)
+            if hit:
+                hits.append((hit, mu, fi, int(kq)))
     even_hit = tq.denominator == 1 and int(tq) % 2 == 0
     sec_q = 2 * tq / 5
     sec_hit = sec_q.denominator == 1 and int(sec_q) % 2 != 0
@@ -692,8 +665,7 @@ def U(t: Fraction, prec: int) -> MpReal:
     if _log2_mag(res) > max(mags) - wp // 2 + 16:
         raise PoleError(f"U has a pole at t = {tq}")
     skip = frozenset((fi, k) for _c, _mu, fi, k in hits)
-    e_reg = _pole_sum(
-        _E_FAMS, MpComplex.from_real(tr), wp, skip=skip).re
+    e_reg = _pole_sum("E", MpComplex.from_real(tr), wp, skip=skip).re
     val = MpReal.from_int(1, wp).add(-cst, wp).add(-e_reg, wp)
     return val.mul(Q(5, 2), prec)
 
@@ -718,41 +690,31 @@ def Utilde(t: Fraction, prec: int) -> MpReal:
 # half-odd multiples of 5/2; at the genuine poles the same sums yield
 # the residue and the constant term of the Laurent expansion.
 
-def _gpow(re: Fraction, im: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    ar, ai = Q(1), Q(0)
-    for _ in range(abs(k)):
-        ar, ai = ar * re - ai * im, ar * im + ai * re
-    if k < 0:
-        d = ar * ar + ai * ai
-        ar, ai = ar / d, -ai / d
-    return ar, ai
+def _parts(arg: str, k: int) -> tuple[Fraction, Fraction]:
+    return _exact_part(arg, k, "re"), _exact_part(arg, k, "im")
 
 
 def _u_plus(n: int) -> Fraction:
     """U(5n) for integer n >= 1."""
-    p, q = _z("(1-i)/4"), _z("i/2")  # 1/p = 2+2i
-    total = Q(0)
+    total = Q(0)  # p = (1-i)/4, 1/p = 2+2i, and q = i/2
     for k in range(1, 2 * n + 1):
-        pr, pi_ = _gpow(*p, -k)
-        qr, qi = _gpow(*q, 5 * n - k)
+        pr, pi_ = _parts("(1-i)/4", -k)
+        qr, qi = _parts("i/2", 5 * n - k)
         total += ((pr - 2) * qr - pi_ * qi) / k
     for k in range(2 * n + 1, 5 * n + 1):
-        qr, _qi = _gpow(*q, 5 * n - k)
-        total -= Q(2, k) * qr
+        total -= Q(2, k) * _exact_part("i/2", 5 * n - k, "re")
     return 25 * n * total
 
 
 def _v_minus(n: int) -> Fraction:
     """The finite sum V(n); equals U(-5n) for odd n."""
-    p, q = _z("(1-i)/4"), _z("i/2")
     total = Q(0)
     for k in range(1, 2 * n):
-        pr, pi_ = _gpow(*p, k)
-        qr, qi = _gpow(*q, k - 5 * n)
+        pr, pi_ = _parts("(1-i)/4", k)
+        qr, qi = _parts("i/2", k - 5 * n)
         total += ((pr - 2) * qr - pi_ * qi) / k
     for k in range(2 * n, 5 * n):
-        qr, _qi = _gpow(*q, k - 5 * n)
-        total -= Q(2, k) * qr
+        total -= Q(2, k) * _exact_part("i/2", k - 5 * n, "re")
     return -25 * n * total
 
 
@@ -784,24 +746,23 @@ def utilde_rational(t: Fraction) -> Fraction | tuple[Fraction, Fraction]:
         raise DomainError(
             "closed forms exist at odd multiples of 5/2 only")
     n = int(n)
-    p, m = _z("(1-i)/8"), _z("-1/4")[0]  # 1/p = 4+4i
+    # Re p^k for p = (1-i)/8 (1/p = 4+4i), and m^k for m = -1/4
+    pr = functools.partial(_exact_part, "(1-i)/8", part="re")
+    m = functools.partial(_exact_part, "-1/4", part="re")
     if n > 0:
         total = Q(0)
         for k in range(n):
-            pr, _pi = _gpow(*p, k)
-            total += Q(25 * n) * pr / (2 * n - 2 * k)
+            total += Q(25 * n) * pr(k) / (2 * n - 2 * k)
         for k in range(5 * n // 4 + 1):
-            total -= Q(50 * n) * m**k / (5 * n - 4 * k)
+            total -= Q(50 * n) * m(k) / (5 * n - 4 * k)
         return total
     n = -n
-    pr_n, _ = _gpow(*p, -n)
-    residue = pr_n * Q(125 * n, 4)
-    total = -pr_n * Q(25, 2)
+    residue = pr(-n) * Q(125 * n, 4)
+    total = -pr(-n) * Q(25, 2)
     for k in range(1, n):
-        pr, _pi = _gpow(*p, -k)
-        total -= Q(25 * n) * pr / (2 * n - 2 * k)
+        total -= Q(25 * n) * pr(-k) / (2 * n - 2 * k)
     for k in range(1, 5 * n // 4 + 1):
-        total += Q(50 * n) * m**-k / (5 * n - 4 * k)
+        total += Q(50 * n) * m(-k) / (5 * n - 4 * k)
     return residue, total
 
 
@@ -996,7 +957,7 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
     and the sec - 8 sin^2 bracket value at t = 2."""
     def geo(arg: str) -> Fraction:
         """Re of sum_(k>=1) z^k = z / (1 - z)."""
-        zr, zi = _z(arg)
+        zr, zi = _parts(arg, 1)
         return (zr * (1 - zr) - zi * zi) / ((1 - zr) ** 2 + zi * zi)
 
     out = [
@@ -1232,9 +1193,59 @@ def _battery_geo(prec: int) -> list[CheckReport]:
     return out
 
 
-# the two-variable Li_5 equation at points that take every route of
-# `ladders.li5` (disc series, annulus expansion, inversion, unit-circle
-# landmarks), and f5 at its published values
+def check_li5_identity(x: MpComplex, y: MpComplex,
+                       prec: int) -> CheckReport:
+    """Residual of the 34-term two-variable Li_5 functional equation.
+
+    With principal branches it holds for real 0 < x, y < 1 and at
+    (1/2, +-i) and (i, i), not at ((1+i)/2, 1/3): residual 0.11, though
+    `li5` is right at all 33 arguments there.
+    """
+    wp = prec + 64
+    one = MpComplex.from_int(1, wp)
+    x, y = x.round_to(wp), y.round_to(wp)
+    xi = one - x
+    eta = one - y
+    if x.is_zero or y.is_zero or xi.is_zero or eta.is_zero:
+        raise DomainError("x and y must avoid 0 and 1")
+    al = -x / xi
+    be = -y / eta
+    plus = (x * al / (y * be), x * al * y * eta, x * al * be / eta,
+            x * xi * y * be, x * xi / (y * eta), x * xi * eta / be,
+            al * y * be / xi, al / (xi * y * eta), al * eta / (xi * be))
+    minus = (x * y, x * be, x * eta, x / y, x / be, x / eta,
+             al * y, al * be, al * eta, al / y, al / be, al / eta,
+             xi * y, xi * be, xi * eta, y / xi, be / xi, eta / xi)
+    singles = (x, al, xi, y, be, eta)
+    lhs = MpComplex.from_int(0, wp)
+    for z in plus:
+        lhs = lhs + li5(z, wp)
+    for z in minus:
+        lhs = lhs - li5(z, wp) * 9
+    for z in singles:
+        lhs = lhs + li5(z, wp) * 18
+    lhs = lhs - MpComplex.from_real(_sp.zeta(5, wp)) * 18
+    lx, ly = cln(x, wp), cln(y, wp)
+    lxi, leta = cln(xi, wp), cln(eta, wp)
+    lxi2 = lxi * lxi
+    leta2 = leta * leta
+    pi2 = MpComplex.from_real(pow_int(pi_const(wp), 2, wp))
+    pi4 = MpComplex.from_real(pow_int(pi_const(wp), 4, wp))
+    rhs = (lxi * lxi2 * lxi2 * Q(3, 10)
+           + (ly - lx) * lxi2 * lxi2 * Q(3, 4)
+           + (ly * 3 - leta) * leta2 * lxi2 * Q(3, 2)
+           + pi2 * (lxi - leta * 3) * lxi2 * Q(1, 2)
+           + pi4 * lxi * Q(1, 5))
+    resid = (lhs - rhs).abs_val(wp)
+    return _report(f"li5({_cfmt(x)},{_cfmt(y)})", prec, resid, 64)
+
+
+def _cfmt(z: MpComplex) -> str:
+    return f"{z.re.to_float():g}{z.im.to_float():+g}i"
+
+
+# the Li_5 equation at points that take every route of `li5` (disc,
+# annulus, inversion, unit-circle landmarks), and f5's published values
 _LI5_POINTS = (
     ((_HALF, Q(0)), (_HALF, Q(0))),
     ((_HALF, Q(0)), (Q(0), Q(1))),

@@ -1,4 +1,4 @@
-"""Certified checks of the ladder identities, and the Li_5 evaluator.
+"""Certified checks of the ladder identities; this module only checks.
 
 The ladders (A..H, their bar and tilde forms, U..Z) and the identities
 among them are defined once, as exact linear forms, in `series`:
@@ -12,29 +12,23 @@ a counted error bound in ulps, and a report passes only when the
 residual plus its bound is at most 2**-(bits-64), which certifies the
 identity to that accuracy.  wp is prec + 32 bits, more for a row whose
 coefficient mass passes 2^32 (f11).  `eval_ladder` reads one ladder's
-value from the same evaluator.
-
-The module also holds the two-variable Li_5 functional equation, which
-`hyper.CHECKS["order5"]` checks through `li5`.
+value from the same evaluator.  The Li_5 evaluator lives in
+`mp.special`, and the Li_5 equation it serves in `hyper`, beside the
+`order5` battery that checks it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DomainError, PrecisionError, UnknownName
-from .mp import special as _sp
-from .mp.cplx import MpComplex, cln
-from .mp.real import MpReal, pi_const, pow_int
+from .errors import PrecisionError, UnknownName
+from .mp.real import MpReal
 from .series import (IDENTITIES, Identity, IntegerRows, _fixed_sums,
                      _row_value, integer_rows, ladder)
 
-__all__ = ["CheckReport", "RELATIONS", "check_all", "check_li5_identity",
-           "check_relation", "eval_ladder", "li5", "relation_names"]
-
-_Q = Fraction
+__all__ = ["CheckReport", "RELATIONS", "check_all", "check_relation",
+           "eval_ladder", "relation_names"]
 
 
 @dataclass(frozen=True)
@@ -80,146 +74,6 @@ def eval_ladder(name: str, n: int, prec: int) -> MpReal:
     of the scheme.
     """
     return _row_value(_ladder_rows(name, n), prec)
-
-
-# ----------------------------------------------------------------------
-# the extended Li_5 evaluator used by the 34-term functional equation
-
-def _zeta_int_neg(s: int) -> Fraction:
-    """zeta at integers <= 0 (exact rationals via Bernoulli numbers)."""
-    if s == 0:
-        return _Q(-1, 2)
-    j = -s
-    if j % 2 == 0:
-        return _Q(0)
-    return -_sp.bernoulli(j + 1) / (j + 1)
-
-
-def _li5_mu(z: MpComplex, wp: int) -> MpComplex:
-    """Li_5(e^mu) for z on the annulus 3/4 < |z| < 4/3, z != 1."""
-    mu = cln(z, wp)
-    pi2 = pow_int(pi_const(wp), 2, wp)
-    pi4 = pow_int(pi2, 2, wp)
-    zeta = {0: MpComplex.from_real(_sp.zeta(5, wp)),
-            1: MpComplex.from_real(pi4.mul(_Q(1, 90), wp)),
-            2: MpComplex.from_real(_sp.zeta(3, wp)),
-            3: MpComplex.from_real(pi2.mul(_Q(1, 6), wp))}
-    one = MpComplex.from_int(1, wp)
-    total = MpComplex.from_int(0, wp)
-    power = one                      # mu^k / k!
-    tiny = _Q(1, 1 << (2 * wp + 32))
-    k = 0
-    while True:
-        if k <= 3:
-            total = total + zeta[k] * power
-        elif k == 4:
-            # the log-weighted replacement of the missing zeta(1) term
-            h4 = MpComplex.from_fractions(_Q(25, 12), _Q(0), wp)
-            total = total + power * (h4 - cln(-mu, wp))
-        else:
-            c = _zeta_int_neg(5 - k)
-            if c:
-                # the rational coefficients grow with Bernoulli numbers,
-                # so the cutoff must look at the whole term
-                term = power * c
-                total = total + term
-                if k > 12 and term.abs2(64)._cmp(tiny) < 0:
-                    break
-        power = power * mu / (k + 1)
-        k += 1
-    return total
-
-
-def li5(z: MpComplex, prec: int) -> MpComplex:
-    """Li_5 anywhere in the complex plane (principal branch off [1, oo)).
-
-    Inside |z| <= 3/4 the defining series is summed; outside |z| >= 4/3
-    the inversion formula maps back into the disk; the remaining annulus
-    goes through the expansion of Li_5(e^mu) around mu = 0.  The four
-    unit-circle landmarks 1, -1, i, -i short-circuit to closed forms.
-    """
-    wp = prec + 48
-    re, im = z.re, z.im
-    z5 = _sp.zeta(5, wp)
-    if im.is_zero and re == 1:
-        return MpComplex.from_real(z5.round_to(prec))
-    if im.is_zero and re == -1:
-        return MpComplex.from_real(z5.mul(_Q(-15, 16), prec))
-    if re.is_zero and (im == 1 or im == -1):
-        pi5 = pow_int(pi_const(wp), 5, wp)
-        r = z5.mul(_Q(-15, 512), wp)
-        i = pi5.mul(_Q(5, 1536), wp)
-        return MpComplex(r, i if im == 1 else -i).round_to(prec)
-    a2 = z.abs2(wp + 8)
-    if a2._cmp(_Q(9, 16)) <= 0:
-        return _sp.polylog(5, z.round_to(wp), wp).round_to(prec)
-    if a2._cmp(_Q(16, 9)) < 0:
-        return _li5_mu(z.round_to(wp), wp).round_to(prec)
-    inner = li5(MpComplex.from_int(1, wp) / z, wp)
-    lnmz = cln(-z, wp)
-    ln2 = lnmz * lnmz
-    pi2 = pow_int(pi_const(wp), 2, wp)
-    pi4 = pow_int(pi2, 2, wp)
-    out = (inner
-           - lnmz * ln2 * ln2 * _Q(1, 120)
-           - lnmz * ln2 * MpComplex.from_real(pi2) * _Q(1, 36)
-           - lnmz * MpComplex.from_real(pi4) * _Q(7, 360))
-    return out.round_to(prec)
-
-
-def check_li5_identity(x: MpComplex, y: MpComplex,
-                       prec: int) -> CheckReport:
-    """Residual of the 34-term two-variable Li_5 functional equation.
-
-    With principal branches the equation has been checked to hold for
-    real 0 < x, y < 1 and at (1/2, i), (1/2, -i) and (i, i); the points
-    of `hyper.CHECKS["order5"]` are among these.  It does not hold
-    everywhere: at x = (1+i)/2, y = 1/3 the residual is about 0.11,
-    although `li5` matches an independent evaluation at all 33
-    arguments there.
-    """
-    wp = prec + 64
-    one = MpComplex.from_int(1, wp)
-    x = x.round_to(wp)
-    y = y.round_to(wp)
-    xi = one - x
-    eta = one - y
-    if x.is_zero or y.is_zero or xi.is_zero or eta.is_zero:
-        raise DomainError("x and y must avoid 0 and 1")
-    al = -x / xi
-    be = -y / eta
-    plus = (x * al / (y * be), x * al * y * eta, x * al * be / eta,
-            x * xi * y * be, x * xi / (y * eta), x * xi * eta / be,
-            al * y * be / xi, al / (xi * y * eta), al * eta / (xi * be))
-    minus = (x * y, x * be, x * eta, x / y, x / be, x / eta,
-             al * y, al * be, al * eta, al / y, al / be, al / eta,
-             xi * y, xi * be, xi * eta, y / xi, be / xi, eta / xi)
-    singles = (x, al, xi, y, be, eta)
-    lhs = MpComplex.from_int(0, wp)
-    for z in plus:
-        lhs = lhs + li5(z, wp)
-    for z in minus:
-        lhs = lhs - li5(z, wp) * 9
-    for z in singles:
-        lhs = lhs + li5(z, wp) * 18
-    lhs = lhs - MpComplex.from_real(_sp.zeta(5, wp)) * 18
-    lx, ly = cln(x, wp), cln(y, wp)
-    lxi, leta = cln(xi, wp), cln(eta, wp)
-    lxi2 = lxi * lxi
-    leta2 = leta * leta
-    pi2 = MpComplex.from_real(pow_int(pi_const(wp), 2, wp))
-    pi4 = MpComplex.from_real(pow_int(pi_const(wp), 4, wp))
-    rhs = (lxi * lxi2 * lxi2 * _Q(3, 10)
-           + (ly - lx) * lxi2 * lxi2 * _Q(3, 4)
-           + (ly * 3 - leta) * leta2 * lxi2 * _Q(3, 2)
-           + pi2 * (lxi - leta * 3) * lxi2 * _Q(1, 2)
-           + pi4 * lxi * _Q(1, 5))
-    resid = (lhs - rhs).abs_val(wp)
-    return _report(f"li5({_cfmt(x)},{_cfmt(y)})", prec, resid, 64)
-
-
-def _cfmt(z: MpComplex) -> str:
-    return f"{z.re.to_float():g}{z.im.to_float():+g}i"
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Special functions: Bernoulli numbers, zeta values, gamma, polylogarithms,
-and numerical Taylor coefficients.
+"""Special functions: Bernoulli numbers, zeta values, gamma, polylogarithms
+in the disc |z| <= 3/4, Li_5 on the whole plane, and numerical Taylor
+coefficients.
 
 Everything here reduces to integer fixed-point work on top of
 :class:`~lihex.mp.real.MpReal`.  Every Euler-Maclaurin tail in the
@@ -16,6 +17,10 @@ fixed-point ints and its partial-fraction sum runs in fixed point, one
 floor per term, at prec + prec/5 + 64 bits to start; the sum cancels
 further as the argument grows, so it measures that loss against the
 magnitudes of its terms and retries with the bits it lacks.
+
+:func:`li5` extends :func:`polylog` at order 5 to the whole plane by
+inversion and by the expansion of Li_5(e^mu) on the annulus between;
+the Li_5 equation of ``hyper.CHECKS["order5"]`` reads it.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError
-from .cplx import MpComplex
-from .real import MpReal, _div0, _pi_fixed, _shr0, _sincos, exp, ln, pow_real
+from .cplx import MpComplex, cln
+from .real import (MpReal, _div0, _pi_fixed, _shr0, _sincos, exp, ln,
+                   pi_const, pow_int, pow_real)
 
 __all__ = [
     "bernoulli",
@@ -38,6 +44,7 @@ __all__ = [
     "gamma",
     "beta_fn",
     "polylog",
+    "li5",
     "taylor_coeffs",
 ]
 
@@ -413,6 +420,94 @@ def _polylog(n: int, zr: int, zi: int, wp: int, prec: int) -> MpComplex:
     return MpComplex(
         MpReal.from_fixed(ar, wp, prec), MpReal.from_fixed(ai, wp, prec)
     )
+
+
+# ----------------------------------------------------------------------
+# Li_5 on the whole plane, around the disc series
+
+def _zeta_int_neg(s: int) -> Fraction:
+    """zeta at integers <= 0 (exact rationals via Bernoulli numbers)."""
+    if s == 0:
+        return Fraction(-1, 2)
+    j = -s
+    if j % 2 == 0:
+        return Fraction(0)
+    return -bernoulli(j + 1) / (j + 1)
+
+
+def _li5_mu(z: MpComplex, wp: int) -> MpComplex:
+    """Li_5(e^mu) for z on the annulus 3/4 < |z| < 4/3, z != 1."""
+    mu = cln(z, wp)
+    pi2 = pow_int(pi_const(wp), 2, wp)
+    pi4 = pow_int(pi2, 2, wp)
+    zeta_k = {0: MpComplex.from_real(zeta(5, wp)),
+              1: MpComplex.from_real(pi4.mul(Fraction(1, 90), wp)),
+              2: MpComplex.from_real(zeta(3, wp)),
+              3: MpComplex.from_real(pi2.mul(Fraction(1, 6), wp))}
+    one = MpComplex.from_int(1, wp)
+    total = MpComplex.from_int(0, wp)
+    power = one                      # mu^k / k!
+    tiny = Fraction(1, 1 << (2 * wp + 32))
+    k = 0
+    while True:
+        if k <= 3:
+            total = total + zeta_k[k] * power
+        elif k == 4:
+            # the log-weighted replacement of the missing zeta(1) term
+            h4 = MpComplex.from_fractions(Fraction(25, 12), Fraction(0), wp)
+            total = total + power * (h4 - cln(-mu, wp))
+        else:
+            c = _zeta_int_neg(5 - k)
+            if c:
+                # the rational coefficients grow with Bernoulli numbers,
+                # so the cutoff must look at the whole term
+                term = power * c
+                total = total + term
+                if k > 12 and term.abs2(64)._cmp(tiny) < 0:
+                    break
+        power = power * mu / (k + 1)
+        k += 1
+    return total
+
+
+def li5(z: MpComplex, prec: int) -> MpComplex:
+    """Li_5 anywhere in the complex plane (principal branch off [1, oo)).
+
+    Inside |z| <= 3/4 the defining series is summed (`polylog`); outside
+    |z| >= 4/3 the inversion formula maps back into the disk; the
+    remaining annulus goes through the expansion of Li_5(e^mu) around
+    mu = 0.  The four unit-circle landmarks 1, -1, i, -i short-circuit
+    to closed forms.  Those at -1 and +-i stay although the annulus
+    route covers them too: without them a cold 256-bit
+    `hyper.CHECKS["order5"]` takes about twice as long.
+    """
+    wp = prec + 48
+    re, im = z.re, z.im
+    z5 = zeta(5, wp)
+    if im.is_zero and re == 1:
+        return MpComplex.from_real(z5.round_to(prec))
+    if im.is_zero and re == -1:
+        return MpComplex.from_real(z5.mul(Fraction(-15, 16), prec))
+    if re.is_zero and (im == 1 or im == -1):
+        pi5 = pow_int(pi_const(wp), 5, wp)
+        r = z5.mul(Fraction(-15, 512), wp)
+        i = pi5.mul(Fraction(5, 1536), wp)
+        return MpComplex(r, i if im == 1 else -i).round_to(prec)
+    a2 = z.abs2(wp + 8)
+    if a2._cmp(Fraction(9, 16)) <= 0:
+        return polylog(5, z.round_to(wp), wp).round_to(prec)
+    if a2._cmp(Fraction(16, 9)) < 0:
+        return _li5_mu(z.round_to(wp), wp).round_to(prec)
+    inner = li5(MpComplex.from_int(1, wp) / z, wp)
+    lnmz = cln(-z, wp)
+    ln2 = lnmz * lnmz
+    pi2 = pow_int(pi_const(wp), 2, wp)
+    pi4 = pow_int(pi2, 2, wp)
+    out = (inner
+           - lnmz * ln2 * ln2 * Fraction(1, 120)
+           - lnmz * ln2 * MpComplex.from_real(pi2) * Fraction(1, 36)
+           - lnmz * MpComplex.from_real(pi4) * Fraction(7, 360))
+    return out.round_to(prec)
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,13 @@ atoms that share an order, a power and an entry's size share that sum.
 
 Each special argument is z = 2^{-p/2} e^{i pi j/4}, kept as the pair
 (p, j) in `ARGUMENTS`.  That table is the one place an argument's value
-is written down: `polylog_pattern` reads each pattern entry from it in
-closed form, and `hyper` reads the Gaussian-rational arguments of its
-pole sums.
+is written down, and `_power_part` forms every power of an argument
+by one rule, Part(z^k) = sign 2^(-(pk + h)/2) with (sign, h) from
+`_UNIT_PARTS`: `polylog_pattern` reads each pattern entry from it in
+closed form, and `_exact_part` gives Part(z^k) as a Fraction for any
+integer k.  `hyper`'s pole sums apply the same rule to `_UNIT_PARTS`
+rows that they look up once per term, since a call per power slowed
+them by about a tenth.
 
 It is also where the ladders and their identities are defined, once,
 as exact linear forms over S-atoms and monomials: `ladder(name, n)`
@@ -285,15 +289,14 @@ def _power_part(p: int, j: int, k: int, part: str) -> tuple[int, int]:
     return sign, p * k + h
 
 
-def _gaussian(arg: str) -> tuple[int, int, int]:
-    """(zr, zi, shift) with z = (zr + i zi) / 2^shift, for the arguments
-    that are Gaussian rationals: the nonzero parts of z are 2^(-(p + j mod
-    2)/2) in size, rational exactly when p + j is even."""
-    p, j = _argument(arg)
-    if (p + j) % 2:
-        raise UnsupportedArgument(f"{arg} is not a Gaussian rational")
-    return (_UNIT_PARTS["re"][j][0], _UNIT_PARTS["im"][j][0],
-            (p + j % 2) // 2)
+def _exact_part(arg: str, k: int, part: str) -> Fraction:
+    """Part(z^k) for any integer k, exactly; UnsupportedArgument where it
+    is irrational (the imaginary part of an odd power of i/sqrt2,
+    -i/sqrt2, i/sqrt8 or -i/sqrt8)."""
+    sign, e = _power_part(*_argument(arg), k, part)
+    if sign and e % 2:
+        raise UnsupportedArgument(f"{part} part of ({arg})^{k} is irrational")
+    return _Q(sign << max(-e, 0) // 2, 1 << max(e, 0) // 2)
 
 
 @functools.cache

@@ -11,10 +11,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lihex.hyper import (CHECKS, U, asymp_coeff, eval_W, expu_check, f5,
-                         genfn_hyp, genfn_pf, u_rational, utilde_rational)
-from lihex.ladders import (check_all, check_li5_identity, check_relation,
-                           eval_ladder)
+from lihex.hyper import (CHECKS, U, asymp_coeff, check_li5_identity, eval_W,
+                         expu_check, f5, genfn_hyp, genfn_pf, u_rational,
+                         utilde_rational)
+from lihex.ladders import check_all, check_relation, eval_ladder
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal, pi_const
 from lihex.relfind import RelationQuery, pslq, verify_vector

@@ -15,12 +15,13 @@ import pytest
 from lihex.errors import (DivergenceError, DomainError, PoleError,
                           PrecisionError, UnknownName)
 from lihex.hyper import (_MAX_BITS, CHECKS, U, Utilde, asymp_coeff,
-                         catalan_binomial,
+                         catalan_binomial, check_li5_identity,
                          check_recurrence, check_trig_forms, eval_W,
                          expu_check, f5, genfn_cplx, genfn_hyp, genfn_pf,
                          geo_checks,
                          pochhammer_check, reflection_check, u_rational,
                          utilde_rational)
+from lihex.ladders import eval_ladder
 from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal, pi_const
 from lihex.series import eval_formula
@@ -121,6 +122,19 @@ def test_f_over_t_tends_to_half_pi():
 ])
 def test_trig_decompositions(name, t):
     assert check_trig_forms(name, t, 256).passed
+
+
+@pytest.mark.parametrize("name", "ABCDEFGH")
+def test_pole_sums_are_the_ladders_generating_functions(name):
+    # sum_n w X_n t^n, w = 1 for A and 2 for the others; at t = 2^-40
+    # the terms past n = 11 lie below 2^-480, and the value near t
+    # carries 256 bits
+    t = Q(1, 1 << 40)
+    w = 1 if name == "A" else 2
+    want = MpReal.zero(320)
+    for n in range(1, 12):
+        want = want.add(eval_ladder(name, n, 320).mul(w * t**n, 320), 320)
+    assert _mag(genfn_pf(name, t, 256).re - want) < -(256 + 40 - 16)
 
 
 def test_contiguous_recurrences():
@@ -259,6 +273,14 @@ def test_catalan_binomial_form():
     P = 128
     d = catalan_binomial(P) - eval_formula("catalan", P + 16)
     assert _mag(d) < -(P - 8)
+
+
+def test_li5_functional_equation_point():
+    P = 256
+    x = MpComplex.from_fractions(Q(1, 2), Q(0), P)
+    y = MpComplex.from_fractions(Q(0), Q(1), P)
+    rep = check_li5_identity(x, y, P)
+    assert rep.passed
 
 
 def test_registry_is_the_ten_batteries():

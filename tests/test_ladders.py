@@ -1,5 +1,5 @@
-"""The identity suite: every catalog relation at 512 bits, the
-high-precision 14-term zeta(11) relation, and the Li_5 machinery."""
+"""The identity suite: every catalog relation at 512 bits and the
+high-precision 14-term zeta(11) relation."""
 
 import dataclasses
 import hashlib
@@ -13,10 +13,8 @@ import lihex.hyper  # noqa: F401  (its memos must be present to be cleared)
 from lihex import series
 from lihex.errors import PrecisionError, UndefinedOrder, UnknownName
 from lihex.ladders import (RELATIONS, CheckReport, _fixed_sums, check_all,
-                           check_li5_identity, check_relation, eval_ladder,
-                           li5)
+                           check_relation, eval_ladder)
 from lihex.mp import special as sp
-from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal
 from lihex.series import IDENTITIES, Identity, Monomial, catalog, eval_formula
 
@@ -180,30 +178,6 @@ def test_eval_ladder_guards():
         eval_ladder("Qbar", 2, 128)
     with pytest.raises(UndefinedOrder):
         eval_ladder("Abar", 12, 128)
-
-
-def test_li5_duplication():
-    wp = 320
-    for zre, zim in ((Q(1, 2), Q(0)), (Q(0), Q(1, 2))):
-        z = MpComplex.from_fractions(zre, zim, wp)
-        d = (li5(-z, wp) + li5(z, wp) - li5(z * z, wp) * Q(1, 16)).abs_val(64)
-        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 64)
-
-
-def test_li5_series_annulus_seam():
-    # both arguments on the annulus route, the square on the series one
-    wp = 320
-    z = MpComplex.from_fractions(Q(4, 5), Q(0), wp)
-    d = (li5(-z, wp) + li5(z, wp) - li5(z * z, wp) * Q(1, 16)).abs_val(64)
-    assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 64)
-
-
-def test_li5_functional_equation_point():
-    P = 256
-    x = MpComplex.from_fractions(Q(1, 2), Q(0), P)
-    y = MpComplex.from_fractions(Q(0), Q(1), P)
-    rep = check_li5_identity(x, y, P)
-    assert rep.passed
 
 
 def test_report_shape():

@@ -3,6 +3,7 @@ round-trips, and the basic algebra the rest of the package leans on."""
 
 import importlib.util
 from fractions import Fraction
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex, cln
 from lihex.mp.real import (MpReal, cos, exp, ln, log2_const, pi_const,
                            pow_int, sin)
+from lihex.mp.special import li5
 
 P = 200
 
@@ -178,6 +180,33 @@ def test_polylog_small_argument():
     want = pi2.mul(Fraction(1, 12), wp) - l2.mul(l2, wp).mul(Fraction(1, 2), wp)
     d = got - want
     assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 24)
+
+
+def test_li5_duplication():
+    wp = 320
+    for zre, zim in ((Q(1, 2), Q(0)), (Q(0), Q(1, 2))):
+        z = MpComplex.from_fractions(zre, zim, wp)
+        d = (li5(-z, wp) + li5(z, wp) - li5(z * z, wp) * Q(1, 16)).abs_val(64)
+        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 64)
+
+
+def test_li5_series_annulus_seam():
+    # both arguments on the annulus route, the square on the series one
+    wp = 320
+    z = MpComplex.from_fractions(Q(4, 5), Q(0), wp)
+    d = (li5(-z, wp) + li5(z, wp) - li5(z * z, wp) * Q(1, 16)).abs_val(64)
+    assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 64)
+
+
+@pytest.mark.parametrize("re, im", [(-1, 0), (0, 1), (0, -1)])
+def test_li5_landmarks_agree_with_the_annulus_route(re, im):
+    # the closed forms at -1 and +-i stay although the annulus route
+    # covers those points: without them a cold order5 battery takes
+    # about twice as long
+    wp = 256
+    z = MpComplex.from_fractions(Fraction(re), Fraction(im), wp)
+    d = (sp.li5(z, wp) - sp._li5_mu(z, wp)).abs_val(64)
+    assert d.is_zero or d.man.bit_length() + d.exp <= -(wp - 64)
 
 
 def test_bernoulli_exact_values():

@@ -250,6 +250,40 @@ def test_argument_table_matches_literals():
             < 1e-15
 
 
+def _gpow(re: Fraction, im: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """(re + i im)^k by repeated multiplication."""
+    ar, ai = Fraction(1), Fraction(0)
+    for _ in range(abs(k)):
+        ar, ai = ar * re - ai * im, ar * im + ai * re
+    if k < 0:
+        d = ar * ar + ai * ai
+        ar, ai = ar / d, -ai / d
+    return ar, ai
+
+
+# z^2 of the four arguments whose parts are irrational
+SQRT2_SQUARES = {"i/sqrt2": Fraction(-1, 2), "-i/sqrt2": Fraction(-1, 2),
+                 "i/sqrt8": Fraction(-1, 8), "-i/sqrt8": Fraction(-1, 8)}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_LITERALS))
+def test_exact_parts_of_argument_powers(name):
+    z = ARGUMENT_LITERALS[name]
+    for k in range(-12, 13):
+        if name not in SQRT2_SQUARES:
+            want = _gpow(Fraction(z.real), Fraction(z.imag), k)
+        elif k % 2 == 0:
+            want = _gpow(SQRT2_SQUARES[name], Fraction(0), k // 2)
+        else:
+            assert series._exact_part(name, k, "re") == 0
+            with pytest.raises(UnsupportedArgument):
+                series._exact_part(name, k, "im")
+            continue
+        got = (series._exact_part(name, k, "re"),
+               series._exact_part(name, k, "im"))
+        assert got == want, (name, k)
+
+
 @pytest.mark.parametrize("name", sorted(ARGUMENT_LITERALS))
 def test_polylog_pattern_against_literal_powers(name):
     z = ARGUMENT_LITERALS[name]
