@@ -140,6 +140,19 @@ def test_hyper_battery_refuses_too_few_bits(capsys):
         assert "usage error" in err
 
 
+def test_unknown_battery_exits_two_and_lists_the_batteries(capsys):
+    # a usage error whether argparse or the handler refuses the name
+    try:
+        rc = main(["hyper", "--check", "nosuch"])
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert "nosuch" in out.err
+    assert len(CHECKS) == 10
+    assert set(CHECKS) <= set(re.findall(r"\w+", out.err))
+
+
 def test_verify_all_refuses_too_few_bits(capsys):
     # below every relation's min_bits there is nothing to check
     for flag in ((), ("--json",)):
