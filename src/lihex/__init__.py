@@ -9,20 +9,42 @@ the earlier ones, :mod:`lihex.ladders` and :mod:`lihex.hyper` verify
 the web of identities the formulas rest on, and :mod:`lihex.relfind`
 searches for (or excludes) new integer relations.  Everything runs on
 the integer-backed arithmetic in :mod:`lihex.mp`.
+
+``import lihex`` loads :mod:`lihex.errors` alone.  Every other public
+name, and every submodule read as ``lihex.<name>``, is imported on
+first use: ``lihex.catalog()`` loads :mod:`lihex.series` and
+:mod:`lihex.mp.real`, ``lihex.check_all`` adds :mod:`lihex.ladders`.
+The command line likewise imports only what its subcommand runs.
 """
 
-from .errors import LihexError
-from .series import catalog, eval_formula
-from .ladders import (CheckReport, check_all, check_relation, eval_ladder,
-                      relation_names)
-from .relfind import RelationQuery, RelationResult, pslq, verify_vector
-from .spigot import DigitRequest, DigitRun, hex_digits, self_check
+import importlib
 
-__all__ = [
-    "LihexError",
-    "CheckReport", "check_all", "check_relation", "eval_ladder",
-    "relation_names",
-    "RelationQuery", "RelationResult", "pslq", "verify_vector",
-    "catalog", "eval_formula",
-    "DigitRequest", "DigitRun", "hex_digits", "self_check",
-]
+from .errors import LihexError
+
+# public name -> the submodule that defines it, imported on first use
+_HOME = {
+    "CheckReport": "ladders", "check_all": "ladders",
+    "check_relation": "ladders", "eval_ladder": "ladders",
+    "relation_names": "ladders",
+    "RelationQuery": "relfind", "RelationResult": "relfind",
+    "pslq": "relfind", "verify_vector": "relfind",
+    "catalog": "series", "eval_formula": "series",
+    "DigitRequest": "spigot", "DigitRun": "spigot",
+    "hex_digits": "spigot", "self_check": "spigot",
+}
+_SUBMODULES = frozenset({"cli", "hyper", "ladders", "mp", "relfind",
+                         "series", "spigot"})
+
+__all__ = ["LihexError", *_HOME]
+
+
+def __getattr__(name: str):
+    """Import a public name or a submodule when it is first read."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"),
+                    name)
+    globals()[name] = value
+    return value

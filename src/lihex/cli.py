@@ -4,6 +4,8 @@ Exit codes follow the usual convention: 0 for success, 1 when a check
 fails (or a computation reports an error), 2 for usage problems.  With
 ``--json`` the machine-readable form is canonical: keys sorted, no
 whitespace, so byte-identical output round-trips through a parser.
+Each subcommand imports the modules it runs, so that ``lihex digits``
+never compiles the checkers or the relation search.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import LihexError
-from .hyper import CHECKS
-from .ladders import RELATIONS, CheckReport, check_all, check_relation
-from .mp.real import MpReal, pow_int
-from .relfind import RelationQuery, pslq, required_bits
-from .series import Monomial, SeriesSpec, catalog, eval_formula, eval_series
-from .spigot import DigitRequest, hex_digits
+
+if TYPE_CHECKING:
+    from .ladders import CheckReport
+    from .mp.real import MpReal
 
 __all__ = ["main"]
 
@@ -124,6 +125,7 @@ def _split_values(text: str) -> list[str]:
 
 
 def _eval_atom(tok: str, wp: int) -> MpReal:
+    from .series import Monomial, SeriesSpec, eval_formula, eval_series
     if tok.endswith(")"):
         head, _, body = tok.partition("(")
         args = [a.strip() for a in body[:-1].split(",")]
@@ -145,6 +147,7 @@ def _eval_atom(tok: str, wp: int) -> MpReal:
 
 
 def _eval_expr(expr: str, wp: int) -> MpReal:
+    from .mp.real import pow_int
     acc: MpReal | None = None
     for factor in expr.split("*"):
         base, caret, power = factor.strip().partition("^")
@@ -163,6 +166,9 @@ def _eval_expr(expr: str, wp: int) -> MpReal:
 # subcommands
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .hyper import CHECKS
+    from .ladders import RELATIONS
+    from .series import catalog
     print("formulas:")
     for name, f in catalog().items():
         print(f"  {name:<12} {f.description}")
@@ -175,6 +181,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
+    from .spigot import DigitRequest, hex_digits
     run = hex_digits(DigitRequest(args.constant, args.position,
                                   args.count, threads=args.threads))
     if args.json:
@@ -187,6 +194,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .series import eval_formula
     v = eval_formula(args.constant, args.bits)
     hx = _hex_string(v, args.bits)
     dec = v.to_decimal()
@@ -199,6 +207,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .ladders import check_all, check_relation
     if args.all:
         reports = check_all(args.bits)
     else:
@@ -207,11 +216,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_hyper(args: argparse.Namespace) -> int:
+    from .hyper import CHECKS
+    if args.check not in CHECKS:
+        raise ValueError(f"unknown battery {args.check!r}; choose from "
+                         f"{', '.join(CHECKS)}")
     return _print_reports(CHECKS[args.check](args.bits), args.json)
 
 
 def _default_digits(bits: int, n: int) -> int:
     """Largest coefficient size a search over n values at bits admits."""
+    from .relfind import required_bits
     d = 1
     while required_bits(n, d + 1) <= bits:
         d += 1
@@ -219,6 +233,7 @@ def _default_digits(bits: int, n: int) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
+    from .relfind import RelationQuery, pslq
     wp = args.bits + 32
     vals = tuple(_eval_expr(e, wp).round_to(args.bits)
                  for e in _split_values(args.values))
@@ -279,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hyper", help="hypergeometric-side check batteries")
-    p.add_argument("--check", required=True, choices=list(CHECKS))
+    p.add_argument("--check", required=True,
+                   help="battery name, as `lihex list` shows them")
     p.add_argument("--bits", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hyper)

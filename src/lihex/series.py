@@ -52,7 +52,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (DomainError, PrecisionError, RankDeficient,
                      UndefinedOrder, UnknownName, UnsupportedArgument)
 from .mp.real import MpReal, _log2_fixed, _pi_fixed
-from .mp import special as _sp
 
 __all__ = [
     "SeriesSpec", "Formula", "Monomial", "Identity", "IDENTITIES",
@@ -381,10 +380,14 @@ def _monomial_fixed(m: Monomial, wp: int) -> tuple[int, int]:
     w = wp + 16
     factors = ([_pi_fixed(w)] * m.pi + [_log2_fixed(w)] * m.log2
                + [isqrt(2 << 2 * w)] * m.sqrt2)
+    # mp.special is imported here, its one caller, so that loading the
+    # catalog does not compile it
     if m.zeta:
-        factors.append(_sp.zeta(m.zeta, w + 2).to_fixed(w))
+        from .mp.special import zeta
+        factors.append(zeta(m.zeta, w + 2).to_fixed(w))
     if m.beta:
-        factors.append(_sp.dirichlet_beta(m.beta, w + 2).to_fixed(w))
+        from .mp.special import dirichlet_beta
+        factors.append(dirichlet_beta(m.beta, w + 2).to_fixed(w))
     v, e = 1 << w, 0
     for f in factors:
         v, e = _fmul(v, e, f, 1, w)

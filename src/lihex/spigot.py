@@ -19,9 +19,9 @@ digit.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
-import multiprocessing
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,23 +253,31 @@ def _proved(acc: int, guard: int, bound: int) -> bool:
 
 
 def _window(f: Formula, position: int, count: int, guard: int,
-            threads: int = 1) -> tuple[str | None, int]:
+            pool=None) -> tuple[str | None, int]:
     """The count digits at position if guard bits prove them, else None;
-    and the error bound E of the accumulator."""
+    and the error bound E of the accumulator.  The jobs are summed in
+    process, or by the workers of pool."""
     acc_bits = 4 * count + guard
     jobs = _formula_jobs(f, 4 * (position - 1), acc_bits)
-    threads = min(threads, len(jobs))
-    if threads == 1:
+    if pool is None:
         acc = sum(map(_sum_job, jobs))
     else:
         # Pool.starmap would list every job first; imap_unordered reads
         # them as workers free up, and the sum does not depend on order
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            acc = sum(pool.imap_unordered(_sum_job, jobs, chunksize=1))
+        acc = sum(pool.imap_unordered(_sum_job, jobs, chunksize=1))
     bound = _error_bound(jobs)
     if not _proved(acc, guard, bound):
         return None, bound
     return format(acc % (1 << acc_bits) >> guard, f"0{count}X"), bound
+
+
+def _pool(threads: int):
+    """A context giving a pool of threads worker processes, or None for
+    one thread; only a pool imports multiprocessing."""
+    if threads == 1:
+        return contextlib.nullcontext()
+    import multiprocessing
+    return multiprocessing.get_context("fork").Pool(threads)
 
 
 def hex_digits(req: DigitRequest) -> DigitRun:
@@ -281,21 +289,22 @@ def hex_digits(req: DigitRequest) -> DigitRun:
     proves every digit (`guard_ok`).  A value that close to a carry
     boundary is retried with 32 more guard bits, up to three times.
     The run reports the terms summed over all attempts (E - 1 each) and
-    the guard of the accepted window.
+    the guard of the accepted window.  With threads > 1 every attempt
+    shares one pool, no larger than the job list summed without guard
+    bits, which no attempt's list is shorter than.
     """
     f = _lookup(req.formula)
-    bound = _error_bound(_formula_jobs(f, 4 * (req.position - 1),
-                                      4 * req.count))
-    guard = bound.bit_length() + 16
+    jobs = _formula_jobs(f, 4 * (req.position - 1), 4 * req.count)
+    guard = _error_bound(jobs).bit_length() + 16
     terms = 0
-    for retries in range(4):
-        digits, bound = _window(f, req.position, req.count, guard,
-                                req.threads)
-        terms += bound - 1
-        if digits is not None:
-            return DigitRun(digits, req.position, True, retries, terms,
-                            guard)
-        guard += 32
+    with _pool(min(req.threads, len(jobs))) as pool:
+        for retries in range(4):
+            digits, bound = _window(f, req.position, req.count, guard, pool)
+            terms += bound - 1
+            if digits is not None:
+                return DigitRun(digits, req.position, True, retries, terms,
+                                guard)
+            guard += 32
     raise GuardExhausted(
         f"{req.formula} at position {req.position}: still within E = "
         f"{bound} ulps of a carry boundary with a {guard - 32}-bit guard")

@@ -6,6 +6,7 @@ per-spec terms, and the error-bound test that proves each window."""
 
 import contextlib
 import math
+import multiprocessing
 import time
 import tracemalloc
 from fractions import Fraction
@@ -191,7 +192,10 @@ def test_request_validation():
             assert DigitRequest(name, position).position == position
 
 
-def test_pool_never_outgrows_the_job_list(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with an in-process fake; the sizes of
+    the pools opened."""
     sizes = []
 
     def pool(size):
@@ -199,14 +203,32 @@ def test_pool_never_outgrows_the_job_list(monkeypatch):
         return contextlib.nullcontext(SimpleNamespace(
             imap_unordered=lambda fn, jobs, chunksize: map(fn, jobs)))
 
-    monkeypatch.setattr(spigot.multiprocessing, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=pool))
+    return sizes
+
+
+def test_pool_never_outgrows_the_job_list(pool_sizes):
+    sizes = pool_sizes
     assert hex_digits(DigitRequest("pi", 1, 8, threads=256)).digits \
         == "243F6A88"
     assert sizes == []  # one job: summed in process
     run = hex_digits(DigitRequest("zeta3", 10000, 16, threads=256))
     assert run.digits == "8F811A52EA1EFFB4"
     assert sizes == [2]
+
+
+def test_one_pool_serves_every_retry(pool_sizes, monkeypatch):
+    guards = []
+
+    def reject_first(acc, guard, bound):
+        guards.append(guard)
+        return len(guards) > 1 and _proved(acc, guard, bound)
+
+    monkeypatch.setattr(spigot, "_proved", reject_first)
+    run = hex_digits(DigitRequest("zeta3", 10000, 16, threads=2))
+    assert run.digits == "8F811A52EA1EFFB4" and run.retries == 1
+    assert pool_sizes == [2]
 
 
 def test_sizing_a_far_window_lists_no_jobs():
