@@ -3,15 +3,17 @@
 :mod:`lihex.mp.real` holds the real type, the constants pi and log 2 and
 the elementary functions, :mod:`lihex.mp.cplx` the complex type, and
 :mod:`lihex.mp.special` the zeta/gamma/polylog family.  Complex support
-stops at arithmetic and the principal logarithm.  Every zeta-type sum
-(zeta, Dirichlet beta, the Hurwitz zeta at integer s, and the series
-tails of :mod:`lihex.hyper`) ends in one Euler-Maclaurin kernel in
-:mod:`lihex.mp.special`, which reads one shared table of exact Bernoulli
-numbers.  ``hurwitz`` takes integer s >= 2 and ``gamma`` real arguments
-only.  Every memo in the package is ``functools.cache`` on a function of
-its arguments alone, or ``functools.cached_property`` on an immutable
-object, so no value depends on what the process computed before; the
-Bernoulli table, which only grows one prefix, is the one exception.
+stops at arithmetic and the principal logarithm.  zeta(n) and
+Dirichlet beta(n) are alternating sums under Borwein's acceleration in
+:mod:`lihex.mp.real`, in integer fixed point with a counted bound; the
+Hurwitz zeta at integer s and the series tails of :mod:`lihex.hyper`
+end in one Euler-Maclaurin kernel in :mod:`lihex.mp.special`, which
+reads one shared table of exact Bernoulli numbers.  ``hurwitz`` takes
+integer s >= 2 and ``gamma`` real arguments only.  Every memo in the
+package is ``functools.cache`` on a function of its arguments alone, or
+``functools.cached_property`` on an immutable object, so no value
+depends on what the process computed before; the Bernoulli table,
+which only grows one prefix, is the one exception.
 The kernels check their domains but carry no precision policy beyond
 the 2..2^23-bit range of an ``MpReal``: the entry point that receives a
 request checks its precision before any work.

@@ -3,12 +3,14 @@ in the disc |z| <= 3/4, Li_5 on the whole plane, and numerical Taylor
 coefficients.
 
 Everything here reduces to integer fixed-point work on top of
-:class:`~lihex.mp.real.MpReal`.  Every Euler-Maclaurin tail in the
-package -- zeta, Dirichlet beta, the integer-argument Hurwitz zeta and
-the 3F2 and Catalan tails that :mod:`lihex.hyper` reads from the chain
-:class:`_HurwitzTail` -- goes through one fixed-point kernel,
-:func:`_em_tail`, whose corrections read one shared table of exact
-Bernoulli numbers that grows entry by entry and never recomputes one.
+:class:`~lihex.mp.real.MpReal`.  :func:`zeta` and :func:`dirichlet_beta`
+round the Borwein sums of :mod:`lihex.mp.real`, the one zeta(n) and
+beta(n) algorithm of the package.  Every Euler-Maclaurin tail -- the
+integer-argument Hurwitz zeta and the 3F2 and Catalan tails that
+:mod:`lihex.hyper` reads from the chain :class:`_HurwitzTail` -- goes
+through one fixed-point kernel, :func:`_em_tail`, whose corrections
+read one shared table of exact Bernoulli numbers that grows entry by
+entry and never recomputes one.
 
 :func:`hurwitz` takes integer s only and :func:`gamma` real arguments
 only; gamma uses a Spouge-style convergent approximation with
@@ -33,8 +35,8 @@ from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError
 from .cplx import MpComplex, cln
-from .real import (MpReal, _div0, _pi_fixed, _shr0, _sincos, exp, ln,
-                   pi_const, pow_int, pow_real)
+from .real import (MpReal, _alt_fixed, _div0, _pi_fixed, _shr0, _sincos,
+                   _zeta_fixed, exp, ln, pi_const, pow_int, pow_real)
 
 __all__ = [
     "bernoulli",
@@ -227,10 +229,12 @@ class _HurwitzTail:
 
 @functools.cache
 def zeta(n: int, prec: int) -> MpReal:
-    """Riemann zeta at integer n >= 2, relative error below 2**-prec."""
+    """Riemann zeta at integer n >= 2, relative error below 2**-prec: the
+    Borwein sum of `mp.real._zeta_fixed` rounded once."""
     if n < 2:
         raise DomainError("zeta requires an integer argument >= 2")
-    return _hurwitz_int(n, Fraction(1), prec)
+    wp = prec + 32
+    return MpReal.from_fixed(_zeta_fixed(n, wp)[0], wp, prec)
 
 
 def _hurwitz_int(n: int, a: Fraction, prec: int) -> MpReal:
@@ -271,13 +275,13 @@ def hurwitz(s: Fraction, a: Fraction, prec: int) -> MpReal:
 
 @functools.cache
 def dirichlet_beta(n: int, prec: int) -> MpReal:
-    """Dirichlet beta at integer n >= 2: sum_{k>=0} (-1)^k (2k+1)^-n."""
+    """Dirichlet beta at integer n >= 2: sum_{k>=0} (-1)^k (2k+1)^-n,
+    relative error below 2**-prec, the Borwein sum of
+    `mp.real._alt_fixed` rounded once."""
     if n < 2:
         raise DomainError("dirichlet_beta requires n >= 2")
-    wp = prec + 16
-    hi = _hurwitz_int(n, Fraction(1, 4), wp)
-    lo = _hurwitz_int(n, Fraction(3, 4), wp)
-    return hi.add(-lo, wp).scalb(-2 * n).round_to(prec)
+    wp = prec + 32
+    return MpReal.from_fixed(_alt_fixed(n, 2, wp)[0], wp, prec)
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DomainError, PrecisionError, RankDeficient,
                      UndefinedOrder, UnknownName, UnsupportedArgument)
-from .mp.real import MpReal, _log2_fixed, _pi_fixed
+from .mp.real import (MpReal, _alt_fixed, _log2_fixed, _pi_fixed,
+                      _zeta_fixed)
 
 __all__ = [
     "SeriesSpec", "Formula", "Monomial", "Identity", "IDENTITIES",
@@ -371,26 +372,23 @@ def _fmul(a: int, ea: int, b: int, eb: int, w: int) -> tuple[int, int]:
 def _monomial_fixed(m: Monomial, wp: int) -> tuple[int, int]:
     """The monomial times 2^wp as an integer, and a bound in ulps.
 
-    The factors enter at w = wp + 16 bits, each within one ulp: pi and
-    log 2 from their fixed-point series, sqrt 2 as isqrt(2^(2w+1)), and
-    zeta(n) < 2 and beta(n) < 1 from values good to a relative
-    2^-(w+2).  Each product adds its propagated error and one floor;
-    the final shift by 16 one more.
+    The factors enter at w = wp + 16 bits with counted bounds: pi and
+    log 2 from their fixed-point series and sqrt 2 as isqrt(2^(2w+1)),
+    each within one ulp, and zeta(n) < 2 and beta(n) < 1 from the
+    Borwein sums of `mp.real`, within the few ulps those count.  Each
+    product adds its propagated error and one floor; the final shift by
+    16 one more.
     """
     w = wp + 16
-    factors = ([_pi_fixed(w)] * m.pi + [_log2_fixed(w)] * m.log2
-               + [isqrt(2 << 2 * w)] * m.sqrt2)
-    # mp.special is imported here, its one caller, so that loading the
-    # catalog does not compile it
+    factors = ([(_pi_fixed(w), 1)] * m.pi + [(_log2_fixed(w), 1)] * m.log2
+               + [(isqrt(2 << 2 * w), 1)] * m.sqrt2)
     if m.zeta:
-        from .mp.special import zeta
-        factors.append(zeta(m.zeta, w + 2).to_fixed(w))
+        factors.append(_zeta_fixed(m.zeta, w))
     if m.beta:
-        from .mp.special import dirichlet_beta
-        factors.append(dirichlet_beta(m.beta, w + 2).to_fixed(w))
+        factors.append(_alt_fixed(m.beta, 2, w))
     v, e = 1 << w, 0
-    for f in factors:
-        v, e = _fmul(v, e, f, 1, w)
+    for f, ef in factors:
+        v, e = _fmul(v, e, f, ef, w)
     return v >> 16, (e >> 16) + 2
 
 
@@ -968,10 +966,16 @@ def catalog() -> dict[str, Formula]:
     return full
 
 
-def eval_formula(name: str, prec: int) -> MpReal:
-    """Evaluate a catalog constant to error below 2^-(prec-8): its one
-    integer row, summed in fixed point and rounded once."""
+def _formula(name: str) -> Formula:
+    """The catalog formula of that name: a classic, else a derived one,
+    so that a classic is found without solving the derived catalog."""
     f = FORMULAS.get(name) or _derived().get(name)
     if f is None:
         raise UnknownName(name)
-    return f.value(prec)
+    return f
+
+
+def eval_formula(name: str, prec: int) -> MpReal:
+    """Evaluate a catalog constant to error below 2^-(prec-8): its one
+    integer row, summed in fixed point and rounded once."""
+    return _formula(name).value(prec)

@@ -28,8 +28,8 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import DomainError, GuardExhausted, UnknownName
-from .series import Formula, catalog, eval_formula
+from .errors import DomainError, GuardExhausted
+from .series import Formula, _formula, eval_formula
 
 __all__ = ["DigitRequest", "DigitRun", "hex_digits", "self_check",
            "MAX_MODULUS_BITS"]
@@ -227,13 +227,6 @@ def _formula_jobs(f: Formula, shift0: int, acc_bits: int) -> _Jobs:
     return _Jobs(t, shift, acc_bits, kmax)
 
 
-def _lookup(name: str) -> Formula:
-    f = catalog().get(name)
-    if f is None:
-        raise UnknownName(name)
-    return f
-
-
 def _error_bound(jobs: _Jobs) -> int:
     """E: the exact accumulator lies within (-1, E) ulps above the summed one.
 
@@ -293,7 +286,7 @@ def hex_digits(req: DigitRequest) -> DigitRun:
     shares one pool, no larger than the job list summed without guard
     bits, which no attempt's list is shorter than.
     """
-    f = _lookup(req.formula)
+    f = _formula(req.formula)
     jobs = _formula_jobs(f, 4 * (req.position - 1), 4 * req.count)
     guard = _error_bound(jobs).bit_length() + 16
     terms = 0

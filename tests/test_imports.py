@@ -1,7 +1,8 @@
 """What each entry point imports: ``import lihex`` loads the errors
-alone, a public name loads its own submodule on first use, and the
-light CLI commands never load the checkers, the relation search or
-``multiprocessing``.  Modules stay loaded once imported, so every case
+alone, a public name loads its own submodule on first use, the light
+CLI commands never load the checkers, the relation search or
+``multiprocessing``, and the identity checks never load the special
+functions.  Modules stay loaded once imported, so every case
 runs in a fresh interpreter."""
 
 import importlib.util
@@ -52,6 +53,30 @@ def test_light_commands_load_no_checker(argv, printed):
                           f"assert main({argv!r}) == 0")
     assert out.splitlines()[0] == printed
     assert not modules & set(UNREACHED), sorted(modules & set(UNREACHED))
+
+
+def test_verify_loads_no_special_function():
+    # every zeta and beta factor is a Borwein sum in mp.real
+    modules, _ = _fresh("from lihex.cli import main\n"
+                        "assert main(['verify', '--all', '--bits', '512'])"
+                        " == 0")
+    assert "lihex.ladders" in modules
+    assert not modules & {"lihex.mp.special", "lihex.mp.cplx"}, \
+        sorted(modules & {"lihex.mp.special", "lihex.mp.cplx"})
+
+
+def test_a_classic_digit_run_solves_no_derived_formula():
+    _, out = _fresh(
+        "from lihex import series\n"
+        "from lihex.errors import UnknownName\n"
+        "from lihex.spigot import DigitRequest, hex_digits\n"
+        "print(hex_digits(DigitRequest('pi', 1, 8)).digits)\n"
+        "print(series._derived.cache_info().currsize)\n"
+        "try:\n"
+        "    hex_digits(DigitRequest('nosuch', 1, 8))\n"
+        "except UnknownName as e:\n"
+        "    print(e)\n")
+    assert out.splitlines() == ["243F6A88", "0", "'nosuch'"]
 
 
 def test_every_public_name_and_submodule_resolves():

@@ -2,19 +2,20 @@
 round-trips, and the basic algebra the rest of the package leans on."""
 
 import importlib.util
+import math
 from fractions import Fraction
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lihex.errors import DomainError, PoleError, PrecisionError
 from lihex.hyper import _HurwitzTail
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex, cln
-from lihex.mp.real import (MpReal, cos, exp, ln, log2_const, pi_const,
-                           pow_int, sin)
+from lihex.mp.real import (MpReal, _alt_fixed, _zeta_fixed, cos, exp, ln,
+                           log2_const, pi_const, pow_int, sin)
 from lihex.mp.special import li5
 
 P = 200
@@ -272,13 +273,50 @@ def test_hurwitz_closed_forms(prec):
 
 
 @pytest.mark.parametrize("wp", [128, 1024])
-def test_tail_chain_and_zeta_share_one_kernel(wp):
+def test_tail_chain_agrees_with_the_borwein_zeta(wp):
+    # the Euler-Maclaurin chain of hyper's tails against the Borwein sum
     tail = MpReal.from_fixed(
         _HurwitzTail(Fraction(3), 128, wp).tail(0, 1 << wp), wp, wp)
     head = sum(Fraction(1, k**3) for k in range(1, 128))
     want = sp.zeta(3, wp).add(MpReal.from_fraction(-head, wp + 8), wp)
     d = tail - want
     assert d.is_zero or d.bit_top() <= -(wp - 16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(st.just(1), st.integers(2, 13)),
+                 st.tuples(st.just(2), st.integers(2, 8))),
+       st.integers(64, 4096))
+def test_borwein_sums_lie_within_their_counted_bounds(kind, w):
+    # zeta(n) (step 1, through eta) and beta(n) (step 2) at w bits lie
+    # within their bound of the same sums at 4w bits, within theirs
+    step, n = kind
+
+    def fixed(bits):
+        return _zeta_fixed(n, bits) if step == 1 else _alt_fixed(n, 2, bits)
+
+    (v, e), (v4, e4) = fixed(w), fixed(4 * w)
+    assert abs((v << 3 * w) - v4) <= (e << 3 * w) + e4
+    # eta and beta count at most 4 ulps; zeta(2) = 2 eta(2) doubles that
+    # and adds a floor
+    assert e <= 9
+
+
+@pytest.mark.slow
+def test_borwein_weights_stay_integral():
+    # every division of the weight recurrence in _alt_fixed is exact, for
+    # every term count N up to the one at 8192 + 128 bits, and the
+    # weights sum to d = T_N(3), from T_(N+1)(3) = 6 T_N(3) - T_(N-1)(3)
+    top = math.ceil((8192 + 128) / math.log2(3 + math.sqrt(8)))
+    t_prev, t = 1, 3
+    for N in range(1, top + 1):
+        p = d = 1 << (2 * N - 1)
+        for k in range(N - 1, -1, -1):
+            p, r = divmod(p * (k + 1) * (2 * k + 1), 2 * (N + k) * (N - k))
+            assert r == 0, (N, k)
+            d += p
+        assert p == 1 and d == t, N
+        t_prev, t = t, 6 * t - t_prev
 
 
 def test_hurwitz_rejects_non_integer_s():

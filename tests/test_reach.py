@@ -31,6 +31,10 @@ ALLOWED = {
     "series.SeriesSpec.__str__": "debugging aid, read by no program path",
     "mp.special.hurwitz":
         "perfbench/tracing.py wraps it by name for the traced benchmark",
+    "mp.special._hurwitz_int":
+        "perfbench/tracing.py wraps it by name for the traced benchmark",
+    "mp.special.dirichlet_beta":
+        "perfbench/tracing.py wraps it by name for the traced benchmark",
 }
 
 
