@@ -3,14 +3,15 @@
 The ladders (A..H, their bar and tilde forms, U..Z) and the identities
 among them are defined once, as exact linear forms, in `series`:
 `series.ladder` builds a ladder and `series.IDENTITIES` holds every
-relation as real rows, a complex relation (the dilogarithm and order-1
-relations through complex logarithms) as one row per part.  `series`
-also evaluates them, by its one fixed-point evaluator; this module
-checks.  Each side minus the first is one integer coefficient vector
-over a common denominator, summed over atoms that enter at wp bits with
-a counted error bound in ulps, and a report passes only when the
-residual plus its bound is at most 2**-(bits-64), which certifies the
-identity to that accuracy.  wp is prec + 32 bits, more for a row whose
+relation as one entry, a complex relation (the dilogarithm and order-1
+relations through complex logarithms) with rows for each part; that
+table is `RELATIONS`.  `series` also evaluates them, by its one
+fixed-point evaluator; this module checks.  Each side minus the first
+side of its part is one integer coefficient vector, every part's over
+one common denominator, summed over atoms that enter at wp bits with a
+counted error bound in ulps, and a report passes only when the residual
+plus its bound is at most 2**-(bits-64), which certifies the identity
+to that accuracy.  wp is prec + 32 bits, more for a row whose
 coefficient mass passes 2^32 (f11).  `eval_ladder` reads one ladder's
 value from the same evaluator.  The Li_5 evaluator lives in
 `mp.special`, and the Li_5 equation it serves in `hyper`, beside the
@@ -92,30 +93,7 @@ def _report(name: str, prec: int, resid: MpReal, slack: int) -> CheckReport:
     return CheckReport(name, prec, mag, mag <= -(prec - slack))
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A catalog relation: real identity rows of the table, one per part
-    for a complex relation."""
-
-    name: str
-    status: str                    # "proven" or "numeric"
-    rows: tuple[Identity, ...]
-    min_bits: int = 256
-
-
-# every identity of the table is a row of the relation that its name
-# names before the dot (w21.re and w21.im make w21)
-def _table_relations() -> dict[str, Relation]:
-    out: dict[str, Relation] = {}
-    for ident in IDENTITIES.values():
-        name = ident.name.partition(".")[0]
-        rows = out[name].rows if name in out else ()
-        out[name] = Relation(name, ident.status, rows + (ident,),
-                             ident.min_bits)
-    return out
-
-
-RELATIONS: dict[str, Relation] = _table_relations()
+RELATIONS: dict[str, Identity] = IDENTITIES
 
 
 def relation_names() -> list[str]:
@@ -123,13 +101,14 @@ def relation_names() -> list[str]:
 
 
 def check_relation(name: str, prec: int) -> CheckReport:
-    """Check that every side of a catalog relation has one value.
+    """Check that the sides of each part of a catalog relation have one
+    value.
 
-    Each row (a side minus the first) is summed exactly in integers
-    over fixed-point atoms with counted error bounds.  The residual is
-    the largest row sum; the check passes when every row's |sum| plus
-    its bound is at most 2**-(prec-64), which certifies the relation
-    to that accuracy.
+    Each row (a side minus the first side of its part) is summed
+    exactly in integers over fixed-point atoms with counted error
+    bounds.  The residual is the largest row sum; the check passes when
+    every row's |sum| plus its bound is at most 2**-(prec-64), which
+    certifies the relation to that accuracy.
     """
     rel = RELATIONS.get(name)
     if rel is None:
@@ -137,16 +116,13 @@ def check_relation(name: str, prec: int) -> CheckReport:
     if prec < rel.min_bits:
         raise PrecisionError(
             f"{name} needs at least {rel.min_bits} bits, got {prec}")
-    passed, resids, bounds = True, [], []
-    for ident in rel.rows:
-        rows = ident.rows()
-        wp, sums = _fixed_sums(rows, prec)
-        limit = rows.den << (wp - prec + 64)
-        for total, err in sums:
-            passed = passed and abs(total) + err <= limit
-            resids.append(_log2_top(abs(total), rows.den << wp))
-            bounds.append(_log2_top(err, rows.den << wp))
-    return CheckReport(name, prec, max(resids), passed, max(bounds))
+    rows = rel.rows()
+    wp, sums = _fixed_sums(rows, prec)
+    limit, scale = rows.den << (wp - prec + 64), rows.den << wp
+    return CheckReport(
+        name, prec, _log2_top(max(abs(total) for total, _ in sums), scale),
+        all(abs(total) + err <= limit for total, err in sums),
+        _log2_top(max(err for _, err in sums), scale))
 
 
 def check_all(prec: int) -> list[CheckReport]:

@@ -31,18 +31,18 @@ them by about a tenth.
 It is also where the ladders and their identities are defined, once,
 as exact linear forms over S-atoms and monomials: `ladder(name, n)`
 builds any ladder from the tables `_BASE`, `_COMBINED` and `_R4_RHS`,
-and `IDENTITIES` holds every relation of the suite as real rows, a
-complex relation as one row per part.  Two consumers read them:
+and `IDENTITIES` holds every relation of the suite as one entry, a
+complex relation with rows for each part.  Two consumers read them:
 `ladders` checks the identities (`check_relation`) from the sums of
 their integer rows, and `_derived` solves eight catalog formulas from
-named rows of the same table.  The three ladder tables are read-only,
+named entries of the same table.  The three ladder tables are read-only,
 so each identity's rows are built once.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 from operator import mul
@@ -51,8 +51,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DomainError, PrecisionError, RankDeficient,
                      UndefinedOrder, UnknownName, UnsupportedArgument)
-from .mp.real import (MpReal, _alt_fixed, _log2_fixed, _pi_fixed,
-                      _zeta_fixed)
+from .mp.real import (_MAX_CORE_PREC, MpReal, _alt_fixed, _log2_fixed,
+                      _pi_fixed, _zeta_fixed)
 
 __all__ = [
     "SeriesSpec", "Formula", "Monomial", "Identity", "IDENTITIES",
@@ -122,8 +122,8 @@ def _class_sum(n: int, p: int, r: int, m: int, wp: int) -> int:
     kmid = (2 * wp + 1) // p                   # e <= wp for k < kmid
     ks = range(r + 1, (2 * (wp + m.bit_length()) + 1) // p, 8)
     lo = len(range(r + 1, kmid, 8))
-    return (sum([(m << wp - p * (k + 1) // 2) // k ** n for k in ks[:lo]])
-            + sum([m // (k ** n << p * (k + 1) // 2 - wp) for k in ks[lo:]]))
+    return (sum((m << wp - p * (k + 1) // 2) // k ** n for k in ks[:lo])
+            + sum(m // (k ** n << p * (k + 1) // 2 - wp) for k in ks[lo:]))
 
 
 @functools.cache
@@ -149,6 +149,14 @@ def _series_fixed(spec: SeriesSpec, wp: int) -> tuple[int, int]:
     return acc, terms + 1
 
 
+def _refuse_above_ceiling(prec: int) -> None:
+    """PrecisionError for a value above MpReal's 2^23-bit ceiling, raised
+    before any atom is summed rather than when the sum is rounded."""
+    if prec > _MAX_CORE_PREC:
+        raise PrecisionError(
+            f"precision {prec} is above the {_MAX_CORE_PREC}-bit ceiling")
+
+
 def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
     """Sum the S-series to absolute error below 2^-prec.
 
@@ -159,6 +167,7 @@ def eval_series(spec: SeriesSpec, prec: int) -> MpReal:
     """
     if prec < 32:
         raise PrecisionError("prec must be >= 32")
+    _refuse_above_ceiling(prec)
     wp = prec + 32
     acc, _ = _series_fixed(spec, wp)
     top = abs(acc).bit_length() - wp        # |S| < 2^top
@@ -356,6 +365,7 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
     def value(self, prec: int) -> MpReal:
+        _refuse_above_ceiling(prec)
         # |value| > 2^-(17 log2 / 32 + 1), as pi, zeta(n) > 1, beta(n) > 1/2
         # and log 2 > 2^(-17/32): wp keeps prec + 32 bits below its top
         wp = prec + 33 + (17 * self.log2 + 31) // 32
@@ -453,6 +463,7 @@ def _fixed_sums(rows: IntegerRows, prec: int):
 
 def _row_value(rows: IntegerRows, prec: int) -> MpReal:
     """The value of a one-row form, its fixed-point sum rounded to prec."""
+    _refuse_above_ceiling(prec)
     wp, ((total, _),) = _fixed_sums(rows, prec)
     return MpReal.from_fraction(_Q(total, rows.den << wp), prec)
 
@@ -588,9 +599,10 @@ class Identity:
 
     A side is a sum of (coefficient, key) terms; a key is a ladder name
     (taken at order n), a Monomial, a SeriesSpec, or an (argument, part)
-    pair standing for Part Li_n(argument).  `ladders` checks every
-    identity numerically; `_derived` solves catalog formulas from some
-    of them.
+    pair standing for Part Li_n(argument).  A complex relation's real
+    part has the sides `sides` and its imaginary part `im_sides`.
+    `ladders` checks every identity numerically; `_derived` solves
+    catalog formulas from some of them.
     Identities compare and hash by object, as the `rows` cache keys
     them.
     """
@@ -600,31 +612,35 @@ class Identity:
     n: int
     sides: tuple
     min_bits: int = 256
+    im_sides: tuple = ()
 
     @functools.cache
     def rows(self) -> IntegerRows:
-        """Each side minus the first, as one integer coefficient matrix."""
+        """Every part's differences as one integer coefficient matrix."""
         return integer_rows(_differences(self))
 
 
 def _differences(ident: Identity) -> list[dict]:
-    """Each side of `ident` minus the first, as new linear forms."""
-    forms = []
-    for side in ident.sides:
-        form: dict = {}
-        for c, key in side:
-            if isinstance(key, (Monomial, SeriesSpec)):
-                part = {key: _Q(1)}
-            elif isinstance(key, str):
-                part = ladder(key, ident.n)
-            else:
-                part = _li(key[0], ident.n, key[1])
-            _add(form, _Q(c), part)
-        forms.append(form)
-    first, *rest = forms
-    for form in rest:
-        _add(form, _Q(-1), first)
-    return rest
+    """Each side of `ident` minus the first side of its part, as new
+    linear forms: the real part's, then the imaginary part's."""
+    rows = []
+    for sides in (ident.sides, ident.im_sides):
+        forms = []
+        for side in sides:
+            form: dict = {}
+            for c, key in side:
+                if isinstance(key, (Monomial, SeriesSpec)):
+                    part = {key: _Q(1)}
+                elif isinstance(key, str):
+                    part = ladder(key, ident.n)
+                else:
+                    part = _li(key[0], ident.n, key[1])
+                _add(form, _Q(c), part)
+            forms.append(form)
+        for form in forms[1:]:
+            _add(form, _Q(-1), forms[0])
+        rows += forms[1:]
+    return rows
 
 
 # the 14-term integer relation determining zeta(11)
@@ -676,15 +692,14 @@ _LI2_MINUS_I = (((_Q(-1, 48), Monomial(pi=2)),), ((-1, Monomial(beta=2)),))
 _I_PI = ((), ((1, Monomial(pi=1)),))
 
 
-def _complex(name: str, n: int, *sides) -> list[Identity]:
-    """A relation among complex values of weight n as one real identity
-    per part, named name.re and name.im.  Each side is a sequence of
-    (rational c, value) for the sum of c * value."""
-    return [Identity(f"{name}.{part}", "proven", n, tuple(
-                tuple((c * c2, key) for c, value in side
-                      for c2, key in value[part == "im"])
-                for side in sides))
-            for part in ("re", "im")]
+def _complex(name: str, n: int, *sides) -> Identity:
+    """A relation among complex values of weight n as one identity with
+    rows for each part.  Each side is a sequence of (rational c, value)
+    for the sum of c * value."""
+    re, im = (tuple(tuple((c * c2, key) for c, value in side
+                          for c2, key in value[part])
+                    for side in sides) for part in (0, 1))
+    return Identity(name, "proven", n, re, im_sides=im)
 
 
 IDENTITIES: dict[str, Identity] = {i.name: i for i in [
@@ -749,33 +764,33 @@ IDENTITIES: dict[str, Identity] = {i.name: i for i in [
         tuple((c, (arg, "re")) for c, arg in _F11_LIS) + _F11_MONS),
         min_bits=1024),
     # dilogarithm and order-1 relations through complex logarithms
-    *_complex("w21", 2, ((2, _li_c("(1+i)/2")),),
-              ((-1, _log_sq(-1)), (-2, _LI2_MINUS_I))),
-    *_complex("w23", 2, ((2, _li_c("(1-i)/4")),),
-              ((3, _li_c("i/2")), (-3, _log_sq(1)), (4, _LI2_MINUS_I))),
-    *_complex("w25", 2, ((2, _li_c("(1+i)/8")),),
-              ((10, _li_c("i/2")), (-5, _log_sq(1)), (8, _LI2_MINUS_I))),
+    _complex("w21", 2, ((2, _li_c("(1+i)/2")),),
+             ((-1, _log_sq(-1)), (-2, _LI2_MINUS_I))),
+    _complex("w23", 2, ((2, _li_c("(1-i)/4")),),
+             ((3, _li_c("i/2")), (-3, _log_sq(1)), (4, _LI2_MINUS_I))),
+    _complex("w25", 2, ((2, _li_c("(1+i)/8")),),
+             ((10, _li_c("i/2")), (-5, _log_sq(1)), (8, _LI2_MINUS_I))),
     # the real part only: Re Li_2(-i) = -pi^2/48
-    _complex("h21", 2, ((-1, _li_c("(1+i)/2")), (_Q(-1, 2), _log_sq(-1))),
-             ((1, _LI2_MINUS_I),))[0],
-    *_complex("w11", 1, ((1, _li_c("(1+i)/2")), (_Q(-1, 2), _li_c("1/2"))),
-              ((_Q(1, 4), _I_PI),)),
-    *_complex("w13", 1, ((1, _li_c("(1-i)/4")), (-1, _li_c("i/2")),
-                         (_Q(-1, 2), _li_c("1/2"))),
-              ((_Q(-1, 4), _I_PI),)),
-    *_complex("w15", 1, ((1, _li_c("(1+i)/8")), (-2, _li_c("i/2")),
-                         (_Q(-1, 2), _li_c("1/2"))),
-              ((_Q(-1, 4), _I_PI),)),
+    replace(_complex("h21", 2, ((-1, _li_c("(1+i)/2")),
+                                (_Q(-1, 2), _log_sq(-1))),
+                     ((1, _LI2_MINUS_I),)), im_sides=()),
+    _complex("w11", 1, ((1, _li_c("(1+i)/2")), (_Q(-1, 2), _li_c("1/2"))),
+             ((_Q(1, 4), _I_PI),)),
+    _complex("w13", 1, ((1, _li_c("(1-i)/4")), (-1, _li_c("i/2")),
+                        (_Q(-1, 2), _li_c("1/2"))),
+             ((_Q(-1, 4), _I_PI),)),
+    _complex("w15", 1, ((1, _li_c("(1+i)/8")), (-2, _li_c("i/2")),
+                        (_Q(-1, 2), _li_c("1/2"))),
+             ((_Q(-1, 4), _I_PI),)),
     # h1: Li_1(-i/sqrt8) - 2 Li_1(i/sqrt2) - Li_1(1/2)/2 = -i pi/2.  Every
     # nonzero entry of the imaginary patterns at i/sqrt2 and -i/sqrt8 is a
     # multiple of sqrt2 (polylog_pattern refuses them): with
     # c = (1,0,-1,0,1,0,-1,0), Im Li_1(i/sqrt2) = sqrt2 S_{1,1}(c) and
     # Im Li_1(-i/sqrt8) = -2 sqrt2 S_{1,3}(c), so the imaginary part reads
     # S_{1,1}(c) + S_{1,3}(c) = (sqrt2/8) pi
-    _complex("h1", 1, ((1, _li_c("-i/sqrt8")), (-2, _li_c("i/sqrt2")),
-                       (_Q(-1, 2), _li_c("1/2"))),
-             ((_Q(-1, 2), _I_PI),))[0],
-    Identity("h1.im", "proven", 1, (
+    replace(_complex("h1", 1, ((1, _li_c("-i/sqrt8")), (-2, _li_c("i/sqrt2")),
+                               (_Q(-1, 2), _li_c("1/2"))),
+                     ((_Q(-1, 2), _I_PI),)), im_sides=(
         tuple((1, SeriesSpec(1, p, (1, 0, -1, 0, 1, 0, -1, 0)))
               for p in (1, 3)),
         ((_Q(1, 8), Monomial(pi=1, sqrt2=1)),))),
@@ -854,9 +869,10 @@ def solve_formulas(identities: Sequence[Identity],
                    targets: Sequence[Monomial]) -> list[Formula]:
     """Eliminate monomials from identities, expressing targets in S-atoms.
 
-    Each identity gives one row per side after the first: that side
-    minus the first, as a linear form.  The monomial part is solved by
-    exact rational Gaussian elimination with the S-atoms riding along.
+    Each identity gives one row per side after the first of its part:
+    that side minus the first, as a linear form.  The monomial part is
+    solved by exact rational Gaussian elimination with the S-atoms
+    riding along.
     Each target must come out as a unique combination of S-atoms,
     otherwise RankDeficient is raised.
     """

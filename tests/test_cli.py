@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -295,6 +296,26 @@ def test_unreachable_position_is_usage_error(capsys):
                      "--position", "8589934592")
     assert rc == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--constant", "pi", "--bits", str((1 << 23) + 1)),
+    ("discover", "--values", "pi,log2sq", "--bits", str((1 << 23) + 1)),
+    # the values are read at bits + 32, past the ceiling here
+    ("discover", "--values", "pi,log2sq", "--bits", str((1 << 23) - 31)),
+])
+def test_a_value_above_the_precision_ceiling_is_usage_error(
+        capsys, monkeypatch, argv):
+    def summed(*args):
+        raise AssertionError("an atom was summed")
+
+    monkeypatch.setattr(lihex.series, "_series_fixed", summed)
+    monkeypatch.setattr(lihex.series, "_monomial_fixed", summed)
+    start = time.perf_counter()
+    rc, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert "usage error" in err and "ceiling" in err
 
 
 def test_unknown_constant_is_failure(capsys):

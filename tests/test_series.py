@@ -5,6 +5,8 @@ rational reference sum."""
 import cmath
 import hashlib
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from lihex import series
 from lihex.errors import (DomainError, PrecisionError, UnknownName,
                           UnsupportedArgument)
-from lihex.ladders import RELATIONS, check_relation
+from lihex.ladders import RELATIONS, check_relation, eval_ladder
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex, cln
 from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
@@ -145,6 +147,40 @@ def test_class_sums_give_the_per_term_sum_bit_for_bit(n, p, pattern, wp):
                                          for i in range(8)))
             assert (series._class_sum(n, p, r, abs(a), wp)
                     == _per_term_fixed(one, wp)[0])
+
+
+def test_a_class_sum_keeps_one_term_at_a_time():
+    # 8192 terms of about 2^15 bits each: a list of them all held 17 MB,
+    # so peak memory grew with the square of the precision
+    tracemalloc.start()
+    try:
+        series._class_sum.__wrapped__(1, 1, 0, 1, 1 << 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_values_above_the_precision_ceiling_are_refused_before_summing(
+        monkeypatch):
+    # a request one bit above MpReal's 2^23-bit ceiling would sum for
+    # hours before the rounding refused it
+    def summed(*args):
+        raise AssertionError("an atom was summed")
+
+    monkeypatch.setattr(series, "_series_fixed", summed)
+    monkeypatch.setattr(series, "_monomial_fixed", summed)
+    over = (1 << 23) + 1
+    spec = SeriesSpec(1, 1, (1, 0, 0, -1, -1, -1, 0, 0))
+    for request in (lambda: eval_formula("pi", over),
+                    lambda: eval_series(spec, over),
+                    lambda: Monomial(pi=1).value(over),
+                    lambda: eval_ladder("A", 2, over)):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            request()
+        assert time.perf_counter() - start < 1
+    series._refuse_above_ceiling(1 << 23)     # the ceiling itself is served
 
 
 def test_eval_series_error_is_absolute_for_large_atoms():
