@@ -27,8 +27,9 @@ last bit by stated guard bits:
   bits for the cancellation of their binomial sums, and each tail term
   d_j zeta(rho + j, N + 1) comes out of the Euler-Maclaurin chain within
   one ulp (the Catalan tail does the same with 128 guard bits);
-- the pole sums, at prec + 48 bits: exact Gaussian-integer numerators and
-  one integer complex division per term, about 2 wp terms at most;
+- the pole sums, at prec + 48 bits: exact Gaussian-integer numerators
+  and small denominators at the exact t, one integer complex division
+  per term, about 2 wp terms at most;
 - the asymptotic integers k_m: one pass over the kernel, at a precision
   sized from m that keeps the rounding error below 1/8, cut where the
   kernel's tail falls below 1/16.
@@ -103,10 +104,11 @@ _HALF = Q(1, 2)
 # ----------------------------------------------------------------------
 # small helpers
 
-def _as_cplx(t: MpComplex | Fraction, wp: int) -> MpComplex:
+def _exact(t: MpComplex | Fraction) -> tuple[Fraction, Fraction]:
+    """t as exact (re, im); an MpComplex is read as its dyadic value."""
     if isinstance(t, MpComplex):
-        return t.round_to(wp)
-    return MpComplex.from_fractions(Q(t), Q(0), wp)
+        return t.re.to_fraction(), t.im.to_fraction()
+    return Q(t), Q(0)
 
 
 def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
@@ -238,9 +240,9 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
             tail += term
         if done:
             lam_wp = wp + 32
-            lam = _gamma_q(ga, lam_wp).mul(_gamma_q(de, lam_wp), lam_wp)
+            lam = _sp.gamma(ga, lam_wp).mul(_sp.gamma(de, lam_wp), lam_wp)
             lam = lam.div(
-                _gamma_q(al, lam_wp).mul(_gamma_q(be, lam_wp), lam_wp),
+                _sp.gamma(al, lam_wp).mul(_sp.gamma(be, lam_wp), lam_wp),
                 lam_wp,
             )
             return head.add(lam.mul(MpReal.from_fixed(tail, wp_d, wp), wp),
@@ -248,10 +250,6 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
         big *= 2
         jmax += 32
     raise PrecisionError("3F2 tail expansion failed to converge")
-
-
-def _gamma_q(x: Fraction, wp: int) -> MpReal:
-    return _sp.gamma(MpReal.from_fraction(x, wp), wp)
 
 
 # ----------------------------------------------------------------------
@@ -271,23 +269,19 @@ def eval_W(args: tuple[Fraction, ...], prec: int) -> MpReal:
 
 
 def reflection_check(args: tuple[Fraction, ...], prec: int) -> CheckReport:
-    """W(a1,a2;a3,a4) + W(a3,a4;a1,a2) against its gamma closed form."""
+    """W(a1,a2;a3,a4) + W(a3,a4;a1,a2) against its gamma closed form: the
+    betas B(1/2+a_i, 1/2+a_j), i = 1, 2, j = 3, 4, times
+    Gamma(1 + a1+a2+a3+a4) / prod_k Gamma(1/2+a_k), read as three gammas
+    per beta with the Gamma(1/2+a_k) cancelled."""
     a1, a2, a3, a4 = args
     wp = prec + 32
     lhs = eval_W(args, wp).add(eval_W((a3, a4, a1, a2), wp), wp)
-    rhs = _gamma_q(1 + a1 + a2 + a3 + a4, wp)
+    rhs = _sp.gamma(1 + a1 + a2 + a3 + a4, wp)
     for a in args:
-        rhs = rhs.div(_gamma_q(_HALF + a, wp), wp)
+        rhs = rhs.mul(_sp.gamma(_HALF + a, wp), wp)
     for ai in (a1, a2):
         for aj in (a3, a4):
-            rhs = rhs.mul(
-                _sp.beta_fn(
-                    MpReal.from_fraction(_HALF + ai, wp),
-                    MpReal.from_fraction(_HALF + aj, wp),
-                    wp,
-                ),
-                wp,
-            )
+            rhs = rhs.div(_sp.gamma(1 + ai + aj, wp), wp)
     name = "reflect({},{};{},{})".format(*args)
     return _report(name, prec, lhs.add(-rhs, wp), 32)
 
@@ -314,18 +308,20 @@ def f5(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction) -> Fraction:
 # t sum_k w c Part(z^k) / (k - r t).  With full=True a term keeps w c z^k
 # whole: the complex generating function behind F, G and H.
 
-def _pole_sum(name: str, t: MpComplex, wp: int,
+def _pole_sum(name: str, tr: Fraction, ti: Fraction, wp: int,
               skip: frozenset[tuple[int, int]] = frozenset(),
               full: bool = False) -> MpComplex:
-    # fixed point at wp bits: with r = p/q, k - r t = D / (q 2^wp) for
-    # the Gaussian integer D = q k 2^wp - p t, so each term
-    # num q / (2^sc (k - r t)) is one exact integer complex division,
-    # floored: kmax terms cost at most kmax ulps per component, and
-    # |t| + 1 times that after the product with t.  Part(z^k) = sign
-    # 2^-sc, sc = (pz k + h)/2, with (sign, h) from `_UNIT_PARTS` at jk
-    # mod 8: the rows share h, and an odd pz k + h has sign 0
-    tr, ti = t.re.to_fixed(wp), t.im.to_fixed(wp)
-    tmag = math.hypot(t.re.to_float(), t.im.to_float())
+    # fixed point at wp bits on the exact t = (ar + i ai) / b: with r =
+    # p/q, k - r t = D / (q b) for the small Gaussian integer D = q b k -
+    # p (ar + i ai), so each term num q b / (2^sc (k - r t)) is one exact
+    # integer complex division, floored: kmax terms cost at most kmax
+    # ulps per component, and |t| + 1 times that after the product with
+    # t.  Part(z^k) = sign 2^-sc, sc = (pz k + h)/2, with (sign, h) from
+    # `_UNIT_PARTS` at jk mod 8: the rows share h, and an odd pz k + h
+    # has sign 0
+    b = math.lcm(tr.denominator, ti.denominator)
+    ar, ai = int(tr * b), int(ti * b)
+    tmag = math.hypot(tr, ti)
     w = 1 if name == "A" else 2
     re_row, im_row = _UNIT_PARTS["re"], _UNIT_PARTS["im"]
     acc_r = acc_i = 0
@@ -333,28 +329,27 @@ def _pole_sum(name: str, t: MpComplex, wp: int,
         pz, j = ARGUMENTS[arg]
         kmax = int((wp + 48) / (pz / 2) + 3 * tmag) + 16
         p, q = Q(r).numerator, Q(r).denominator
-        mult = q * w * c
-        di = -p * ti
-        dr = -p * tr
+        mult = q * b * w * c
+        di = -p * ai
+        dr = -p * ar
         row = _UNIT_PARTS[part]
         for k in range(1, kmax + 1):
-            dr += q << wp
+            dr += q * b
             m = j * k % 8
             if full:
                 (nr, h), (ni, _h) = re_row[m], im_row[m]
             else:
                 (nr, h), ni = row[m], 0
             if (nr or ni) and (fi, k) not in skip:
-                if abs(dr) <= p and abs(di) <= p:
-                    # t lies within one ulp of the pole k / r
+                if dr == di == 0:
                     raise PoleError(
                         f"generating function pole at k={k}, family {fi}"
                     )
-                # mult sign conj(D) 2^(2 wp - sc) / |D|^2
+                # mult sign conj(D) 2^(wp - sc) / |D|^2
                 den = dr * dr + di * di
                 xr = (nr * dr + ni * di) * mult
                 xi = (ni * dr - nr * di) * mult
-                e = 2 * wp - (pz * k + h) // 2
+                e = wp - (pz * k + h) // 2
                 if e >= 0:
                     acc_r += (xr << e) // den
                     acc_i += (xi << e) // den
@@ -363,25 +358,23 @@ def _pole_sum(name: str, t: MpComplex, wp: int,
                     acc_r += xr // den
                     acc_i += xi // den
     return MpComplex(
-        MpReal.from_fixed((acc_r * tr - acc_i * ti) >> wp, wp, wp),
-        MpReal.from_fixed((acc_r * ti + acc_i * tr) >> wp, wp, wp),
+        MpReal.from_fixed((acc_r * ar - acc_i * ai) // b, wp, wp),
+        MpReal.from_fixed((acc_r * ai + acc_i * ar) // b, wp, wp),
     )
 
 
-def _genfn(name: str, t: MpComplex | Fraction, prec: int,
+def _genfn(name: str, tr: Fraction, ti: Fraction, prec: int,
            full: bool) -> MpComplex:
-    wp = prec + 48
-    tc = _as_cplx(t, wp)
-    if tc.is_zero:
+    if not (tr or ti):
         return MpComplex.from_int(0, prec)
-    return _pole_sum(name, tc, wp, full=full).round_to(prec)
+    return _pole_sum(name, tr, ti, prec + 48, full=full).round_to(prec)
 
 
 def genfn_pf(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
     """Partial-fraction value of generating function `name` at t."""
     if name not in _BASE:
         raise UnknownName(f"no generating function {name!r}")
-    return _genfn(name, t, prec, full=False)
+    return _genfn(name, *_exact(t), prec, full=False)
 
 
 def genfn_cplx(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
@@ -389,7 +382,7 @@ def genfn_cplx(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
     real/imaginary parts generate the paired real ladders."""
     if name not in _RECUR:
         raise UnknownName(f"no complex generating function {name!r}")
-    return _genfn(name, t, prec, full=True)
+    return _genfn(name, *_exact(t), prec, full=True)
 
 
 # ----------------------------------------------------------------------
@@ -544,10 +537,11 @@ def check_recurrence(name: str, t: MpComplex | Fraction,
         raise UnknownName(f"no recurrence for {name!r}")
     scale, shift, sign, rhs_terms = _RECUR[name]
     wp = prec + 48
-    tc = _as_cplx(t, wp)
+    tr, ti = _exact(t)
+    tc = MpComplex.from_fractions(tr, ti, wp)
     i1 = _ci(0, 1, wp)
-    lhs = genfn_cplx(name, tc, wp).mul(_ci(scale, 0, wp), wp).div(tc, wp)
-    back = genfn_cplx(name, tc.add(_ci(-shift, 0, wp), wp), wp)
+    lhs = genfn_cplx(name, t, wp).mul(_ci(scale, 0, wp), wp).div(tc, wp)
+    back = _genfn(name, tr - shift, ti, wp, True)
     step = back.mul(i1, wp).add(-i1, wp).mul(_inv_lin(-shift, 1, tc, wp), wp)
     lhs = lhs.add(step if sign > 0 else -step, wp)
     rhs = functools.reduce(lambda x, y: x.add(y, wp), (
@@ -665,7 +659,7 @@ def U(t: Fraction, prec: int) -> MpReal:
     if _log2_mag(res) > max(mags) - wp // 2 + 16:
         raise PoleError(f"U has a pole at t = {tq}")
     skip = frozenset((fi, k) for _c, _mu, fi, k in hits)
-    e_reg = _pole_sum("E", MpComplex.from_real(tr), wp, skip=skip).re
+    e_reg = _pole_sum("E", tq, Q(0), wp, skip=skip).re
     val = MpReal.from_int(1, wp).add(-cst, wp).add(-e_reg, wp)
     return val.mul(Q(5, 2), prec)
 
@@ -867,9 +861,7 @@ def asymp_coeff(m: int) -> int:
 # six-factor variants sharing the cos(pi t/10) closed form.
 
 def _poch(a: Fraction, n: Fraction, wp: int) -> MpReal:
-    num = _gamma_q(a + n, wp)
-    den = _gamma_q(a, wp)
-    return num.div(den, wp)
+    return _sp.gamma(a + n, wp).div(_sp.gamma(a, wp), wp)
 
 
 # id -> (n/t, numerator bases, denominator bases, c, angle, k).  With

@@ -9,7 +9,7 @@ Dirichlet beta(n) are alternating sums under Borwein's acceleration in
 Hurwitz zeta at integer s and the series tails of :mod:`lihex.hyper`
 end in one Euler-Maclaurin kernel in :mod:`lihex.mp.special`, which
 reads one shared table of exact Bernoulli numbers.  ``hurwitz`` takes
-integer s >= 2 and ``gamma`` real arguments only.  Every memo in the
+integer s >= 2 and ``gamma`` rational arguments only.  Every memo in the
 package is ``functools.cache`` on a function of its arguments alone, or
 ``functools.cached_property`` on an immutable object, so no value
 depends on what the process computed before; the Bernoulli table,

@@ -12,13 +12,14 @@ through one fixed-point kernel, :func:`_em_tail`, whose corrections
 read one shared table of exact Bernoulli numbers that grows entry by
 entry and never recomputes one.
 
-:func:`hurwitz` takes integer s only and :func:`gamma` real arguments
-only; gamma uses a Spouge-style convergent approximation with
-reflection for the left half line.  Its coefficients are cached as
-fixed-point ints and its partial-fraction sum runs in fixed point, one
-floor per term, at prec + prec/5 + 64 bits to start; the sum cancels
-further as the argument grows, so it measures that loss against the
-magnitudes of its terms and retries with the bits it lacks.
+:func:`hurwitz` takes integer s only and :func:`gamma` rational
+arguments only: Gamma(x) is Gamma(y), 1 <= y < 2, times an exact
+rational, and one Spouge value is cached per fractional part y and
+64-bit precision class.  The Spouge coefficients are cached as
+fixed-point ints and the partial-fraction sum runs in fixed point over
+the exact y, one floor per term, at prec + prec/5 + 64 bits to start;
+it measures its cancellation against the magnitudes of its terms and
+retries with the bits it lacks.
 
 :func:`li5` extends :func:`polylog` at order 5 to the whole plane by
 inversion and by the expansion of Li_5(e^mu) on the annulus between;
@@ -35,8 +36,8 @@ from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError
 from .cplx import MpComplex, cln
-from .real import (MpReal, _alt_fixed, _div0, _pi_fixed, _shr0, _sincos,
-                   _zeta_fixed, exp, ln, pi_const, pow_int, pow_real)
+from .real import (MpReal, _alt_fixed, _div0, _pi_fixed, _shr0, _zeta_fixed,
+                   exp, ln, pi_const, pow_int, pow_real)
 
 __all__ = [
     "bernoulli",
@@ -44,7 +45,6 @@ __all__ = [
     "hurwitz",
     "dirichlet_beta",
     "gamma",
-    "beta_fn",
     "polylog",
     "li5",
     "taylor_coeffs",
@@ -285,7 +285,7 @@ def dirichlet_beta(n: int, prec: int) -> MpReal:
 
 
 # ----------------------------------------------------------------------
-# Gamma (Spouge approximation)
+# Gamma at rationals (Spouge approximation)
 
 
 @functools.cache
@@ -327,69 +327,64 @@ def _spouge_wp(prec: int) -> int:
     return prec + prec // 5 + 64
 
 
-def _gamma_pos_real(x: MpReal, prec: int) -> MpReal:
-    """Gamma(x) for x >= 1/2 via the Spouge sum for Gamma(z+1) = z Gamma(z).
+@functools.cache
+def _gamma_pos_real(y: Fraction, prec: int) -> MpReal:
+    """Gamma(y) for rational 1 <= y < 2 via the Spouge sum for
+    Gamma(z+1) = z Gamma(z), z = y - 1.
 
     Working precisions are rounded up to multiples of 64 bits so that
     nearby requests share one `_spouge_coeffs` table.
     """
-    wp = _spouge_wp(prec) + max(0, x.bit_top() if x.sign else 0)
+    wp = _spouge_wp(prec)
     wp += -wp % 64
+    zn, zd = (y - 1).numerator, (y - 1).denominator
     while True:
         a = int(wp / 2.65) + 3
         coeffs = _spouge_coeffs(a, wp)
-        z = x.add(-1, wp)  # Gamma(x) = Gamma(z+1) with z = x-1
         # s = c_0 + sum_k c_k / (z + k) in fixed point at wp bits, with
-        # the mass sum_k |c_k / (z + k)| it cancels from
-        one = 1 << wp
-        den = z.to_fixed(wp) + one
+        # the mass sum_k |c_k / (z + k)| it cancels from; z + k is the
+        # exact (zn + k zd) / zd
         s = mass = coeffs[0]
+        den = zn
         for c in coeffs[1:]:
-            t = (c << wp) // den
+            den += zd
+            t = c * zd // den
             s += t
             mass += abs(t)
-            den += one
         # each c_k is off by under 2^-(wp+5) of itself and each quotient
-        # by one floor: s is off by under mass 2^-(wp+5) + 2a ulps.  The
-        # sum cancels further as z grows; then retry with more bits
+        # by one floor: s is off by under mass 2^-(wp+5) + 2a ulps.  If
+        # the sum cancels more than wp allows for, retry with more bits
         short = mass.bit_length() - abs(s).bit_length() \
             - (wp - prec - 16 - a.bit_length())
         if short <= 0:
             break
         wp += short + 16
         wp += -wp % 64
-    za = z.add(a, wp)
-    lead = exp(z.add(Fraction(1, 2), wp).mul(ln(za, wp), wp).add(-za, wp), wp)
+    za = MpReal.from_fraction(y - 1 + a, wp)
+    lead = exp(ln(za, wp).mul(y - Fraction(1, 2), wp).add(-za, wp), wp)
     return lead.mul(MpReal.from_fixed(s, wp, wp), prec)
 
 
-def _is_nonpos_int(x: MpReal) -> bool:
-    if x.sign > 0:
-        return False
-    return x.to_fraction().denominator == 1
+def gamma(x: Fraction, prec: int) -> MpReal:
+    """Gamma at a rational x, not 0 or a negative integer, relative error
+    below 2**-prec.
 
-
-def gamma(z: MpReal, prec: int) -> MpReal:
-    """Gamma function of a real argument, relative error below 2**-prec."""
-    if _is_nonpos_int(z):
+    With x = y + k, 1 <= y < 2 and k an integer, Gamma(x) = Gamma(y) R for
+    the exact rational R = y (y+1) ... (x-1) when k >= 0 and
+    1 / (x (x+1) ... (y-1)) when k < 0.  Gamma(y) is cached at w bits, w
+    = prec + 8 rounded up to a multiple of 64, so the requests of one
+    precision class share it; its guard bits cover the one rounding of
+    the product by R.  R has |k| factors: x is meant to be of moderate
+    size.
+    """
+    if x.denominator == 1 and x <= 0:
         raise PoleError("gamma pole at a non-positive integer")
-    if z._cmp(Fraction(1, 2)) >= 0:
-        return _gamma_pos_real(z, prec)
-    # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
-    wp = prec + 32
-    pi_wp = MpReal.from_fixed(_pi_fixed(wp), wp, wp)
-    s, _ = _sincos(pi_wp.mul(z, wp + max(8, abs(z.bit_top()) + 8)), wp)
-    g = _gamma_pos_real(MpReal.from_int(1, wp).add(-z, wp), wp)
-    return pi_wp.div(s.mul(g, wp), prec)
-
-
-def beta_fn(a: MpReal, b: MpReal, prec: int) -> MpReal:
-    """Euler beta B(a,b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
-    wp = prec + 16
-    ga = gamma(a.round_to(wp), wp)
-    gb = gamma(b.round_to(wp), wp)
-    gab = gamma(a.add(b, wp), wp)
-    return ga.mul(gb, wp).div(gab, prec)
+    k = math.floor(x) - 1
+    r = math.prod(min(x, x - k) + i for i in range(abs(k)))
+    w = prec + 8
+    w += -w % 64
+    g = _gamma_pos_real(x - k, w).to_fraction()
+    return MpReal.from_fraction(g * r if k >= 0 else g / r, prec)
 
 
 # ----------------------------------------------------------------------

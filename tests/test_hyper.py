@@ -6,7 +6,11 @@ product identities, and the exponential expansion of U.
 """
 
 import hashlib
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as Q
 
@@ -308,8 +312,8 @@ def test_batteries_refuse_too_few_bits(name):
 # the nine batteries that predate order5
 NINE = ("W", "inv", "genfn", "recur", "U", "asymp", "poch", "expu", "geo")
 BATTERY_SHA256 = {
-    256: "b7ad6ef785ed63515d118058623d434e5a8e68e2ecd92206705f713bb94f90f8",
-    512: "693590af70dd72901da848c142dd534aff2ef3dfce09bf635229904d67d0107d",
+    256: "23ef6c92796990fb05e0c4b98cf66a94311d7ec9a367394bf1b257881d7363eb",
+    512: "7ef0eb62a01e791b1e816374fae18c195e05b1c17a1d710c895a7faba0db5be0",
 }
 ORDER5_SHA256 = {
     256: "87432758113fe72b55cbf2e1cce629c0f72ba927a9d4ad74381b1594bd8a8972",
@@ -342,6 +346,46 @@ def test_order5_reports_are_pinned(bits):
     reports = CHECKS["order5"](bits)
     assert len(reports) == 4 and all(r.passed for r in reports)
     assert _sha256(_report_lines(["order5"], bits)) == ORDER5_SHA256[bits]
+
+
+# the reports of the batteries named "name:bits" on the command line, in
+# order, one line each
+_RUN_BATTERIES = """
+import sys
+from lihex.hyper import CHECKS
+for step in sys.argv[1:]:
+    name, bits = step.split(":")
+    for r in CHECKS[name](int(bits)):
+        print(step, r.name, r.passed, repr(r.log2_residual))
+"""
+
+
+def _reports_in_a_fresh_interpreter(steps) -> list[str]:
+    src = os.path.dirname(
+        importlib.util.find_spec("lihex").submodule_search_locations[0])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", _RUN_BATTERIES, *steps],
+                         env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+@pytest.mark.slow
+def test_battery_reports_do_not_depend_on_earlier_batteries():
+    # the caches (one gamma value per fractional part and precision class
+    # among them) must give a battery the reports it gets when run first
+    names = sorted(CHECKS)
+    first = [line for name in names
+             for line in _reports_in_a_fresh_interpreter([f"{name}:256"])]
+    after = _reports_in_a_fresh_interpreter(
+        [f"{name}:{bits}" for bits in (1024, 512, 256) for name in names]
+        + [f"{name}:256" for name in names])
+    n = len(first)
+    assert after[-2 * n:-n] == first
+    assert after[-n:] == first
 
 
 def test_generating_function_values_are_pinned():

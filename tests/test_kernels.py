@@ -1,18 +1,22 @@
 """The fixed-point kernels under the hypergeometric batteries: the kernel
 table of the asymptotic integers, the 3F2 tail, the pole sums and the
-Spouge sum of gamma, each against an independent value."""
+Spouge sum of gamma, each against an independent value or law."""
 
 import hashlib
 import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lihex.errors import PoleError
-from lihex.hyper import (U, Utilde, _G_LIMIT, _kernel_coeffs, asymp_coeff,
-                         genfn_cplx, genfn_hyp, genfn_pf)
+from lihex.hyper import (U, Utilde, _G_LIMIT, _kernel_coeffs, _pole_sum,
+                         asymp_coeff, check_recurrence, genfn_cplx,
+                         genfn_hyp, genfn_pf)
 from lihex.mp import special as sp
-from lihex.mp.real import MpReal, pi_const
+from lihex.mp.cplx import MpComplex
+from lihex.mp.real import MpReal, exp, log2_const, pi_const, sin
+from lihex.series import _BASE, ARGUMENTS
 
 
 def _mag(x: MpReal) -> float:
@@ -94,15 +98,80 @@ def test_gamma_known_values(prec):
     w = prec + 8
 
     def gamma(q):
-        return sp.gamma(MpReal.from_fraction(Q(q), prec), prec)
+        return sp.gamma(Q(q), prec)
 
     def close(x, want):
         return _mag(x.add(-want, w).div(want, w)) <= -(prec - 2)
 
     pi_ = pi_const(w)
+    root_pi = pi_.sqrt(w)
     half = gamma(Q(1, 2))
     assert close(half.mul(half, w), pi_)
     quarters = gamma(Q(1, 4)).mul(gamma(Q(3, 4)), w)
     assert close(quarters, pi_.mul(MpReal.from_int(2, w).sqrt(w), w))
     for n in (1, 2, 3, 7, 20, 40):
         assert close(gamma(n), MpReal.from_int(math.factorial(n - 1), w)), n
+    assert close(gamma(Q(-7, 2)), root_pi.mul(Q(16, 105), w))
+    # Gamma(12 + 1/2) = 24! / (4^12 12!) sqrt(pi)
+    assert close(gamma(Q(25, 2)), root_pi.mul(
+        Q(math.factorial(24), 4**12 * math.factorial(12)), w))
+
+
+def _gamma_arguments():
+    """p/q with q <= 60 and -12 < p/q < 12, not 0 or a negative integer."""
+    return st.fractions(-12, 12, max_denominator=60).filter(
+        lambda x: abs(x) < 12 and not (x.denominator == 1 and x <= 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gamma_arguments(), st.sampled_from([128, 256, 512, 1024, 2048]))
+def test_gamma_keeps_reflection_and_duplication(x, bits):
+    # both laws tie Gamma at different fractional parts together, so a
+    # value cached under the wrong part or precision shows up here
+    w = bits + 32
+
+    def assert_close(lhs, rhs):
+        rel = lhs.add(-rhs, w).div(rhs, w)
+        assert _mag(rel) <= -(bits - 8), (x, bits)
+
+    pi_ = pi_const(w)
+    if x.denominator != 1:
+        # Gamma(x) Gamma(1 - x) = pi / sin(pi x)
+        assert_close(sp.gamma(x, bits).mul(sp.gamma(1 - x, bits), w),
+                     pi_.div(sin(pi_.mul(x, w), w), w))
+    if not ((2 * x).denominator == 1 and x <= 0):
+        # Gamma(x) Gamma(x + 1/2) = 2^(1 - 2x) sqrt(pi) Gamma(2x)
+        two = exp(log2_const(w).mul(1 - 2 * x, w), w)
+        assert_close(sp.gamma(x, bits).mul(sp.gamma(x + Q(1, 2), bits), w),
+                     two.mul(pi_.sqrt(w), w).mul(sp.gamma(2 * x, w), w))
+
+
+@pytest.mark.parametrize("wp", [304, 1072])
+def test_pole_sums_stay_within_their_counted_floors(wp):
+    # each family floors kmax terms once per component: the value at wp
+    # bits is within (|t| + 1) sum(kmax) + 1 ulps of one at 2 wp bits
+    cases = [(name, t, Q(0), False) for t in (Q(1, 10), Q(-1, 7))
+             for name in "ABCDEFGH"]
+    cases += [(name, Q(1, 5), Q(1, 7), True) for name in "FGH"]
+    for name, tr, ti, full in cases:
+        tmag = math.hypot(tr, ti)
+        floors = sum(int((wp + 48) / (ARGUMENTS[arg][0] / 2) + 3 * tmag) + 16
+                     for _c, _r, arg, _part in _BASE[name])
+        got = _pole_sum(name, tr, ti, wp, full=full)
+        ref = _pole_sum(name, tr, ti, 2 * wp, full=full)
+        for a, b in ((got.re, ref.re), (got.im, ref.im)):
+            assert abs(a.to_fixed(wp) - b.to_fixed(wp)) \
+                <= (tmag + 1) * floors + 1, (name, tr, ti)
+
+
+@pytest.mark.parametrize("t", [Q(1, 8), Q(-3, 16), Q(5, 1 << 300) + Q(1, 4)])
+def test_a_complex_argument_is_read_as_its_exact_value(t):
+    tc = MpComplex.from_fractions(t, Q(0), 512)
+    assert tc.re.to_fraction() == t
+    for fn, names in ((genfn_pf, "ABCDEFGH"), (genfn_cplx, "FGH")):
+        for name in names:
+            a, b = fn(name, tc, 256), fn(name, t, 256)
+            assert (a.re, a.im) == (b.re, b.im), name
+    for name in "FGH":
+        assert check_recurrence(name, tc, 256) == \
+            check_recurrence(name, t, 256), name

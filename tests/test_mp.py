@@ -168,7 +168,7 @@ def test_zeta_and_beta_guards():
     with pytest.raises(Exception):
         sp.zeta(1, 128)
     with pytest.raises(PoleError):
-        sp.gamma(MpReal.from_int(-3, 128), 128)
+        sp.gamma(Fraction(-3), 128)
 
 
 def test_polylog_small_argument():
