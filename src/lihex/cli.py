@@ -15,7 +15,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import LihexError
+from .errors import LihexError, UnknownName
 
 if TYPE_CHECKING:
     from .ladders import CheckReport
@@ -151,7 +151,10 @@ def _eval_expr(expr: str, wp: int) -> MpReal:
     acc: MpReal | None = None
     for factor in expr.split("*"):
         base, caret, power = factor.strip().partition("^")
-        v = _eval_atom(base.strip(), wp)
+        base = base.strip()
+        if not base:
+            raise ValueError(f"empty factor in {expr!r}")
+        v = _eval_atom(base, wp)
         if caret:
             k = int(power)
             if k < 1:
@@ -330,9 +333,11 @@ def main(argv=None) -> int:
         args.threads = cfg.get("threads", 1)
     try:
         return args.func(args)
-    except ValueError as e:
-        # malformed numbers or grammar that argparse could not see
-        print(f"usage error: {e}", file=sys.stderr)
+    except (ValueError, UnknownName) as e:
+        # malformed numbers, grammar that argparse could not see, or a
+        # name that no catalog holds
+        what = f"unknown name {e}" if isinstance(e, UnknownName) else e
+        print(f"usage error: {what}", file=sys.stderr)
         return 2
     except LihexError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -62,14 +62,11 @@ from .mp.real import (
     MpReal,
     _log2_fixed,
     _pi_fixed,
-    _sincos,
-    cos,
     exp,
     log2_const,
     pi_const,
     pow_int,
-    sin,
-    tan,
+    sincospi,
 )
 from .series import (_BASE, _UNIT_PARTS, ARGUMENTS, _exact_part,
                      eval_formula)
@@ -275,7 +272,11 @@ def reflection_check(args: tuple[Fraction, ...], prec: int) -> CheckReport:
     per beta with the Gamma(1/2+a_k) cancelled."""
     a1, a2, a3, a4 = args
     wp = prec + 32
-    lhs = eval_W(args, wp).add(eval_W((a3, a4, a1, a2), wp), wp)
+    lhs = eval_W(args, wp)
+    if (a3, a4) == (a1, a2):  # a self-reflection: the two terms agree
+        lhs = lhs.scalb(1)
+    else:
+        lhs = lhs.add(eval_W((a3, a4, a1, a2), wp), wp)
     rhs = _sp.gamma(1 + a1 + a2 + a3 + a4, wp)
     for a in args:
         rhs = rhs.mul(_sp.gamma(_HALF + a, wp), wp)
@@ -428,55 +429,52 @@ def genfn_hyp(name: str, t: Fraction, prec: int) -> MpReal:
 #
 # Each real generating function equals an elementary trigonometric part
 # plus a quadratic multiple of W, in two variants ("sum" pairs W with
-# +sin, "alt" with -tan/shifted cosines).  The table entries produce,
+# +sin, "alt" with cot/shifted cosines).  The table entries produce,
 # for rational t, the W arguments and the trig prefactor.
 
-def _two_t(t: MpReal, wp: int) -> MpReal:
-    return exp(t.mul(log2_const(wp), wp), wp)
-
-
-def _times(x: MpReal, q: Fraction, wp: int) -> MpReal:
-    """x q, where a unit fraction divides (one rounding, not two)."""
-    return x.div(q.denominator, wp) if q.numerator == 1 else x.mul(q, wp)
+def _two_t(t: Fraction, wp: int) -> MpReal:
+    return exp(log2_const(wp).mul(t, wp), wp)
 
 
 # name: (divisor of the W term, ("sum" form, "alt" form)); a form is
 # (W arguments as multiples of t, (c, num, den)) with the trig prefactor
 # c pi t prod f(q pi t) / (2^t prod f(q pi t)) over the (f, q) of num and
-# den.  A form's value is 1 - prefactor +- t^2 W / divisor, + for "sum".
+# den, f = _SIN or _COS indexing the pair of `sincospi(q t)`.  A tan in
+# the denominator is its cos above and its sin below.  A form's value is
+# 1 - prefactor +- t^2 W / divisor, + for "sum".
+_SIN, _COS = 0, 1
 _Q1, _Q3, _Q6 = Q(1), Q(1, 3), Q(1, 6)
 _TRIG: dict[str, tuple] = {
-    "A": (2, (((_HALF, Q(0), _HALF, -_HALF), (_Q1, (), ((sin, _Q1),))),
-              ((_HALF, -_HALF, _HALF, Q(0)), (_Q1, (), ((tan, _Q1),))))),
-    "B": (2, (((_Q1, _HALF, Q(0), -_Q1), (_HALF, (), ((sin, _HALF),))),
+    "A": (2, (((_HALF, Q(0), _HALF, -_HALF), (_Q1, (), ((_SIN, _Q1),))),
+              ((_HALF, -_HALF, _HALF, Q(0)),
+               (_Q1, ((_COS, _Q1),), ((_SIN, _Q1),))))),
+    "B": (2, (((_Q1, _HALF, Q(0), -_Q1), (_HALF, (), ((_SIN, _HALF),))),
               ((Q(0), -_Q1, _Q1, _HALF),
-               (Q(2), ((cos, Q(3, 2)),), ((sin, Q(2)),))))),
+               (Q(2), ((_COS, Q(3, 2)),), ((_SIN, Q(2)),))))),
     "C": (3, (((_HALF, _Q3, _Q6, -_HALF),
-               (_HALF, (), ((sin, _HALF), (cos, _Q6)))),
+               (_HALF, (), ((_SIN, _HALF), (_COS, _Q6)))),
               ((_Q6, -_HALF, _HALF, _Q3),
-               (_Q1, (), ((tan, _Q1), (cos, _Q3)))))),
+               (_Q1, ((_COS, _Q1),), ((_SIN, _Q1), (_COS, _Q3)))))),
     "D": (3, (((_Q3, _Q6, _Q3, -_Q3),
-               (_HALF, (), ((sin, _HALF), (cos, _Q3)))),
+               (_HALF, (), ((_SIN, _HALF), (_COS, _Q3)))),
               ((_Q3, -_Q3, _Q3, _Q6),
-               (_HALF, ((cos, Q(5, 6)),),
-                ((sin, _HALF), (cos, _Q6), (cos, _Q3)))))),
+               (_HALF, ((_COS, Q(5, 6)),),
+                ((_SIN, _HALF), (_COS, _Q6), (_COS, _Q3)))))),
 }
 
 
-def _trig_values(name: str, t: MpReal, tq: Fraction,
-                 wp: int) -> list[MpReal]:
+def _trig_values(name: str, tq: Fraction, wp: int) -> list[MpReal]:
     """The "sum" and "alt" trigonometric+W values of generating function
     `name` at t = tq."""
     div, forms = _TRIG[name]
-    pt = pi_const(wp).mul(t, wp)
-    two = _two_t(t, wp)
+    two = _two_t(tq, wp)
     out = []
     for sign, (wargs, (c, num, den)) in zip((1, -1), forms):
-        top, bot = _times(pt, c, wp), two
+        top, bot = pi_const(wp).mul(c * tq, wp), two
         for f, q in num:
-            top = top.mul(f(_times(pt, q, wp), wp), wp)
+            top = top.mul(sincospi(q * tq, wp)[f], wp)
         for f, q in den:
-            bot = bot.mul(f(_times(pt, q, wp), wp), wp)
+            bot = bot.mul(sincospi(q * tq, wp)[f], wp)
         w = eval_W(tuple(m * tq for m in wargs), wp)
         wt = w.mul(tq * tq, wp).div(div, wp)
         out.append(MpReal.from_int(1, wp).add(-top.div(bot, wp), wp).add(
@@ -493,9 +491,8 @@ def check_trig_forms(name: str, t: Fraction, prec: int) -> CheckReport:
     if not 0 < tq < Q(1, 3):
         raise DomainError("trigonometric forms checked on 0 < t < 1/3")
     wp = prec + 48
-    tr = MpReal.from_fraction(tq, wp)
     ref = genfn_pf(name, tq, wp).re
-    v1, v2 = _trig_values(name, tr, tq, wp)
+    v1, v2 = _trig_values(name, tq, wp)
     r1 = v1.add(-ref, wp)
     r2 = v2.add(-ref, wp)
     worst = r1 if _log2_mag(r1) >= _log2_mag(r2) else r2
@@ -564,47 +561,42 @@ def check_recurrence(name: str, t: MpComplex | Fraction,
 # assembles the two Laurent expansions and keeps the finite parts. When
 # the 1/eps parts do *not* cancel the point is a genuine pole of U.
 
-def _sincos_pt(t: MpReal, d: int, wp: int) -> tuple[MpReal, MpReal]:
-    """(sin(pi t/d), cos(pi t/d)) at wp bits."""
-    return _sincos(pi_const(wp).mul(t, wp).div(d, wp), wp)
-
-
-def _u_trig_n(t: MpReal, wp: int) -> MpReal:
+def _u_trig_n(t: Fraction, wp: int) -> MpReal:
     """N(t) = (pi t / 2) [sec(pi t/5) - 8 sin^2(pi t/5)] / 2^t."""
-    su, cu = _sincos_pt(t, 5, wp)
+    su, cu = sincospi(t / 5, wp)
     q = MpReal.from_int(1, wp).div(cu, wp).add(
         -su.mul(su, wp).mul(8, wp), wp)
     return pi_const(wp).mul(t, wp).div(2, wp).mul(q, wp).div(
         _two_t(t, wp), wp)
 
 
-def _u_trig_n_prime(t: MpReal, wp: int) -> MpReal:
+def _u_trig_n_prime(t: Fraction, wp: int) -> MpReal:
     """d/dt of N(t) above, used for limits at even integers."""
     pi_ = pi_const(wp)
-    su, cu = _sincos_pt(t, 5, wp)
+    su, cu = sincospi(t / 5, wp)
     sec = MpReal.from_int(1, wp).div(cu, wp)
     q = sec.add(-su.mul(su, wp).mul(8, wp), wp)
     # q' = (pi/5) [sec tan - 8 sin(2u)]
     qp = sec.mul(su, wp).div(cu, wp).add(
         -su.mul(cu, wp).mul(16, wp), wp).mul(pi_, wp).div(5, wp)
     ln2 = log2_const(wp)
-    inner = q.add(t.mul(qp, wp), wp).add(-t.mul(ln2, wp).mul(q, wp), wp)
+    inner = q.add(qp.mul(t, wp), wp).add(-ln2.mul(t, wp).mul(q, wp), wp)
     return pi_.mul(inner, wp).div(2, wp).div(_two_t(t, wp), wp)
 
 
-def _u_trig_m(t: MpReal, wp: int) -> MpReal:
+def _u_trig_m(t: Fraction, wp: int) -> MpReal:
     """M(t) = (pi t / 2) / (2^t sin(pi t/2))."""
-    sv, _ = _sincos_pt(t, 2, wp)
+    sv, _ = sincospi(t / 2, wp)
     return pi_const(wp).mul(t, wp).div(2, wp).div(
         _two_t(t, wp).mul(sv, wp), wp)
 
 
-def _u_trig_m_prime(t: MpReal, wp: int) -> MpReal:
+def _u_trig_m_prime(t: Fraction, wp: int) -> MpReal:
     """d/dt of M(t), used for limits at t in 5/2 + 5Z."""
     pi_ = pi_const(wp)
-    sv, cv = _sincos_pt(t, 2, wp)
+    sv, cv = sincospi(t / 2, wp)
     ln2 = log2_const(wp)
-    inner = MpReal.from_int(1, wp).add(-t.mul(ln2, wp), wp).add(
+    inner = MpReal.from_int(1, wp).add(-ln2.mul(t, wp), wp).add(
         -pi_.mul(t, wp).div(2, wp).mul(cv, wp).div(sv, wp), wp)
     return pi_.mul(inner, wp).div(2, wp).div(
         _two_t(t, wp).mul(sv, wp), wp)
@@ -615,7 +607,6 @@ def U(t: Fraction, prec: int) -> MpReal:
     poles (even integers t <= -2), removable points handled exactly."""
     wp = prec + 96
     tq = Q(t)
-    tr = MpReal.from_fraction(tq, wp)
     pi_ = pi_const(wp)
 
     hits: list[tuple] = []  # (c, mu, fam, k)
@@ -635,20 +626,20 @@ def U(t: Fraction, prec: int) -> MpReal:
     mags = [0.0]
     if even_hit:
         sgn = 1 if (int(tq) // 2) % 2 == 0 else -1
-        part = _u_trig_n(tr, wp).mul(2 * sgn, wp).div(pi_, wp)
+        part = _u_trig_n(tq, wp).mul(2 * sgn, wp).div(pi_, wp)
         res = res.add(part, wp)
         mags.append(_log2_mag(part))
-        cst = _u_trig_n_prime(tr, wp).mul(2 * sgn, wp).div(pi_, wp)
+        cst = _u_trig_n_prime(tq, wp).mul(2 * sgn, wp).div(pi_, wp)
     elif sec_hit:
         sgn = 1 if ((int(sec_q) - 1) // 2) % 2 == 0 else -1
-        m_val = _u_trig_m(tr, wp)
+        m_val = _u_trig_m(tq, wp)
         part = m_val.mul(-5 * sgn, wp).div(pi_, wp)
         res = res.add(part, wp)
         mags.append(_log2_mag(part))
-        cst = _u_trig_m_prime(tr, wp).mul(-5 * sgn, wp).div(pi_, wp)
+        cst = _u_trig_m_prime(tq, wp).mul(-5 * sgn, wp).div(pi_, wp)
         cst = cst.add(m_val.mul(-8, wp), wp)  # -8 M sin^2 with sin^2 = 1
     else:
-        cst = _u_trig_n(tr, wp).div(_sincos_pt(tr, 2, wp)[0], wp)
+        cst = _u_trig_n(tq, wp).div(sincospi(tq / 2, wp)[0], wp)
     for c, mu, _fi, _k in hits:
         part = MpReal.from_fraction(-tq * c / mu, wp)
         res = res.add(part, wp)
@@ -673,7 +664,7 @@ def Utilde(t: Fraction, prec: int) -> MpReal:
         raise PoleError("the subtracted term has a pole at even t")
     u = U(tq, wp)
     # 5 pi t / (2^t sin) = 10 M(t)
-    sub = _u_trig_m(MpReal.from_fraction(tq, wp), wp).mul(10, wp)
+    sub = _u_trig_m(tq, wp).mul(10, wp)
     return u.add(-sub, prec)
 
 
@@ -895,9 +886,9 @@ def pochhammer_check(which: str, t: Fraction, prec: int) -> CheckReport:
         return functools.reduce(lambda x, y: x.mul(y, wp), vals)
 
     lhs = prod(poch[b] for b in nums).div(prod(poch[b] for b in dens), wp)
-    rhs = exp(MpReal.from_fraction(c - tq, wp).mul(log2_const(wp), wp), wp)
+    rhs = _two_t(c - tq, wp)
     if k:
-        cs = cos(pi_const(wp).mul(MpReal.from_fraction(ang * tq, wp), wp), wp)
+        cs = sincospi(ang * tq, wp)[1]
         rhs = rhs.mul(prod((cs,) * k), wp)
     return _report(f"{which}@{tq}", prec, lhs.add(-rhs, wp), 48)
 
@@ -959,8 +950,7 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
                       -3 * geo("(1+i)/4") + 2 * geo("-1/4") == -1),
     ]
     wp = prec + 32
-    two = MpReal.from_int(2, wp)
-    su, cu = _sincos_pt(two, 5, wp)
+    su, cu = sincospi(Q(2, 5), wp)
     bracket = MpReal.from_int(1, wp).div(cu, wp).add(
         -su.mul(su, wp).mul(8, wp), wp)
     out.append(_report(

@@ -1,8 +1,10 @@
 """Arbitrary-precision arithmetic and special functions.
 
 :mod:`lihex.mp.real` holds the real type, the constants pi and log 2 and
-the elementary functions, :mod:`lihex.mp.cplx` the complex type, and
-:mod:`lihex.mp.special` the zeta/gamma/polylog family.  Complex support
+the elementary functions, whose one trigonometric entry, ``sincospi``,
+takes sin and cos at pi times an exact rational; :mod:`lihex.mp.cplx`
+holds the complex type, and :mod:`lihex.mp.special` the
+zeta/gamma/polylog family.  Complex support
 stops at arithmetic and the principal logarithm.  zeta(n) and
 Dirichlet beta(n) are alternating sums under Borwein's acceleration in
 :mod:`lihex.mp.real`, in integer fixed point with a counted bound; the

@@ -6,15 +6,17 @@ sits in the window ``[prec, prec + 8)``; every arithmetic operation rounds
 to nearest with ties to even, which keeps the relative error of a single
 operation below ``2**(4 - prec)``.
 
-The transcendental kernel at the bottom of this file (exp, ln, sin, cos,
-atan, ...) works on fixed-point integers internally and uses the two
+The transcendental kernel at the bottom of this file (exp, ln, atan and
+``sincospi``) works on fixed-point integers internally and uses the two
 series-built constants ``pi_const`` and ``log2_const`` for argument
-reduction.  It has no precision ceiling of its own: every precision in
-``MpReal``'s 2..2^23-bit range is accepted, and the entry point that
-receives a request bounds what it asks for.  Beside those constants,
-``_alt_fixed`` sums eta(n) and Dirichlet beta(n) as alternating series
-under Borwein's acceleration with a counted error bound, and
-``_zeta_fixed`` reads zeta(n) from eta.
+reduction.  ``sincospi`` takes sin and cos at pi times a rational, which
+it reduces exactly, so only the remainder within a quarter turn is
+rounded.  The kernel has no precision ceiling of its own: every
+precision in ``MpReal``'s 2..2^23-bit range is accepted, and the entry
+point that receives a request bounds what it asks for.  Beside those
+constants, ``_alt_fixed`` sums eta(n) and Dirichlet beta(n) as
+alternating series under Borwein's acceleration with a counted error
+bound, and ``_zeta_fixed`` reads zeta(n) from eta.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-from ..errors import DomainError, PoleError, PrecisionError
+from ..errors import DomainError, PrecisionError
 
 __all__ = [
     "MpReal",
@@ -33,9 +35,7 @@ __all__ = [
     "log2_const",
     "exp",
     "ln",
-    "sin",
-    "cos",
-    "tan",
+    "sincospi",
     "pow_int",
     "pow_real",
 ]
@@ -497,42 +497,20 @@ def _sincos_taylor(rf: int, wp: int) -> tuple[int, int]:
     return s, c
 
 
-def _sincos(x: MpReal, prec: int) -> tuple[MpReal, MpReal]:
-    if x.sign == 0:
-        return MpReal.zero(prec), MpReal.from_int(1, prec)
-    mag = max(0, x.bit_top())
-    if mag > 24:
-        raise DomainError("trig argument too large for the supported range")
-    wp = prec + 24 + 2 * mag
-    pif = _pi_fixed(wp)
-    half_pi = pif >> 1
-    xf = x.to_fixed(wp)
-    q = (2 * xf + half_pi) // (2 * half_pi)  # round(x / (pi/2))
-    rf = xf - q * half_pi
-    s, c = _sincos_taylor(rf, wp)
-    q &= 3
-    if q == 1:
+def sincospi(q: Fraction, prec: int) -> tuple[MpReal, MpReal]:
+    """(sin pi q, cos pi q) at ``prec`` bits for rational q.
+
+    q is split exactly as m/2 + r with |r| <= 1/4, so pi r is the one
+    rounded argument of the Taylor series and m mod 4 rotates the pair:
+    integer and half-integer q give exact zeros and units, q + 2 gives
+    the bits of q, and |q| has no ceiling."""
+    m = round(2 * q)
+    r = q - Fraction(m, 2)
+    wp = prec + 24
+    s, c = _sincos_taylor(_pi_fixed(wp) * r.numerator // r.denominator, wp)
+    for _ in range(m & 3):  # a quarter turn each
         s, c = c, -s
-    elif q == 2:
-        s, c = -s, -c
-    elif q == 3:
-        s, c = -c, s
     return MpReal.from_fixed(s, wp, prec), MpReal.from_fixed(c, wp, prec)
-
-
-def sin(x: MpReal, prec: int) -> MpReal:
-    return _sincos(x, prec)[0]
-
-
-def cos(x: MpReal, prec: int) -> MpReal:
-    return _sincos(x, prec)[1]
-
-
-def tan(x: MpReal, prec: int) -> MpReal:
-    s, c = _sincos(x, prec + 8)
-    if c.sign == 0 or c.abs_lt_2pow(-(prec + 4)):
-        raise PoleError("tan evaluated too close to an odd multiple of pi/2")
-    return s.div(c, prec)
 
 
 def _atan_impl(x: MpReal, prec: int) -> MpReal:

@@ -318,11 +318,23 @@ def test_a_value_above_the_precision_ceiling_is_usage_error(
     assert "usage error" in err and "ceiling" in err
 
 
-def test_unknown_constant_is_failure(capsys):
-    rc, _, err = run(capsys, "digits", "--constant", "sqrt2",
-                     "--position", "1")
-    assert rc == 1
-    assert err.startswith("UnknownName")
+def test_unknown_name_is_usage_error(capsys):
+    # every command refuses a name it does not know as hyper --check does
+    for argv, name in ((("digits", "--constant", "sqrt2", "--position", "1"),
+                        "sqrt2"),
+                       (("eval", "--constant", "nope"), "nope"),
+                       (("verify", "--relation", "nope"), "nope")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error") and repr(name) in err
+
+
+def test_an_empty_factor_is_usage_error_naming_the_expression(capsys):
+    for expr in ("pi*", "^2", "pi*log2,*catalan"):
+        rc, out, err = run(capsys, "discover", "--values", expr)
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error")
+    assert "'pi*'" in run(capsys, "discover", "--values", "pi*,log2")[2]
 
 
 def test_config_sets_defaults(tmp_path, capsys):

@@ -67,6 +67,24 @@ def test_reflection_formula(pt):
     assert rep.passed, rep
 
 
+def test_a_self_reflection_sums_w_once(monkeypatch):
+    import lihex.hyper
+    calls = []
+
+    def counted(args, wp):
+        calls.append(args)
+        return eval_W(args, wp)
+
+    monkeypatch.setattr(lihex.hyper, "eval_W", counted)
+    # (a1, a2; a1, a2) reflects onto itself: one 3F2 serves both terms
+    pt = (Q(1, 10), Q(1, 8), Q(1, 10), Q(1, 8))
+    assert reflection_check(pt, 256).passed
+    assert calls == [pt]
+    calls.clear()
+    reflection_check((Q(1, 3), Q(-1, 7), Q(2, 5), Q(1, 9)), 256)
+    assert len(calls) == 2
+
+
 def test_w_divergence_outside_open_box():
     with pytest.raises(DivergenceError):
         eval_W((Q(1, 2), Q(0), Q(0), Q(0)), 128)
@@ -312,8 +330,8 @@ def test_batteries_refuse_too_few_bits(name):
 # the nine batteries that predate order5
 NINE = ("W", "inv", "genfn", "recur", "U", "asymp", "poch", "expu", "geo")
 BATTERY_SHA256 = {
-    256: "23ef6c92796990fb05e0c4b98cf66a94311d7ec9a367394bf1b257881d7363eb",
-    512: "7ef0eb62a01e791b1e816374fae18c195e05b1c17a1d710c895a7faba0db5be0",
+    256: "72de64dfcb41a4b5150554193aee874e8b0867ef1699083bb4af98809a541a36",
+    512: "4f44fc4a4eb27a01418de7ddc3987c0a61f169b85578624be45c112a81aed715",
 }
 ORDER5_SHA256 = {
     256: "87432758113fe72b55cbf2e1cce629c0f72ba927a9d4ad74381b1594bd8a8972",

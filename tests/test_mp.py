@@ -14,8 +14,8 @@ from lihex.errors import DomainError, PoleError, PrecisionError
 from lihex.hyper import _HurwitzTail
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex, cln
-from lihex.mp.real import (MpReal, _alt_fixed, _zeta_fixed, cos, exp, ln,
-                           log2_const, pi_const, pow_int, sin)
+from lihex.mp.real import (MpReal, _alt_fixed, _zeta_fixed, exp, ln,
+                           log2_const, pi_const, pow_int, sincospi)
 from lihex.mp.special import li5
 
 P = 200
@@ -58,15 +58,38 @@ def test_pi_hex_expansion():
 def test_elementary_identities():
     wp = 256
     one = MpReal.from_int(1, wp)
-    # exp(ln 2) = 2, sin^2 + cos^2 = 1 at x = 1/3, arg(1+i) = pi/4
+    # exp(ln 2) = 2, sin^2 + cos^2 = 1 and cos = 1/2 at pi/3 and at pi/3
+    # past 2^60 half turns, arg(1+i) = pi/4
     d = exp(log2_const(wp), wp) - MpReal.from_int(2, wp)
     assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
-    x = MpReal.from_fraction(Fraction(1, 3), wp)
-    s, c = sin(x, wp), cos(x, wp)
-    d = s.mul(s, wp).add(c.mul(c, wp), wp) - one
-    assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
+    for q in (Fraction(1, 3), (1 << 60) + Fraction(1, 3)):
+        s, c = sincospi(q, wp)
+        d = s.mul(s, wp).add(c.mul(c, wp), wp) - one
+        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
+        d = c - MpReal.from_fraction(Fraction(1, 2), wp)
+        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
     d = cln(MpComplex(one, one), wp).im.mul(4, wp) - pi_const(wp)
     assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+       st.sampled_from([1, 2]) | st.integers(min_value=1, max_value=1 << 20),
+       st.integers(min_value=2, max_value=1024))
+def test_sincospi_is_exact_where_it_can_be_and_periodic(n, d, prec):
+    q = Fraction(n, d)
+    s, c = sincospi(q, prec)
+    # a period of 2 is one exact turn of the reduction: the same bits
+    s2, c2 = sincospi(q + 2, prec)
+    assert (s2.sign, s2.man, s2.exp) == (s.sign, s.man, s.exp)
+    assert (c2.sign, c2.man, c2.exp) == (c.sign, c.man, c.exp)
+    # integers and half-integers give exact zeros and units
+    if (2 * q).denominator == 1:
+        m = int(2 * q) % 4
+        assert s == (0, 1, 0, -1)[m] and c == (1, 0, -1, 0)[m]
+    # s^2 + c^2 - 1 within a few ulps at any |q|, far past 2^24 too
+    d1 = s.mul(s, prec + 8).add(c.mul(c, prec + 8), prec + 8) - 1
+    assert d1.is_zero or d1.bit_top() <= 6 - prec
 
 
 def test_ln_pow_roundtrip():
