@@ -124,6 +124,13 @@ def _split_values(text: str) -> list[str]:
     return out
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"malformed number {tok!r}") from None
+
+
 def _eval_atom(tok: str, wp: int) -> MpReal:
     from .series import Monomial, SeriesSpec, eval_formula, eval_series
     if tok.endswith(")"):
@@ -133,12 +140,12 @@ def _eval_atom(tok: str, wp: int) -> MpReal:
         if head == "S":
             if len(args) != 10:
                 raise ValueError(f"S() takes n, p and 8 weights: {tok!r}")
-            n, p, *w = (int(a) for a in args)
+            n, p, *w = (_int(a) for a in args)
             return eval_series(SeriesSpec(n, p, tuple(w)), wp)
         if head == "monomial":
             if len(args) != 2:
                 raise ValueError(f"monomial() takes two exponents: {tok!r}")
-            a, b = int(args[0]), int(args[1])
+            a, b = _int(args[0]), _int(args[1])
             if a < 0 or b < 0:
                 raise ValueError("monomial exponents must be nonnegative")
             return Monomial(pi=a, log2=b).value(wp)
@@ -154,11 +161,15 @@ def _eval_expr(expr: str, wp: int) -> MpReal:
         base = base.strip()
         if not base:
             raise ValueError(f"empty factor in {expr!r}")
-        v = _eval_atom(base, wp)
-        if caret:
-            k = int(power)
+        try:
+            k = _int(power) if caret else 1
             if k < 1:
                 raise ValueError("power exponents must be positive")
+            v = _eval_atom(base, wp)
+        except ValueError as e:
+            raise ValueError(
+                f"{e} in factor {factor.strip()!r} of {expr!r}") from None
+        if caret:
             v = pow_int(v, k, wp)
         acc = v if acc is None else acc.mul(v, wp)
     assert acc is not None

@@ -15,18 +15,19 @@ equation, which lives here.
 
 Everything here reduces to a single summation engine: a linearly
 convergent series is summed directly to a cutoff ``N`` and its tail is
-re-expanded as a combination of Hurwitz zeta values at ``N+1``, which a
-chained Euler-Maclaurin evaluation supplies at fixed cost per order.
+re-expanded against the head's last term as Euler-Maclaurin sums at
+``N``, each a rational series in ``1/N``.
 
 The inner sums run on plain fixed-point integers, each with an absolute
 error budget of one floor (one ulp) per term, held below the result's
 last bit by stated guard bits:
 
-- the 3F2 at unit argument, at prec + 64 bits: the ratio series is exact
-  before one floor per coefficient, the tail coefficients carry 64 more
-  bits for the cancellation of their binomial sums, and each tail term
-  d_j zeta(rho + j, N + 1) comes out of the Euler-Maclaurin chain within
-  one ulp (the Catalan tail does the same with 128 guard bits);
+- the 3F2 at unit argument, at prec + 64 bits: the head of N = 4 wp
+  terms runs 2 bitlen(N) + 8 bits finer, which covers its N floors; the
+  ratio series is exact before one floor per coefficient, the tail
+  coefficients carry 64 more bits, and each tail term comes out of the
+  Euler-Maclaurin kernel within about one ulp (the Catalan tail sums
+  d_j zeta(3/2 + j, N + 1) through a chain, with 128 guard bits);
 - the pole sums, at prec + 48 bits: exact Gaussian-integer numerators
   and small denominators at the exact t, one integer complex division
   per term, about 2 wp terms at most;
@@ -34,8 +35,8 @@ last bit by stated guard bits:
   sized from m that keeps the rounding error below 1/8, cut where the
   kernel's tail falls below 1/16.
 
-The Euler-Maclaurin chain of the tails, the Spouge sum behind the
-gammas and ``li5`` are in :mod:`lihex.mp.special`.
+The Euler-Maclaurin kernel, the Catalan tail's chain, the Spouge sum
+behind the gammas and ``li5`` are in :mod:`lihex.mp.special`.
 """
 
 from __future__ import annotations
@@ -119,15 +120,19 @@ def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
 # ----------------------------------------------------------------------
 # the 3F2(1) summation engine
 #
-# For F = sum_m c_m with c_m = (al)_m (be)_m / ((ga)_m (de)_m) the terms
-# behave like lam * m^-rho with rho = ga + de - al - be and
-# lam = Gamma(ga)Gamma(de) / (Gamma(al)Gamma(be)).  Writing
-# c_m = lam m^-rho T(1/m), the formal series T(x) = 1 + d_1 x + ... obeys
+# For F = sum_m c_m with c_m = (al)_m (be)_m / ((ga)_m (de)_m), the terms
+# are c_m = lam m^-rho T(1/m) with rho = ga + de - al - be, a constant
+# lam (four gammas) and a formal series T(x) = 1 + d_1 x + ... that obeys
 #
-#     T(x/(1+x)) = T(x) (1+al x)(1+be x)(1+x)^rho / ((1+ga x)(1+de x))
+#     T(x/(1+x)) = T(x) (1+al x)(1+be x)(1+x)^rho / ((1+ga x)(1+de x)),
 #
-# whose order-by-order solution gives the d_j; the tail past N is then
-# lam * sum_j d_j zeta(rho + j, N + 1).
+# whose order-by-order solution gives the d_j.  The head sums c_0 ..
+# c_(N-1) and ends on c_N = lam N^-rho sum_j t_j, t_j = d_j N^-j, so lam
+# cancels from the tail past N:
+#
+#     c_N sum_j t_j H_j / sum_j t_j,   H_j = N^(rho+j) zeta(rho + j, N),
+#
+# and `mp.special._em_tail` sums t_j H_j from t_j in rationals alone.
 
 def _ratio_series(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
                   rho: Fraction, jmax: int, wp: int) -> list[int]:
@@ -195,58 +200,50 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
             f"3F2 series diverges: unit-argument exponent {rho} <= 1"
         )
     wp = prec + 64
-    # the d_j lose up to about 0.75 wp bits to their cancelling binomial
-    # sums, but each meets zeta(rho + j, big) < big^-j: against exact
-    # rational d_j at wp = 400 and 1100, every error times 128^-j stayed
-    # below 2^-wp even without guard bits; these 64 are margin
     wp_d = wp + 64
-    jmax = max(48, wp // 5)
-    aln, ald = al.numerator, al.denominator
-    ben, bed = be.numerator, be.denominator
-    gan, gad = ga.numerator, ga.denominator
-    den_, ded = de.numerator, de.denominator
-    big = max(128, wp)
-    for _ in range(3):
-        # direct block: c_0 .. c_(big-1), with c a fixed-point integer
-        acc = 0
-        c = 1 << wp
-        for m in range(big):
-            acc += c
-            num = (aln + ald * m) * (ben + bed * m) * gad * ded
-            den = ald * bed * (gan + gad * m) * (den_ + ded * m)
-            c = c * num // den
-        head = MpReal.from_fixed(acc, wp, wp)
-        r = _ratio_series(al, be, ga, de, rho, jmax, wp_d)
-        chain = _HurwitzTail(rho, big, wp_d)
-        # tail = sum_j d_j zeta(rho + j, big) at wp_d, where each term
-        # costs at most 1 ulp: jmax + 1 ulps in all
-        tail = 0
-        best = None
-        done = False
-        for j, dj in enumerate(_tail_coeffs(r, wp_d)):
-            term = chain.tail(j, dj)
-            mag = abs(term).bit_length() - wp_d
-            if term == 0 or mag < -(wp + 16):
-                done = True
-                break
-            # term magnitudes sawtooth by a few bits; only a sustained
-            # rise marks the asymptotic floor
-            if best is not None and mag > best + 24:
-                break
-            best = mag if best is None else min(best, mag)
-            tail += term
-        if done:
-            lam_wp = wp + 32
-            lam = _sp.gamma(ga, lam_wp).mul(_sp.gamma(de, lam_wp), lam_wp)
-            lam = lam.div(
-                _sp.gamma(al, lam_wp).mul(_sp.gamma(be, lam_wp), lam_wp),
-                lam_wp,
-            )
-            return head.add(lam.mul(MpReal.from_fixed(tail, wp_d, wp), wp),
-                            prec)
-        big *= 2
-        jmax += 32
-    raise PrecisionError("3F2 tail expansion failed to converge")
+    big = 4 * wp
+    # the head at wh bits, where c_m is within m ulps and the sum within
+    # big^2/2 while the term ratios stay below 1, as all callers' do
+    wh = wp + 2 * big.bit_length() + 8
+    # c_(m+1) = c_m (al+m)(be+m) / ((ga+m)(de+m)) = c_m a b / (g e)
+    p, q = al.denominator * be.denominator, ga.denominator * de.denominator
+    a, da = al.numerator * q, al.denominator * q
+    g, dg = ga.numerator * p, ga.denominator * p
+    b, db = be.numerator, be.denominator
+    e, dd = de.numerator, de.denominator
+    acc = 0
+    c = 1 << wh
+    for _ in range(big):
+        acc += c
+        c = c * (a * b) // (g * e)
+        a += da
+        b += db
+        g += dg
+        e += dd
+    # c is now c_N.  The d_j lose bits to their binomial sums, but N^-j
+    # scales the loss away: against d_j at 3000 more bits, err(d_j) N^-j
+    # stayed below 2^-10 ulps at prec 256..4096 for four battery 3F2s,
+    # though err(d_j) reached 2^800 ulps at 1024 bits
+    r = _ratio_series(al, be, ga, de, rho, max(48, wp // 5), wp_d)
+    num = den = 0
+    best = None
+    for j, dj in enumerate(_tail_coeffs(r, wp_d)):
+        t = dj // big**j
+        num += _sp._em_tail(t, big, rho + j)
+        den += t
+        if not j:
+            # H_j and the quotient are at most about H_0, so t_j moves
+            # the tail by at most about c_N H_0 t_j: mag is its log2
+            scale = c.bit_length() + num.bit_length() - wh - 2 * wp_d
+        mag = abs(t).bit_length() + scale
+        if not t or mag < -(wp + 16):
+            return MpReal.from_fixed(acc + c * num // den, wh, prec)
+        # term magnitudes sawtooth by a few bits; only a sustained rise
+        # marks the asymptotic floor
+        if best is not None and mag > best + 24:
+            break
+        best = mag if best is None else min(best, mag)
+    raise PrecisionError("3F2 tail expansion turned before converging")
 
 
 # ----------------------------------------------------------------------
@@ -1254,7 +1251,7 @@ def _battery_order5(prec: int) -> list[CheckReport]:
 # fixed slacks reach 64 bits: below twice that a pass certifies little.
 # _MAX_BITS is the largest power of two at which every battery finishes
 # within about an hour of one core: each doubling costs 5-14x, and inv
-# and genfn, the slowest, took 20 and 22 minutes at 8192 bits
+# and genfn, the slowest, took 8.2 and 8.6 minutes at 8192 bits
 _MIN_BITS = 128
 _MAX_BITS = 8192
 

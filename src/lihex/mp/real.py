@@ -37,7 +37,6 @@ __all__ = [
     "ln",
     "sincospi",
     "pow_int",
-    "pow_real",
 ]
 
 _MAX_CORE_PREC = 1 << 23
@@ -460,15 +459,6 @@ def pow_int(x: MpReal, n: int, prec: int) -> MpReal:
         if n:
             base = base.mul(base, wp)
     return acc.round_to(prec)
-
-
-def pow_real(x: MpReal, y: MpReal, prec: int) -> MpReal:
-    """x**y for positive x."""
-    if x.sign <= 0:
-        raise DomainError("pow_real requires a positive base")
-    wp = prec + 16
-    lx = ln(x, wp + max(0, y.sign and y.bit_top()))
-    return exp(lx.mul(y, wp + 8), prec)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,14 @@ Everything here reduces to integer fixed-point work on top of
 :class:`~lihex.mp.real.MpReal`.  :func:`zeta` and :func:`dirichlet_beta`
 round the Borwein sums of :mod:`lihex.mp.real`, the one zeta(n) and
 beta(n) algorithm of the package.  Every Euler-Maclaurin tail -- the
-integer-argument Hurwitz zeta and the 3F2 and Catalan tails that
-:mod:`lihex.hyper` reads from the chain :class:`_HurwitzTail` -- goes
-through one fixed-point kernel, :func:`_em_tail`, whose corrections
-read one shared table of exact Bernoulli numbers that grows entry by
-entry and never recomputes one.
+integer-argument Hurwitz zeta, the 3F2 tails of :mod:`lihex.hyper`,
+each measured against its last head term, and the Catalan tail it reads
+from the chain :class:`_HurwitzTail` -- goes through one fixed-point
+kernel, :func:`_em_tail`.  Its corrections carry their rational
+cofactor in fixed point, one floor a step, and meet each B_2i/(2i)!
+as a cached fixed-point int as wide as that cofactor, taken from one
+shared table of exact Bernoulli numbers that grows entry by entry and
+never recomputes one.
 
 :func:`hurwitz` takes integer s only and :func:`gamma` rational
 arguments only: Gamma(x) is Gamma(y), 1 <= y < 2, times an exact
@@ -37,7 +40,7 @@ from typing import Callable, Iterator
 from ..errors import DomainError, IllConditionedError, PoleError
 from .cplx import MpComplex, cln
 from .real import (MpReal, _alt_fixed, _div0, _pi_fixed, _shr0, _zeta_fixed,
-                   exp, ln, pi_const, pow_int, pow_real)
+                   exp, ln, pi_const, pow_int)
 
 __all__ = [
     "bernoulli",
@@ -108,38 +111,47 @@ def bernoulli(m: int) -> Fraction:
 #   sum_{k>=0} (x+k)^-s = x^(1-s)/(s-1) + x^-s/2
 #                         + sum_{i>=1} B_2i/(2i)! (s)_(2i-1) x^(1-s-2i) + R.
 # Callers sum the head of their series directly and pass the boundary
-# power bp = x^-s in fixed point; every term below is bp times an exact
-# rational cofactor, formed by one division, so no shared power can
-# underflow ahead of its cofactor.
+# power bp = x^-s in fixed point, or any multiple of it; every term below
+# is bp times a rational cofactor carried at 16 more bits, so no shared
+# power can underflow ahead of its cofactor.
+
+
+@functools.cache
+def _bernoulli_fixed(i: int, bits: int) -> int:
+    """B_2i/(2i)! as a fixed-point int at bits, floored once."""
+    b = _bernoulli_table.upto(i)[i - 1]
+    return (b.numerator << bits) // (b.denominator * math.factorial(2 * i))
 
 
 def _em_corrections(bp: int, x, s) -> Iterator[int]:
     """The corrections B_2i/(2i)! (s)_(2i-1) x^(1-s-2i), i = 1, 2, ...,
     as fixed-point integers on bp's scale (x and s are ints or Fractions).
 
-    The series is asymptotic: it ends before the first term that is
-    zero or no smaller than the one before.
+    The cofactor q = bp (s)_(2i-1) x^(1-2i) is carried with 16 guard
+    bits and floored once per step.  It meets B_2i/(2i)! at as many
+    fractional bits as q has, not bp: once 2i passes x, q grows by up to
+    log2(4 pi^2) = 5.3 bits a step while the terms still fall.  A term
+    is then within one ulp and a small fraction of one.  The series is
+    asymptotic: it ends before the first term that is zero or no
+    smaller than the one before.
     """
     sn, sd = s.numerator, s.denominator
     xn, xd = x.numerator, x.denominator
-    num, den = sn * xd, 2 * sd * xn  # (s)_(2i-1) x^(1-2i) / (2i)!, i = 1
-    table = _bernoulli_table.b
+    q = (bp * sn * xd << 16) // (sd * xn)
+    xd2, xx = xd * xd, (sd * xn) ** 2
+    u = sn + sd  # (s + 2i - 1) sd
     prev = None
     i = 1
     while True:
-        if i > len(table):
-            _bernoulli_table.upto(i)
-        b = table[i - 1]
-        p = bp * b.numerator * num
-        q = b.denominator * den
-        t = -((-p) // q) if p < 0 else p // q
+        bits = (q.bit_length() + 63) & ~63  # one cached width per 64 bits
+        t = q * _bernoulli_fixed(i, bits) >> (bits + 16)
         mag = abs(t)
         if mag == 0 or (prev is not None and mag >= prev):
             return
         yield t
         prev = mag
-        num *= (sn + (2 * i - 1) * sd) * (sn + 2 * i * sd) * xd * xd
-        den *= (2 * i + 1) * (2 * i + 2) * (sd * xn) ** 2
+        q = q * (u * (u + sd) * xd2) // xx
+        u += 2 * sd
         i += 1
 
 
@@ -153,9 +165,9 @@ def _em_tail(bp: int, x, s) -> int:
 # ----------------------------------------------------------------------
 # Euler-Maclaurin tail chains
 #
-# The 3F2 tails in lihex.hyper need c_j zeta(s0 + j, N + 1) for
-# j = 0, 1, 2, ... and, for the harmonically weighted Catalan series, the
-# log-weighted sums c_j sum_{n>N} ln(n) / n^(s0+j).  With the origin
+# The Catalan tail in lihex.hyper needs c_j zeta(s0 + j, N + 1) for
+# j = 0, 1, 2, ... and, for its harmonic weights, the log-weighted sums
+# c_j sum_{n>N} ln(n) / n^(s0+j), with s0 = 3/2.  With the origin
 # shifted to N+1 >> 1 the Euler-Maclaurin expansion needs no direct
 # terms at all.  Both sums are linear in the boundary power
 # c_j (N+1)^-(s0+j), which one division forms from a cached (N+1)^-s0,
@@ -167,6 +179,8 @@ class _HurwitzTail:
     def __init__(self, s0: Fraction, a: int, wp: int):
         if s0 <= 1:
             raise DomainError("tail chain requires s0 > 1")
+        if s0.denominator > 2:
+            raise DomainError("tail chain requires s0 in Z or Z + 1/2")
         if a < 2:
             raise DomainError("tail chain requires an origin >= 2")
         self.s0 = s0
@@ -177,13 +191,12 @@ class _HurwitzTail:
         sm1 = s0 - 1
         w = wp + 16 + (a * sm1.denominator // sm1.numerator).bit_length()
         self._w = w
-        # a^-s0 at g bits, so its relative error is below 2^-(w+24)
+        # a^-s0 floored at g bits, so its relative error is below
+        # 2^-(w+24): the floor of a^-u, or of its square root for
+        # s0 = u/2, is exact
         self._g = g = w + 24 + math.ceil(s0 * a.bit_length())
-        self._ap = pow_real(
-            MpReal.from_int(a, g + 16),
-            MpReal.from_fraction(-s0, g + 16),
-            g + 8,
-        ).to_fixed(g)
+        ap = (1 << s0.denominator * g) // a**s0.numerator
+        self._ap = ap if s0.denominator == 1 else math.isqrt(ap)
 
     @functools.cached_property
     def _ln_a(self) -> int:

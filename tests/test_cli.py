@@ -337,6 +337,20 @@ def test_an_empty_factor_is_usage_error_naming_the_expression(capsys):
     assert "'pi*'" in run(capsys, "discover", "--values", "pi*,log2")[2]
 
 
+@pytest.mark.parametrize("values,number,factor,expr", [
+    ("pi^,log2", "''", "pi^", "pi^"),
+    ("S(2,1,a,b,c,d,e,f,g,h),log2", "'a'", "S(2,1,a,b,c,d,e,f,g,h)",
+     "S(2,1,a,b,c,d,e,f,g,h)"),
+    ("pi,catalan*pi^x", "'x'", "pi^x", "catalan*pi^x"),
+])
+def test_a_malformed_number_is_usage_error_naming_its_factor(
+        capsys, values, number, factor, expr):
+    rc, out, err = run(capsys, "discover", "--values", values)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"usage error: malformed number {number} ")
+    assert f"in factor {factor!r} of {expr!r}" in err
+
+
 def test_config_sets_defaults(tmp_path, capsys):
     cfg = tmp_path / "lihex.cfg"
     cfg.write_text("# comment\nbits = 128\nthreads = 2\n")

@@ -15,11 +15,12 @@ import time
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lihex.errors import (DivergenceError, DomainError, PoleError,
                           PrecisionError, UnknownName)
-from lihex.hyper import (_MAX_BITS, CHECKS, U, Utilde, asymp_coeff,
-                         catalan_binomial, check_li5_identity,
+from lihex.hyper import (_MAX_BITS, CHECKS, U, Utilde, _hyp3f2_unit,
+                         asymp_coeff, catalan_binomial, check_li5_identity,
                          check_recurrence, check_trig_forms, eval_W,
                          expu_check, f5, genfn_cplx, genfn_hyp, genfn_pf,
                          geo_checks,
@@ -83,6 +84,40 @@ def test_a_self_reflection_sums_w_once(monkeypatch):
     calls.clear()
     reflection_check((Q(1, 3), Q(-1, 7), Q(2, 5), Q(1, 9)), 256)
     assert len(calls) == 2
+
+
+def _q(lo: Q, hi: Q):
+    return st.builds(lambda n, d: lo + (hi - lo) * Q(n, d),
+                     st.integers(0, 64), st.just(64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_q(Q(-1), Q(3)), _q(Q(-1), Q(3)), _q(Q(65, 64), Q(8)),
+       _q(Q(1, 64), Q(4)), st.integers(64, 320))
+def test_3f2_agrees_with_itself_at_four_times_the_precision(
+        al, be, rho, ga, prec):
+    # rho = ga + de - al - be from just above 1, where the tail is long
+    # and the last head term is far below it, up to 8
+    de = rho + al + be - ga
+    assume(de > 0)
+    lo, hi = _hyp3f2_unit(al, be, ga, de, prec), \
+        _hyp3f2_unit(al, be, ga, de, 4 * prec)
+    d = lo - hi
+    assert d.is_zero or d.bit_top() <= max(hi.bit_top(), 0) - (prec - 8)
+
+
+def test_w_needs_no_gamma(monkeypatch):
+    import lihex.mp.special
+
+    def refused(*args):
+        raise AssertionError("eval_W called gamma")
+
+    monkeypatch.setattr(lihex.mp.special, "gamma", refused)
+    P = 256
+    w = eval_W((Q(0), Q(0), Q(0), Q(0)), P)
+    pi_ = pi_const(P + 16)
+    assert _mag(w - pi_.mul(pi_, P + 16).mul(Q(1, 2), P)) < -(P - 8)
+    eval_W((Q(1, 3), Q(-1, 5), Q(1, 7), Q(1, 9)), P)
 
 
 def test_w_divergence_outside_open_box():
