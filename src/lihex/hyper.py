@@ -135,7 +135,7 @@ def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
 # and `mp.special._em_tail` sums t_j H_j from t_j in rationals alone.
 
 def _ratio_series(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
-                  rho: Fraction, jmax: int, wp: int) -> list[int]:
+                  rho: Fraction, jmax: int, wp: int) -> Iterator[int]:
     """r_0 .. r_(jmax+1) of R(x) = (1+al x)(1+be x)(1+x)^rho / ((1+ga x)(1+de x))
     as fixed-point ints at wp bits, each floored once from its exact value.
 
@@ -145,7 +145,6 @@ def _ratio_series(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
     lcd = math.lcm(*(v.denominator for v in (al, be, ga, de, rho)))
     A, B, G, E, R = (v.numerator * (lcd // v.denominator)
                      for v in (al, be, ga, de, rho))
-    out = []
     nb = [1]  # nb[k] = prod_(i<k) (R - i L), so C(rho, k) = nb[k] / (L^k k!)
     x = y = 0
     den = lcd * lcd  # L^(k+2) k!
@@ -154,18 +153,17 @@ def _ratio_series(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
             nb.append(nb[-1] * (R - (k - 1) * lcd))
             den *= lcd * k
         # (1+al x)(1+be x)(1+x)^rho, then the two divisions, on L^(k+2) k!
-        o = lcd * lcd * nb[k]
+        o = nb[k]
         if k >= 1:
-            o += (A + B) * lcd * lcd * k * nb[k - 1]
+            o += (A + B) * k * nb[k - 1]
         if k >= 2:
-            o += A * B * lcd * lcd * k * (k - 1) * nb[k - 2]
-        x = o - G * k * x
+            o += A * B * k * (k - 1) * nb[k - 2]
+        x = o * lcd * lcd - G * k * x
         y = x - E * k * y
-        out.append((y << wp) // den)
-    return out
+        yield (y << wp) // den
 
 
-def _tail_coeffs(rv: list[int], wp: int) -> Iterator[int]:
+def _tail_coeffs(r: Iterator[int], wp: int) -> Iterator[int]:
     """d_0, d_1, ... of T(x) as fixed-point ints at wp bits, from the
     r_k of `_ratio_series` at the same scale, each made when it is asked
     for: the tails stop well before the last r_k.
@@ -179,11 +177,13 @@ def _tail_coeffs(rv: list[int], wp: int) -> Iterator[int]:
     d = [1 << wp]
     yield d[0]
     row = [1, 1]  # C(n-1, k) for k = 0 .. n-1
-    for n in range(2, len(rv)):
+    rv = [next(r), next(r)]
+    for n, rn in enumerate(r, 2):
+        rv.insert(0, rn)
         # j = 0 pairs with k = n, where C(n-1, n) = 0
         binom = [0] + [-row[k] if k % 2 else row[k] for k in range(n - 1, 1, -1)]
         acc = (sum(map(operator.mul, d, binom)) << wp) - sum(
-            map(operator.mul, d, rv[n:1:-1]))
+            map(operator.mul, d, rv))
         d.append(acc // ((n - 1) << wp))
         yield d[-1]
         row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]

@@ -14,9 +14,14 @@ It holds the one evaluator of linear forms: a catalog formula, a
 ladder, a monomial and an identity row each get their value from
 integer rows over one denominator, summed over fixed-point atoms with
 counted error bounds (`_fixed_sums`), and rounded once.  An atom's
-fixed-point sum splits by residue class k = r+1 (mod 8): each class is
-one cached floor sum `_class_sum` keyed on (n, p, r, |a_r|, wp), so
-atoms that share an order, a power and an entry's size share that sum.
+fixed-point sum splits by residue class k = r+1 (mod 8) into floor sums
+held one per (n, p, r, |a_r|, wp) in `_class_group`, so atoms that
+share an order, a power and an entry's size share that sum.  One
+division pass per (n, r, |a_r|, wp) serves every power p that an
+evaluation asks for (`_class_sums`): with p0 the least of them and
+e_p(k) = floor(p(k+1)/2), e_p(k) >= e_p0(k), and floor(floor(x) / 2^t)
+= floor(x / 2^t) for t >= 0, so p's term is p0's quotient
+floor(|a_r| 2^(wp-e_p0(k)) / k^n) shifted right by e_p(k) - e_p0(k).
 
 Each special argument is z = 2^{-p/2} e^{i pi j/4}, kept as the pair
 (p, j) in `ARGUMENTS`.  That table is the one place an argument's value
@@ -34,9 +39,10 @@ builds any ladder from the tables `_BASE`, `_COMBINED` and `_R4_RHS`,
 and `IDENTITIES` holds every relation of the suite as one entry, a
 complex relation with rows for each part.  Two consumers read them:
 `ladders` checks the identities (`check_relation`) from the sums of
-their integer rows, and `_derived` solves eight catalog formulas from
-named entries of the same table.  The three ladder tables are read-only,
-so each identity's rows are built once.
+their integer rows, and `_derived` solves each of eight catalog
+formulas from the entries of the same table it rests on, and from no
+others.  The three ladder tables are read-only, so each identity's rows
+are built once.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, count, islice, repeat
 from math import factorial, gcd, isqrt
-from operator import mul
+from operator import floordiv, lshift, mul, rshift
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -111,19 +118,55 @@ def _canon_term(coef: Fraction, n: int, p: int,
     return coef * g * sign, SeriesSpec(n, p, tuple(pat))
 
 
-@functools.cache
-def _class_sum(n: int, p: int, r: int, m: int, wp: int) -> int:
-    """Sum over k = r+1 (mod 8) of floor(m 2^(wp-e) / k^n), where
-    e = floor(p(k+1)/2).
+# a chunk of quotients holds about this many bits, at least 8 terms
+_CHUNK_BITS = 1 << 18
 
-    The sum runs to e = wp + bitlen(m): past that 2^(e-wp) > m, so every
-    term floors to 0 and the sum depends on its arguments alone.
+
+def _class_sums(n: int, r: int, m: int, wp: int,
+                ps: Sequence[int]) -> list[int]:
+    """The sum over k = r+1 (mod 8) of floor(m 2^(wp-e_p(k)) / k^n),
+    e_p(k) = floor(p(k+1)/2), for each p of ps (ascending, distinct),
+    from one division per k at p0 = ps[0].
+
+    Past e = wp + bitlen(m), 2^(e-wp) > m floors every term to 0, so a
+    class ends there, and p0's is the longest.  p's term is p0's
+    quotient shifted right by e_p(k) - e_p0(k), which rises by 4(p - p0)
+    from one k of the class to the next.  Several powers take the
+    quotients in chunks of about `_CHUNK_BITS`.
     """
-    kmid = (2 * wp + 1) // p                   # e <= wp for k < kmid
-    ks = range(r + 1, (2 * (wp + m.bit_length()) + 1) // p, 8)
-    lo = len(range(r + 1, kmid, 8))
-    return (sum((m << wp - p * (k + 1) // 2) // k ** n for k in ks[:lo])
-            + sum(m // (k ** n << p * (k + 1) // 2 - wp) for k in ks[lo:]))
+    p0, top = ps[0], wp + m.bit_length()
+    ks = range(r + 1, (2 * top + 1) // p0, 8)
+    lo = len(range(r + 1, (2 * wp + 1) // p0, 8))  # e_p0(k) <= wp for these
+    s0, step = wp - p0 * (r + 2) // 2, 4 * p0       # wp - e_p0(r+1)
+    quotients = chain(
+        map(floordiv, map(lshift, repeat(m), range(s0, s0 - step * lo, -step)),
+            map(pow, ks[:lo], repeat(n))),
+        map(floordiv, repeat(m), map(lshift, map(pow, ks[lo:], repeat(n)),
+                                     count(step * lo - s0, step))))
+    if len(ps) == 1:
+        return [sum(quotients)]
+    shifts = []
+    for p in ps[1:]:
+        d, t = p * (r + 2) // 2 - p0 * (r + 2) // 2, 4 * (p - p0)
+        terms = len(range(r + 1, (2 * top + 1) // p, 8))
+        shifts.append(range(d, d + t * terms, t))
+    sums = [0] * len(ps)
+    c = max(8, _CHUNK_BITS // wp)
+    for i in range(0, len(ks), c):
+        chunk = list(islice(quotients, c))
+        sums[0] += sum(chunk)
+        for j, sh in enumerate(shifts, 1):
+            sums[j] += sum(map(rshift, chunk, sh[i:i + c]))
+    return sums
+
+
+@functools.cache
+def _class_group(n: int, r: int, m: int, wp: int) -> dict[int, int]:
+    """The class sums of one (n, r, |a_r| = m, wp) group made so far,
+    by power p, each a function of (n, p, r, m, wp) alone.  A functools
+    cache per class could not say which powers are missing, and those
+    are summed in one pass."""
+    return {}
 
 
 @functools.cache
@@ -135,15 +178,24 @@ def _series_fixed(spec: SeriesSpec, wp: int) -> tuple[int, int]:
     tail (each exponent recurs at most twice) stays under one ulp.  So
     the error is below N + 1 ulps.  Truncation toward zero is sign(a_r)
     times the floor of |a_r| 2^(wp-e)/k^n, so the sum is that signed
-    sum of the eight class sums `_class_sum(n, p, r, |a_r|, wp)`; a
-    class's terms past e = wp + bitlen(|a_r|) are 0 and are not summed.
+    sum of the eight class sums held in `_class_group`; a class's terms
+    past e = wp + bitlen(|a_r|) are 0 and are not summed.  A class not
+    held is summed here, alone.  `_atom_values` first sums the classes
+    that its atoms of several powers share: one division pass per
+    (n, r, |a_r|, wp) serves every power p, since with p0 the least,
+    e_p(k) >= e_p0(k) and floor(floor(x) / 2^t) = floor(x / 2^t) make
+    p's term p0's quotient shifted right by e_p(k) - e_p0(k).
     """
+    n, p = spec.n, spec.p
     bits_a = max(map(abs, spec.pattern)).bit_length()
-    kmax = (2 * (wp + bits_a + 8) + 1) // spec.p   # the terms summed: k < kmax
+    kmax = (2 * (wp + bits_a + 8) + 1) // p   # the terms summed: k < kmax
     acc = terms = 0
     for r, a in enumerate(spec.pattern):
         if a:
-            t = _class_sum(spec.n, spec.p, r, abs(a), wp)
+            held = _class_group(n, r, abs(a), wp)
+            t = held.get(p)
+            if t is None:
+                t = held[p] = _class_sums(n, r, abs(a), wp, (p,))[0]
             acc += t if a > 0 else -t
             terms += len(range(r + 1, kmax, 8))
     return acc, terms + 1
@@ -422,6 +474,19 @@ class IntegerRows:
     coefs: tuple[tuple[int, ...], ...]
     mass_bits: int
 
+    @functools.cached_property
+    def shared_classes(self) -> tuple[tuple[int, int, int, list[int]], ...]:
+        """Each (n, r, |a_r|) class that S-atoms of two or more powers
+        hold, with those powers ascending."""
+        powers: dict[tuple[int, int, int], set[int]] = {}
+        for a in self.atoms:
+            if isinstance(a, SeriesSpec):
+                for r, c in enumerate(a.pattern):
+                    if c:
+                        powers.setdefault((a.n, r, abs(c)), set()).add(a.p)
+        return tuple((*key, sorted(ps)) for key, ps in powers.items()
+                     if len(ps) > 1)
+
 
 def integer_rows(forms: Sequence[Mapping]) -> IntegerRows:
     """The forms over the atoms any of them uses, on a common denominator."""
@@ -440,7 +505,13 @@ def integer_rows(forms: Sequence[Mapping]) -> IntegerRows:
 
 @functools.cache
 def _atom_values(rows: IntegerRows, wp: int) -> tuple[tuple[int, ...], ...]:
-    """The rows' atoms at wp bits, and their bounds in ulps."""
+    """The rows' atoms at wp bits, and their bounds in ulps.  Each class
+    that atoms of several powers hold is summed first, in one pass."""
+    for n, r, m, ps in rows.shared_classes:
+        held = _class_group(n, r, m, wp)
+        missing = [p for p in ps if p not in held]
+        if missing:
+            held.update(zip(missing, _class_sums(n, r, m, wp, missing)))
     pairs = [_series_fixed(a, wp) if isinstance(a, SeriesSpec)
              else _monomial_fixed(a, wp) for a in rows.atoms]
     return tuple(v for v, _ in pairs), tuple(e for _, e in pairs)
@@ -935,44 +1006,52 @@ def solve_formulas(identities: Sequence[Identity],
 # ----------------------------------------------------------------------
 # the derived catalog, solved from the identity table
 
+# each derived formula: the identities it is solved from, alone, the
+# monomial it is solved for, and its label.  i3 states beta(3) as
+# pi^3/32, so beta3_alt is i3's solved pi^3 form on the beta(3) scale,
+# and pi3 is 32 times that
+_DERIVED = MappingProxyType({
+    "pi_log2": (("i2",), Monomial(pi=1, log2=1), "n2"),
+    "beta3_alt": (("i3",), Monomial(pi=3), "n3"),
+    "pi_log2sq": (("i3",), Monomial(pi=1, log2=2), "n3"),
+    "pi3": (("i3",), Monomial(pi=3), "n3"),
+    "pi2_log2": (("r3",), Monomial(pi=2, log2=1), "n3"),
+    "pi2_log2sq": (tuple(_R4_RHS), Monomial(pi=2, log2=2), "n4"),
+    "pi2_log2cu": (("r5",), Monomial(pi=2, log2=3), "n5"),
+    "pi4_log2": (("r5",), Monomial(pi=4, log2=1), "n5"),
+})
+
+
 @functools.cache
-def _derived() -> dict[str, Formula]:
-    out: dict[str, Formula] = {}
+def _solved(names: tuple[str, ...]) -> dict[Monomial, Formula]:
+    """Each monomial that `_DERIVED` solves from the identities `names`,
+    solved from them alone, so one elimination serves its formulas."""
+    targets = list(dict.fromkeys(
+        t for idents, t, _ in _DERIVED.values() if idents == names))
+    return dict(zip(targets, solve_formulas(
+        [IDENTITIES[k] for k in names], targets)))
 
-    def solve(names: Iterable[str], *targets: Monomial) -> list[Formula]:
-        return solve_formulas([IDENTITIES[k] for k in names], targets)
 
-    def put(f: Formula, label: str) -> None:
-        out[f.name] = Formula(f.name, f.scale, f.terms, f.description, label)
-
-    (pl,) = solve(["i2"], Monomial(pi=1, log2=1))
-    put(pl, "n2")
-
-    # i3 states beta(3) as pi^3/32; the catalog stores the solved form on
-    # the beta(3) scale, and pi3 as 32 times it
-    p3, plsq = solve(["i3"], Monomial(pi=3), Monomial(pi=1, log2=2))
-    b3 = tuple((c * _B3, spec) for c, spec in p3.terms)
-    put(Formula("beta3_alt", _Q(1), b3,
-                "Solved S-series form of beta(3)."), "n3")
-    put(plsq, "n3")
-    put(Formula("pi3", _Q(32), b3,
-                "pi^3 as 32 times the solved beta(3) form."), "n3")
-
-    (p2l,) = solve(["r3"], Monomial(pi=2, log2=1))
-    put(p2l, "n3")
-
-    (p2l2,) = solve(_R4_RHS, Monomial(pi=2, log2=2))
-    put(p2l2, "n4")
-
-    p2l3, p4l = solve(["r5"], Monomial(pi=2, log2=3), Monomial(pi=4, log2=1))
-    put(p2l3, "n5")
-    put(p4l, "n5")
-    return out
+@functools.cache
+def _derived(name: str) -> Formula:
+    """The derived formula of that name, solving only its identities."""
+    try:
+        names, target, label = _DERIVED[name]
+    except KeyError:
+        raise UnknownName(name) from None
+    f = _solved(names)[target]
+    if name == "beta3_alt":
+        f = Formula(name, _Q(1), tuple((c * _B3, s) for c, s in f.terms),
+                    "Solved S-series form of beta(3).")
+    elif name == "pi3":
+        f = replace(_derived("beta3_alt"), name=name, scale=_Q(32),
+                    description="pi^3 as 32 times the solved beta(3) form.")
+    return replace(f, label=label)
 
 
 def derived_catalog() -> dict[str, Formula]:
     """Formulas not printed anywhere, regenerated by exact elimination."""
-    return dict(_derived())
+    return {name: _derived(name) for name in _DERIVED}
 
 
 def catalog() -> dict[str, Formula]:
@@ -984,11 +1063,9 @@ def catalog() -> dict[str, Formula]:
 
 def _formula(name: str) -> Formula:
     """The catalog formula of that name: a classic, else a derived one,
-    so that a classic is found without solving the derived catalog."""
-    f = FORMULAS.get(name) or _derived().get(name)
-    if f is None:
-        raise UnknownName(name)
-    return f
+    so that a classic is found without solving any derived formula and a
+    derived one solves only the identities it comes from."""
+    return FORMULAS.get(name) or _derived(name)
 
 
 def eval_formula(name: str, prec: int) -> MpReal:

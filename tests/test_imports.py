@@ -71,12 +71,13 @@ def test_a_classic_digit_run_solves_no_derived_formula():
         "from lihex.errors import UnknownName\n"
         "from lihex.spigot import DigitRequest, hex_digits\n"
         "print(hex_digits(DigitRequest('pi', 1, 8)).digits)\n"
-        "print(series._derived.cache_info().currsize)\n"
+        "print(series._derived.cache_info().currsize,"
+        " series._solved.cache_info().currsize)\n"
         "try:\n"
         "    hex_digits(DigitRequest('nosuch', 1, 8))\n"
         "except UnknownName as e:\n"
         "    print(e)\n")
-    assert out.splitlines() == ["243F6A88", "0", "'nosuch'"]
+    assert out.splitlines() == ["243F6A88", "0 0", "'nosuch'"]
 
 
 def test_every_public_name_and_submodule_resolves():

@@ -45,6 +45,7 @@ RESIDUAL_SHA256 = {
     256: "331d789fc3206e4edc87f46903921bbf7330dba1e12271f996d54b427609835a",
     512: "bde391b3aad607f4cf2ed41dfe3b775c1ccef9b16d8d1a84f9e21504bc134b4b",
     1024: "a848ca7737bb83449d9f3245125ef767c1c23de20527b02169610c63bcc49a9c",
+    2048: "4ed92213772b7785ea2f1a33ba8f723d8ec2f139d3ea792be483a453c00f3aa7",
 }
 
 
@@ -217,27 +218,47 @@ def _suite(order: tuple[int, ...]) -> tuple[dict, dict]:
 
 def test_atoms_share_their_class_sums(clear_caches, monkeypatch):
     # a cold check_all sums each (n, p, r, |a_r|, wp) class once, however
-    # many (spec, wp) atoms hold it
+    # many (spec, wp) atoms hold it, and each check makes at most one
+    # division pass per (n, r, |a_r|, wp) group: one pass serves every
+    # power of a group that its atoms lack
     clear_caches()
-    used = set()
-    summed = series._series_fixed
+    used, passes = set(), []
+    summed, divided = series._series_fixed, series._class_sums
+    atom_values = series._atom_values
 
     def record(spec, wp):
         used.add((spec, wp))
         return summed(spec, wp)
 
+    def record_pass(n, r, m, wp, ps):
+        passes.append((n, r, m, wp, tuple(ps)))
+        return divided(n, r, m, wp, ps)
+
+    def one_pass_per_group(rows, wp):
+        start = len(passes)
+        out = atom_values(rows, wp)
+        groups = [g[:4] for g in passes[start:]]
+        assert len(groups) == len(set(groups))
+        return out
+
     monkeypatch.setattr(series, "_series_fixed", record)
+    monkeypatch.setattr(series, "_class_sums", record_pass)
+    monkeypatch.setattr(series, "_atom_values", one_pass_per_group)
     check_all(256)
     classes = [(spec.n, spec.p, r, abs(a), wp) for spec, wp in used
                for r, a in enumerate(spec.pattern) if a]
-    assert series._class_sum.cache_info().currsize == len(set(classes))
+    summed_once = [(n, p, r, m, wp) for n, r, m, wp, ps in passes for p in ps]
+    assert sorted(summed_once) == sorted(set(classes))
+    assert series._class_group.cache_info().currsize == len(
+        {(n, r, m, wp) for n, _, r, m, wp in classes})
     assert len(set(classes)) < len(classes)
+    assert len(passes) < len(summed_once)
 
 
 def test_results_do_not_depend_on_earlier_requests(clear_caches):
     assert clear_caches() >= {
         "_pi_fixed", "_log2_fixed", "zeta", "dirichlet_beta",
-        "_spouge_coeffs", "_polylog", "_series_fixed", "_class_sum",
+        "_spouge_coeffs", "_polylog", "_series_fixed", "_class_group",
         "_derived", "_kernel_coeffs", "_euler_gamma"}
     up = _suite((256, 300))
     clear_caches()

@@ -145,20 +145,61 @@ def test_class_sums_give_the_per_term_sum_bit_for_bit(n, p, pattern, wp):
         if a:
             one = SeriesSpec(n, p, tuple(abs(a) if i == r else 0
                                          for i in range(8)))
-            assert (series._class_sum(n, p, r, abs(a), wp)
-                    == _per_term_fixed(one, wp)[0])
+            assert (series._class_sums(n, r, abs(a), wp, [p])
+                    == [_per_term_fixed(one, wp)[0]])
+
+
+# one pass over p0 = min(ps) gives each larger p by right shifts; at
+# wp = 3000 a pass makes its quotients in 9 chunks of 87
+@settings(max_examples=150, deadline=None)
+@example(1, 0, 1, 3000, [1, 2, 3, 4, 5, 6])
+@example(3, 5, 100000000, 64, [2, 5])
+@example(12, 7, 99999999, 2999, [1, 6])
+@given(st.integers(1, 12), st.integers(0, 7), st.integers(1, 10**8),
+       st.integers(64, 3000),
+       st.sets(st.integers(1, 6), min_size=1).map(sorted))
+def test_grouped_class_sums_equal_single_power_sums(n, r, m, wp, ps):
+    assert series._class_sums(n, r, m, wp, ps) == [
+        series._class_sums(n, r, m, wp, [p])[0] for p in ps]
 
 
 def test_a_class_sum_keeps_one_term_at_a_time():
     # 8192 terms of about 2^15 bits each: a list of them all held 17 MB,
-    # so peak memory grew with the square of the precision
-    tracemalloc.start()
-    try:
-        series._class_sum.__wrapped__(1, 1, 0, 1, 1 << 15)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # so peak memory grew with the square of the precision; a pass holds
+    # a bounded chunk of quotients, however many powers it serves
+    for ps in ([1], [1, 2, 5]):
+        tracemalloc.start()
+        try:
+            series._class_sums(1, 0, 1, 1 << 15, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_a_lone_atom_divides_at_its_own_power_alone(clear_caches,
+                                                    monkeypatch):
+    # an atom's classes are summed at its power p, never at a smaller
+    # one that would serve p by shifts; a formula over p = 1 and p = 5
+    # shares a pass for the classes its two atoms both hold
+    divided = series._class_sums
+    passes = []
+
+    def record(n, r, m, wp, ps):
+        passes.append(tuple(ps))
+        return divided(n, r, m, wp, ps)
+
+    monkeypatch.setattr(series, "_class_sums", record)
+    clear_caches()
+    eval_series(SeriesSpec(3, 5, (1, 1, 1, 0, -1, -1, -1, 0)), 256)
+    assert passes == [(5,)] * 6
+    passes.clear()
+    eval_formula("pi", 256)
+    assert passes == [(1,)] * 4
+    passes.clear()
+    clear_caches()
+    eval_formula("pi_bellard", 256)
+    assert sorted(passes) == [(1, 5)] * 2 + [(5,)] * 4
 
 
 def test_values_above_the_precision_ceiling_are_refused_before_summing(
@@ -409,10 +450,12 @@ def test_derived_formulas_come_from_checked_identities(monkeypatch):
         return solve_formulas(identities, targets)
 
     monkeypatch.setattr(series, "solve_formulas", recording)
+    series._solved.cache_clear()
     series._derived.cache_clear()
     try:
         derived_catalog()
     finally:
+        series._solved.cache_clear()
         series._derived.cache_clear()
     assert {i.name for i in used} == {
         "i2", "i3", "r3", "r4b", "r4c", "r4d", "r4e", "r5"}
@@ -420,3 +463,24 @@ def test_derived_formulas_come_from_checked_identities(monkeypatch):
         assert IDENTITIES[ident.name] is ident
         assert RELATIONS[ident.name].status == ident.status
         assert check_relation(ident.name, 512).passed
+
+
+def test_a_derived_formula_solves_only_its_own_identities(clear_caches,
+                                                           monkeypatch):
+    # pi3 comes from i3 alone, and beta3_alt, which i3 also gives, needs
+    # no second elimination; the whole catalog then solves the rest once
+    solved = []
+
+    def recording(identities, targets):
+        solved.append(tuple(i.name for i in identities))
+        return solve_formulas(identities, targets)
+
+    monkeypatch.setattr(series, "solve_formulas", recording)
+    clear_caches()
+    pi3 = series._formula("pi3")
+    assert solved == [("i3",)]
+    assert series._formula("beta3_alt").terms == pi3.terms
+    assert solved == [("i3",)]
+    assert derived_catalog()["pi3"] is pi3
+    assert sorted(solved) == [("i2",), ("i3",), ("r3",),
+                              ("r4b", "r4c", "r4d", "r4e"), ("r5",)]
