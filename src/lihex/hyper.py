@@ -22,12 +22,13 @@ The inner sums run on plain fixed-point integers, each with an absolute
 error budget of one floor (one ulp) per term, held below the result's
 last bit by stated guard bits:
 
-- the 3F2 at unit argument, at prec + 64 bits: the head of N = 4 wp
-  terms runs 2 bitlen(N) + 8 bits finer, which covers its N floors; the
-  ratio series is exact before one floor per coefficient, the tail
+- the 3F2 at unit argument and the harmonically weighted Catalan
+  series over its terms, at prec + 64 bits: the head of N = 4 wp terms
+  runs 2 bitlen(N) + 8 bits finer, which covers its N floors; the ratio
+  series is exact before one floor per coefficient, the tail
   coefficients carry 64 more bits, and each tail term comes out of the
-  Euler-Maclaurin kernel within about one ulp (the Catalan tail sums
-  d_j zeta(3/2 + j, N + 1) through a chain, with 128 guard bits);
+  Euler-Maclaurin kernel, or its s-derivative for the ln n of the
+  harmonic weight, within about one ulp;
 - the pole sums, at prec + 48 bits: exact Gaussian-integer numerators
   and small denominators at the exact t, one integer complex division
   per term, about 2 wp terms at most;
@@ -35,13 +36,14 @@ last bit by stated guard bits:
   sized from m that keeps the rounding error below 1/8, cut where the
   kernel's tail falls below 1/16.
 
-The Euler-Maclaurin kernel, the Catalan tail's chain, the Spouge sum
-behind the gammas and ``li5`` are in :mod:`lihex.mp.special`.
+The Euler-Maclaurin kernel and its s-derivative, the Spouge sum behind
+the gammas and ``li5`` are in :mod:`lihex.mp.special`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from array import array
@@ -57,7 +59,7 @@ from .errors import (
 )
 from .ladders import CheckReport, _log2_mag, _report, eval_ladder
 from .mp import special as _sp
-from .mp.special import _HurwitzTail, li5
+from .mp.special import li5
 from .mp.cplx import MpComplex, cln
 from .mp.real import (
     MpReal,
@@ -189,6 +191,45 @@ def _tail_coeffs(r: Iterator[int], wp: int) -> Iterator[int]:
         row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
 
 
+def _unit_tail(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
+               wp: int, c: int, wh: int,
+               term: Callable[[list[int], Fraction], int]) -> int:
+    """The tail past the head n < N = 4 wp of a series over the 3F2(1)
+    terms c_n of (al, be, 1; ga, de), at the head's wh bits, from its last
+    term c = c_N at wh bits: c sum_j term(t, rho + j) / sum_j t_j.
+
+    t lists t_0 .. t_j, t_j = d_j N^-j at wp + 64 bits, and term gives the
+    kernel's j-th tail term on that scale.
+    """
+    rho = ga + de - al - be
+    wp_d = wp + 64
+    big = 4 * wp
+    # the d_j lose bits to their binomial sums, but N^-j scales the loss
+    # away: against d_j at 3000 more bits, err(d_j) N^-j stayed below
+    # 2^-10 ulps at prec 256..4096 for four battery 3F2s, though err(d_j)
+    # reached 2^800 ulps at 1024 bits
+    r = _ratio_series(al, be, ga, de, rho, max(48, wp // 5), wp_d)
+    t: list[int] = []
+    num = 0
+    best = None
+    for j, dj in enumerate(_tail_coeffs(r, wp_d)):
+        t.append(dj // big**j)
+        num += term(t, rho + j)
+        if not j:
+            # the terms per t_j are at most about the first, so t_j moves
+            # the tail by at most about c_N term_0 t_j: mag is its log2
+            scale = c.bit_length() + num.bit_length() - wh - 2 * wp_d
+        mag = abs(t[j]).bit_length() + scale
+        if not t[j] or mag < -(wp + 16):
+            return c * num // sum(t)
+        # term magnitudes sawtooth by a few bits; only a sustained rise
+        # marks the asymptotic floor
+        if best is not None and mag > best + 24:
+            break
+        best = mag if best is None else min(best, mag)
+    raise PrecisionError("3F2 tail expansion turned before converging")
+
+
 def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
                  prec: int) -> MpReal:
     """3F2(al, be, 1; ga, de; 1) for rational parameters, ga, de > 0."""
@@ -200,7 +241,6 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
             f"3F2 series diverges: unit-argument exponent {rho} <= 1"
         )
     wp = prec + 64
-    wp_d = wp + 64
     big = 4 * wp
     # the head at wh bits, where c_m is within m ulps and the sum within
     # big^2/2 while the term ratios stay below 1, as all callers' do
@@ -220,30 +260,9 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
         b += db
         g += dg
         e += dd
-    # c is now c_N.  The d_j lose bits to their binomial sums, but N^-j
-    # scales the loss away: against d_j at 3000 more bits, err(d_j) N^-j
-    # stayed below 2^-10 ulps at prec 256..4096 for four battery 3F2s,
-    # though err(d_j) reached 2^800 ulps at 1024 bits
-    r = _ratio_series(al, be, ga, de, rho, max(48, wp // 5), wp_d)
-    num = den = 0
-    best = None
-    for j, dj in enumerate(_tail_coeffs(r, wp_d)):
-        t = dj // big**j
-        num += _sp._em_tail(t, big, rho + j)
-        den += t
-        if not j:
-            # H_j and the quotient are at most about H_0, so t_j moves
-            # the tail by at most about c_N H_0 t_j: mag is its log2
-            scale = c.bit_length() + num.bit_length() - wh - 2 * wp_d
-        mag = abs(t).bit_length() + scale
-        if not t or mag < -(wp + 16):
-            return MpReal.from_fixed(acc + c * num // den, wh, prec)
-        # term magnitudes sawtooth by a few bits; only a sustained rise
-        # marks the asymptotic floor
-        if best is not None and mag > best + 24:
-            break
-        best = mag if best is None else min(best, mag)
-    raise PrecisionError("3F2 tail expansion turned before converging")
+    tail = _unit_tail(al, be, ga, de, wp, c, wh,
+                      lambda t, s: _sp._em_tail(t[-1], big, s))
+    return MpReal.from_fixed(acc + tail, wh, prec)
 
 
 # ----------------------------------------------------------------------
@@ -958,82 +977,56 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
 # ----------------------------------------------------------------------
 # Catalan's constant from central binomials
 #
-# G = sum_{n>=1} C(2n,n) H_{2n} / (2^(2n+1) (2n+1)) converges only like
-# n^(-3/2) log n; the tail is summed with the same Hurwitz chains, the
-# harmonic factor expanded through ln n, Euler's constant and Bernoulli
-# corrections, with the log-weighted zeta tails supplied analytically.
-
-
-@functools.cache
-def _euler_gamma(wp: int) -> MpReal:
-    big = 128
-    while 9 * big < wp + 48:
-        big *= 2
-    w = wp + 16
-    h = sum(Q(1, k) for k in range(1, big + 1))
-    acc = MpReal.from_fraction(h - Q(1, 2 * big), w)
-    acc = acc.add(-log2_const(w).mul(big.bit_length() - 1, w), w)
-    # gamma = H_big - ln(big) - 1/(2 big) + sum_k B_2k / (2k big^2k), the
-    # Euler-Maclaurin corrections at s = 1 on the scale of 1/big
-    corr = sum(_sp._em_corrections(1 << (w - big.bit_length() + 1), big, 1))
-    return acc.add(MpReal.from_fixed(corr, w, w), w).round_to(wp)
+# G = sum_{n>=1} C(2n,n) H_{2n} / (2^(2n+1) (2n+1)) = (1/2) sum_n c_n H_{2n},
+# c_n the 3F2(1) terms of (1/2, 1/2, 1; 1, 3/2), converges only like
+# n^(-3/2) log n.  Its tail is summed against the head's last term as the
+# 3F2 tails are, with the harmonic weight H_{2n} = K + ln(n/N) + g(n) past
+# N: K = H_{2N} - g(N) comes from the head, the g(n) series shifts the
+# t_j, and ln(n/N) gives the s-derivative of each Euler-Maclaurin sum, so
+# no pi, Euler gamma or logarithm is formed.
 
 
 def catalan_binomial(prec: int) -> MpReal:
     """Catalan's constant via the harmonically weighted central-binomial
-    series; supported for prec <= 128."""
+    series, summed in fixed point against its last head term; supported
+    for 16 <= prec <= 128."""
     if not 16 <= prec <= 128:
         raise DomainError("binomial route supported for 16 <= prec <= 128")
-    wp = prec + 48
-    big = max(96, wp)
-    # direct block with c_n and H_{2n} carried as fixed-point integers;
-    # the summed terms are b_n H_{2n} = (c_n / 2) H_{2n}
-    one = 1 << wp
-    b = one // 6  # c_1
-    acc = (b >> 1) * (one + (one >> 1)) >> wp  # n = 1 term, H_2 = 3/2
-    n = 2
-    b = b * 9 // 20  # advance c to n = 2
-    hq = one + (one >> 1) + one // 3 + (one >> 2)  # H_4
-    while n <= big:
-        acc += ((b >> 1) * hq) >> wp
-        b = b * (2 * n + 1) ** 2 // (2 * (n + 1) * (2 * n + 3))
+    wp = prec + 64
+    big = 4 * wp
+    # the head at wh bits as in _hyp3f2_unit: c_n <= 1 is within n ulps
+    # and the floored H_{2n} < 10 within 2n, so a term within about 12 n
+    wh = wp + 2 * big.bit_length() + 8
+    one = 1 << wh
+    # c_(n+1) = c_n (2n+1)^2 / (2 (n+1) (2n+3)), and H_0 = 0
+    acc = hq = 0
+    c = one
+    for n in range(big):
+        acc += c * hq >> wh
+        c = c * (2 * n + 1) ** 2 // (2 * (n + 1) * (2 * n + 3))
         hq += one // (2 * n + 1) + one // (2 * n + 2)
-        n += 1
-    head = MpReal.from_fixed(acc, wp, wp)
-    # tail: c_n = lam n^-3/2 T(1/n), H_{2n} = ln n + (gamma + ln 2)
-    #        + 1/(4n) - sum B_{2k} / (2k (2n)^{2k}), summed as fixed-point
-    #        ints at wd bits, where the floors cost a term under jmax ulps
-    jmax = max(40, wp // 4)
-    wd = wp + 128
-    r = _ratio_series(_HALF, _HALF, Q(1), Q(3, 2), Q(3, 2), jmax, wd)
-    d: list[int] = []
-    chain = _HurwitzTail(Q(3, 2), big + 1, wd)
-    hco: list[tuple[int, Fraction]] = [(1, Q(1, 4))]
-    k = 1
-    while 2 * k <= jmax:
-        hco.append((2 * k, -_sp.bernoulli(2 * k) / (2 * k * 4**k)))
-        k += 1
-    gconst = _euler_gamma(wp + 32).add(log2_const(wp + 32), wp + 32)
-    gconst = gconst.to_fixed(wd)
-    tail = 0
-    floor_mag = None
-    for j, dj in enumerate(_tail_coeffs(r, wd)):
-        d.append(dj)
-        conv = sum(d[j - kk] * hv.numerator // hv.denominator
-                   for kk, hv in hco if kk <= j)
-        term = chain.logtail(j, dj) \
-            + chain.tail(j, (dj * gconst >> wd) + conv)
-        mag = abs(term).bit_length() - wd
-        if term == 0 or mag < -(wp + 16):
+    # g(n) = 1/(4n) - sum_i B_2i / (2i (2n)^2i) = sum_k g_k n^-k; gk holds
+    # (k, g_k N^-k) at wh bits up to the first that floors to zero
+    gk = [(1, one // (4 * big))]
+    for k in itertools.count(2, 2):
+        bk = _sp.bernoulli(k)
+        v = -(bk.numerator << wh) // (bk.denominator * (k << k) * big**k)
+        if not v:
             break
-        if floor_mag is not None and mag > floor_mag + 4:
-            raise PrecisionError("harmonic tail turned before converging")
-        floor_mag = mag if floor_mag is None else min(floor_mag, mag)
-        tail += term
-    lam = MpReal.from_int(1, wp).div(
-        pi_const(wp).sqrt(wp).mul(2, wp), wp)
-    return head.add(lam.mul(MpReal.from_fixed(tail, wd, wp), wp).div(2, wp),
-                    prec)
+        gk.append((k, v))
+    K = hq - sum(v for _, v in gk)
+
+    def term(t: list[int], s: Fraction) -> int:
+        # tail term j: the zeta sum at s weighted by K t_j + u_j, where
+        # u_j = sum_k g_k N^-k t_(j-k) gathers g(n), plus the ln(n/N)-
+        # weighted sum of t_j
+        j = len(t) - 1
+        u = sum(t[j - k] * v for k, v in gk if k <= j)
+        return _sp._em_tail(K * t[j] + u >> wh, big, s) \
+            + _sp._em_logtail(t[j], big, s)
+
+    tail = _unit_tail(_HALF, _HALF, Q(1), Q(3, 2), wp, c, wh, term)
+    return MpReal.from_fixed(acc + tail, wh + 1, prec)
 
 
 # ----------------------------------------------------------------------

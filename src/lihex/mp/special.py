@@ -6,14 +6,15 @@ Everything here reduces to integer fixed-point work on top of
 :class:`~lihex.mp.real.MpReal`.  :func:`zeta` and :func:`dirichlet_beta`
 round the Borwein sums of :mod:`lihex.mp.real`, the one zeta(n) and
 beta(n) algorithm of the package.  Every Euler-Maclaurin tail -- the
-integer-argument Hurwitz zeta, the 3F2 tails of :mod:`lihex.hyper`,
-each measured against its last head term, and the Catalan tail it reads
-from the chain :class:`_HurwitzTail` -- goes through one fixed-point
-kernel, :func:`_em_tail`.  Its corrections carry their rational
-cofactor in fixed point, one floor a step, and meet each B_2i/(2i)!
-as a cached fixed-point int as wide as that cofactor, taken from one
-shared table of exact Bernoulli numbers that grows entry by entry and
-never recomputes one.
+integer-argument Hurwitz zeta and the 3F2 and Catalan tails of
+:mod:`lihex.hyper`, each measured against its last head term -- goes
+through one fixed-point kernel, :func:`_em_tail`, and the Catalan
+tail's ln n weights through its s-derivative :func:`_em_logtail`, over
+the same corrections.  These carry their rational cofactor in fixed
+point, one floor a step, and meet each B_2i/(2i)! as a cached
+fixed-point int as wide as that cofactor, taken from one shared table
+of exact Bernoulli numbers that grows entry by entry and never
+recomputes one.
 
 :func:`hurwitz` takes integer s only and :func:`gamma` rational
 arguments only: Gamma(x) is Gamma(y), 1 <= y < 2, times an exact
@@ -162,78 +163,23 @@ def _em_tail(bp: int, x, s) -> int:
     return head + (bp >> 1) + sum(_em_corrections(bp, x, s))
 
 
-# ----------------------------------------------------------------------
-# Euler-Maclaurin tail chains
-#
-# The Catalan tail in lihex.hyper needs c_j zeta(s0 + j, N + 1) for
-# j = 0, 1, 2, ... and, for its harmonic weights, the log-weighted sums
-# c_j sum_{n>N} ln(n) / n^(s0+j), with s0 = 3/2.  With the origin
-# shifted to N+1 >> 1 the Euler-Maclaurin expansion needs no direct
-# terms at all.  Both sums are linear in the boundary power
-# c_j (N+1)^-(s0+j), which one division forms from a cached (N+1)^-s0,
-# so each product comes out to the precision it needs: the kernel stops
-# once its corrections underflow, and a large c_j keeps its relative
-# precision.
-
-class _HurwitzTail:
-    def __init__(self, s0: Fraction, a: int, wp: int):
-        if s0 <= 1:
-            raise DomainError("tail chain requires s0 > 1")
-        if s0.denominator > 2:
-            raise DomainError("tail chain requires s0 in Z or Z + 1/2")
-        if a < 2:
-            raise DomainError("tail chain requires an origin >= 2")
-        self.s0 = s0
-        self.a = a
-        self.wp = wp
-        # the kernel works at w bits: a floor in the boundary power costs
-        # a/(s0-1) + 1 ulps there, and each other floor one
-        sm1 = s0 - 1
-        w = wp + 16 + (a * sm1.denominator // sm1.numerator).bit_length()
-        self._w = w
-        # a^-s0 floored at g bits, so its relative error is below
-        # 2^-(w+24): the floor of a^-u, or of its square root for
-        # s0 = u/2, is exact
-        self._g = g = w + 24 + math.ceil(s0 * a.bit_length())
-        ap = (1 << s0.denominator * g) // a**s0.numerator
-        self._ap = ap if s0.denominator == 1 else math.isqrt(ap)
-
-    @functools.cached_property
-    def _ln_a(self) -> int:
-        """ln(a) at w bits, for the log-weighted sums only."""
-        w = self._w
-        return ln(MpReal.from_int(self.a, w + 8), w).to_fixed(w)
-
-    def _bp(self, j: int, c: int) -> int:
-        """c a^-(s0+j) at w bits, for c at wp bits."""
-        return c * self._ap // (self.a**j << (self._g + self.wp - self._w))
-
-    def tail(self, j: int, c: int) -> int:
-        """c sum_{n >= a} n^-(s0+j) at wp bits, for c at wp bits."""
-        acc = _em_tail(self._bp(j, c), self.a, self.s0 + j)
-        return acc >> (self._w - self.wp)
-
-    def logtail(self, j: int, c: int) -> int:
-        """c sum_{n >= a} ln(n) n^-(s0+j), the -d/ds of tail(j, c)."""
-        bp = self._bp(j, c)
-        w, a = self._w, self.a
-        s = self.s0 + j
-        sm1 = s - 1
-        la = self._ln_a
-        # a^(1-s) [ln(a)/(s-1) + 1/(s-1)^2] + a^-s ln(a)/2
-        acc = (bp * a * sm1.denominator // sm1.numerator) * la >> w
-        acc += bp * a * sm1.denominator**2 // sm1.numerator**2
-        acc += (bp * la >> w) >> 1
-        # the i-th correction of tail(j) is c_i(s) a^(1-s-2i); its -d/ds
-        # weights it by ln(a) - dl with dl = sum_{r<2i-1} 1/(s+r)
-        sn, sd = s.numerator, s.denominator
-        dl = (sd << w) // sn
-        r = 1
-        for t in _em_corrections(bp, a, s):
-            acc += t * (la - dl) >> w
-            dl += (sd << w) // (sn + r * sd) + (sd << w) // (sn + (r + 1) * sd)
-            r += 2
-        return acc >> (w - self.wp)
+def _em_logtail(bp: int, x, s) -> int:
+    """sum_{k>=0} ln((x+k)/x) (x+k)^-s on bp's fixed-point scale, from
+    bp = x^-s: the -d/ds of `_em_tail` at a fixed bp, so no ln x enters."""
+    sm1 = s - 1
+    acc = bp * x.numerator * sm1.denominator**2 // (
+        x.denominator * sm1.numerator**2)
+    # the i-th correction carries (s)_(2i-1), whose s-derivative weights it
+    # by dl = sum_(r<2i-1) 1/(s+r), kept 16 bits finer than bp, so each
+    # product of a term no larger than bp is within about one ulp
+    w = abs(bp).bit_length() + 16
+    sn, sd = s.numerator, s.denominator
+    dl = (sd << w) // sn
+    for r, t in enumerate(_em_corrections(bp, x, s)):
+        acc -= t * dl >> w
+        dl += (sd << w) // (sn + (2 * r + 1) * sd) \
+            + (sd << w) // (sn + (2 * r + 2) * sd)
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -326,10 +326,33 @@ def test_geometric_sums_exact():
     assert len(names) == len(reports) == 3
 
 
-def test_catalan_binomial_form():
-    P = 128
+@pytest.mark.parametrize("P", [16, 48, 100, 128])
+def test_catalan_binomial_form(P):
     d = catalan_binomial(P) - eval_formula("catalan", P + 16)
     assert _mag(d) < -(P - 8)
+
+
+@pytest.mark.parametrize("P", [15, 129])
+def test_catalan_binomial_refuses_bits_outside_16_to_128(P):
+    with pytest.raises(DomainError):
+        catalan_binomial(P)
+
+
+def test_catalan_binomial_needs_no_transcendental(monkeypatch):
+    import lihex.hyper
+    import lihex.mp.real
+    import lihex.mp.special
+
+    def refused(*args):
+        raise AssertionError("catalan_binomial formed a transcendental")
+
+    P = 128
+    want = eval_formula("catalan", P + 16)
+    for mod in (lihex.hyper, lihex.mp.special, lihex.mp.real):
+        for name in ("pi_const", "log2_const", "ln", "exp"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refused)
+    assert _mag(catalan_binomial(P) - want) < -(P - 8)
 
 
 def test_li5_functional_equation_point():

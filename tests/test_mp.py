@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihex.errors import DomainError, PoleError, PrecisionError
-from lihex.hyper import _HurwitzTail
 from lihex.mp import special as sp
 from lihex.mp.cplx import MpComplex, cln
 from lihex.mp.real import (MpReal, _alt_fixed, _zeta_fixed, exp, ln,
@@ -297,13 +296,33 @@ def test_hurwitz_closed_forms(prec):
 
 @pytest.mark.parametrize("wp", [128, 1024])
 def test_tail_chain_agrees_with_the_borwein_zeta(wp):
-    # the Euler-Maclaurin chain of hyper's tails against the Borwein sum
-    tail = MpReal.from_fixed(
-        _HurwitzTail(Fraction(3), 128, wp).tail(0, 1 << wp), wp, wp)
+    # the Euler-Maclaurin kernel of hyper's tails against the Borwein sum:
+    # sum_(n>=128) n^-3 from the boundary power 128^-3 = 2^-21
+    tail = MpReal.from_fixed(sp._em_tail(1 << (wp - 21), 128, 3), wp, wp)
     head = sum(Fraction(1, k**3) for k in range(1, 128))
     want = sp.zeta(3, wp).add(MpReal.from_fraction(-head, wp + 8), wp)
     d = tail - want
     assert d.is_zero or d.bit_top() <= -(wp - 16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(64, 4096),
+       st.one_of(st.integers(0, 22).map(lambda j: Fraction(3, 2) + j),
+                 st.fractions(1, 24, max_denominator=64).filter(
+                     lambda s: s > 1)))
+def test_em_logtail_is_the_s_derivative_of_em_tail(x, s):
+    # -dE/ds as the five-point central difference of E = _em_tail(2^200,
+    # x, .): its error is of order h^4/(s-1)^4 relative, where the
+    # two-point (E(s-h) - E(s+h))/(2h) errs by h^2/(s-1)^2, 2^-84 at
+    # s = 65/64
+    h = Fraction(1, 1 << 48)
+
+    def e(k):
+        return sp._em_tail(1 << 200, x, s + k * h)
+
+    diff = Fraction(e(2) - 8 * e(1) + 8 * e(-1) - e(-2)) / (12 * h)
+    got = sp._em_logtail(1 << 200, x, s)
+    assert abs(got - diff) <= abs(diff) / (1 << 88)
 
 
 @settings(max_examples=30, deadline=None)
