@@ -32,6 +32,8 @@ last bit by stated guard bits:
 - the pole sums, at prec + 48 bits: exact Gaussian-integer numerators
   and small denominators at the exact t, one integer complex division
   per term, about 2 wp terms at most;
+- the Li_5 equation, at prec + 80 bits: 33 li5 values, each within an
+  ulp, weighted by up to 18;
 - the asymptotic integers k_m: one pass over the kernel, at a precision
   sized from m that keeps the rounding error below 1/8, cut where the
   kernel's tail falls below 1/16.
@@ -59,12 +61,13 @@ from .errors import (
 )
 from .ladders import CheckReport, _log2_mag, _report, eval_ladder
 from .mp import special as _sp
-from .mp.special import li5
-from .mp.cplx import MpComplex, cln
+from .mp.special import (_cmul, _exact, _gdiv, _gmul, _ln_pair, _pi_pow,
+                         li5)
 from .mp.real import (
     MpReal,
     _log2_fixed,
     _pi_fixed,
+    _zeta_fixed,
     exp,
     log2_const,
     pi_const,
@@ -103,13 +106,6 @@ _HALF = Q(1, 2)
 
 # ----------------------------------------------------------------------
 # small helpers
-
-def _exact(t: MpComplex | Fraction) -> tuple[Fraction, Fraction]:
-    """t as exact (re, im); an MpComplex is read as its dyadic value."""
-    if isinstance(t, MpComplex):
-        return t.re.to_fraction(), t.im.to_fraction()
-    return Q(t), Q(0)
-
 
 def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
     return CheckReport(
@@ -327,7 +323,7 @@ def f5(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction) -> Fraction:
 
 def _pole_sum(name: str, tr: Fraction, ti: Fraction, wp: int,
               skip: frozenset[tuple[int, int]] = frozenset(),
-              full: bool = False) -> MpComplex:
+              full: bool = False) -> tuple[int, int]:
     # fixed point at wp bits on the exact t = (ar + i ai) / b: with r =
     # p/q, k - r t = D / (q b) for the small Gaussian integer D = q b k -
     # p (ar + i ai), so each term num q b / (2^sc (k - r t)) is one exact
@@ -336,6 +332,8 @@ def _pole_sum(name: str, tr: Fraction, ti: Fraction, wp: int,
     # t.  Part(z^k) = sign 2^-sc, sc = (pz k + h)/2, with (sign, h) from
     # `_UNIT_PARTS` at jk mod 8: the rows share h, and an odd pz k + h
     # has sign 0
+    if not (tr or ti):
+        return 0, 0
     b = math.lcm(tr.denominator, ti.denominator)
     ar, ai = int(tr * b), int(ti * b)
     tmag = math.hypot(tr, ti)
@@ -374,32 +372,33 @@ def _pole_sum(name: str, tr: Fraction, ti: Fraction, wp: int,
                     den <<= -e
                     acc_r += xr // den
                     acc_i += xi // den
-    return MpComplex(
-        MpReal.from_fixed((acc_r * ar - acc_i * ai) // b, wp, wp),
-        MpReal.from_fixed((acc_r * ai + acc_i * ar) // b, wp, wp),
-    )
+    return (acc_r * ar - acc_i * ai) // b, (acc_r * ai + acc_i * ar) // b
 
 
-def _genfn(name: str, tr: Fraction, ti: Fraction, prec: int,
-           full: bool) -> MpComplex:
-    if not (tr or ti):
-        return MpComplex.from_int(0, prec)
-    return _pole_sum(name, tr, ti, prec + 48, full=full).round_to(prec)
+def _genfn(name: str, t: Fraction | tuple, prec: int,
+           full: bool) -> tuple[MpReal, MpReal]:
+    wp = prec + 48
+    return tuple(MpReal.from_fixed(v, wp, prec)
+                 for v in _pole_sum(name, *_exact(t), wp, full=full))
 
 
-def genfn_pf(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
-    """Partial-fraction value of generating function `name` at t."""
+def genfn_pf(name: str, t: Fraction | tuple,
+             prec: int) -> tuple[MpReal, MpReal]:
+    """Partial-fraction value (re, im) of generating function `name` at t,
+    rational or an exact (re, im) pair."""
     if name not in _BASE:
         raise UnknownName(f"no generating function {name!r}")
-    return _genfn(name, *_exact(t), prec, full=False)
+    return _genfn(name, t, prec, full=False)
 
 
-def genfn_cplx(name: str, t: MpComplex | Fraction, prec: int) -> MpComplex:
+def genfn_cplx(name: str, t: Fraction | tuple,
+               prec: int) -> tuple[MpReal, MpReal]:
     """The complex-coefficient generating function (F, G or H) whose
-    real/imaginary parts generate the paired real ladders."""
+    real/imaginary parts generate the paired real ladders, as for
+    `genfn_pf`."""
     if name not in _RECUR:
         raise UnknownName(f"no complex generating function {name!r}")
-    return _genfn(name, *_exact(t), prec, full=True)
+    return _genfn(name, t, prec, full=True)
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +506,7 @@ def check_trig_forms(name: str, t: Fraction, prec: int) -> CheckReport:
     if not 0 < tq < Q(1, 3):
         raise DomainError("trigonometric forms checked on 0 < t < 1/3")
     wp = prec + 48
-    ref = genfn_pf(name, tq, wp).re
+    ref = genfn_pf(name, tq, wp)[0]
     v1, v2 = _trig_values(name, tq, wp)
     r1 = v1.add(-ref, wp)
     r2 = v2.add(-ref, wp)
@@ -517,19 +516,6 @@ def check_trig_forms(name: str, t: Fraction, prec: int) -> CheckReport:
 
 # ----------------------------------------------------------------------
 # contiguity recurrences for the complex generating functions
-
-def _inv_lin(a: int, b: int, t: MpComplex, wp: int) -> MpComplex:
-    """1 / (a + b t), raising PoleError on an exact hit."""
-    den = MpComplex.from_int(a, wp).add(
-        t.mul(MpComplex.from_int(b, wp), wp), wp)
-    if den.abs2(32).is_zero:
-        raise PoleError(f"recurrence pole at {a} + {b} t = 0")
-    return MpComplex.from_int(1, wp).div(den, wp)
-
-
-def _ci(re: int, im: int, wp: int) -> MpComplex:
-    return MpComplex.from_fractions(Q(re), Q(im), wp)
-
 
 # name: (scale, shift, sign, rhs) for the equation
 #   scale G(t) / t + sign (i G(t - shift) - i) / (t - shift)
@@ -542,26 +528,31 @@ _RECUR: dict[str, tuple[int, int, int, tuple[tuple[int, ...], ...]]] = {
 }
 
 
-def check_recurrence(name: str, t: MpComplex | Fraction,
+def check_recurrence(name: str, t: Fraction | tuple,
                      prec: int) -> CheckReport:
     """Functional equation linking G(t) to G(t - shift) for the complex
-    generating functions F, G, H."""
+    generating functions F, G, H, at t as for `genfn_pf`.  A zero of t,
+    t - shift or an a + b t raises PoleError before any pole sum."""
     if name not in _RECUR:
         raise UnknownName(f"no recurrence for {name!r}")
     scale, shift, sign, rhs_terms = _RECUR[name]
-    wp = prec + 48
     tr, ti = _exact(t)
-    tc = MpComplex.from_fractions(tr, ti, wp)
-    i1 = _ci(0, 1, wp)
-    lhs = genfn_cplx(name, t, wp).mul(_ci(scale, 0, wp), wp).div(tc, wp)
-    back = _genfn(name, tr - shift, ti, wp, True)
-    step = back.mul(i1, wp).add(-i1, wp).mul(_inv_lin(-shift, 1, tc, wp), wp)
-    lhs = lhs.add(step if sign > 0 else -step, wp)
-    rhs = functools.reduce(lambda x, y: x.add(y, wp), (
-        _ci(re, im, wp).mul(_inv_lin(a, b, tc, wp), wp)
-        for re, im, a, b in rhs_terms))
-    diff = lhs.add(-rhs, wp)
-    resid = diff.abs_val(wp)
+    # left less right side as terms (re + i im) g / (a + b t), g the
+    # function's dyadic value at s, or 1 for s None
+    terms = [(scale, 0, 0, 1, tr), (0, sign, -shift, 1, tr - shift),
+             (0, -sign, -shift, 1, None),
+             *((-re, -im, a, b, None) for re, im, a, b in rhs_terms)]
+    for *_, a, b, _s in terms:
+        if a + b * tr == 0 == b * ti:
+            raise PoleError(f"recurrence pole at {a} + {b} t = 0")
+    wp = prec + 48
+    parts = []
+    for re, im, a, b, s in terms:
+        g = (1, 0) if s is None else [
+            v.to_fraction() for v in genfn_cplx(name, (s, ti), wp)]
+        parts.append(_gdiv(_gmul(g, (re, im)), (a + b * tr, b * ti)))
+    dr, di = (math.floor(sum(p) * 2**wp) for p in zip(*parts))
+    resid = MpReal.from_fixed(math.isqrt(dr * dr + di * di), wp, wp)
     return _report(f"recur-{name}", prec, resid, 32)
 
 
@@ -666,7 +657,8 @@ def U(t: Fraction, prec: int) -> MpReal:
     if _log2_mag(res) > max(mags) - wp // 2 + 16:
         raise PoleError(f"U has a pole at t = {tq}")
     skip = frozenset((fi, k) for _c, _mu, fi, k in hits)
-    e_reg = _pole_sum("E", tq, Q(0), wp, skip=skip).re
+    e_reg = MpReal.from_fixed(
+        _pole_sum("E", tq, Q(0), wp, skip=skip)[0], wp, wp)
     val = MpReal.from_int(1, wp).add(-cst, wp).add(-e_reg, wp)
     return val.mul(Q(5, 2), prec)
 
@@ -1060,12 +1052,12 @@ def _battery_inv(prec: int) -> list[CheckReport]:
 def _battery_genfn(prec: int) -> list[CheckReport]:
     wp = prec + 32
     out = []
-    c = _sp.taylor_coeffs(lambda x, w: genfn_pf("A", x, w).re, 1, prec)
+    c = _sp.taylor_coeffs(lambda x, w: genfn_pf("A", x, w)[0], 1, prec)
     out.append(_report(
         "A-linear-term", prec, c[1].add(-log2_const(wp), wp),
         prec - prec // 2 + 16))
-    cf = _sp.taylor_coeffs(lambda x, w: genfn_pf("F", x, w).re, 2, prec)
-    cg = _sp.taylor_coeffs(lambda x, w: genfn_pf("G", x, w).re, 2, prec)
+    cf = _sp.taylor_coeffs(lambda x, w: genfn_pf("F", x, w)[0], 2, prec)
+    cg = _sp.taylor_coeffs(lambda x, w: genfn_pf("G", x, w)[0], 2, prec)
     probe = cf[2].add(-cg[2], wp).mul(Q(3, 4), wp)  # (3/2)(F2 - G2)
     out.append(_report(
         "catalan-from-F-G", prec,
@@ -1073,7 +1065,7 @@ def _battery_genfn(prec: int) -> list[CheckReport]:
         prec - prec // 2 + 16))
     for name in "BDFG":
         t = Q(1, 10)
-        pf = genfn_pf(name, t, wp).re
+        pf = genfn_pf(name, t, wp)[0]
         hyp = genfn_hyp(name, t, wp)
         out.append(_report(
             f"pf-vs-hyp-{name}@{t}", prec, pf.add(-hyp, wp), 32))
@@ -1085,13 +1077,9 @@ def _battery_genfn(prec: int) -> list[CheckReport]:
 
 
 def _battery_recur(prec: int) -> list[CheckReport]:
-    wp = prec + 32
-    g_in = MpComplex.from_fractions(Q(1, 5), Q(1, 7), wp)
-    return [
-        check_recurrence("F", Q(1, 3), prec),
-        check_recurrence("G", g_in, prec),
-        check_recurrence("H", Q(1, 3), prec),
-    ]
+    return [check_recurrence("F", Q(1, 3), prec),
+            check_recurrence("G", (Q(1, 5), Q(1, 7)), prec),
+            check_recurrence("H", Q(1, 3), prec)]
 
 
 def _battery_u(prec: int) -> list[CheckReport]:
@@ -1165,64 +1153,64 @@ def _battery_geo(prec: int) -> list[CheckReport]:
     return out
 
 
-def check_li5_identity(x: MpComplex, y: MpComplex,
+# the Li_5 equation: weight times li5 of each argument, written as its
+# exponents -0+ of x, al = -x/xi, xi = 1 - x, y, be and eta, sums to 18
+# zeta(5) plus the terms c pi^2a log^b x log^c y log^d xi log^e eta,
+# written c:abcde
+_LI5_ARGS = (
+    (1, "++0--0 ++0+0+ ++00+- +0+++0 +0+-0- +0+0-+ 0+-++0 0+--0- 0+-0-+"),
+    (-9, "+00+00 +000+0 +0000+ +00-00 +000-0 +0000- 0+0+00 0+00+0 0+000+"
+         " 0+0-00 0+00-0 0+000- 00++00 00+0+0 00+00+ 00-+00 00-0+0 00-00+"),
+    (18, "+00000 0+0000 00+000 000+00 0000+0 00000+"),
+)
+_LI5_LOGS = ("3/10:00050 3/4:00140 -3/4:01040 9/2:00122 -3/2:00023"
+             " 1/2:10030 -3/2:10021 1/5:20010")
+
+
+def check_li5_identity(x: Fraction | tuple, y: Fraction | tuple,
                        prec: int) -> CheckReport:
-    """Residual of the 34-term two-variable Li_5 functional equation.
+    """Residual of the 34-term two-variable Li_5 functional equation at x
+    and y, each rational or an exact (re, im) pair.
 
-    With principal branches it holds for real 0 < x, y < 1 and at
-    (1/2, +-i) and (i, i), not at ((1+i)/2, 1/3): residual 0.11, though
-    `li5` is right at all 33 arguments there.
+    With principal branches it holds for real 0 < x, y < 1 and at (1/2,
+    +-i) and (i, i), not at ((1+i)/2, 1/3): residual 0.11, though `li5`
+    is right at all 33 arguments there.
     """
-    wp = prec + 64
-    one = MpComplex.from_int(1, wp)
-    x, y = x.round_to(wp), y.round_to(wp)
-    xi = one - x
-    eta = one - y
-    if x.is_zero or y.is_zero or xi.is_zero or eta.is_zero:
+    x, y = _exact(x), _exact(y)
+    if {x, y} & {(0, 0), (1, 0)}:
         raise DomainError("x and y must avoid 0 and 1")
-    al = -x / xi
-    be = -y / eta
-    plus = (x * al / (y * be), x * al * y * eta, x * al * be / eta,
-            x * xi * y * be, x * xi / (y * eta), x * xi * eta / be,
-            al * y * be / xi, al / (xi * y * eta), al * eta / (xi * be))
-    minus = (x * y, x * be, x * eta, x / y, x / be, x / eta,
-             al * y, al * be, al * eta, al / y, al / be, al / eta,
-             xi * y, xi * be, xi * eta, y / xi, be / xi, eta / xi)
-    singles = (x, al, xi, y, be, eta)
-    lhs = MpComplex.from_int(0, wp)
-    for z in plus:
-        lhs = lhs + li5(z, wp)
-    for z in minus:
-        lhs = lhs - li5(z, wp) * 9
-    for z in singles:
-        lhs = lhs + li5(z, wp) * 18
-    lhs = lhs - MpComplex.from_real(_sp.zeta(5, wp)) * 18
-    lx, ly = cln(x, wp), cln(y, wp)
-    lxi, leta = cln(xi, wp), cln(eta, wp)
-    lxi2 = lxi * lxi
-    leta2 = leta * leta
-    pi2 = MpComplex.from_real(pow_int(pi_const(wp), 2, wp))
-    pi4 = MpComplex.from_real(pow_int(pi_const(wp), 4, wp))
-    rhs = (lxi * lxi2 * lxi2 * Q(3, 10)
-           + (ly - lx) * lxi2 * lxi2 * Q(3, 4)
-           + (ly * 3 - leta) * leta2 * lxi2 * Q(3, 2)
-           + pi2 * (lxi - leta * 3) * lxi2 * Q(1, 2)
-           + pi4 * lxi * Q(1, 5))
-    resid = (lhs - rhs).abs_val(wp)
-    return _report(f"li5({_cfmt(x)},{_cfmt(y)})", prec, resid, 64)
-
-
-def _cfmt(z: MpComplex) -> str:
-    return f"{z.re.to_float():g}{z.im.to_float():+g}i"
+    xi, eta = (1 - x[0], -x[1]), (1 - y[0], -y[1])
+    bases = (x, _gdiv(x, (x[0] - 1, x[1])), xi,
+             y, _gdiv(y, (y[0] - 1, y[1])), eta)
+    wp = prec + 80
+    lr, li = -18 * _zeta_fixed(5, wp)[0], 0
+    for weight, args in _LI5_ARGS:
+        for exps in args.split():
+            z = (1, 0)
+            for base, e in zip(bases, exps):
+                if e != "0":
+                    z = _gmul(z, base) if e == "+" else _gdiv(z, base)
+            vr, vi = li5(z, wp)
+            lr += weight * vr
+            li += weight * vi
+    logs = ((_pi_pow(2, wp), 0),
+            *(_ln_pair(*z, wp) for z in (x, y, xi, eta)))
+    for term in _LI5_LOGS.split():
+        c, exps = term.split(":")
+        v = (1 << wp, 0)
+        for f, e in zip(logs, exps):
+            for _ in range(int(e)):
+                v = _cmul(v, f, wp)
+        lr -= math.floor(Q(c) * v[0])
+        li -= math.floor(Q(c) * v[1])
+    resid = MpReal.from_fixed(math.isqrt(lr * lr + li * li), wp, wp)
+    name = ",".join(f"{float(re):g}{float(im):+g}i" for re, im in (x, y))
+    return _report(f"li5({name})", prec, resid, 64)
 
 
 # the Li_5 equation at points that take every route of `li5` (disc,
 # annulus, inversion, unit-circle landmarks), and f5's published values
-_LI5_POINTS = (
-    ((_HALF, Q(0)), (_HALF, Q(0))),
-    ((_HALF, Q(0)), (Q(0), Q(1))),
-    ((Q(1, 3), Q(0)), (Q(1, 5), Q(0))),
-)
+_LI5_POINTS = ((_HALF, _HALF), (_HALF, (Q(0), Q(1))), (Q(1, 3), Q(1, 5)))
 _F5_KNOWN = (
     ((Q(1), _HALF, Q(0), Q(-1)), Q(69, 8)),
     ((_HALF, Q(1, 3), Q(1, 6), -_HALF), Q(13, 54)),
@@ -1231,10 +1219,7 @@ _F5_KNOWN = (
 
 
 def _battery_order5(prec: int) -> list[CheckReport]:
-    wp = prec + 64
-    out = [check_li5_identity(MpComplex.from_fractions(*x, wp),
-                              MpComplex.from_fractions(*y, wp), prec)
-           for x, y in _LI5_POINTS]
+    out = [check_li5_identity(x, y, prec) for x, y in _LI5_POINTS]
     out.append(_exact_report("f5-published-values", prec, all(
         f5(*a) == want for a, want in _F5_KNOWN)))
     return out

@@ -1,16 +1,18 @@
 """Arbitrary-precision arithmetic and special functions.
 
-:mod:`lihex.mp.real` holds the real type, the constants pi and log 2 and
-the elementary functions, whose one trigonometric entry, ``sincospi``,
-takes sin and cos at pi times an exact rational; :mod:`lihex.mp.cplx`
-holds the complex type, and :mod:`lihex.mp.special` the
-zeta/gamma/polylog family.  Complex support
-stops at arithmetic and the principal logarithm.  zeta(n) and
-Dirichlet beta(n) are alternating sums under Borwein's acceleration in
-:mod:`lihex.mp.real`, in integer fixed point with a counted bound; the
-Hurwitz zeta at integer s and the series tails of :mod:`lihex.hyper`
-end in one Euler-Maclaurin kernel in :mod:`lihex.mp.special`, which
-reads one shared table of exact Bernoulli numbers.  ``hurwitz`` takes
+:mod:`lihex.mp.real` holds the one rounded number type, the constants
+pi and log 2 and the elementary functions, whose one trigonometric
+entry, ``sincospi``, takes sin and cos at pi times an exact rational;
+:mod:`lihex.mp.special` holds the zeta/gamma/polylog family.  A complex
+argument there is an exact (re, im) pair of rationals and a complex
+value an (re, im) pair of fixed-point ints; complex support stops at
+Gaussian-rational arithmetic, Li_n and the principal logarithm.
+zeta(n) and Dirichlet beta(n) are alternating sums under Borwein's
+acceleration in :mod:`lihex.mp.real`, in integer fixed point with a
+counted bound; the Hurwitz zeta at integer s and the series tails of
+:mod:`lihex.hyper` end in one Euler-Maclaurin kernel in
+:mod:`lihex.mp.special`, which reads one shared table of exact
+Bernoulli numbers.  ``hurwitz`` takes
 integer s >= 2 and ``gamma`` rational arguments only.  Every memo in the
 package is ``functools.cache`` on a function of its arguments alone, or
 ``functools.cached_property`` on an immutable object, so no value

@@ -158,17 +158,6 @@ class MpReal:
             return Fraction(self.sign * (self.man << self.exp))
         return Fraction(self.sign * self.man, 1 << -self.exp)
 
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        m = self.man
-        e = self.exp
-        bl = m.bit_length()
-        if bl > 64:
-            m >>= bl - 64
-            e += bl - 64
-        return self.sign * math.ldexp(float(m), e)
-
     def to_fixed(self, wp: int) -> int:
         """Round x * 2**wp to the nearest integer (ties to even)."""
         if self.sign == 0:
@@ -283,17 +272,12 @@ class MpReal:
             return 0
         return self.sign * (-1 if ia < ib else 1)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (MpReal, int, Fraction)):
-            return NotImplemented
-        return self._cmp(other) == 0
-
     def __repr__(self) -> str:
         if self.sign == 0:
             return f"MpReal(0, prec={self.prec})"
         top = self.bit_top()
         if abs(top) < 1000:        # within the range of a nonzero float
-            return f"MpReal({self.to_float()!r}, prec={self.prec})"
+            return f"MpReal({float(self.to_fraction())!r}, prec={self.prec})"
         sign = "-" if self.sign < 0 else "+"
         return f"MpReal({sign}, |x|<2**{top}, prec={self.prec})"
 

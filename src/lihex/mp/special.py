@@ -25,9 +25,14 @@ the exact y, one floor per term, at prec + prec/5 + 64 bits to start;
 it measures its cancellation against the magnitudes of its terms and
 retries with the bits it lacks.
 
+A complex argument is an exact (re, im) pair of rationals, and a
+complex value an (re, im) pair of fixed-point ints at a stated scale:
+:func:`polylog` sums its powers of the exact z, and the principal log
+takes ln|z| from `ln` of the exact |z|^2 and arg z from `_atan_impl`.
 :func:`li5` extends :func:`polylog` at order 5 to the whole plane by
-inversion and by the expansion of Li_5(e^mu) on the annulus between;
-the Li_5 equation of ``hyper.CHECKS["order5"]`` reads it.
+inversion and by the expansion of Li_5(e^mu) on the annulus between,
+each route chosen by an exact test; the Li_5 equation of
+``hyper.CHECKS["order5"]`` reads it.
 """
 
 from __future__ import annotations
@@ -39,9 +44,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError
-from .cplx import MpComplex, cln
-from .real import (MpReal, _alt_fixed, _div0, _pi_fixed, _shr0, _zeta_fixed,
-                   exp, ln, pi_const, pow_int)
+from .real import (MpReal, _alt_fixed, _atan_impl, _div0, _pi_fixed,
+                   _zeta_fixed, exp, ln)
 
 __all__ = [
     "bernoulli",
@@ -347,125 +351,186 @@ def gamma(x: Fraction, prec: int) -> MpReal:
 
 
 # ----------------------------------------------------------------------
-# polylogarithm inside the convergence disc
+# complex values: an argument is an exact (re, im) pair of rationals, a
+# value an (re, im) pair of ints at a stated number of fractional bits
 
 
-def polylog(n: int, z: MpComplex, prec: int) -> MpComplex:
-    """Li_n(z) = sum_{k>0} z^k / k^n for |z| <= 3/4, absolute error < 2**-prec."""
+def _exact(z: Fraction | tuple) -> tuple[Fraction, Fraction]:
+    """z, rational or an exact (re, im) pair, as that pair."""
+    if isinstance(z, tuple):
+        return Fraction(z[0]), Fraction(z[1])
+    return Fraction(z), Fraction(0)
+
+
+def _gmul(a: tuple, b: tuple) -> tuple:
+    """a b for exact (re, im) pairs of rationals or ints."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gdiv(a: tuple, b: tuple) -> tuple[Fraction, Fraction]:
+    """a / b for exact (re, im) pairs of rationals, b != 0."""
+    d = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d
+
+
+def _cmul(a: tuple[int, int], b: tuple[int, int], wp: int) -> tuple[int, int]:
+    """a b for fixed-point pairs at wp bits, one floor per component."""
+    re, im = _gmul(a, b)
+    return re >> wp, im >> wp
+
+
+def _pi_pow(k: int, wp: int) -> int:
+    """pi^k at wp fixed-point bits for a small k >= 1, within about an
+    ulp."""
+    w = wp + 16
+    return _pi_fixed(w) ** k >> ((k - 1) * w + 16)
+
+
+def _ln_pair(re: Fraction, im: Fraction, wp: int) -> tuple[int, int]:
+    """Principal log of the exact re + i im at wp fixed-point bits, each
+    part within a few ulps, the imaginary part in (-pi, pi]: ln|z| is
+    `ln` of the exact |z|^2, halved, and arg z comes from `_atan_impl`."""
+    if not (re or im):
+        raise DomainError("log of zero")
+    w = wp + 16
+    mag = ln(MpReal.from_fraction(re * re + im * im, w), w).scalb(-1)
+    if not im:
+        ang = 0 if re > 0 else _pi_fixed(wp)
+    elif not re:
+        ang = _pi_fixed(wp) >> 1 if im > 0 else -(_pi_fixed(wp) >> 1)
+    else:
+        ang = _atan_impl(MpReal.from_fraction(im / re, w), w).to_fixed(wp)
+        if re < 0:
+            ang += _pi_fixed(wp) if im > 0 else -_pi_fixed(wp)
+    return mag.to_fixed(wp), ang
+
+
+def polylog(n: int, z: Fraction | tuple, prec: int) -> tuple[int, int]:
+    """Li_n(z) = sum_{k>0} z^k / k^n for z rational or an exact (re, im)
+    pair with |z| <= 3/4, as (re, im) ints at prec fixed-point bits, each
+    within one ulp."""
     if n < 1:
         raise DomainError("polylog order must be >= 1")
-    # |z| <= 3/4 check: |z|^2 <= 9/16, exact on the stored values
-    if z.abs2(z.prec + 8)._cmp(Fraction(9, 16)) > 0:
+    re, im = _exact(z)
+    if re * re + im * im > Fraction(9, 16):
         raise DomainError("polylog argument must satisfy |z| <= 3/4")
-    wp = prec + 32
-    return _polylog(n, z.re.to_fixed(wp), z.im.to_fixed(wp), wp, prec)
+    ar, ai = _polylog(n, re, im, prec + 32)
+    return ar >> 32, ai >> 32
 
 
 @functools.cache
-def _polylog(n: int, zr: int, zi: int, wp: int, prec: int) -> MpComplex:
-    """Li_n at the fixed-point argument (zr + i zi) / 2**wp."""
+def _polylog(n: int, re: Fraction, im: Fraction, wp: int) -> tuple[int, int]:
+    """Li_n(re + i im) at wp fixed-point bits.
+
+    With z = (a + i b)/d exact, each power is the last one times a + i b,
+    divided by d and truncated: one ulp a step, which |z| <= 3/4 keeps
+    below 6 ulps in every power, and one more a term for k^n."""
+    d = math.lcm(re.denominator, im.denominator)
+    a, b = int(re * d), int(im * d)
+    pr, pi_ = _div0(a << wp, d), _div0(b << wp, d)
     ar = ai = 0
-    pr, pi_ = zr, zi
     k = 1
     while pr or pi_:
         ar += _div0(pr, k**n)
         ai += _div0(pi_, k**n)
-        pr, pi_ = (
-            _shr0(pr * zr - pi_ * zi, wp),
-            _shr0(pr * zi + pi_ * zr, wp),
-        )
+        pr, pi_ = _div0(pr * a - pi_ * b, d), _div0(pr * b + pi_ * a, d)
         k += 1
-    return MpComplex(
-        MpReal.from_fixed(ar, wp, prec), MpReal.from_fixed(ai, wp, prec)
-    )
+    return ar, ai
 
 
 # ----------------------------------------------------------------------
 # Li_5 on the whole plane, around the disc series
 
-def _zeta_int_neg(s: int) -> Fraction:
-    """zeta at integers <= 0 (exact rationals via Bernoulli numbers)."""
-    if s == 0:
-        return Fraction(-1, 2)
-    j = -s
-    if j % 2 == 0:
-        return Fraction(0)
-    return -bernoulli(j + 1) / (j + 1)
 
+def _li5_mu(re: Fraction, im: Fraction, wp: int) -> tuple[int, int]:
+    """Li_5(e^mu), mu = log z, at wp fixed-point bits for the exact z =
+    re + i im on the annulus 3/4 < |z| < 4/3, z != 1.
 
-def _li5_mu(z: MpComplex, wp: int) -> MpComplex:
-    """Li_5(e^mu) for z on the annulus 3/4 < |z| < 4/3, z != 1."""
-    mu = cln(z, wp)
-    pi2 = pow_int(pi_const(wp), 2, wp)
-    pi4 = pow_int(pi2, 2, wp)
-    zeta_k = {0: MpComplex.from_real(zeta(5, wp)),
-              1: MpComplex.from_real(pi4.mul(Fraction(1, 90), wp)),
-              2: MpComplex.from_real(zeta(3, wp)),
-              3: MpComplex.from_real(pi2.mul(Fraction(1, 6), wp))}
-    one = MpComplex.from_int(1, wp)
-    total = MpComplex.from_int(0, wp)
-    power = one                      # mu^k / k!
-    tiny = Fraction(1, 1 << (2 * wp + 32))
-    k = 0
-    while True:
-        if k <= 3:
-            total = total + zeta_k[k] * power
-        elif k == 4:
-            # the log-weighted replacement of the missing zeta(1) term
-            h4 = MpComplex.from_fractions(Fraction(25, 12), Fraction(0), wp)
-            total = total + power * (h4 - cln(-mu, wp))
-        else:
-            c = _zeta_int_neg(5 - k)
-            if c:
-                # the rational coefficients grow with Bernoulli numbers,
-                # so the cutoff must look at the whole term
-                term = power * c
-                total = total + term
-                if k > 12 and term.abs2(64)._cmp(tiny) < 0:
-                    break
-        power = power * mu / (k + 1)
-        k += 1
-    return total
-
-
-def li5(z: MpComplex, prec: int) -> MpComplex:
-    """Li_5 anywhere in the complex plane (principal branch off [1, oo)).
-
-    Inside |z| <= 3/4 the defining series is summed (`polylog`); outside
-    |z| >= 4/3 the inversion formula maps back into the disk; the
-    remaining annulus goes through the expansion of Li_5(e^mu) around
-    mu = 0.  The four unit-circle landmarks 1, -1, i, -i short-circuit
-    to closed forms.  Those at -1 and +-i stay although the annulus
-    route covers them too: without them a cold 256-bit
-    `hyper.CHECKS["order5"]` takes about twice as long.
+    The sum over k of zeta(5-k) mu^k / k!, with the missing zeta(1) of k
+    = 4 replaced by H_4 - log(-mu).  Past k = 5 only even k count, with
+    zeta(5-k)/k! = -beta_(k-4) / ((k-4)(k-3)(k-2)(k-1)k) for beta_m =
+    B_m/m! from the shared Bernoulli table.  mu^k is carried without the
+    k!, so it grows with |mu| > 1 where mu^k/k! would underflow, and
+    meets beta_(k-4) at as many fractional bits as it has.  The terms
+    fall by |mu/(2 pi)|^2 < 1/3 a step, since |mu| < pi + ln(4/3), so
+    the sum stops at the first term that truncates to zero.
     """
+    mu = _ln_pair(re, im, wp)
+    lm = _ln_pair(Fraction(-mu[0], 1 << wp), Fraction(-mu[1], 1 << wp), wp)
+    pi2 = _pi_pow(2, wp)
+    tr, ti = _zeta_fixed(5, wp)[0], 0
+    p = mu
+    # zeta(5-k)/k! for k = 1, 2, 3: pi^4/90, zeta(3)/2, pi^2/36
+    for c in ((pi2 * pi2 >> wp) // 90, _zeta_fixed(3, wp)[0] // 2, pi2 // 36):
+        tr += p[0] * c >> wp
+        ti += p[1] * c >> wp
+        p = _cmul(p, mu, wp)
+    t4 = _cmul(p, ((25 << wp) // 12 - lm[0], -lm[1]), wp)
+    tr += t4[0] // 24
+    ti += t4[1] // 24
+    p = _cmul(p, mu, wp)
+    tr -= p[0] // 240       # zeta(0)/5! = -1/240
+    ti -= p[1] // 240
+    mu2 = _cmul(mu, mu, wp)
+    p = _cmul(p, mu, wp)
+    k = 6
+    while True:
+        bits = (max(abs(p[0]), abs(p[1])).bit_length() + 63) & ~63
+        den = ((k - 4) * (k - 3) * (k - 2) * (k - 1) * k) << bits
+        b = _bernoulli_fixed((k - 4) // 2, bits)
+        er, ei = _div0(p[0] * b, den), _div0(p[1] * b, den)
+        if not (er or ei):
+            return tr, ti
+        tr -= er
+        ti -= ei
+        p = _cmul(p, mu2, wp)
+        k += 2
+
+
+def li5(z: Fraction | tuple, prec: int) -> tuple[int, int]:
+    """Li_5 anywhere in the complex plane, principal branch: the logs
+    under it take Im in (-pi, pi], so a real z > 1 gets the value below
+    the cut [1, oo).
+
+    z is rational or an exact (re, im) pair, and the value an (re, im)
+    pair of ints at prec fixed-point bits, each within an ulp.  Inside
+    |z| <= 3/4 the defining series is summed (`polylog`); outside |z| >=
+    4/3 the inversion formula maps the exact 1/z into the disc; the
+    remaining annulus goes through the expansion of Li_5(e^mu) around mu
+    = 0.  Each route is chosen by an exact test on |z|^2, and the four
+    unit-circle landmarks 1, -1, i, -i short-circuit to closed forms.
+    Those at -1 and +-i stay although the annulus route covers them too:
+    without them a cold 256-bit `hyper.CHECKS["order5"]` takes about
+    twice as long.
+    """
+    re, im = _exact(z)
     wp = prec + 48
-    re, im = z.re, z.im
-    z5 = zeta(5, wp)
-    if im.is_zero and re == 1:
-        return MpComplex.from_real(z5.round_to(prec))
-    if im.is_zero and re == -1:
-        return MpComplex.from_real(z5.mul(Fraction(-15, 16), prec))
-    if re.is_zero and (im == 1 or im == -1):
-        pi5 = pow_int(pi_const(wp), 5, wp)
-        r = z5.mul(Fraction(-15, 512), wp)
-        i = pi5.mul(Fraction(5, 1536), wp)
-        return MpComplex(r, i if im == 1 else -i).round_to(prec)
-    a2 = z.abs2(wp + 8)
-    if a2._cmp(Fraction(9, 16)) <= 0:
-        return polylog(5, z.round_to(wp), wp).round_to(prec)
-    if a2._cmp(Fraction(16, 9)) < 0:
-        return _li5_mu(z.round_to(wp), wp).round_to(prec)
-    inner = li5(MpComplex.from_int(1, wp) / z, wp)
-    lnmz = cln(-z, wp)
-    ln2 = lnmz * lnmz
-    pi2 = pow_int(pi_const(wp), 2, wp)
-    pi4 = pow_int(pi2, 2, wp)
-    out = (inner
-           - lnmz * ln2 * ln2 * Fraction(1, 120)
-           - lnmz * ln2 * MpComplex.from_real(pi2) * Fraction(1, 36)
-           - lnmz * MpComplex.from_real(pi4) * Fraction(7, 360))
-    return out.round_to(prec)
+    a2 = re * re + im * im
+    if a2 <= Fraction(9, 16):
+        vr, vi = polylog(5, (re, im), wp)
+    elif a2 == 1 and not re * im:
+        z5 = _zeta_fixed(5, wp)[0]
+        if re:
+            vr, vi = (z5 if re > 0 else -15 * z5 // 16), 0
+        else:
+            vr, vi = -15 * z5 // 512, 5 * _pi_pow(5, wp) // 1536
+            vi = vi if im > 0 else -vi
+    elif a2 < Fraction(16, 9):
+        vr, vi = _li5_mu(re, im, wp)
+    else:
+        # Li_5(1/z) - L^5/120 - pi^2 L^3/36 - 7 pi^4 L/360, L = log(-z)
+        vr, vi = polylog(5, _gdiv((1, 0), (re, im)), wp)
+        lg = _ln_pair(-re, -im, wp)
+        l2 = _cmul(lg, lg, wp)
+        l3 = _cmul(l2, lg, wp)
+        l5 = _cmul(l3, l2, wp)
+        pi2 = _pi_pow(2, wp)
+        pi4 = pi2 * pi2 >> wp
+        vr -= l5[0] // 120 + (pi2 * l3[0] >> wp) // 36 \
+            + 7 * (pi4 * lg[0] >> wp) // 360
+        vi -= l5[1] // 120 + (pi2 * l3[1] >> wp) // 36 \
+            + 7 * (pi4 * lg[1] >> wp) // 360
+    return vr >> 48, vi >> 48
 
 
 # ----------------------------------------------------------------------

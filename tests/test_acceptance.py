@@ -15,7 +15,6 @@ from lihex.hyper import (CHECKS, U, asymp_coeff, check_li5_identity, eval_W,
                          expu_check, f5, genfn_hyp, genfn_pf, u_rational,
                          utilde_rational)
 from lihex.ladders import check_all, check_relation, eval_ladder
-from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal, pi_const
 from lihex.relfind import RelationQuery, pslq, verify_vector
 from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
@@ -107,12 +106,11 @@ def test_hypergeometric_spot_values():
     assert f5(Q(1, 3), Q(1, 6), Q(1, 3), Q(-1, 3)) == Q(-19, 72)
 
     for name in "BDFG":
-        pf = genfn_pf(name, Q(1, 10), 256).re
+        pf = genfn_pf(name, Q(1, 10), 256)[0]
         assert _mag(pf - genfn_hyp(name, Q(1, 10), 256)) < -224, name
 
-    half = MpComplex.from_fractions(Q(1, 2), Q(0), 512)
-    eye = MpComplex.from_fractions(Q(0), Q(1), 512)
-    for x, y in ((half, half), (eye, eye), (half, eye), (half, -eye)):
+    half, eye, minus_eye = (Q(1, 2), Q(0)), (Q(0), Q(1)), (Q(0), Q(-1))
+    for x, y in ((half, half), (eye, eye), (half, eye), (half, minus_eye)):
         assert check_li5_identity(x, y, 512).passed
 
 

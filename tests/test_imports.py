@@ -15,7 +15,7 @@ import pytest
 
 # modules a digit run or an evaluation never calls
 UNREACHED = ("lihex.hyper", "lihex.ladders", "lihex.relfind",
-             "lihex.mp.special", "lihex.mp.cplx", "multiprocessing")
+             "lihex.mp.special", "multiprocessing")
 
 
 def _fresh(code: str) -> tuple[set[str], str]:
@@ -61,8 +61,7 @@ def test_verify_loads_no_special_function():
                         "assert main(['verify', '--all', '--bits', '512'])"
                         " == 0")
     assert "lihex.ladders" in modules
-    assert not modules & {"lihex.mp.special", "lihex.mp.cplx"}, \
-        sorted(modules & {"lihex.mp.special", "lihex.mp.cplx"})
+    assert "lihex.mp.special" not in modules
 
 
 def test_a_classic_digit_run_solves_no_derived_formula():

@@ -9,12 +9,12 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lihex import hyper
 from lihex.errors import PoleError
 from lihex.hyper import (U, Utilde, _G_LIMIT, _kernel_coeffs, _pole_sum,
                          asymp_coeff, check_recurrence, genfn_cplx,
                          genfn_hyp, genfn_pf)
 from lihex.mp import special as sp
-from lihex.mp.cplx import MpComplex
 from lihex.mp.real import MpReal, exp, log2_const, pi_const, sincospi
 from lihex.series import _BASE, ARGUMENTS
 
@@ -59,14 +59,14 @@ def test_asymptotic_integers_through_64_are_pinned():
 @pytest.mark.parametrize("t", [Q(1, 10), Q(-1, 5), Q(1, 3)])
 def test_partial_fractions_match_the_3f2_forms(prec, t):
     for name in "BDFG":
-        pf = genfn_pf(name, t, prec).re
+        pf = genfn_pf(name, t, prec)[0]
         hyp = genfn_hyp(name, t, prec)
         assert _mag(pf - hyp) < -(prec - 32), (name, t)
 
 
 @pytest.mark.slow
 def test_3f2_tail_holds_at_2048_bits():
-    pf = genfn_pf("D", Q(1, 10), 2048).re
+    pf = genfn_pf("D", Q(1, 10), 2048)[0]
     hyp = genfn_hyp("D", Q(1, 10), 2048)
     assert _mag(pf - hyp) < -(2048 - 32)
 
@@ -91,6 +91,18 @@ def test_pole_sums_raise_at_their_poles(name, t):
 def test_complex_pole_sum_raises_at_its_poles(t):
     with pytest.raises(PoleError):
         genfn_cplx("G", t, 128)
+
+
+@pytest.mark.parametrize("name", "FGH")
+def test_recurrence_refuses_t_zero_before_any_pole_sum(name, monkeypatch):
+    # scale G(t)/t divides by the exact t
+    def refused(*args, **kwargs):
+        raise AssertionError("pole sum taken at a refused t")
+
+    monkeypatch.setattr(hyper, "_pole_sum", refused)
+    for t in (Q(0), (Q(0), Q(0))):
+        with pytest.raises(PoleError):
+            check_recurrence(name, t, 128)
 
 
 @pytest.mark.parametrize("prec", [256, 1024, 2048])
@@ -159,19 +171,6 @@ def test_pole_sums_stay_within_their_counted_floors(wp):
                      for _c, _r, arg, _part in _BASE[name])
         got = _pole_sum(name, tr, ti, wp, full=full)
         ref = _pole_sum(name, tr, ti, 2 * wp, full=full)
-        for a, b in ((got.re, ref.re), (got.im, ref.im)):
-            assert abs(a.to_fixed(wp) - b.to_fixed(wp)) \
-                <= (tmag + 1) * floors + 1, (name, tr, ti)
-
-
-@pytest.mark.parametrize("t", [Q(1, 8), Q(-3, 16), Q(5, 1 << 300) + Q(1, 4)])
-def test_a_complex_argument_is_read_as_its_exact_value(t):
-    tc = MpComplex.from_fractions(t, Q(0), 512)
-    assert tc.re.to_fraction() == t
-    for fn, names in ((genfn_pf, "ABCDEFGH"), (genfn_cplx, "FGH")):
-        for name in names:
-            a, b = fn(name, tc, 256), fn(name, t, 256)
-            assert (a.re, a.im) == (b.re, b.im), name
-    for name in "FGH":
-        assert check_recurrence(name, tc, 256) == \
-            check_recurrence(name, t, 256), name
+        for a, b in zip(got, ref):
+            assert abs(a - (b >> wp)) <= (tmag + 1) * floors + 1, \
+                (name, tr, ti)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from lihex.errors import DomainError, PoleError, PrecisionError
 from lihex.mp import special as sp
-from lihex.mp.cplx import MpComplex, cln
 from lihex.mp.real import (MpReal, _alt_fixed, _zeta_fixed, exp, ln,
                            log2_const, pi_const, pow_int, sincospi)
 from lihex.mp.special import li5
@@ -67,8 +66,9 @@ def test_elementary_identities():
         assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
         d = c - MpReal.from_fraction(Fraction(1, 2), wp)
         assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
-    d = cln(MpComplex(one, one), wp).im.mul(4, wp) - pi_const(wp)
-    assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
+    d = 4 * sp._ln_pair(Fraction(1), Fraction(1), wp)[1] \
+        - pi_const(wp).to_fixed(wp)
+    assert abs(d) < 1 << 16
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,7 +85,8 @@ def test_sincospi_is_exact_where_it_can_be_and_periodic(n, d, prec):
     # integers and half-integers give exact zeros and units
     if (2 * q).denominator == 1:
         m = int(2 * q) % 4
-        assert s == (0, 1, 0, -1)[m] and c == (1, 0, -1, 0)[m]
+        assert (s.to_fraction(), c.to_fraction()) == \
+            ((0, 1, 0, -1)[m], (1, 0, -1, 0)[m])
     # s^2 + c^2 - 1 within a few ulps at any |q|, far past 2^24 too
     d1 = s.mul(s, prec + 8).add(c.mul(c, prec + 8), prec + 8) - 1
     assert d1.is_zero or d1.bit_top() <= 6 - prec
@@ -153,13 +154,12 @@ def test_pow_int_refuses_a_negative_exponent():
 
 
 def test_real_and_complex_do_not_mix_with_other_types():
-    # a real enters complex arithmetic through MpComplex.from_real
-    with pytest.raises(TypeError):
-        MpComplex.from_int(1, 64) + MpReal.from_int(1, 64)
+    # a complex value is an (re, im) pair, read part by part
     x = MpReal.from_int(1, 64)
     for op in (x.add, x.mul, x.div):
-        with pytest.raises(TypeError):
-            op("1")
+        for other in ("1", (1, 0)):
+            with pytest.raises(TypeError):
+                op(other)
 
 
 def _assert_abs_lt_2pow_exact(x: MpReal, k: int) -> None:
@@ -196,29 +196,31 @@ def test_zeta_and_beta_guards():
 def test_polylog_small_argument():
     # Li_2(1/2) = pi^2/12 - log^2(2)/2
     wp = 256
-    z = MpComplex.from_fractions(Fraction(1, 2), Fraction(0), wp)
-    got = sp.polylog(2, z, wp).re
+    got = sp.polylog(2, (Fraction(1, 2), Fraction(0)), wp)
     pi2 = pi_const(wp).mul(pi_const(wp), wp)
     l2 = log2_const(wp)
     want = pi2.mul(Fraction(1, 12), wp) - l2.mul(l2, wp).mul(Fraction(1, 2), wp)
-    d = got - want
-    assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 24)
+    assert got[1] == 0 and abs(got[0] - want.to_fixed(wp)) < 1 << 24
+
+
+def _duplication_defect(z, wp):
+    """The larger part of Li5(z) + Li5(-z) - Li5(z^2)/16, in ulps at wp
+    bits, for the exact pair z."""
+    zr, zi = z
+    a, b = li5(z, wp), li5((-zr, -zi), wp)
+    c = li5((zr * zr - zi * zi, 2 * zr * zi), wp)
+    return max(abs(a[i] + b[i] - Q(c[i], 16)) for i in (0, 1))
 
 
 def test_li5_duplication():
     wp = 320
-    for zre, zim in ((Q(1, 2), Q(0)), (Q(0), Q(1, 2))):
-        z = MpComplex.from_fractions(zre, zim, wp)
-        d = (li5(-z, wp) + li5(z, wp) - li5(z * z, wp) * Q(1, 16)).abs_val(64)
-        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 64)
+    for z in ((Q(1, 2), Q(0)), (Q(0), Q(1, 2))):
+        assert _duplication_defect(z, wp) < 1 << 64
 
 
 def test_li5_series_annulus_seam():
     # both arguments on the annulus route, the square on the series one
-    wp = 320
-    z = MpComplex.from_fractions(Q(4, 5), Q(0), wp)
-    d = (li5(-z, wp) + li5(z, wp) - li5(z * z, wp) * Q(1, 16)).abs_val(64)
-    assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 64)
+    assert _duplication_defect((Q(4, 5), Q(0)), 320) < 1 << 64
 
 
 @pytest.mark.parametrize("re, im", [(-1, 0), (0, 1), (0, -1)])
@@ -227,9 +229,45 @@ def test_li5_landmarks_agree_with_the_annulus_route(re, im):
     # covers those points: without them a cold order5 battery takes
     # about twice as long
     wp = 256
-    z = MpComplex.from_fractions(Fraction(re), Fraction(im), wp)
-    d = (sp.li5(z, wp) - sp._li5_mu(z, wp)).abs_val(64)
-    assert d.is_zero or d.man.bit_length() + d.exp <= -(wp - 64)
+    a, b = sp.li5((Q(re), Q(im)), wp), sp._li5_mu(Q(re), Q(im), wp)
+    assert max(abs(x - y) for x, y in zip(a, b)) <= 1 << 64
+
+
+def _li5_route(z) -> str:
+    a2 = z[0] ** 2 + z[1] ** 2
+    if a2 <= Q(9, 16):
+        return "disc"
+    return "annulus" if a2 < Q(16, 9) else "inversion"
+
+
+@st.composite
+def _li5_points(draw):
+    """An exact Gaussian rational on a drawn route of li5, or a real z > 1
+    on the cut [1, oo)."""
+    route = draw(st.sampled_from(["disc", "annulus", "inversion", "cut"]))
+    d = draw(st.integers(1, 24))
+    if route == "cut":
+        return Q(draw(st.integers(d + 1, 6 * d)), d), Q(0)
+    top = {"disc": d, "annulus": 2 * d, "inversion": 6 * d}[route]
+    part = st.integers(-top, top).map(lambda a: Q(a, d))
+    return draw(st.tuples(part, part).filter(
+        lambda z: _li5_route(z) == route))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_li5_points(), st.integers(32, 160))
+def test_li5_on_exact_gaussian_rationals(z, prec):
+    # each part is within an ulp, so it agrees with the value at 4 prec
+    # to two, and the duplication law holds to a few
+    lo, hi = li5(z, prec), li5(z, 4 * prec)
+    assert all(abs(a - (b >> 3 * prec)) <= 2 for a, b in zip(lo, hi)), z
+    assert _duplication_defect(z, prec) <= 4, z
+    if z[1] == 0 and z[0] > 1:
+        # the value below the cut: Im Li5(x) = -pi ln^4(x) / 24
+        w = prec + 16
+        l4 = pow_int(ln(MpReal.from_fraction(z[0], w), w), 4, w)
+        want = pi_const(w).mul(l4, w).div(-24, w).to_fixed(prec)
+        assert abs(lo[1] - want) <= 2, z
 
 
 def test_bernoulli_exact_values():

@@ -26,7 +26,6 @@ import types
 
 # name -> why it stays although no entry point enters it
 ALLOWED = {
-    "mp.cplx.MpComplex.__repr__": "debugging aid, read by no program path",
     "mp.real.MpReal.__repr__": "debugging aid, read by no program path",
     "series.SeriesSpec.__str__": "debugging aid, read by no program path",
     "mp.special.hurwitz":

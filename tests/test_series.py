@@ -17,8 +17,8 @@ from lihex.errors import (DomainError, PrecisionError, UnknownName,
                           UnsupportedArgument)
 from lihex.ladders import RELATIONS, check_relation, eval_ladder
 from lihex.mp import special as sp
-from lihex.mp.cplx import MpComplex, cln
-from lihex.mp.real import MpReal, log2_const, pi_const, pow_int
+from lihex.mp.real import (MpReal, _atan_impl, ln, log2_const, pi_const,
+                           pow_int)
 from lihex.series import (IDENTITIES, Monomial, SeriesSpec, catalog,
                           derived_catalog, eval_formula, eval_series,
                           polylog_pattern, solve_formulas)
@@ -386,17 +386,24 @@ def test_polylog_pattern_against_literal_powers(name):
 
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_h1_rows_against_complex_logarithms(bits):
-    # Li_1(z) = -log(1 - z) at four times the precision: the sqrt2-scaled
-    # S-atoms of the imaginary parts, the real parts' S-basis expansions,
-    # and h1 itself, Li_1(-i/sqrt8) - 2 Li_1(i/sqrt2) - Li_1(1/2)/2 = -i pi/2
+    # Li_1(z) = -log(1 - z) at four times the precision, as (re, im):
+    # Li_1(1/2) = ln 2, Li_1(i/sqrt2) = -ln(3/2)/2 + i atan(1/sqrt2) and
+    # Li_1(-i/sqrt8) = -ln(9/8)/2 - i atan(1/sqrt8).  Against them: the
+    # sqrt2-scaled S-atoms of the imaginary parts, the real parts' S-basis
+    # expansions, and h1 itself, Li_1(-i/sqrt8) - 2 Li_1(i/sqrt2) -
+    # Li_1(1/2)/2 = -i pi/2
     wp = 4 * bits
     r2 = MpReal.from_int(2, wp).sqrt(wp)
     zero = MpReal.zero(wp)
-    z = {"1/2": MpComplex.from_fractions(Fraction(1, 2), Fraction(0), wp),
-         "i/sqrt2": MpComplex(zero, r2.mul(Fraction(1, 2), wp)),
-         "-i/sqrt8": MpComplex(zero, r2.mul(Fraction(-1, 4), wp))}
-    li1 = {arg: -cln(MpComplex.from_int(1, wp) - v, wp)
-           for arg, v in z.items()}
+
+    def half_ln(q):
+        return ln(MpReal.from_fraction(q, wp), wp).mul(Fraction(-1, 2), wp)
+
+    li1 = {"1/2": (ln(MpReal.from_int(2, wp), wp), zero),
+           "i/sqrt2": (half_ln(Fraction(3, 2)),
+                       _atan_impl(r2.mul(Fraction(1, 2), wp), wp)),
+           "-i/sqrt8": (half_ln(Fraction(9, 8)),
+                        -_atan_impl(r2.mul(Fraction(1, 4), wp), wp))}
 
     def close(a, b):
         d = (a - b).to_fraction()
@@ -405,15 +412,15 @@ def test_h1_rows_against_complex_logarithms(bits):
     c = (1, 0, -1, 0, 1, 0, -1, 0)
     s11 = eval_series(SeriesSpec(1, 1, c), wp)
     s13 = eval_series(SeriesSpec(1, 3, c), wp)
-    assert close(li1["i/sqrt2"].im, r2.mul(s11, wp))
-    assert close(li1["-i/sqrt8"].im, r2.mul(s13, wp).mul(-2, wp))
+    assert close(li1["i/sqrt2"][1], r2.mul(s11, wp))
+    assert close(li1["-i/sqrt8"][1], r2.mul(s13, wp).mul(-2, wp))
     for arg, v in li1.items():
         (coef, spec), = polylog_pattern(arg, 1, "re")
-        assert close(v.re, eval_series(spec, wp).mul(coef, wp))
-    h1 = (li1["-i/sqrt8"] - li1["i/sqrt2"] * 2
-          - li1["1/2"] * Fraction(1, 2))
-    assert close(h1.re, zero)
-    assert close(h1.im, pi_const(wp).mul(Fraction(-1, 2), wp))
+        assert close(v[0], eval_series(spec, wp).mul(coef, wp))
+    h1 = [a - b.mul(2, wp) - c.mul(Fraction(1, 2), wp)
+          for a, b, c in zip(li1["-i/sqrt8"], li1["i/sqrt2"], li1["1/2"])]
+    assert close(h1[0], zero)
+    assert close(h1[1], pi_const(wp).mul(Fraction(-1, 2), wp))
     assert check_relation("h1", bits).log2_bound <= -(bits - 64) - 16
 
 
