@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from .errors import PrecisionError, UnknownName
 from .mp.real import MpReal
 from .series import (IDENTITIES, Identity, IntegerRows, _fixed_sums,
-                     _row_value, integer_rows, ladder)
+                     _refuse_above_ceiling, _row_value, integer_rows,
+                     ladder)
 
 __all__ = ["CheckReport", "RELATIONS", "check_all", "check_relation",
            "eval_ladder", "relation_names"]
@@ -116,6 +117,7 @@ def check_relation(name: str, prec: int) -> CheckReport:
     if prec < rel.min_bits:
         raise PrecisionError(
             f"{name} needs at least {rel.min_bits} bits, got {prec}")
+    _refuse_above_ceiling(prec)
     rows = rel.rows()
     wp, sums = _fixed_sums(rows, prec)
     limit, scale = rows.den << (wp - prec + 64), rows.den << wp
@@ -127,7 +129,9 @@ def check_relation(name: str, prec: int) -> CheckReport:
 
 def check_all(prec: int) -> list[CheckReport]:
     """Reports for every identity whose bit requirement prec meets;
-    PrecisionError when prec meets none, so no run passes unchecked."""
+    PrecisionError when prec meets none, so no run passes unchecked,
+    or when prec is above the values' ceiling."""
+    _refuse_above_ceiling(prec)
     names = [name for name, rel in RELATIONS.items() if prec >= rel.min_bits]
     if not names:
         floor = min(rel.min_bits for rel in RELATIONS.values())

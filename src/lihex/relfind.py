@@ -34,11 +34,26 @@ relation detection", Math. Comp. 70, 2001):
 * a level copies y and H, rounded to about 192 bits below their
   smallest entry, and runs the usual steps on the copies: row choice,
   swap, Givens rotation and Hermite reduction.  It builds the exact
-  small-integer transforms A and B = A**-1 as it goes.  It ends when a
-  transform entry passes 64 bits, when the smallest |y| or |H_jj| of a
-  copy has lost 96 bits (a tiny |y| is a relation candidate), when the
-  copy's max |H_jj| says the exclusion bound may hold, or when the row
-  choice degenerates.
+  small-integer transforms A and B = A**-1 as it goes, each row of A
+  and each column of B packed into one int of n signed 192-bit slots
+  (three times the 64-bit cap), so a reduction step B_j += t*B_i,
+  A_i -= t*A_j is two big-integer multiply-adds; the rows are unpacked
+  once, when the level ends.  It ends when a transform entry reaches
+  2**64 (leaves [-2**64, 2**64), a test of two big-integer operations
+  on each row the iteration changed), when the smallest |y| or |H_jj|
+  of a copy has lost 96 bits (a tiny |y| is a relation candidate), when
+  the copy's max |H_jj| says the exclusion bound may hold, or when the
+  row choice degenerates.
+* a level also stops in the middle of an iteration, before a step
+  whose quotient could spill a slot.  Every entry starts the iteration
+  within the cap, and a step with quotient t multiplies the largest by
+  at most 1 + |t| <= 2**bitlen(t), so the level stops before the sum of
+  bitlen(t) over the iteration passes 192 - 67 = 125 bits, which keeps
+  every entry below 2**189, where the cap test and unpacking are exact.
+  The stop is sound: each step keeps A = B**-1 exactly, whatever state
+  the copies are left in, and the refresh re-triangularizes and fully
+  reduces at W bits.  It is rare: it fired once over the 2,310 queries
+  of the benchmark's relations lists for seeds 1 to 5.
 * a refresh applies the level at W bits: y := y*B, B_total :=
   B_total*B, H := A*H brought back to lower-trapezoidal form by Givens
   rotations, then a full Hermite reduction.  Only then are the exits
@@ -211,12 +226,20 @@ def _dot_mag(vec, x: list[int], prec: int) -> tuple[int, float]:
 # the iteration
 
 # bits the smallest entry of a low-level copy of y or H keeps.  A level
-# ends once a transform entry passes a third of them, or the smallest
-# |y| or |H_jj| of a copy has lost half of them: with transform entries
-# below 2**64 a copy's rounding grows to at most n * 2**63 units, far
-# below the 2**96 at which a small |y| or |H_jj| ends a level
+# ends once a transform entry reaches 2**64, a third of them, or once
+# the smallest |y| or |H_jj| of a copy has lost half of them: with
+# transform entries below 2**64 a copy's rounding grows to at most
+# n * 2**63 units, far below the 2**96 at which a small |y| or |H_jj|
+# ends a level
 _LEVEL_BITS = 192
 _TRANSFORM_BITS = _LEVEL_BITS // 3
+# a packed transform row holds one entry in each slot of _SLOT bits.  An
+# iteration starts with every entry within 2**_TRANSFORM_BITS, and the
+# level stops before the iteration's quotients could grow the largest
+# by more than _GROWTH bits, to 2**(_SLOT-3): inside the range where the
+# cap test and unpacking are exact (see _cap_masks and _unpack)
+_SLOT = 3 * _TRANSFORM_BITS
+_GROWTH = _SLOT - _TRANSFORM_BITS - 3
 # a confirmed vector counts as found only this many bits below the
 # pigeonhole floor for its height
 _PIGEONHOLE_MARGIN = 32
@@ -263,12 +286,11 @@ def _width(H: list[list[int]]) -> int:
     return max(map(abs, chain.from_iterable(H))).bit_length()
 
 
-def _reduce(y, H, B, A, start: int, cap: int) -> None:
+def _reduce(y, H, B, start: int, cap: int) -> None:
     """Hermite reduction of rows start..n-1 of H against columns <= cap.
 
     Each step subtracts t times row j of H from row i; y and the columns
-    of B (stored as rows) follow with y_j += t*y_i, and the rows of A, if
-    given, with A_i -= t*A_j, so that A stays the inverse of B.
+    of B (stored as rows) follow with y_j += t*y_i and B_j += t*B_i.
     """
     n = len(y)
     for i in range(start, n):
@@ -286,10 +308,39 @@ def _reduce(y, H, B, A, start: int, cap: int) -> None:
             Bi, Bj = B[i], B[j]
             for k in range(n):
                 Bj[k] += t * Bi[k]
-            if A is not None:
-                Ai, Aj = A[i], A[j]
-                for k in range(n):
-                    Ai[k] -= t * Aj[k]
+
+
+def _ones(n: int) -> int:
+    """A packed row with a one in each of its n slots."""
+    return ((1 << _SLOT * n) - 1) // ((1 << _SLOT) - 1)
+
+
+def _cap_masks(n: int) -> tuple[int, int, int]:
+    """(bias, mask, want) for the cap test of a packed row of n slots.
+
+    Every slot of X lies in [-2**_TRANSFORM_BITS, 2**_TRANSFORM_BITS)
+    iff (X + bias) & mask == want, for X whose slots all lie within
+    +-(2**(_SLOT-2) - 2**_TRANSFORM_BITS): bias lifts each slot by
+    2**(_SLOT-2) + 2**_TRANSFORM_BITS into [0, 2**_SLOT), so no slot
+    borrows from the next, and a slot within the cap lands in
+    [2**(_SLOT-2), 2**(_SLOT-2) + 2**(_TRANSFORM_BITS+1)), which is where
+    its bits above _TRANSFORM_BITS read exactly 2**(_SLOT-2).
+    """
+    ones, cap = _ones(n), 1 << _TRANSFORM_BITS
+    return (ones * ((1 << _SLOT - 2) + cap),
+            ones * (((1 << _SLOT) - 1) ^ (2 * cap - 1)),
+            ones << _SLOT - 2)
+
+
+def _unpack(rows: list[int], n: int) -> list[list[int]]:
+    """The n signed slots of each packed row, lowest slot first.
+
+    Exact while every slot lies in [-2**(_SLOT-1), 2**(_SLOT-1)).
+    """
+    half, low = 1 << _SLOT - 1, (1 << _SLOT) - 1
+    lift = _ones(n) * half
+    return [[((X + lift) >> _SLOT * q & low) - half for q in range(n)]
+            for X in rows]
 
 
 def _level(y, H, budget: int, stop: int):
@@ -297,12 +348,14 @@ def _level(y, H, budget: int, stop: int):
 
     The smallest entry of each copy keeps _LEVEL_BITS bits.  The level
     ends when it has made ``budget`` iterations, when a copy or a
-    transform runs out of room (see _LEVEL_BITS), when the row choice
-    degenerates, or when every |H_jj| of the copy has fallen below
-    ``stop`` (W-bit scale), where the exclusion bound may hold.
+    transform runs out of room (see _LEVEL_BITS and _GROWTH), when the
+    row choice degenerates, or when every |H_jj| of the copy has fallen
+    below ``stop`` (W-bit scale), where the exclusion bound may hold.
     Returns (A, B, steps): the exact integer transforms of the level,
     A = B**-1 with A acting on the rows of H and B on y (B stored by
-    columns), and the number of iterations made, at least one.
+    columns), and the number of iterations made, at least one.  Inside
+    the level each row of A and column of B is one int with entry q in
+    slot q of n slots of _SLOT bits.
     """
     n = len(y)
     sy = max(0, min(map(abs, y)).bit_length() - _LEVEL_BITS)
@@ -310,10 +363,10 @@ def _level(y, H, budget: int, stop: int):
              - _LEVEL_BITS)
     yl = [_shift(v, sy) for v in y]
     Hl = [[_shift(v, sh) for v in row] for row in H]
-    A = [[int(i == j) for j in range(n)] for i in range(n)]
-    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    A = [1 << _SLOT * i for i in range(n)]
+    B = A[:]
+    bias, mask, want = _cap_masks(n)
     floor = 1 << (_LEVEL_BITS // 2)
-    cap = 1 << _TRANSFORM_BITS
     stop >>= sh
     k = _width(Hl) + _TRANSFORM_BITS + 8
     steps = 0
@@ -336,16 +389,38 @@ def _level(y, H, budget: int, stop: int):
         B[m], B[m + 1] = B[m + 1], B[m]
         if m < n - 2:
             _rotate(Hl, m, m + 1, k)
-        _reduce(yl, Hl, B, A, m + 1, m + 1)
+        # Hermite reduction of rows m+1.. against columns <= m+1; a step
+        # with quotient t multiplies the largest transform entry by at
+        # most 1 + |t| <= 2**bitlen(t), and the level stops before the
+        # iteration's growth could pass _GROWTH bits
+        grown = 0
+        for i in range(m + 1, n):
+            Hi = Hl[i]
+            for j in range(min(i - 1, m + 1), -1, -1):
+                hjj = Hl[j][j]
+                if hjj == 0:
+                    continue
+                t = (2 * Hi[j] + hjj) // (2 * hjj)
+                if t == 0:
+                    continue
+                grown += t.bit_length()
+                if grown > _GROWTH:
+                    return _unpack(A, n), _unpack(B, n), steps
+                yl[j] += t * yl[i]
+                Hj = Hl[j]
+                for q in range(j + 1):
+                    Hi[q] -= t * Hj[q]
+                B[j] += t * B[i]
+                A[i] -= t * A[j]
         # only rows m, m+1 changed their diagonal, only rows m+1.. of A
         # and columns ..m+1 of B their entries
         if (min(map(abs, yl)) < floor
                 or abs(Hl[m][m]) < floor
                 or (m < n - 2 and abs(Hl[m + 1][m + 1]) < floor)
-                or max(map(abs, chain.from_iterable(A[m + 1:]))) > cap
-                or max(map(abs, chain.from_iterable(B[:m + 2]))) > cap):
+                or any((X + bias) & mask != want for X in A[m + 1:])
+                or any((X + bias) & mask != want for X in B[:m + 2])):
             break
-    return A, B, steps
+    return _unpack(A, n), _unpack(B, n), steps
 
 
 def _refresh(y, H, B, Al, Bl) -> None:
@@ -365,7 +440,7 @@ def _refresh(y, H, B, Al, Bl) -> None:
     for i in range(n - 1):
         for j in range(i + 1, n - 1):
             _rotate(H, i, j, k)
-    _reduce(y, H, B, None, 1, n - 2)
+    _reduce(y, H, B, 1, n - 2)
 
 
 def _pigeonhole(vec: tuple[int, ...], log2_residual: float) -> bool:
@@ -439,7 +514,7 @@ def pslq(q: RelationQuery) -> RelationResult:
             H[i][j] = _round_div(-x[i] * x[j] * one, d)
 
     B = [[int(i == j) for j in range(n)] for i in range(n)]   # columns
-    _reduce(y, H, B, None, 1, n - 2)
+    _reduce(y, H, B, 1, n - 2)
 
     # |y| gate below which a column is worth confirming exactly, and
     # the accept bound on the P-bit residual: n * height ulps with 40

@@ -303,6 +303,8 @@ def test_unreachable_position_is_usage_error(capsys):
     ("discover", "--values", "pi,log2sq", "--bits", str((1 << 23) + 1)),
     # the values are read at bits + 32, past the ceiling here
     ("discover", "--values", "pi,log2sq", "--bits", str((1 << 23) - 31)),
+    ("verify", "--relation", "f11", "--bits", str((1 << 23) + 1)),
+    ("verify", "--all", "--bits", str((1 << 23) + 1)),
 ])
 def test_a_value_above_the_precision_ceiling_is_usage_error(
         capsys, monkeypatch, argv):

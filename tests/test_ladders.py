@@ -156,6 +156,20 @@ def test_check_all_refuses_precision_below_every_relation():
         check_all(255)
 
 
+def test_checks_above_the_precision_ceiling_are_refused_before_summing(
+        monkeypatch):
+    # f11 one bit above MpReal's 2^23-bit ceiling would sum until stopped
+    def summed(*args):
+        raise AssertionError("a row was summed")
+
+    monkeypatch.setattr("lihex.ladders._fixed_sums", summed)
+    over = (1 << 23) + 1
+    for request in (lambda: check_relation("f11", over),
+                    lambda: check_all(over)):
+        with pytest.raises(PrecisionError, match="ceiling"):
+            request()
+
+
 def test_unknown_relation_name():
     with pytest.raises(UnknownName):
         check_relation("zz99", 256)

@@ -7,11 +7,14 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lihex import relfind
 from lihex.errors import DomainError, PrecisionError
 from lihex.ladders import eval_ladder
 from lihex.mp.real import MpReal, log2_const, pi_const
-from lihex.relfind import (RelationQuery, RelationResult, _canonical,
-                           _pigeonhole, pslq, required_bits, verify_vector)
+from lihex.relfind import (_SLOT, _TRANSFORM_BITS, RelationQuery,
+                           RelationResult, _canonical, _cap_masks,
+                           _pigeonhole, _unpack, pslq, required_bits,
+                           verify_vector)
 from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
                           SeriesSpec, eval_formula, eval_series,
                           polylog_pattern)
@@ -390,6 +393,129 @@ def test_bits_beyond_the_search_precision_change_no_answer(data):
     assert res.status == "found", (m, P, res)
     assert res.vector == _canonical(m)
     assert (short.status, short.vector) == (res.status, res.vector)
+
+
+# ----------------------------------------------------------------------
+# the packed transforms of a level
+
+_CAP = 1 << _TRANSFORM_BITS
+
+
+def _random_values(n, seed, P):
+    rng = random.Random(seed)
+    w = P + 64
+    return tuple(MpReal.from_fixed(rng.getrandbits(w) | 1 << (w - 1), w, P)
+                 for _ in range(n))
+
+
+def _levels(vals, d):
+    """pslq's answer and, for each level it ran, its arguments and the
+    transforms it returned."""
+    runs, level = [], relfind._level
+
+    def recorded(y, H, budget, stop):
+        args = (list(y), [list(row) for row in H], budget, stop)
+        out = level(y, H, budget, stop)
+        runs.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relfind, "_level", recorded)
+        res = pslq(RelationQuery(vals, max_digits=d))
+    return res, runs
+
+
+def _is_inverse(A, B):
+    # B is stored by columns
+    n = len(A)
+    return all(sum(a * b for a, b in zip(A[i], B[j])) == (i == j)
+               for i in range(n) for j in range(n))
+
+
+_EDGES = (0, 1, -1, _CAP - 1, _CAP, _CAP + 1, -_CAP + 1, -_CAP, -_CAP - 1,
+          (1 << _SLOT - 2) - _CAP, -(1 << _SLOT - 2) + _CAP)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 14).flatmap(lambda n: st.lists(
+    st.sampled_from(_EDGES) | st.integers(-2 * _CAP, 2 * _CAP),
+    min_size=n, max_size=n)))
+def test_cap_test_and_unpacking_are_exact_at_the_edges(row):
+    # around +-2**64, and out to the slot range in which the cap test
+    # is exact
+    n = len(row)
+    X = sum(v << _SLOT * q for q, v in enumerate(row))
+    bias, mask, want = _cap_masks(n)
+    assert ((X + bias) & mask == want) == all(-_CAP <= v < _CAP for v in row)
+    assert _unpack([X], n) == [row]
+
+
+@pytest.mark.parametrize("n", [3, 14])
+def test_unpacking_is_exact_at_the_slot_extremes(n):
+    lo, hi = -(1 << _SLOT - 1), (1 << _SLOT - 1) - 1
+    for row in ([lo] * n, [hi] * n, [lo, hi] * (n // 2) + [lo] * (n % 2)):
+        X = sum(v << _SLOT * q for q, v in enumerate(row))
+        assert _unpack([X], n) == [row]
+
+
+def test_the_growth_allowance_keeps_the_cap_test_exact():
+    # an entry within the cap that grows by _GROWTH bits stays where
+    # the cap test and unpacking are exact
+    assert _CAP << relfind._GROWTH <= (1 << _SLOT - 2) - _CAP
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 14), st.integers(2, 4), st.integers(0, 2**32),
+       st.booleans(), st.sampled_from((_TRANSFORM_BITS, 8)))
+def test_level_transforms_stay_exact_inverses_within_the_cap(
+        n, d, seed, planted, cap_bits):
+    # a cap of 2**8 ends most levels on it, which tests that the cap
+    # test reads every row and column an iteration changes
+    P = required_bits(n, d)
+    vals = (_planted_tall(n, d, seed, P)[1] if planted
+            else _random_values(n, seed, P))
+    cap = 1 << cap_bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relfind, "_TRANSFORM_BITS", cap_bits)
+        _, runs = _levels(vals, d)
+        assert runs
+        for (y, H, budget, stop), (A, B, steps) in runs:
+            assert 1 <= steps <= budget
+            assert _is_inverse(A, B)
+            # no slot spilled: even a stopped level stays in range
+            assert all(abs(v) < 1 << _SLOT - 3 for row in A + B for v in row)
+            # every iteration but the last left every entry within the
+            # cap, or the level would have ended on it
+            A1, B1, steps1 = relfind._level(y, H, steps - 1, stop)
+            assert steps1 == steps - 1 and _is_inverse(A1, B1)
+            assert all(-cap <= v < cap for row in A1 + B1 for v in row)
+
+
+# a guard that stops each level at its second nonzero quotient, or at
+# its first of more than one bit
+_GUARD_CASES = {
+    "readme": lambda: (_catalan_triple(512), 8),
+    "f11-exclusion": lambda: (tuple(_f11_values(2048)[1:]), 30),
+    **{f"planted-8-{seed}":
+       (lambda seed=seed: (_planted_tall(8, 3, seed,
+                                         required_bits(8, 3))[1], 3))
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(k, marks=pytest.mark.slow) if k == "f11-exclusion" else k
+    for k in _GUARD_CASES])
+def test_a_level_stopped_by_the_growth_guard_changes_no_answer(name):
+    vals, d = _GUARD_CASES[name]()
+    res, runs = _levels(vals, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relfind, "_GROWTH", 1)
+        guarded, guarded_runs = _levels(vals, d)
+    assert (guarded.status, guarded.vector) == (res.status, res.vector)
+    # the guard ended nearly every level after its first iteration
+    assert 10 * len(guarded_runs) >= 9 * guarded.iterations
+    assert all(_is_inverse(A, B) for _, (A, B, _) in guarded_runs)
 
 
 # padding of weights 1, 3, 4 and 5 for the weight-2 catalan triple
