@@ -32,8 +32,8 @@ def _jdump(obj) -> str:
 
 
 def _jfloat(x: float | None):
-    # a residual of exactly zero carries log2 = -inf, which JSON
-    # cannot spell; emit null for it
+    # an exact check that holds carries log2 = -inf, which JSON cannot
+    # spell; emit null for it
     if x is None or x == float("-inf"):
         return None
     return x

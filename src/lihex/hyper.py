@@ -18,9 +18,13 @@ convergent series is summed directly to a cutoff ``N`` and its tail is
 re-expanded against the head's last term as Euler-Maclaurin sums at
 ``N``, each a rational series in ``1/N``.
 
-The inner sums run on plain fixed-point integers, each with an absolute
-error budget of one floor (one ulp) per term, held below the result's
-last bit by stated guard bits:
+Every value here is a fixed-point int, v at wp bits standing for
+v / 2**wp, and each check's residual is one such int at a stated wp;
+the public value functions (``eval_W``, ``genfn_pf``, ``genfn_hyp``,
+``U``, ``Utilde``, ``catalan_binomial``) round theirs once into an
+``MpReal``.  The inner sums have an absolute error budget of one floor
+(one ulp) per term, held below the result's last bit by stated guard
+bits:
 
 - the 3F2 at unit argument and the harmonically weighted Catalan
   series over its terms, at prec + 64 bits: the head of N = 4 wp terms
@@ -59,21 +63,12 @@ from .errors import (
     PrecisionError,
     UnknownName,
 )
-from .ladders import CheckReport, _log2_mag, _report, eval_ladder
+from .ladders import CheckReport, _report, eval_ladder
 from .mp import special as _sp
 from .mp.special import (_cmul, _exact, _gdiv, _gmul, _ln_pair, _pi_pow,
                          li5)
-from .mp.real import (
-    MpReal,
-    _log2_fixed,
-    _pi_fixed,
-    _zeta_fixed,
-    exp,
-    log2_const,
-    pi_const,
-    pow_int,
-    sincospi,
-)
+from .mp.real import (MpReal, _exp_fixed, _log2_fixed, _pi_fixed,
+                       _zeta_fixed, sincospi)
 from .series import (_BASE, _UNIT_PARTS, ARGUMENTS, _exact_part,
                      eval_formula)
 
@@ -82,7 +77,6 @@ __all__ = [
     "reflection_check",
     "f5",
     "genfn_pf",
-    "genfn_cplx",
     "genfn_hyp",
     "check_trig_forms",
     "check_recurrence",
@@ -106,6 +100,22 @@ _HALF = Q(1, 2)
 
 # ----------------------------------------------------------------------
 # small helpers
+
+def _fix(q: Fraction, wp: int) -> int:
+    """The rational q at wp fixed-point bits, floored."""
+    return (q.numerator << wp) // q.denominator
+
+
+def _mulq(x: int, q: Fraction) -> int:
+    """x q for a fixed-point x and a rational q, floored."""
+    return x * q.numerator // q.denominator
+
+
+def _prod(vals: Iterable[int], wp: int) -> int:
+    """The product of fixed-point values at wp bits, floored once."""
+    vals = list(vals)
+    return math.prod(vals) >> wp * (len(vals) - 1)
+
 
 def _exact_report(name: str, prec: int, ok: bool) -> CheckReport:
     return CheckReport(
@@ -227,8 +237,9 @@ def _unit_tail(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
 
 
 def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
-                 prec: int) -> MpReal:
-    """3F2(al, be, 1; ga, de; 1) for rational parameters, ga, de > 0."""
+                 prec: int) -> int:
+    """3F2(al, be, 1; ga, de; 1) at prec fixed-point bits for rational
+    parameters, ga, de > 0."""
     if ga <= 0 or de <= 0:
         raise DomainError("3F2 lower parameters must be positive")
     rho = ga + de - al - be
@@ -258,7 +269,7 @@ def _hyp3f2_unit(al: Fraction, be: Fraction, ga: Fraction, de: Fraction,
         e += dd
     tail = _unit_tail(al, be, ga, de, wp, c, wh,
                       lambda t, s: _sp._em_tail(t[-1], big, s))
-    return MpReal.from_fixed(acc + tail, wh, prec)
+    return acc + tail >> wh - prec
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +283,10 @@ def eval_W(args: tuple[Fraction, ...], prec: int) -> MpReal:
         if abs(a) >= _HALF:
             raise DivergenceError(f"W argument {a} outside (-1/2, 1/2)")
     a1, a2, a3, a4 = args
-    f = _hyp3f2_unit(_HALF - a1, _HALF - a2, Q(3, 2) + a3, Q(3, 2) + a4,
-                     prec + 16)
-    return f.div((_HALF + a3) * (_HALF + a4), prec)
+    wp = prec + 16
+    f = _hyp3f2_unit(_HALF - a1, _HALF - a2, Q(3, 2) + a3, Q(3, 2) + a4, wp)
+    return MpReal.from_fixed(_mulq(f, 1 / ((_HALF + a3) * (_HALF + a4))),
+                             wp, prec)
 
 
 def reflection_check(args: tuple[Fraction, ...], prec: int) -> CheckReport:
@@ -284,19 +296,18 @@ def reflection_check(args: tuple[Fraction, ...], prec: int) -> CheckReport:
     per beta with the Gamma(1/2+a_k) cancelled."""
     a1, a2, a3, a4 = args
     wp = prec + 32
-    lhs = eval_W(args, wp)
+    w = wp + 16  # W, rounded at wp, reads exactly at w
+    lhs = eval_W(args, wp).to_fixed(w)
     if (a3, a4) == (a1, a2):  # a self-reflection: the two terms agree
-        lhs = lhs.scalb(1)
+        lhs *= 2
     else:
-        lhs = lhs.add(eval_W((a3, a4, a1, a2), wp), wp)
-    rhs = _sp.gamma(1 + a1 + a2 + a3 + a4, wp)
-    for a in args:
-        rhs = rhs.mul(_sp.gamma(_HALF + a, wp), wp)
-    for ai in (a1, a2):
-        for aj in (a3, a4):
-            rhs = rhs.div(_sp.gamma(1 + ai + aj, wp), wp)
+        lhs += eval_W((a3, a4, a1, a2), wp).to_fixed(w)
+    num = _prod([_sp.gamma(1 + a1 + a2 + a3 + a4, w)]
+                + [_sp.gamma(_HALF + a, w) for a in args], w)
+    den = _prod([_sp.gamma(1 + ai + aj, w) for ai in (a1, a2)
+                 for aj in (a3, a4)], w)
     name = "reflect({},{};{},{})".format(*args)
-    return _report(name, prec, lhs.add(-rhs, wp), 32)
+    return _report(name, prec, lhs - (num << w) // den, w, 32)
 
 
 # ----------------------------------------------------------------------
@@ -375,30 +386,15 @@ def _pole_sum(name: str, tr: Fraction, ti: Fraction, wp: int,
     return (acc_r * ar - acc_i * ai) // b, (acc_r * ai + acc_i * ar) // b
 
 
-def _genfn(name: str, t: Fraction | tuple, prec: int,
-           full: bool) -> tuple[MpReal, MpReal]:
-    wp = prec + 48
-    return tuple(MpReal.from_fixed(v, wp, prec)
-                 for v in _pole_sum(name, *_exact(t), wp, full=full))
-
-
 def genfn_pf(name: str, t: Fraction | tuple,
              prec: int) -> tuple[MpReal, MpReal]:
     """Partial-fraction value (re, im) of generating function `name` at t,
     rational or an exact (re, im) pair."""
     if name not in _BASE:
         raise UnknownName(f"no generating function {name!r}")
-    return _genfn(name, t, prec, full=False)
-
-
-def genfn_cplx(name: str, t: Fraction | tuple,
-               prec: int) -> tuple[MpReal, MpReal]:
-    """The complex-coefficient generating function (F, G or H) whose
-    real/imaginary parts generate the paired real ladders, as for
-    `genfn_pf`."""
-    if name not in _RECUR:
-        raise UnknownName(f"no complex generating function {name!r}")
-    return _genfn(name, t, prec, full=True)
+    wp = prec + 48
+    return tuple(MpReal.from_fixed(v, wp, prec)
+                 for v in _pole_sum(name, *_exact(t), wp))
 
 
 # ----------------------------------------------------------------------
@@ -434,9 +430,8 @@ def genfn_hyp(name: str, t: Fraction, prec: int) -> MpReal:
     if tq == 0:
         return MpReal.zero(prec)
     f = _hyp3f2_unit(al, be, ga, de, wp)
-    if kind == "one":
-        return MpReal.from_int(1, wp).add(-f, prec)
-    return f.mul(tq / (1 - tq), prec)
+    return MpReal.from_fixed((1 << wp) - f if kind == "one"
+                             else _mulq(f, tq / (1 - tq)), wp, prec)
 
 
 # ----------------------------------------------------------------------
@@ -447,8 +442,12 @@ def genfn_hyp(name: str, t: Fraction, prec: int) -> MpReal:
 # +sin, "alt" with cot/shifted cosines).  The table entries produce,
 # for rational t, the W arguments and the trig prefactor.
 
-def _two_t(t: Fraction, wp: int) -> MpReal:
-    return exp(log2_const(wp).mul(t, wp), wp)
+def _two_t(t: Fraction, wp: int) -> int:
+    """2^t at wp fixed-point bits, e^(t ln 2) within a few ulps."""
+    w = wp + 16 + abs(math.floor(t)).bit_length()
+    v, m = _exp_fixed(_mulq(_log2_fixed(w), t), w)
+    s = w - wp - m
+    return v >> s if s >= 0 else v << -s
 
 
 # name: (divisor of the W term, ("sum" form, "alt" form)); a form is
@@ -478,22 +477,20 @@ _TRIG: dict[str, tuple] = {
 }
 
 
-def _trig_values(name: str, tq: Fraction, wp: int) -> list[MpReal]:
+def _trig_values(name: str, tq: Fraction, wp: int) -> list[int]:
     """The "sum" and "alt" trigonometric+W values of generating function
-    `name` at t = tq."""
+    `name` at t = tq, at wp fixed-point bits; t^2/div scales W's error
+    down, so W is taken at wp - 16."""
     div, forms = _TRIG[name]
     two = _two_t(tq, wp)
     out = []
     for sign, (wargs, (c, num, den)) in zip((1, -1), forms):
-        top, bot = pi_const(wp).mul(c * tq, wp), two
-        for f, q in num:
-            top = top.mul(sincospi(q * tq, wp)[f], wp)
-        for f, q in den:
-            bot = bot.mul(sincospi(q * tq, wp)[f], wp)
-        w = eval_W(tuple(m * tq for m in wargs), wp)
-        wt = w.mul(tq * tq, wp).div(div, wp)
-        out.append(MpReal.from_int(1, wp).add(-top.div(bot, wp), wp).add(
-            wt if sign > 0 else -wt, wp))
+        top = _prod([_mulq(_pi_fixed(wp), c * tq)]
+                    + [sincospi(q * tq, wp)[f] for f, q in num], wp)
+        bot = _prod([two] + [sincospi(q * tq, wp)[f] for f, q in den], wp)
+        w = eval_W(tuple(m * tq for m in wargs), wp - 16).to_fixed(wp)
+        out.append((1 << wp) - (top << wp) // bot
+                   + sign * _mulq(w, tq * tq / div))
     return out
 
 
@@ -505,13 +502,10 @@ def check_trig_forms(name: str, t: Fraction, prec: int) -> CheckReport:
     tq = Q(t)
     if not 0 < tq < Q(1, 3):
         raise DomainError("trigonometric forms checked on 0 < t < 1/3")
-    wp = prec + 48
-    ref = genfn_pf(name, tq, wp)[0]
-    v1, v2 = _trig_values(name, tq, wp)
-    r1 = v1.add(-ref, wp)
-    r2 = v2.add(-ref, wp)
-    worst = r1 if _log2_mag(r1) >= _log2_mag(r2) else r2
-    return _report(f"trig-{name}@{tq}", prec, worst, 32)
+    wp = prec + 64
+    ref = _pole_sum(name, tq, Q(0), wp + 48)[0] >> 48
+    worst = max(abs(v - ref) for v in _trig_values(name, tq, wp))
+    return _report(f"trig-{name}@{tq}", prec, worst, wp, 32)
 
 
 # ----------------------------------------------------------------------
@@ -545,15 +539,15 @@ def check_recurrence(name: str, t: Fraction | tuple,
     for *_, a, b, _s in terms:
         if a + b * tr == 0 == b * ti:
             raise PoleError(f"recurrence pole at {a} + {b} t = 0")
-    wp = prec + 48
+    wp = prec + 96
     parts = []
     for re, im, a, b, s in terms:
-        g = (1, 0) if s is None else [
-            v.to_fraction() for v in genfn_cplx(name, (s, ti), wp)]
+        g = (1 << wp, 0) if s is None else _pole_sum(name, s, ti, wp,
+                                                     full=True)
         parts.append(_gdiv(_gmul(g, (re, im)), (a + b * tr, b * ti)))
-    dr, di = (math.floor(sum(p) * 2**wp) for p in zip(*parts))
-    resid = MpReal.from_fixed(math.isqrt(dr * dr + di * di), wp, wp)
-    return _report(f"recur-{name}", prec, resid, 32)
+    dr, di = (math.floor(sum(p)) for p in zip(*parts))
+    return _report(f"recur-{name}", prec, math.isqrt(dr * dr + di * di),
+                   wp, 32)
 
 
 # ----------------------------------------------------------------------
@@ -568,54 +562,40 @@ def check_recurrence(name: str, t: Fraction | tuple,
 # assembles the two Laurent expansions and keeps the finite parts. When
 # the 1/eps parts do *not* cancel the point is a genuine pole of U.
 
-def _u_trig_n(t: Fraction, wp: int) -> MpReal:
-    """N(t) = (pi t / 2) [sec(pi t/5) - 8 sin^2(pi t/5)] / 2^t."""
+def _u_trig_n(t: Fraction, wp: int) -> int:
+    """N(t)/pi, N(t) = (pi t / 2) [sec(pi t/5) - 8 sin^2(pi t/5)] / 2^t."""
     su, cu = sincospi(t / 5, wp)
-    q = MpReal.from_int(1, wp).div(cu, wp).add(
-        -su.mul(su, wp).mul(8, wp), wp)
-    return pi_const(wp).mul(t, wp).div(2, wp).mul(q, wp).div(
-        _two_t(t, wp), wp)
+    q = (1 << 2 * wp) // cu - 8 * (su * su >> wp)
+    return (_mulq(q, t / 2) << wp) // _two_t(t, wp)
 
 
-def _u_trig_n_prime(t: Fraction, wp: int) -> MpReal:
-    """d/dt of N(t) above, used for limits at even integers."""
-    pi_ = pi_const(wp)
+def _u_trig_n_prime(t: Fraction, wp: int) -> int:
+    """N'(t)/pi for N above, used for limits at even integers."""
     su, cu = sincospi(t / 5, wp)
-    sec = MpReal.from_int(1, wp).div(cu, wp)
-    q = sec.add(-su.mul(su, wp).mul(8, wp), wp)
+    sec = (1 << 2 * wp) // cu
+    q = sec - 8 * (su * su >> wp)
     # q' = (pi/5) [sec tan - 8 sin(2u)]
-    qp = sec.mul(su, wp).div(cu, wp).add(
-        -su.mul(cu, wp).mul(16, wp), wp).mul(pi_, wp).div(5, wp)
-    ln2 = log2_const(wp)
-    inner = q.add(qp.mul(t, wp), wp).add(-ln2.mul(t, wp).mul(q, wp), wp)
-    return pi_.mul(inner, wp).div(2, wp).div(_two_t(t, wp), wp)
+    qp = (sec * su // cu - 16 * (su * cu >> wp)) * _pi_fixed(wp) // (5 << wp)
+    inner = q + _mulq(qp, t) - (_mulq(_log2_fixed(wp), t) * q >> wp)
+    return (inner << wp) // (2 * _two_t(t, wp))
 
 
-def _u_trig_m(t: Fraction, wp: int) -> MpReal:
-    """M(t) = (pi t / 2) / (2^t sin(pi t/2))."""
+def _u_trig_m(t: Fraction, wp: int) -> int:
+    """M(t)/pi, M(t) = (pi t / 2) / (2^t sin(pi t/2))."""
     sv, _ = sincospi(t / 2, wp)
-    return pi_const(wp).mul(t, wp).div(2, wp).div(
-        _two_t(t, wp).mul(sv, wp), wp)
+    return _fix(t / 2, 3 * wp) // (_two_t(t, wp) * sv)
 
 
-def _u_trig_m_prime(t: Fraction, wp: int) -> MpReal:
-    """d/dt of M(t), used for limits at t in 5/2 + 5Z."""
-    pi_ = pi_const(wp)
+def _u_trig_m_prime(t: Fraction, wp: int) -> int:
+    """M'(t)/pi for M above, used for limits at t in 5/2 + 5Z."""
     sv, cv = sincospi(t / 2, wp)
-    ln2 = log2_const(wp)
-    inner = MpReal.from_int(1, wp).add(-ln2.mul(t, wp), wp).add(
-        -pi_.mul(t, wp).div(2, wp).mul(cv, wp).div(sv, wp), wp)
-    return pi_.mul(inner, wp).div(2, wp).div(
-        _two_t(t, wp).mul(sv, wp), wp)
+    inner = (1 << wp) - _mulq(_log2_fixed(wp), t) \
+        - _mulq(_pi_fixed(wp), t / 2) * cv // sv
+    return (inner << 2 * wp - 1) // (_two_t(t, wp) * sv)
 
 
-def U(t: Fraction, prec: int) -> MpReal:
-    """The interpolation U(t), finite for t > -2; PoleError at genuine
-    poles (even integers t <= -2), removable points handled exactly."""
-    wp = prec + 96
-    tq = Q(t)
-    pi_ = pi_const(wp)
-
+def _u_fixed(tq: Fraction, wp: int) -> int:
+    """U(t) at wp fixed-point bits, as for `U`."""
     hits: list[tuple] = []  # (c, mu, fam, k)
     for fi, (c, mu, arg, part) in enumerate(_BASE["E"]):
         kq = mu * tq
@@ -629,38 +609,39 @@ def U(t: Fraction, prec: int) -> MpReal:
 
     # bracket = 1 - T - E, where at a singular point T and the hit terms
     # of E are replaced by the constant parts of their Laurent expansions
-    res = MpReal.zero(wp)
-    mags = [0.0]
+    # (the Laurent parts carry 1/pi, which the helpers' pi cancels)
+    pi_ = _pi_fixed(wp)
+    parts = []
     if even_hit:
-        sgn = 1 if (int(tq) // 2) % 2 == 0 else -1
-        part = _u_trig_n(tq, wp).mul(2 * sgn, wp).div(pi_, wp)
-        res = res.add(part, wp)
-        mags.append(_log2_mag(part))
-        cst = _u_trig_n_prime(tq, wp).mul(2 * sgn, wp).div(pi_, wp)
+        sgn = 2 if (int(tq) // 2) % 2 == 0 else -2
+        parts.append(_u_trig_n(tq, wp) * sgn)
+        cst = _u_trig_n_prime(tq, wp) * sgn
     elif sec_hit:
-        sgn = 1 if ((int(sec_q) - 1) // 2) % 2 == 0 else -1
+        sgn = -5 if ((int(sec_q) - 1) // 2) % 2 == 0 else 5
         m_val = _u_trig_m(tq, wp)
-        part = m_val.mul(-5 * sgn, wp).div(pi_, wp)
-        res = res.add(part, wp)
-        mags.append(_log2_mag(part))
-        cst = _u_trig_m_prime(tq, wp).mul(-5 * sgn, wp).div(pi_, wp)
-        cst = cst.add(m_val.mul(-8, wp), wp)  # -8 M sin^2 with sin^2 = 1
+        parts.append(m_val * sgn)
+        cst = _u_trig_m_prime(tq, wp) * sgn \
+            - (8 * pi_ * m_val >> wp)  # -8 M sin^2 with sin^2 = 1
     else:
-        cst = _u_trig_n(tq, wp).div(sincospi(tq / 2, wp)[0], wp)
+        cst = pi_ * _u_trig_n(tq, wp) // sincospi(tq / 2, wp)[0]
     for c, mu, _fi, _k in hits:
-        part = MpReal.from_fraction(-tq * c / mu, wp)
-        res = res.add(part, wp)
-        mags.append(_log2_mag(part))
-        cst = cst.add(MpReal.from_fraction(-c / mu, wp), wp)
+        parts.append(_fix(-tq * c / mu, wp))
+        cst += _fix(-c / mu, wp)
     # residues of T and of the singular E terms must cancel exactly;
     # a remainder beyond rounding noise marks a genuine pole
-    if _log2_mag(res) > max(mags) - wp // 2 + 16:
+    top = max((abs(p).bit_length() for p in parts), default=0)
+    if abs(sum(parts)).bit_length() > max(top, wp) - wp // 2 + 16:
         raise PoleError(f"U has a pole at t = {tq}")
     skip = frozenset((fi, k) for _c, _mu, fi, k in hits)
-    e_reg = MpReal.from_fixed(
-        _pole_sum("E", tq, Q(0), wp, skip=skip)[0], wp, wp)
-    val = MpReal.from_int(1, wp).add(-cst, wp).add(-e_reg, wp)
-    return val.mul(Q(5, 2), prec)
+    e_reg = _pole_sum("E", tq, Q(0), wp, skip=skip)[0]
+    return ((1 << wp) - cst - e_reg) * 5 // 2
+
+
+def U(t: Fraction, prec: int) -> MpReal:
+    """The interpolation U(t), finite for t > -2; PoleError at genuine
+    poles (even integers t <= -2), removable points handled exactly."""
+    wp = prec + 96
+    return MpReal.from_fixed(_u_fixed(Q(t), wp), wp, prec)
 
 
 def Utilde(t: Fraction, prec: int) -> MpReal:
@@ -670,10 +651,10 @@ def Utilde(t: Fraction, prec: int) -> MpReal:
     tq = Q(t)
     if tq.denominator == 1 and int(tq) % 2 == 0 and tq != 0:
         raise PoleError("the subtracted term has a pole at even t")
-    u = U(tq, wp)
     # 5 pi t / (2^t sin) = 10 M(t)
-    sub = _u_trig_m(tq, wp).mul(10, wp)
-    return u.add(-sub, prec)
+    u = _u_fixed(tq, wp + 96) >> 96
+    return MpReal.from_fixed(
+        u - (10 * _pi_fixed(wp) * _u_trig_m(tq, wp) >> wp), wp, prec)
 
 
 # ----------------------------------------------------------------------
@@ -859,8 +840,8 @@ def asymp_coeff(m: int) -> int:
 # published tags: poca..pocd are single ratios, poc4/poc6 the four- and
 # six-factor variants sharing the cos(pi t/10) closed form.
 
-def _poch(a: Fraction, n: Fraction, wp: int) -> MpReal:
-    return _sp.gamma(a + n, wp).div(_sp.gamma(a, wp), wp)
+def _poch(a: Fraction, n: Fraction, wp: int) -> int:
+    return (_sp.gamma(a + n, wp) << wp) // _sp.gamma(a, wp)
 
 
 # id -> (n/t, numerator bases, denominator bases, c, angle, k).  With
@@ -885,20 +866,14 @@ def pochhammer_check(which: str, t: Fraction, prec: int) -> CheckReport:
     if which not in _POCH:
         raise UnknownName(f"no ratio identity {which!r}")
     n_t, nums, dens, c, ang, k = _POCH[which]
-    wp = prec + 64
+    wp = prec + 72
     n = n_t * tq - _HALF
     poch = {b: _poch(_HALF + b * tq, n, wp) for b in {*nums, *dens}}
-
-    def prod(vals: Iterable[MpReal]) -> MpReal:
-        # left to right: the rounding order the pinned reports rest on
-        return functools.reduce(lambda x, y: x.mul(y, wp), vals)
-
-    lhs = prod(poch[b] for b in nums).div(prod(poch[b] for b in dens), wp)
-    rhs = _two_t(c - tq, wp)
-    if k:
-        cs = sincospi(ang * tq, wp)[1]
-        rhs = rhs.mul(prod((cs,) * k), wp)
-    return _report(f"{which}@{tq}", prec, lhs.add(-rhs, wp), 48)
+    lhs = (_prod((poch[b] for b in nums), wp) << wp) \
+        // _prod((poch[b] for b in dens), wp)
+    rhs = _prod([_two_t(c - tq, wp)]
+                + [sincospi(ang * tq, wp)[1]] * k, wp)
+    return _report(f"{which}@{tq}", prec, lhs - rhs, wp, 48)
 
 
 # ----------------------------------------------------------------------
@@ -912,32 +887,20 @@ def expu_check(prec: int = 512) -> CheckReport:
     no known closed form and is excluded."""
     if prec < 512:
         raise DomainError("the Taylor probe needs prec >= 512")
-    coeffs = _sp.taylor_coeffs(U, 5, prec)
+    w, coeffs = _sp.taylor_coeffs(lambda x, w: _u_fixed(x, w + 96) >> 96,
+                                  5, prec)
     wp = prec + 32
-    pi_ = pi_const(wp)
-    ln2 = log2_const(wp)
-    pi2 = pi_.mul(pi_, wp)
-    pi4 = pi2.mul(pi2, wp)
-    abar = {n: eval_ladder("Abar", n, wp) for n in (3, 4, 5)}
-    e2 = pi2.div(2, wp)
-    e3 = -pi2.mul(ln2, wp).div(2, wp) - abar[3].mul(Q(6, 5), wp)
-    e4 = pi2.mul(ln2.mul(ln2, wp), wp).div(4, wp).add(
-        pi4.mul(Q(53, 2400), wp), wp) - abar[4].mul(Q(6, 5), wp)
-    e5 = -pi2.mul(pow_int(ln2, 3, wp), wp).div(12, wp) \
-        - pi4.mul(ln2, wp).mul(Q(53, 2400), wp) \
-        - abar[5].mul(Q(6, 5), wp) \
-        + _sp.zeta(5, wp).mul(Q(213 * 31, 250 * 32), wp)
-    expect = [MpReal.zero(wp), MpReal.zero(wp), e2, e3, e4, e5]
-    worst = MpReal.zero(wp)
-    for c, e in zip(coeffs, expect):
-        r = c.add(-e, wp)
-        if _log2_mag(r) > _log2_mag(worst):
-            worst = r
-    mag = _log2_mag(worst)
-    return CheckReport(
-        name="taylor-U-through-t5", bits=prec,
-        log2_residual=mag, passed=mag <= -(prec // 4),
-    )
+    pi2, pi4, ln2 = _pi_pow(2, wp), _pi_pow(4, wp), _log2_fixed(wp)
+    l2 = ln2 * ln2 >> wp
+    ab = {n: eval_ladder("Abar", n, wp).to_fixed(wp) * 6 // 5
+          for n in (3, 4, 5)}
+    expect = [0, 0, pi2 // 2, -(pi2 * ln2 >> wp + 1) - ab[3],
+              (pi2 * l2 >> wp + 2) + pi4 * 53 // 2400 - ab[4],
+              -(pi2 * (l2 * ln2 >> wp) >> wp) // 12
+              - (pi4 * ln2 >> wp) * 53 // 2400 - ab[5]
+              + _sp.zeta(5, wp).to_fixed(wp) * (213 * 31) // (250 * 32)]
+    worst = max(abs((c >> w - wp) - e) for c, e in zip(coeffs, expect))
+    return _report("taylor-U-through-t5", prec, worst, wp, prec - prec // 4)
 
 
 # ----------------------------------------------------------------------
@@ -957,12 +920,10 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
         _exact_report("geo-quarter", prec,
                       -3 * geo("(1+i)/4") + 2 * geo("-1/4") == -1),
     ]
-    wp = prec + 32
+    wp = prec + 40
     su, cu = sincospi(Q(2, 5), wp)
-    bracket = MpReal.from_int(1, wp).div(cu, wp).add(
-        -su.mul(su, wp).mul(8, wp), wp)
-    out.append(_report(
-        "sec-bracket@2", prec, bracket.add(4, wp), 16))
+    bracket = (1 << 2 * wp) // cu - 8 * (su * su >> wp)
+    out.append(_report("sec-bracket@2", prec, bracket + (4 << wp), wp, 16))
     return out
 
 
@@ -1026,10 +987,8 @@ def catalan_binomial(prec: int) -> MpReal:
 
 def _battery_w(prec: int) -> list[CheckReport]:
     wp = prec + 32
-    base = eval_W((Q(0),) * 4, wp)
-    pi_ = pi_const(wp)
-    ref = pi_.mul(pi_, wp).div(2, wp)
-    out = [_report("W(0,0;0,0)", prec, base.add(-ref, wp), 8)]
+    base = eval_W((Q(0),) * 4, wp).to_fixed(wp)
+    out = [_report("W(0,0;0,0)", prec, base - (_pi_pow(2, wp) >> 1), wp, 8)]
     # self-reflection points exercise the kernel against pure gammas
     out.append(reflection_check((Q(1, 10), Q(1, 8), Q(1, 10), Q(1, 8)), prec))
     out.append(reflection_check((Q(-1, 6), Q(1, 4), Q(-1, 6), Q(1, 4)), prec))
@@ -1051,24 +1010,26 @@ def _battery_inv(prec: int) -> list[CheckReport]:
 
 def _battery_genfn(prec: int) -> list[CheckReport]:
     wp = prec + 32
-    out = []
-    c = _sp.taylor_coeffs(lambda x, w: genfn_pf("A", x, w)[0], 1, prec)
-    out.append(_report(
-        "A-linear-term", prec, c[1].add(-log2_const(wp), wp),
-        prec - prec // 2 + 16))
-    cf = _sp.taylor_coeffs(lambda x, w: genfn_pf("F", x, w)[0], 2, prec)
-    cg = _sp.taylor_coeffs(lambda x, w: genfn_pf("G", x, w)[0], 2, prec)
-    probe = cf[2].add(-cg[2], wp).mul(Q(3, 4), wp)  # (3/2)(F2 - G2)
-    out.append(_report(
-        "catalan-from-F-G", prec,
-        probe.add(-eval_formula("catalan", wp), wp),
-        prec - prec // 2 + 16))
+    slack = prec - prec // 2 + 16
+
+    def coeffs(name: str, order: int) -> list[int]:
+        w, c = _sp.taylor_coeffs(
+            lambda x, w: _pole_sum(name, x, Q(0), w + 48)[0] >> 48,
+            order, prec)
+        return [v >> w - wp for v in c]
+
+    out = [_report("A-linear-term", prec,
+                   coeffs("A", 1)[1] - _log2_fixed(wp), wp, slack)]
+    probe = (coeffs("F", 2)[2] - coeffs("G", 2)[2]) * 3 >> 2  # (3/2)(F2 - G2)
+    out.append(_report("catalan-from-F-G", prec,
+                       probe - eval_formula("catalan", wp).to_fixed(wp),
+                       wp, slack))
     for name in "BDFG":
         t = Q(1, 10)
-        pf = genfn_pf(name, t, wp)[0]
-        hyp = genfn_hyp(name, t, wp)
         out.append(_report(
-            f"pf-vs-hyp-{name}@{t}", prec, pf.add(-hyp, wp), 32))
+            f"pf-vs-hyp-{name}@{t}", prec,
+            genfn_pf(name, t, wp)[0].to_fixed(wp)
+            - genfn_hyp(name, t, wp).to_fixed(wp), wp, 32))
     out.append(check_trig_forms("A", Q(1, 10), prec))
     out.append(check_trig_forms("B", Q(1, 4), prec))
     out.append(check_trig_forms("C", Q(1, 10), prec))
@@ -1084,11 +1045,9 @@ def _battery_recur(prec: int) -> list[CheckReport]:
 
 def _battery_u(prec: int) -> list[CheckReport]:
     wp = prec + 32
-    out = []
-    u5 = U(Q(5), wp)
-    out.append(_report(
-        "U(5)-series-vs-rational", prec,
-        u5.add(-MpReal.from_fraction(u_rational(5), wp), wp), 32))
+    out = [_report("U(5)-series-vs-rational", prec,
+                   U(Q(5), wp).to_fixed(wp) - _fix(u_rational(5), wp),
+                   wp, 32)]
     ok = (u_rational(5) == Q(20, 3) and u_rational(10) == Q(20, 3)
           and u_rational(-5) == Q(1900, 3))
     out.append(_exact_report("U-lattice-values", prec, ok))
@@ -1098,26 +1057,18 @@ def _battery_u(prec: int) -> list[CheckReport]:
         pole == (Q(-25600), Q(20310))))
     out.append(_exact_report(
         "Utilde(5/2)", prec, utilde_rational(Q(5, 2)) == 15))
-    ut = Utilde(Q(5, 2), wp)
-    out.append(_report(
-        "Utilde(5/2)-series", prec,
-        ut.add(-15, wp), 32))
-    u50 = U(Q(50), 64)
-    dev = u50.div(6, 64).add(-1, 64)
-    mag = _log2_mag(dev)
-    out.append(CheckReport(
-        name="U(50)-near-limit", bits=prec,
-        log2_residual=mag, passed=mag <= math.log2(0.10),
-    ))
+    out.append(_report("Utilde(5/2)-series", prec,
+                       Utilde(Q(5, 2), wp).to_fixed(wp) - (15 << wp), wp, 32))
+    mag = float((U(Q(50), 64).to_fixed(64) // 6 - (1 << 64)).bit_length()
+                - 64)
+    out.append(CheckReport("U(50)-near-limit", prec, mag,
+                           mag <= math.log2(0.10)))
     eps = Q(1, 1000)
-    u_near = U(Q(-10) + eps, wp)
     res, _cst = u_rational(-10)
-    ratio = u_near.mul(eps, 64).div(res, 64).add(-1, 64)
-    rmag = _log2_mag(ratio)
-    out.append(CheckReport(
-        name="U-pole-residue-probe", bits=prec,
-        log2_residual=rmag, passed=rmag <= math.log2(0.01),
-    ))
+    ratio = _mulq(U(Q(-10) + eps, wp).to_fixed(64), eps / res) - (1 << 64)
+    rmag = float(abs(ratio).bit_length() - 64)
+    out.append(CheckReport("U-pole-residue-probe", prec, rmag,
+                           rmag <= math.log2(0.01)))
     return out
 
 
@@ -1148,8 +1099,9 @@ def _battery_geo(prec: int) -> list[CheckReport]:
     out = geo_checks(prec)
     p = min(prec, 128)
     wp = p + 16
-    diff = catalan_binomial(p).add(-eval_formula("catalan", wp), wp)
-    out.append(_report("catalan-binomial", p, diff, 8))
+    diff = catalan_binomial(p).to_fixed(wp) \
+        - eval_formula("catalan", wp).to_fixed(wp)
+    out.append(_report("catalan-binomial", p, diff, wp, 8))
     return out
 
 
@@ -1203,9 +1155,9 @@ def check_li5_identity(x: Fraction | tuple, y: Fraction | tuple,
                 v = _cmul(v, f, wp)
         lr -= math.floor(Q(c) * v[0])
         li -= math.floor(Q(c) * v[1])
-    resid = MpReal.from_fixed(math.isqrt(lr * lr + li * li), wp, wp)
     name = ",".join(f"{float(re):g}{float(im):+g}i" for re, im in (x, y))
-    return _report(f"li5({name})", prec, resid, 64)
+    return _report(f"li5({name})", prec, math.isqrt(lr * lr + li * li),
+                   wp, 64)
 
 
 # the Li_5 equation at points that take every route of `li5` (disc,

@@ -37,8 +37,11 @@ __all__ = ["CheckReport", "RELATIONS", "check_all", "check_relation",
 class CheckReport:
     """The outcome of one check at ``bits`` bits.
 
-    ``log2_residual`` is the smallest e with |residual| < 2^e (minus
-    infinity for an exact zero).  For an identity of the table,
+    ``log2_residual`` is the smallest e with |residual| < 2^e.  Only an
+    exact check, a comparison of exact rationals or integers, reports
+    minus infinity (JSON null) when it holds; a computed residual held
+    at wp fixed-point bits that floors to zero reports -wp, the finest
+    the check resolved.  For an identity of the table,
     ``log2_bound`` is the same for the counted bound on the error of
     the computed residual, and a pass certifies that the true residual
     is at most 2^-(bits-64): the computed residual plus its bound stays
@@ -81,17 +84,13 @@ def eval_ladder(name: str, n: int, prec: int) -> MpReal:
 # ----------------------------------------------------------------------
 # relation catalog
 
-def _log2_mag(x: MpReal) -> float:
-    if x.is_zero:
-        return float("-inf")
-    return float(x.man.bit_length() + x.exp)
-
-
-def _report(name: str, prec: int, resid: MpReal, slack: int) -> CheckReport:
-    """A check without a stated bound: it passes when the computed
-    residual is at most 2^-(prec-slack)."""
-    mag = _log2_mag(resid)
-    return CheckReport(name, prec, mag, mag <= -(prec - slack))
+def _report(name: str, prec: int, resid: int, wp: int,
+            slack: int) -> CheckReport:
+    """A check without a stated bound on its computed residual resid /
+    2^wp: it passes when that is at most 2^-(prec-slack).  A residual
+    that floors to zero reports -wp."""
+    mag = float(abs(resid).bit_length() - wp)
+    return CheckReport(name, prec, mag, mag <= slack - prec)
 
 
 RELATIONS: dict[str, Identity] = IDENTITIES

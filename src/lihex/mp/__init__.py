@@ -1,12 +1,14 @@
 """Arbitrary-precision arithmetic and special functions.
 
-:mod:`lihex.mp.real` holds the one rounded number type, the constants
-pi and log 2 and the elementary functions, whose one trigonometric
-entry, ``sincospi``, takes sin and cos at pi times an exact rational;
-:mod:`lihex.mp.special` holds the zeta/gamma/polylog family.  A complex
-argument there is an exact (re, im) pair of rationals and a complex
-value an (re, im) pair of fixed-point ints; complex support stops at
-Gaussian-rational arithmetic, Li_n and the principal logarithm.
+:mod:`lihex.mp.real` holds the one rounded number type, ``MpReal``, the
+value type of the public API, and the fixed-point kernels under the
+checkers: the constants pi and log 2, exp, ln, atan and ``sincospi``,
+which takes sin and cos at pi times an exact rational.  A real value in
+the checkers is a fixed-point int at a stated number of bits, not an
+``MpReal``.  :mod:`lihex.mp.special` holds the zeta/gamma/polylog
+family.  A complex argument there is an exact (re, im) pair of rationals
+and a complex value an (re, im) pair of fixed-point ints; complex support
+stops at Gaussian-rational arithmetic, Li_n and the principal logarithm.
 zeta(n) and Dirichlet beta(n) are alternating sums under Borwein's
 acceleration in :mod:`lihex.mp.real`, in integer fixed point with a
 counted bound; the Hurwitz zeta at integer s and the series tails of

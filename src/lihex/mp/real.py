@@ -1,22 +1,24 @@
-"""Arbitrary-precision binary floating point on top of Python integers.
+"""Arbitrary-precision binary floating point on top of Python integers,
+and the fixed-point kernels of the package.
 
 An :class:`MpReal` stores ``sign * man * 2**exp`` with an explicit working
 precision.  Nonzero mantissas are kept normalized so that their bit length
-sits in the window ``[prec, prec + 8)``; every arithmetic operation rounds
-to nearest with ties to even, which keeps the relative error of a single
-operation below ``2**(4 - prec)``.
+sits in the window ``[prec, prec + 8)``; ``mul`` rounds to nearest with
+ties to even.  It is the value type of the public API -- ``eval_formula``,
+the relation search and the command line -- and carries no other
+arithmetic: the checkers compute on fixed-point ints.
 
-The transcendental kernel at the bottom of this file (exp, ln, atan and
-``sincospi``) works on fixed-point integers internally and uses the two
-series-built constants ``pi_const`` and ``log2_const`` for argument
-reduction.  ``sincospi`` takes sin and cos at pi times a rational, which
-it reduces exactly, so only the remainder within a quarter turn is
-rounded.  The kernel has no precision ceiling of its own: every
-precision in ``MpReal``'s 2..2^23-bit range is accepted, and the entry
-point that receives a request bounds what it asks for.  Beside those
-constants, ``_alt_fixed`` sums eta(n) and Dirichlet beta(n) as
-alternating series under Borwein's acceleration with a counted error
-bound, and ``_zeta_fixed`` reads zeta(n) from eta.
+The kernels at the bottom of this file take and return fixed-point
+integers, a value v at wp bits standing for v / 2**wp: ``_exp_fixed``,
+which keeps the power of two of its result apart, ``_ln_fixed`` of an
+exact positive rational, ``_atan_fixed`` and ``sincospi``, which takes
+sin and cos at pi times a rational, reduced exactly, so only the
+remainder within a quarter turn is rounded.  They use the two
+series-built constants ``_pi_fixed`` and ``_log2_fixed`` and have no
+precision ceiling of their own: the entry point that receives a request
+bounds what it asks for.  Beside them, ``_alt_fixed`` sums eta(n) and
+Dirichlet beta(n) as alternating series under Borwein's acceleration
+with a counted error bound, and ``_zeta_fixed`` reads zeta(n) from eta.
 """
 
 from __future__ import annotations
@@ -25,26 +27,15 @@ import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
 from ..errors import DomainError, PrecisionError
 
-__all__ = [
-    "MpReal",
-    "pi_const",
-    "log2_const",
-    "exp",
-    "ln",
-    "sincospi",
-    "pow_int",
-]
+__all__ = ["MpReal", "sincospi", "pow_int"]
 
 _MAX_CORE_PREC = 1 << 23
 
 # Extra mantissa bits carried beyond the nominal precision.
 _SLACK = 4
-
-Scalar = Union["MpReal", int, Fraction]
 
 
 def _round_shift(man: int, s: int) -> int:
@@ -93,7 +84,7 @@ class MpReal:
         if not 2 <= prec <= _MAX_CORE_PREC:
             raise PrecisionError(f"precision {prec} out of supported range")
         if sign == 0 or man == 0:
-            return MpReal(0, 0, 0, prec)
+            return MpReal.zero(prec)
         if man < 0:
             sign = -sign
             man = -man
@@ -125,15 +116,6 @@ class MpReal:
         """Interpret ``n`` as the fixed-point value ``n / 2**wp``."""
         return cls.make(1 if n >= 0 else -1, abs(n), -wp, prec)
 
-    def _coerce(self, other: Scalar) -> "MpReal":
-        if isinstance(other, MpReal):
-            return other
-        if isinstance(other, int):
-            return MpReal.from_int(other, self.prec)
-        if isinstance(other, Fraction):
-            return MpReal.from_fraction(other, self.prec)
-        raise TypeError(f"MpReal does not combine with {type(other).__name__}")
-
     # ------------------------------------------------------------------
     # predicates / conversions
 
@@ -146,10 +128,6 @@ class MpReal:
         if self.sign == 0:
             raise ValueError("bit_top of zero")
         return self.exp + self.man.bit_length()
-
-    def abs_lt_2pow(self, k: int) -> bool:
-        """Exact test |x| < 2**k: 2**(bit_top-1) <= |x| < 2**bit_top."""
-        return self.sign == 0 or self.bit_top() <= k
 
     def to_fraction(self) -> Fraction:
         if self.sign == 0:
@@ -186,91 +164,13 @@ class MpReal:
             return MpReal.zero(prec)
         return MpReal.make(self.sign, self.man, self.exp, prec)
 
-    def scalb(self, k: int) -> "MpReal":
-        """Exact multiplication by 2**k."""
-        if self.sign == 0:
-            return self
-        return MpReal(self.sign, self.man, self.exp + k, self.prec)
-
-    def __neg__(self) -> "MpReal":
-        return MpReal(-self.sign, self.man, self.exp, self.prec)
-
-    def add(self, other: Scalar, prec: int | None = None) -> "MpReal":
-        b = self._coerce(other)
-        prec = prec or max(self.prec, b.prec)
-        a = self
-        if a.sign == 0:
-            return b.round_to(prec)
-        if b.sign == 0:
-            return a.round_to(prec)
-        if a.exp < b.exp:
-            a, b = b, a
-        ic = (a.sign * a.man << (a.exp - b.exp)) + b.sign * b.man
-        return MpReal.make(1, ic, b.exp, prec)
-
-    def mul(self, other: Scalar, prec: int | None = None) -> "MpReal":
-        b = self._coerce(other)
-        prec = prec or max(self.prec, b.prec)
-        if self.sign == 0 or b.sign == 0:
+    def mul(self, other: "MpReal", prec: int) -> "MpReal":
+        if not isinstance(other, MpReal):
+            raise TypeError(f"MpReal does not combine with {type(other).__name__}")
+        if self.sign == 0 or other.sign == 0:
             return MpReal.zero(prec)
-        return MpReal.make(self.sign * b.sign, self.man * b.man, self.exp + b.exp, prec)
-
-    def div(self, other: Scalar, prec: int | None = None) -> "MpReal":
-        b = self._coerce(other)
-        prec = prec or max(self.prec, b.prec)
-        if b.sign == 0:
-            raise ZeroDivisionError("division by zero MpReal")
-        if self.sign == 0:
-            return MpReal.zero(prec)
-        shift = b.man.bit_length() + prec + 8
-        quo, rem = divmod(self.man << shift, b.man)
-        if rem:
-            quo |= 1
-        return MpReal.make(self.sign * b.sign, quo, self.exp - b.exp - shift, prec)
-
-    def __add__(self, other: Scalar) -> "MpReal":
-        return self.add(other)
-
-    def __sub__(self, other: Scalar) -> "MpReal":
-        b = self._coerce(other)
-        return self.add(-b)
-
-    def sqrt(self, prec: int | None = None) -> "MpReal":
-        prec = prec or self.prec
-        if self.sign < 0:
-            raise DomainError("sqrt of negative value")
-        # shift mantissa so the exponent is even and the shifted mantissa
-        # has at least 2*(prec+8) bits
-        shift = 2 * (prec + 8) - self.man.bit_length()
-        if (shift + self.exp) & 1:
-            shift += 1
-        m = self.man << shift
-        r = math.isqrt(m)
-        if r * r != m:
-            r |= 1
-        return MpReal.make(1, r, (self.exp - shift) >> 1, prec)
-
-    # ------------------------------------------------------------------
-    # comparison (by exact value, precision-independent)
-
-    def _cmp(self, other: Scalar) -> int:
-        b = self._coerce(other)
-        if self.sign != b.sign:
-            return -1 if self.sign < b.sign else 1
-        if self.sign == 0:
-            return 0
-        ta, tb = self.bit_top(), b.bit_top()
-        if ta != tb:
-            mag = -1 if ta < tb else 1
-            return mag * self.sign
-        d = self.exp - b.exp
-        if d >= 0:
-            ia, ib = self.man << d, b.man
-        else:
-            ia, ib = self.man, b.man << -d
-        if ia == ib:
-            return 0
-        return self.sign * (-1 if ia < ib else 1)
+        return MpReal.make(self.sign * other.sign, self.man * other.man,
+                           self.exp + other.exp, prec)
 
     def __repr__(self) -> str:
         if self.sign == 0:
@@ -352,43 +252,28 @@ def _zeta_fixed(n: int, w: int) -> tuple[int, int]:
     return (v << (n - 1)) // q, -(-(e << (n - 1)) // q) + 1
 
 
-def pi_const(prec: int) -> MpReal:
-    """pi at ``prec`` bits."""
-    wp = prec + 16
-    return MpReal.from_fixed(_pi_fixed(wp), wp, prec)
-
-
-def log2_const(prec: int) -> MpReal:
-    """log(2) at ``prec`` bits."""
-    wp = prec + 16
-    return MpReal.from_fixed(_log2_fixed(wp), wp, prec)
-
-
 # ----------------------------------------------------------------------
 # exponential / logarithm
 
 
-def exp(x: MpReal, prec: int) -> MpReal:
-    """e**x at ``prec`` bits."""
-    if x.sign == 0:
-        return MpReal.from_int(1, prec)
-    mag = x.bit_top()
+def _exp_fixed(x: int, wp: int) -> tuple[int, int]:
+    """e**(x / 2**wp) as (v, m), the value v 2**(m - wp) with v within a
+    factor sqrt 2 of 2**wp and within a few ulps of it.  The power of two
+    stays apart, so a tiny or huge result keeps wp significant bits."""
+    mag = (abs(x) >> wp).bit_length()
     if mag > 24:
         raise DomainError("exp argument too large for the supported range")
-    wp = prec + 16 + max(0, mag)
-    # reduce x = m*log2 + r with |r| <= log2/2
-    l2 = _log2_fixed(wp)
-    xf = x.to_fixed(wp)
-    m = (2 * xf + l2) // (2 * l2)  # round(x / log2)
+    w = wp + 16 + mag
+    # reduce x = m log 2 + r with |r| <= log(2)/2
+    l2 = _log2_fixed(w)
+    xf = x << (w - wp)
+    m = (2 * xf + l2) // (2 * l2)  # round(x / log 2)
     rf = xf - m * l2
     # second reduction r -> r / 2**s, then exp by Taylor and square back
-    s = max(4, math.isqrt(wp) // 2)
-    swp = wp + 2 * s + 8
-    rf <<= swp - wp
-    rf >>= s
-    one = 1 << swp
-    term = one
-    acc = one
+    s = max(4, math.isqrt(w) // 2)
+    swp = w + 2 * s + 8
+    rf = rf << (swp - w) >> s
+    term = acc = 1 << swp
     k = 1
     while term:
         term = _div0(_shr0(term * rf, swp), k)
@@ -396,36 +281,33 @@ def exp(x: MpReal, prec: int) -> MpReal:
         k += 1
     for _ in range(s):
         acc = acc * acc >> swp
-    return MpReal.make(1, acc, int(m) - swp, prec)
+    return acc >> (swp - wp), m
 
 
-def ln(x: MpReal, prec: int) -> MpReal:
-    """Natural logarithm at ``prec`` bits (x > 0)."""
-    if x.sign <= 0:
+def _ln_fixed(q: Fraction, wp: int) -> int:
+    """ln q at wp fixed-point bits for an exact rational q > 0, within a
+    few ulps: q = t 2**e with t in [3/4, 3/2) exactly, and ln t from the
+    series in u = (t - 1)/(t + 1), |u| <= 1/5, floored once."""
+    if q <= 0:
         raise DomainError("ln requires a positive argument")
-    wp = prec + 16
-    # write x = t * 2**e with t in [3/4, 3/2)
-    e = x.bit_top()
-    t = x.scalb(-e)  # in [1/2, 1)
-    if t._cmp(Fraction(3, 4)) < 0:
-        t = t.scalb(1)
-        e -= 1
-    wp += max(0, abs(e).bit_length())
-    tf = t.to_fixed(wp)
-    one = 1 << wp
-    uf = ((tf - one) << wp) // (tf + one)  # (t-1)/(t+1), |u| <= 1/5
-    u2 = uf * uf >> wp
+    n, d = q.numerator, q.denominator
+    e = n.bit_length() - d.bit_length()
+    n, d = n << max(0, -e), d << max(0, e)  # t = n / d in (1/2, 2)
+    if 4 * n < 3 * d:
+        n, e = 2 * n, e - 1
+    elif 2 * n >= 3 * d:
+        d, e = 2 * d, e + 1
+    w = wp + 16 + abs(e).bit_length()
+    uf = ((n - d) << w) // (n + d)
+    u2 = uf * uf >> w
     term = uf
     acc = 0
     k = 1
     while term:
         acc += _div0(term, k)
-        term = _shr0(term * u2, wp)
+        term = _shr0(term * u2, w)
         k += 2
-    acc *= 2
-    if e:
-        acc += e * _log2_fixed(wp)
-    return MpReal.from_fixed(acc, wp, prec)
+    return (2 * acc + e * _log2_fixed(w)) >> (w - wp)
 
 
 def pow_int(x: MpReal, n: int, prec: int) -> MpReal:
@@ -471,8 +353,9 @@ def _sincos_taylor(rf: int, wp: int) -> tuple[int, int]:
     return s, c
 
 
-def sincospi(q: Fraction, prec: int) -> tuple[MpReal, MpReal]:
-    """(sin pi q, cos pi q) at ``prec`` bits for rational q.
+def sincospi(q: Fraction, wp: int) -> tuple[int, int]:
+    """(sin pi q, cos pi q) at wp fixed-point bits for rational q, each
+    within an ulp.
 
     q is split exactly as m/2 + r with |r| <= 1/4, so pi r is the one
     rounded argument of the Taylor series and m mod 4 rotates the pair:
@@ -480,38 +363,37 @@ def sincospi(q: Fraction, prec: int) -> tuple[MpReal, MpReal]:
     the bits of q, and |q| has no ceiling."""
     m = round(2 * q)
     r = q - Fraction(m, 2)
-    wp = prec + 24
-    s, c = _sincos_taylor(_pi_fixed(wp) * r.numerator // r.denominator, wp)
+    w = wp + 24
+    s, c = _sincos_taylor(_pi_fixed(w) * r.numerator // r.denominator, w)
     for _ in range(m & 3):  # a quarter turn each
         s, c = c, -s
-    return MpReal.from_fixed(s, wp, prec), MpReal.from_fixed(c, wp, prec)
+    return s >> 24, c >> 24
 
 
-def _atan_impl(x: MpReal, prec: int) -> MpReal:
-    wp = prec + 24
-    if x.sign < 0:
-        return -_atan_impl(-x, prec)
-    if x._cmp(1) > 0:
-        # atan(x) = pi/2 - atan(1/x)
-        inv = MpReal.from_int(1, wp).div(x, wp)
-        half_pi = MpReal.from_fixed(_pi_fixed(wp + 8), wp + 8, wp).scalb(-1)
-        return half_pi.add(-_atan_impl(inv, wp), prec)
+def _atan_fixed(x: int, wp: int) -> int:
+    """atan(x / 2**wp) at wp fixed-point bits, within a few ulps."""
+    if x < 0:
+        return -_atan_fixed(-x, wp)
+    w = wp + 24
+    one = 1 << w
+    t = x << 24
+    flip = t > one  # atan(x) = pi/2 - atan(1/x)
+    if flip:
+        t = (one << w) // t
     # halve the argument until it is small: atan(x) = 2 atan(x/(1+sqrt(1+x^2)))
     halvings = 0
-    t = x.round_to(wp)
-    while not t.abs_lt_2pow(-4):
-        denom = MpReal.from_int(1, wp).add(
-            MpReal.from_int(1, wp).add(t.mul(t, wp), wp).sqrt(wp), wp
-        )
-        t = t.div(denom, wp)
+    while t >> (w - 4):
+        t = (t << w) // (one + math.isqrt((one << w) + t * t))
         halvings += 1
-    tf = t.to_fixed(wp)
-    t2 = tf * tf >> wp
-    term = tf
+    t2 = t * t >> w
+    term = t
     acc = 0
     k = 1
     while term:
         acc += _div0(term, k) if k & 2 == 0 else -_div0(term, k)
-        term = _shr0(term * t2, wp)
+        term = _shr0(term * t2, w)
         k += 2
-    return MpReal.from_fixed(acc << halvings, wp, prec)
+    acc <<= halvings
+    if flip:
+        acc = (_pi_fixed(w) >> 1) - acc
+    return acc >> 24

@@ -2,7 +2,9 @@
 in the disc |z| <= 3/4, Li_5 on the whole plane, and numerical Taylor
 coefficients.
 
-Everything here reduces to integer fixed-point work on top of
+Everything here is integer fixed-point work, a value v at wp bits
+standing for v / 2**wp; only :func:`zeta`, :func:`hurwitz` and
+:func:`dirichlet_beta` round their sums once into an
 :class:`~lihex.mp.real.MpReal`.  :func:`zeta` and :func:`dirichlet_beta`
 round the Borwein sums of :mod:`lihex.mp.real`, the one zeta(n) and
 beta(n) algorithm of the package.  Every Euler-Maclaurin tail -- the
@@ -19,7 +21,9 @@ recomputes one.
 :func:`hurwitz` takes integer s only and :func:`gamma` rational
 arguments only: Gamma(x) is Gamma(y), 1 <= y < 2, times an exact
 rational, and one Spouge value is cached per fractional part y and
-64-bit precision class.  The Spouge coefficients are cached as
+64-bit precision class.  Its leading factor e^((y-1/2) ln(y-1+a) -
+(y-1+a)) is near 2^-200 at 256 bits, so its power of two stays apart
+until the product with the sum.  The Spouge coefficients are cached as
 fixed-point ints and the partial-fraction sum runs in fixed point over
 the exact y, one floor per term, at prec + prec/5 + 64 bits to start;
 it measures its cancellation against the magnitudes of its terms and
@@ -28,7 +32,8 @@ retries with the bits it lacks.
 A complex argument is an exact (re, im) pair of rationals, and a
 complex value an (re, im) pair of fixed-point ints at a stated scale:
 :func:`polylog` sums its powers of the exact z, and the principal log
-takes ln|z| from `ln` of the exact |z|^2 and arg z from `_atan_impl`.
+takes ln|z| from `_ln_fixed` of the exact |z|^2 and arg z from
+`_atan_fixed`.
 :func:`li5` extends :func:`polylog` at order 5 to the whole plane by
 inversion and by the expansion of Li_5(e^mu) on the annulus between,
 each route chosen by an exact test; the Li_5 equation of
@@ -44,8 +49,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from ..errors import DomainError, IllConditionedError, PoleError
-from .real import (MpReal, _alt_fixed, _atan_impl, _div0, _pi_fixed,
-                   _zeta_fixed, exp, ln)
+from .real import (MpReal, _alt_fixed, _atan_fixed, _div0, _exp_fixed,
+                   _ln_fixed, _pi_fixed, _zeta_fixed)
 
 __all__ = [
     "bernoulli",
@@ -291,9 +296,9 @@ def _spouge_wp(prec: int) -> int:
 
 
 @functools.cache
-def _gamma_pos_real(y: Fraction, prec: int) -> MpReal:
-    """Gamma(y) for rational 1 <= y < 2 via the Spouge sum for
-    Gamma(z+1) = z Gamma(z), z = y - 1.
+def _gamma_pos_real(y: Fraction, prec: int) -> int:
+    """Gamma(y) at prec fixed-point bits for rational 1 <= y < 2 via the
+    Spouge sum for Gamma(z+1) = z Gamma(z), z = y - 1.
 
     Working precisions are rounded up to multiples of 64 bits so that
     nearby requests share one `_spouge_coeffs` table.
@@ -323,31 +328,36 @@ def _gamma_pos_real(y: Fraction, prec: int) -> MpReal:
             break
         wp += short + 16
         wp += -wp % 64
-    za = MpReal.from_fraction(y - 1 + a, wp)
-    lead = exp(ln(za, wp).mul(y - Fraction(1, 2), wp).add(-za, wp), wp)
-    return lead.mul(MpReal.from_fixed(s, wp, wp), prec)
+    # the leading factor e^x = v 2^(m-w), x = (y - 1/2) ln(y-1+a) - (y-1+a)
+    za, h, w = y - 1 + a, y - Fraction(1, 2), wp + 16
+    x = _ln_fixed(za, w) * h.numerator // h.denominator \
+        - (za.numerator << w) // za.denominator
+    v, m = _exp_fixed(x, w)
+    return v * s >> (w + wp - prec - m)
 
 
-def gamma(x: Fraction, prec: int) -> MpReal:
-    """Gamma at a rational x, not 0 or a negative integer, relative error
-    below 2**-prec.
+def gamma(x: Fraction, prec: int) -> int:
+    """Gamma at a rational x, not 0 or a negative integer, at prec
+    fixed-point bits within an ulp.
 
     With x = y + k, 1 <= y < 2 and k an integer, Gamma(x) = Gamma(y) R for
     the exact rational R = y (y+1) ... (x-1) when k >= 0 and
     1 / (x (x+1) ... (y-1)) when k < 0.  Gamma(y) is cached at w bits, w
-    = prec + 8 rounded up to a multiple of 64, so the requests of one
-    precision class share it; its guard bits cover the one rounding of
-    the product by R.  R has |k| factors: x is meant to be of moderate
-    size.
+    = prec + 8 plus the integer bits of R, rounded up to a multiple of
+    64, so the requests of one precision class share it; its guard bits
+    cover the one floor of the product by R.  R has |k| factors: x is
+    meant to be of moderate size.
     """
     if x.denominator == 1 and x <= 0:
         raise PoleError("gamma pole at a non-positive integer")
     k = math.floor(x) - 1
-    r = math.prod(min(x, x - k) + i for i in range(abs(k)))
-    w = prec + 8
+    r = Fraction(math.prod(min(x, x - k) + i for i in range(abs(k))))
+    if k < 0:
+        r = 1 / r
+    w = prec + 8 + max(0, r.numerator.bit_length() - r.denominator.bit_length())
     w += -w % 64
-    g = _gamma_pos_real(x - k, w).to_fraction()
-    return MpReal.from_fraction(g * r if k >= 0 else g / r, prec)
+    return _gamma_pos_real(x - k, w) * r.numerator \
+        // (r.denominator << (w - prec))
 
 
 # ----------------------------------------------------------------------
@@ -389,20 +399,22 @@ def _pi_pow(k: int, wp: int) -> int:
 def _ln_pair(re: Fraction, im: Fraction, wp: int) -> tuple[int, int]:
     """Principal log of the exact re + i im at wp fixed-point bits, each
     part within a few ulps, the imaginary part in (-pi, pi]: ln|z| is
-    `ln` of the exact |z|^2, halved, and arg z comes from `_atan_impl`."""
+    `_ln_fixed` of the exact |z|^2, halved, and arg z comes from
+    `_atan_fixed` of the fixed-point im/re."""
     if not (re or im):
         raise DomainError("log of zero")
     w = wp + 16
-    mag = ln(MpReal.from_fraction(re * re + im * im, w), w).scalb(-1)
+    mag = _ln_fixed(re * re + im * im, w) >> 17
     if not im:
         ang = 0 if re > 0 else _pi_fixed(wp)
     elif not re:
         ang = _pi_fixed(wp) >> 1 if im > 0 else -(_pi_fixed(wp) >> 1)
     else:
-        ang = _atan_impl(MpReal.from_fraction(im / re, w), w).to_fixed(wp)
+        q = im / re
+        ang = _atan_fixed((q.numerator << w) // q.denominator, w) >> 16
         if re < 0:
             ang += _pi_fixed(wp) if im > 0 else -_pi_fixed(wp)
-    return mag.to_fixed(wp), ang
+    return mag, ang
 
 
 def polylog(n: int, z: Fraction | tuple, prec: int) -> tuple[int, int]:
@@ -538,16 +550,19 @@ def li5(z: Fraction | tuple, prec: int) -> tuple[int, int]:
 
 
 def taylor_coeffs(
-    f: Callable[[Fraction, int], MpReal],
+    f: Callable[[Fraction, int], int],
     order: int,
     prec: int,
-) -> list[MpReal]:
-    """Taylor coefficients c_0..c_order of f at 0, each within 2**-(prec/2).
+) -> tuple[int, list[int]]:
+    """Taylor coefficients c_0..c_order of f at 0, each within 2**-(prec/2),
+    as (wp, [c_0, ...]): fixed-point ints at wp = 2 prec + 64 bits.
 
-    Samples f at the exact symmetric grid j*h (|j| <= order), with h a
-    power of two below 1/4, and applies the exact rational inverse of the
-    Vandermonde system, so the only error sources are f's own evaluations
-    and the series truncation controlled by the grid spacing h.
+    f(x, wp) is f at the exact x as a fixed-point int at wp bits.  It is
+    sampled at the exact symmetric grid j*h (|j| <= order), with h a
+    power of two below 1/4, and the exact rational inverse of the
+    Vandermonde system is applied exactly, with one floor, so the only
+    error sources are f's own evaluations and the series truncation
+    controlled by the grid spacing h.
     """
     if not 0 <= order <= 12:
         raise DomainError("taylor_coeffs supports orders 0..12")
@@ -583,12 +598,5 @@ def taylor_coeffs(
                 f"coefficient {i}: losing {w_bits} of {wp} working bits"
             )
     samples = [f(xj, wp) for xj in nodes]
-    out: list[MpReal] = []
-    for i in range(order + 1):
-        acc = MpReal.zero(wp)
-        for j, s in enumerate(samples):
-            w = rows[j][i]
-            if w != 0:
-                acc = acc.add(s.mul(w, wp), wp)
-        out.append(acc.round_to(prec))
-    return out
+    return wp, [math.floor(sum(s * row[i] for s, row in zip(samples, rows)))
+                for i in range(order + 1)]

@@ -14,8 +14,8 @@ import pytest
 from lihex.hyper import (CHECKS, U, asymp_coeff, check_li5_identity, eval_W,
                          expu_check, f5, genfn_hyp, genfn_pf, u_rational,
                          utilde_rational)
-from lihex.ladders import check_all, check_relation, eval_ladder
-from lihex.mp.real import MpReal, pi_const
+from lihex.ladders import _log2_top, check_all, check_relation, eval_ladder
+from lihex.mp.real import MpReal, _pi_fixed
 from lihex.relfind import RelationQuery, pslq, verify_vector
 from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
                           SeriesSpec, catalog, eval_formula, eval_series,
@@ -23,8 +23,9 @@ from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
 from lihex.spigot import DigitRequest, hex_digits
 
 
-def _mag(x) -> float:
-    return float("-inf") if x.is_zero else float(x.man.bit_length() + x.exp)
+def _mag(d: Q) -> float:
+    """The smallest e with |d| < 2^e for an exact d, minus infinity at 0."""
+    return _log2_top(abs(d.numerator), d.denominator)
 
 
 def _oracle_window(name: str, d: int, count: int = 16) -> str:
@@ -95,8 +96,8 @@ def test_fourteen_term_zeta11_relation():
 # 5. hypergeometric spot values
 def test_hypergeometric_spot_values():
     w = eval_W((Q(0), Q(0), Q(0), Q(0)), 512)
-    pi_ = pi_const(528)
-    assert _mag(w - pi_.mul(pi_, 528).mul(Q(1, 2), 512)) < -500
+    pi_ = Q(_pi_fixed(528), 1 << 528)
+    assert _mag(w.to_fraction() - pi_ * pi_ / 2) < -500
 
     inv = CHECKS["inv"](256)
     assert len(inv) == 5 and all(r.passed for r in inv)
@@ -106,8 +107,9 @@ def test_hypergeometric_spot_values():
     assert f5(Q(1, 3), Q(1, 6), Q(1, 3), Q(-1, 3)) == Q(-19, 72)
 
     for name in "BDFG":
-        pf = genfn_pf(name, Q(1, 10), 256)[0]
-        assert _mag(pf - genfn_hyp(name, Q(1, 10), 256)) < -224, name
+        pf = genfn_pf(name, Q(1, 10), 256)[0].to_fraction()
+        hyp = genfn_hyp(name, Q(1, 10), 256).to_fraction()
+        assert _mag(pf - hyp) < -224, name
 
     half, eye, minus_eye = (Q(1, 2), Q(0)), (Q(0), Q(1)), (Q(0), Q(-1))
     for x, y in ((half, half), (eye, eye), (half, eye), (half, minus_eye)):
@@ -121,7 +123,7 @@ def test_u_interpolation_battery():
     assert u_rational(-5) == Q(1900, 3)
     assert utilde_rational(Q(5, 2)) == 15
     assert u_rational(-10) == (Q(-25600), Q(20310))
-    d = U(Q(5), 256) - MpReal.from_fraction(Q(20, 3), 256)
+    d = U(Q(5), 256).to_fraction() - Q(20, 3)
     assert _mag(d) < -(256 - 32)
 
 
@@ -144,7 +146,8 @@ def test_relation_recovery_and_exclusion():
     assert time.monotonic() - t0 < 30
 
     t0 = time.monotonic()
-    lam3 = Monomial(zeta=3).value(512).mul(Q(7, 8), 512)
+    lam3 = Monomial(zeta=3).value(512)
+    lam3 = lam3.mul(MpReal.from_fraction(Q(7, 8), lam3.prec), 512)
     res = pslq(RelationQuery((lam3, eval_ladder("Abar", 3, 512)),
                              max_digits=8))
     assert res.status == "found" and res.vector == (1, -1)
@@ -155,7 +158,8 @@ def test_relation_recovery_and_exclusion():
 
     def li11_re(arg, wp):
         (c, spec), = polylog_pattern(arg, 11, "re")
-        return eval_series(spec, wp).mul(c, wp)
+        v = eval_series(spec, wp)
+        return v.mul(MpReal.from_fraction(c, v.prec), wp)
 
     def rhs(wp):
         vals = [li11_re(arg, wp) for _, arg in _F11_LIS]

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihex.errors import DomainError, PoleError, PrecisionError
+from lihex.ladders import _log2_top
 from lihex.mp import special as sp
-from lihex.mp.real import (MpReal, _alt_fixed, _zeta_fixed, exp, ln,
-                           log2_const, pi_const, pow_int, sincospi)
+from lihex.mp.real import (MpReal, _alt_fixed, _atan_fixed, _exp_fixed,
+                           _ln_fixed, _log2_fixed, _pi_fixed, _zeta_fixed,
+                           pow_int, sincospi)
 from lihex.mp.special import li5
 
 P = 200
@@ -34,10 +36,15 @@ def _places(s: str, n: int) -> str:
     return s[:s.index(".") + 1 + n]
 
 
+def _mag(d: Fraction) -> float:
+    """The smallest e with |d| < 2^e for an exact d, minus infinity at 0."""
+    return _log2_top(abs(d.numerator), d.denominator)
+
+
 def test_constants_match_published_digits():
     vals = {
-        "pi": pi_const(P),
-        "log2": log2_const(P),
+        "pi": MpReal.from_fixed(_pi_fixed(P), P, P),
+        "log2": MpReal.from_fixed(_log2_fixed(P), P, P),
         "zeta3": sp.zeta(3, P),
         "zeta5": sp.zeta(5, P),
         "beta3": sp.dirichlet_beta(3, P),
@@ -48,26 +55,22 @@ def test_constants_match_published_digits():
 
 
 def test_pi_hex_expansion():
-    fx = pi_const(300).to_fixed(256)
+    fx = _pi_fixed(256)
     frac = fx % (1 << 256)
     assert format(frac >> (256 - 64), "016X") == "243F6A8885A308D3"
 
 
 def test_elementary_identities():
     wp = 256
-    one = MpReal.from_int(1, wp)
     # exp(ln 2) = 2, sin^2 + cos^2 = 1 and cos = 1/2 at pi/3 and at pi/3
     # past 2^60 half turns, arg(1+i) = pi/4
-    d = exp(log2_const(wp), wp) - MpReal.from_int(2, wp)
-    assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
+    v, m = _exp_fixed(_log2_fixed(wp), wp)
+    assert abs((v << m) - (2 << wp)) < 1 << 16
     for q in (Fraction(1, 3), (1 << 60) + Fraction(1, 3)):
         s, c = sincospi(q, wp)
-        d = s.mul(s, wp).add(c.mul(c, wp), wp) - one
-        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
-        d = c - MpReal.from_fraction(Fraction(1, 2), wp)
-        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 16)
-    d = 4 * sp._ln_pair(Fraction(1), Fraction(1), wp)[1] \
-        - pi_const(wp).to_fixed(wp)
+        assert abs(s * s + c * c - (1 << 2 * wp)) < 1 << (wp + 16)
+        assert abs(c - (1 << wp - 1)) < 1 << 16
+    d = 4 * sp._ln_pair(Fraction(1), Fraction(1), wp)[1] - _pi_fixed(wp)
     assert abs(d) < 1 << 16
 
 
@@ -79,25 +82,69 @@ def test_sincospi_is_exact_where_it_can_be_and_periodic(n, d, prec):
     q = Fraction(n, d)
     s, c = sincospi(q, prec)
     # a period of 2 is one exact turn of the reduction: the same bits
-    s2, c2 = sincospi(q + 2, prec)
-    assert (s2.sign, s2.man, s2.exp) == (s.sign, s.man, s.exp)
-    assert (c2.sign, c2.man, c2.exp) == (c.sign, c.man, c.exp)
+    assert sincospi(q + 2, prec) == (s, c)
     # integers and half-integers give exact zeros and units
     if (2 * q).denominator == 1:
         m = int(2 * q) % 4
-        assert (s.to_fraction(), c.to_fraction()) == \
-            ((0, 1, 0, -1)[m], (1, 0, -1, 0)[m])
+        assert (s, c) == ((0, 1, 0, -1)[m] << prec, (1, 0, -1, 0)[m] << prec)
     # s^2 + c^2 - 1 within a few ulps at any |q|, far past 2^24 too
-    d1 = s.mul(s, prec + 8).add(c.mul(c, prec + 8), prec + 8) - 1
-    assert d1.is_zero or d1.bit_top() <= 6 - prec
+    assert _mag(Fraction(s * s + c * c, 1 << 2 * prec) - 1) <= 6 - prec
 
 
 def test_ln_pow_roundtrip():
     wp = 192
     for q in (Fraction(3, 7), Fraction(13, 5), Fraction(1, 1000)):
-        x = MpReal.from_fraction(q, wp)
-        d = exp(ln(x, wp), wp) - x
-        assert d.is_zero or d.man.bit_length() + d.exp < -(wp - 24)
+        v, m = _exp_fixed(_ln_fixed(q, wp), wp)
+        assert _mag(Fraction(v, 1 << wp) * Fraction(2) ** m - q) < -(wp - 24)
+
+
+def _within(lo: int, hi: int, wp: int, ulps: int) -> bool:
+    """lo at wp bits within ulps of hi at 4 wp bits."""
+    return abs((lo << 3 * wp) - hi) <= ulps << 3 * wp
+
+
+_NEAR_ONE = st.builds(lambda k, j: 1 + Fraction(k, 1 << j),
+                      st.integers(-(1 << 20), 1 << 20), st.integers(21, 200))
+_FAR = st.builds(lambda n, d, e: Fraction(n, d) * Fraction(2) ** e,
+                 st.integers(1, 1 << 40), st.integers(1, 1 << 40),
+                 st.integers(-300, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(32, 512), st.data())
+def test_int_kernels_agree_with_four_times_the_precision(wp, data):
+    # each kernel at wp bits against itself at 4 wp on the same exact
+    # argument: sincospi, ln and atan within 2 ulps, and exp within 4 ulps
+    # of its own power of two; and at wp, the laws e^x e^-x = 1, ln 2q =
+    # ln q + ln 2 and atan x + atan 1/x = pi/2 tie the reductions together
+    w4 = 4 * wp
+    # exp near Spouge's exponent -a, a = int(wp / 2.65) + 3, as gamma
+    # takes it at wp bits, and near 0
+    a = int(wp / 2.65) + 3
+    k = data.draw(st.integers(-(1 << 24), 1 << 24))
+    for x in ((-a << wp) + (k << max(0, wp - 20)), k):
+        (v, m), (v4, m4) = _exp_fixed(x, wp), _exp_fixed(x << 3 * wp, w4)
+        assert m == m4 and _within(v, v4, wp, 4), (x, wp)
+        u, n = _exp_fixed(-x, wp)
+        assert abs(v * u * Fraction(2) ** (m + n) - (1 << 2 * wp)) \
+            <= 8 << wp, (x, wp)
+    # ln near 1 and far from it
+    q = data.draw(_NEAR_ONE | _FAR)
+    assert _within(_ln_fixed(q, wp), _ln_fixed(q, w4), wp, 2), (q, wp)
+    assert abs(_ln_fixed(2 * q, wp) - _ln_fixed(q, wp)
+               - _log2_fixed(wp)) <= 4, (q, wp)
+    # atan near 0, near 1 and large
+    j = data.draw(st.integers(-(1 << 30), 1 << 30))
+    for x in (j, (1 << wp) + j, abs(j) << wp, -(abs(j) + 1) << wp):
+        assert _within(_atan_fixed(x, wp), _atan_fixed(x << 3 * wp, w4),
+                       wp, 2), (x, wp)
+    x = (abs(j) + 1) << wp
+    assert abs(_atan_fixed(x, wp) + _atan_fixed((1 << 2 * wp) // x, wp)
+               - (_pi_fixed(wp) >> 1)) <= 4, (x, wp)
+    # sincospi at any rational
+    r = data.draw(st.fractions(-(1 << 30), 1 << 30, max_denominator=1 << 30))
+    for lo, hi in zip(sincospi(r, wp), sincospi(r, w4)):
+        assert _within(lo, hi, wp, 2), (r, wp)
 
 
 @given(st.fractions(min_value=-100, max_value=100,
@@ -115,19 +162,8 @@ def test_from_fraction_to_fraction_dyadic(q):
 def test_add_mul_match_exact_integers(a, b):
     wp = 160
     va, vb = MpReal.from_int(a, wp), MpReal.from_int(b, wp)
-    assert (va + vb).to_fraction() == a + b
+    assert va.to_fraction() + vb.to_fraction() == a + b
     assert va.mul(vb, wp).to_fraction() == a * b
-
-
-@given(st.fractions(min_value=Fraction(1, 1000), max_value=1000,
-                    max_denominator=10**6))
-def test_sqrt_squares_back(q):
-    wp = 160
-    v = MpReal.from_fraction(q, wp)
-    r = v.sqrt(wp)
-    d = r.mul(r, wp) - v
-    assert d.is_zero or (d.man.bit_length() + d.exp
-                         <= v.man.bit_length() + v.exp - (wp - 8))
 
 
 @given(st.fractions(min_value=-8, max_value=8, max_denominator=10**9),
@@ -144,8 +180,8 @@ def test_pow_int_matches_repeated_mul():
     acc = MpReal.from_int(1, wp)
     for _ in range(11):
         acc = acc.mul(x, wp)
-    d = pow_int(x, 11, wp) - acc
-    assert d.is_zero or d.man.bit_length() + d.exp < acc.man.bit_length() + acc.exp - (wp - 16)
+    d = pow_int(x, 11, wp).to_fraction() - acc.to_fraction()
+    assert _mag(d) < acc.bit_top() - (wp - 16)
 
 
 def test_pow_int_refuses_a_negative_exponent():
@@ -156,14 +192,15 @@ def test_pow_int_refuses_a_negative_exponent():
 def test_real_and_complex_do_not_mix_with_other_types():
     # a complex value is an (re, im) pair, read part by part
     x = MpReal.from_int(1, 64)
-    for op in (x.add, x.mul, x.div):
-        for other in ("1", (1, 0)):
-            with pytest.raises(TypeError):
-                op(other)
+    for other in ("1", (1, 0), 1):
+        with pytest.raises(TypeError):
+            x.mul(other, 64)
 
 
 def _assert_abs_lt_2pow_exact(x: MpReal, k: int) -> None:
-    assert x.abs_lt_2pow(k) == (abs(x.to_fraction()) < Fraction(2) ** k)
+    # bit_top brackets |x| exactly: |x| < 2^k just when bit_top() <= k
+    lt = x.is_zero or x.bit_top() <= k
+    assert lt == (abs(x.to_fraction()) < Fraction(2) ** k)
 
 
 @pytest.mark.parametrize("k", [-70, -1, 0, 1, 5, 70])
@@ -197,10 +234,9 @@ def test_polylog_small_argument():
     # Li_2(1/2) = pi^2/12 - log^2(2)/2
     wp = 256
     got = sp.polylog(2, (Fraction(1, 2), Fraction(0)), wp)
-    pi2 = pi_const(wp).mul(pi_const(wp), wp)
-    l2 = log2_const(wp)
-    want = pi2.mul(Fraction(1, 12), wp) - l2.mul(l2, wp).mul(Fraction(1, 2), wp)
-    assert got[1] == 0 and abs(got[0] - want.to_fixed(wp)) < 1 << 24
+    l2 = _log2_fixed(wp)
+    want = (_pi_fixed(wp) ** 2 >> wp) // 12 - (l2 * l2 >> wp + 1)
+    assert got[1] == 0 and abs(got[0] - want) < 1 << 24
 
 
 def _duplication_defect(z, wp):
@@ -265,9 +301,8 @@ def test_li5_on_exact_gaussian_rationals(z, prec):
     if z[1] == 0 and z[0] > 1:
         # the value below the cut: Im Li5(x) = -pi ln^4(x) / 24
         w = prec + 16
-        l4 = pow_int(ln(MpReal.from_fraction(z[0], w), w), 4, w)
-        want = pi_const(w).mul(l4, w).div(-24, w).to_fixed(prec)
-        assert abs(lo[1] - want) <= 2, z
+        want = -(_pi_fixed(w) * _ln_fixed(z[0], w) ** 4 >> 4 * w) // 24
+        assert abs(lo[1] - (want + (1 << 15) >> 16)) <= 2, z
 
 
 def test_bernoulli_exact_values():
@@ -315,32 +350,33 @@ def test_bernoulli_table_grows_only_to_need():
     assert len(table.b) == 37
 
 
-def _close(a: MpReal, b: MpReal, prec: int) -> bool:
-    d = a - b
-    return d.is_zero or d.bit_top() <= b.bit_top() - (prec - 4)
+def _close(a: Fraction, b: Fraction, prec: int) -> bool:
+    return _mag(a - b) <= _mag(b) - (prec - 4)
 
 
 @pytest.mark.parametrize("prec", [256, 2048])
 def test_hurwitz_closed_forms(prec):
+    def hurwitz(n, a, bits):
+        return sp.hurwitz(n, Fraction(a), bits).to_fraction()
+
     for n in (2, 3, 7):
-        z = sp.zeta(n, prec)
-        assert _close(sp.hurwitz(n, Fraction(1), prec), z, prec)
-        assert _close(sp.hurwitz(n, Fraction(1, 2), prec),
-                      z.mul((1 << n) - 1, prec + 8), prec)
-        diff = sp.hurwitz(n, Fraction(1, 4), prec + 16).add(
-            -sp.hurwitz(n, Fraction(3, 4), prec + 16), prec + 16)
-        assert _close(diff, sp.dirichlet_beta(n, prec).scalb(2 * n), prec)
+        z = sp.zeta(n, prec).to_fraction()
+        assert _close(hurwitz(n, 1, prec), z, prec)
+        assert _close(hurwitz(n, Fraction(1, 2), prec), z * ((1 << n) - 1),
+                      prec)
+        diff = hurwitz(n, Fraction(1, 4), prec + 16) \
+            - hurwitz(n, Fraction(3, 4), prec + 16)
+        assert _close(diff, sp.dirichlet_beta(n, prec).to_fraction()
+                      * (1 << 2 * n), prec)
 
 
 @pytest.mark.parametrize("wp", [128, 1024])
 def test_tail_chain_agrees_with_the_borwein_zeta(wp):
     # the Euler-Maclaurin kernel of hyper's tails against the Borwein sum:
     # sum_(n>=128) n^-3 from the boundary power 128^-3 = 2^-21
-    tail = MpReal.from_fixed(sp._em_tail(1 << (wp - 21), 128, 3), wp, wp)
+    tail = Fraction(sp._em_tail(1 << (wp - 21), 128, 3), 1 << wp)
     head = sum(Fraction(1, k**3) for k in range(1, 128))
-    want = sp.zeta(3, wp).add(MpReal.from_fraction(-head, wp + 8), wp)
-    d = tail - want
-    assert d.is_zero or d.bit_top() <= -(wp - 16)
+    assert _mag(tail - (sp.zeta(3, wp).to_fraction() - head)) <= -(wp - 16)
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,10 +462,6 @@ def _fresh_real():
     return mod
 
 
-def _bits(x: MpReal) -> tuple:
-    return (x.sign, x.man, x.exp, x.prec)
-
-
 # includes 610 -> 641 (pi) and 162 -> 194 (log 2), where serving a lower
 # precision by rounding a cached higher one changed the last bit
 HISTORY_Q = (64, 162, 256, 400, 512, 610, 777, 1024, 1280, 1536, 1800, 2048)
@@ -438,10 +470,10 @@ HISTORY_Q = (64, 162, 256, 400, 512, 610, 777, 1024, 1280, 1536, 1800, 2048)
 def test_pi_and_log2_do_not_depend_on_earlier_requests():
     for q in HISTORY_Q:
         after = _fresh_real()
-        after.pi_const(q)
-        after.log2_const(q)
+        after._pi_fixed(q)
+        after._log2_fixed(q)
         # `after` also keeps every earlier p, which only adds history
         for p in range(q + 1, q + 33):
             fresh = _fresh_real()
-            assert _bits(after.pi_const(p)) == _bits(fresh.pi_const(p)), (q, p)
-            assert _bits(after.log2_const(p)) == _bits(fresh.log2_const(p)), (q, p)
+            assert after._pi_fixed(p) == fresh._pi_fixed(p), (q, p)
+            assert after._log2_fixed(p) == fresh._log2_fixed(p), (q, p)

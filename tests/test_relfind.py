@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lihex import relfind
 from lihex.errors import DomainError, PrecisionError
 from lihex.ladders import eval_ladder
-from lihex.mp.real import MpReal, log2_const, pi_const
+from lihex.mp.real import MpReal, _log2_fixed, _pi_fixed
 from lihex.relfind import (_SLOT, _TRANSFORM_BITS, RelationQuery,
                            RelationResult, _canonical, _cap_masks,
                            _pigeonhole, _unpack, pslq, required_bits,
@@ -19,13 +19,26 @@ from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
                           SeriesSpec, eval_formula, eval_series,
                           polylog_pattern)
 
+def pi_const(p: int) -> MpReal:
+    return MpReal.from_fixed(_pi_fixed(p + 16), p + 16, p)
+
+
+def log2_const(p: int) -> MpReal:
+    return MpReal.from_fixed(_log2_fixed(p + 16), p + 16, p)
+
+
+def _times(v: MpReal, q, prec: int) -> MpReal:
+    """v times the rational q, q read at v's precision, rounded to prec."""
+    return v.mul(MpReal.from_fraction(Q(q), v.prec), prec)
+
+
 F11_VECTOR = tuple([_F11_LHS] + [-c for c, _ in _F11_LIS]
                    + [-c for c, _ in _F11_MONS])
 
 
 def _li11_re(arg, wp):
     (c, spec), = polylog_pattern(arg, 11, "re")
-    return eval_series(spec, wp).mul(c, wp)
+    return _times(eval_series(spec, wp), c, wp)
 
 
 def _f11_values(wp):
@@ -56,7 +69,7 @@ def test_recovers_catalan_series_relation():
 
 def _r3_pair(prec):
     """The first two sides of r3: lambda(3) = (7/8) zeta(3) and Abar_3."""
-    return (Monomial(zeta=3).value(prec).mul(Q(7, 8), prec),
+    return (_times(Monomial(zeta=3).value(prec), Q(7, 8), prec),
             eval_ladder("Abar", 3, prec))
 
 
@@ -84,7 +97,7 @@ def test_result_is_deterministic():
 @given(st.fractions(min_value=Q(-50), max_value=Q(50)).filter(bool))
 def test_recovery_is_scale_invariant(c):
     P = 256
-    vals = tuple(v.mul(c, P) for v in _catalan_triple(P))
+    vals = tuple(_times(v, c, P) for v in _catalan_triple(P))
     res = pslq(RelationQuery(vals, max_digits=8))
     assert res.vector == (1, -3, 2)
 
@@ -95,7 +108,7 @@ def test_recovery_at_any_binary_scale(P, k):
     # the inputs are read at the scale of the largest: values far from 1
     # keep all their bits for the search, the detect gate and the accept
     # bound
-    vals = tuple(v.mul(Q(2) ** k, P) for v in _catalan_triple(P))
+    vals = tuple(_times(v, Q(2) ** k, P) for v in _catalan_triple(P))
     res = pslq(RelationQuery(vals, max_digits=8))
     assert res.status == "found"
     assert res.vector == (1, -3, 2)
@@ -233,7 +246,7 @@ def test_verify_rejects_a_scaled_pigeonhole_coincidence(k):
     # values leaves the coincidence above its pigeonhole floor
     fake = (3099624, 2382306, -12816464, 106971, 31551745, -302267,
             -379542, -16475735)
-    vals = [eval_formula(c, 256).mul(Q(2) ** k, 256) for c in
+    vals = [_times(eval_formula(c, 256), Q(2) ** k, 256) for c in
             ("pi", "zeta3", "catalan", "log2cu", "zeta5", "pi4", "beta3",
              "log2_4")]
     rep = verify_vector(fake, vals, 256)
@@ -243,7 +256,7 @@ def test_verify_rejects_a_scaled_pigeonhole_coincidence(k):
 
 def test_verify_passes_a_scaled_relation():
     P = 512
-    vals = [v.mul(Q(2) ** 100, P) for v in _catalan_triple(P)]
+    vals = [_times(v, Q(2) ** 100, P) for v in _catalan_triple(P)]
     rep = verify_vector((1, -3, 2), vals, P)
     assert rep.passed and rep.log2_residual < 100 - (P - 64)
 
@@ -547,7 +560,7 @@ _FOUND = {
     "r3-256": (_r3_pair, 256, 8),
     "r3-512": (_r3_pair, 512, 8),
     "identical": (lambda p: (pi_const(p), pi_const(p)), 512, 4),
-    "scaled": (lambda p: tuple(v.mul(Q(-7, 3), p)
+    "scaled": (lambda p: tuple(_times(v, Q(-7, 3), p)
                                for v in _catalan_triple(p)), 256, 8),
     "f11": (lambda p: tuple(_f11_values(p)), 2048, 23),
 }

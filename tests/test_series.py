@@ -5,6 +5,7 @@ rational reference sum."""
 import cmath
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -17,8 +18,9 @@ from lihex.errors import (DomainError, PrecisionError, UnknownName,
                           UnsupportedArgument)
 from lihex.ladders import RELATIONS, check_relation, eval_ladder
 from lihex.mp import special as sp
-from lihex.mp.real import (MpReal, _atan_impl, ln, log2_const, pi_const,
-                           pow_int)
+from lihex.ladders import _log2_top
+from lihex.mp.real import (MpReal, _atan_fixed, _ln_fixed, _log2_fixed,
+                           _pi_fixed, pow_int)
 from lihex.series import (IDENTITIES, Monomial, SeriesSpec, catalog,
                           derived_catalog, eval_formula, eval_series,
                           polylog_pattern, solve_formulas)
@@ -26,9 +28,17 @@ from lihex.series import (IDENTITIES, Monomial, SeriesSpec, catalog,
 P = 192
 
 
+def pi_const(p: int) -> MpReal:
+    return MpReal.from_fixed(_pi_fixed(p + 16), p + 16, p)
+
+
+def log2_const(p: int) -> MpReal:
+    return MpReal.from_fixed(_log2_fixed(p + 16), p + 16, p)
+
+
 def _close(a, b, slack=16):
-    d = a - b
-    return d.is_zero or d.man.bit_length() + d.exp < -(P - slack)
+    d = a.to_fraction() - b.to_fraction()
+    return d == 0 or _log2_top(abs(d.numerator), d.denominator) < -(P - slack)
 
 
 def _mono(pi=0, log2=0):
@@ -283,7 +293,7 @@ def test_monomial_value_keeps_relative_accuracy(m):
     if m.beta:
         want = want.mul(sp.dirichlet_beta(m.beta, wp), wp)
     for _ in range(m.sqrt2):
-        want = want.mul(MpReal.from_int(2, wp).sqrt(wp), wp)
+        want = want.mul(MpReal.from_fixed(math.isqrt(2 << 2 * wp), wp, wp), wp)
     want = want.to_fraction()
     got = m.value(256).to_fraction()
     assert abs(got - want) <= abs(want) / (1 << 252)
@@ -393,34 +403,31 @@ def test_h1_rows_against_complex_logarithms(bits):
     # expansions, and h1 itself, Li_1(-i/sqrt8) - 2 Li_1(i/sqrt2) -
     # Li_1(1/2)/2 = -i pi/2
     wp = 4 * bits
-    r2 = MpReal.from_int(2, wp).sqrt(wp)
-    zero = MpReal.zero(wp)
+    r2 = math.isqrt(2 << 2 * wp)  # sqrt 2 at wp fixed-point bits
 
     def half_ln(q):
-        return ln(MpReal.from_fraction(q, wp), wp).mul(Fraction(-1, 2), wp)
+        return -_ln_fixed(q, wp) // 2
 
-    li1 = {"1/2": (ln(MpReal.from_int(2, wp), wp), zero),
-           "i/sqrt2": (half_ln(Fraction(3, 2)),
-                       _atan_impl(r2.mul(Fraction(1, 2), wp), wp)),
-           "-i/sqrt8": (half_ln(Fraction(9, 8)),
-                        -_atan_impl(r2.mul(Fraction(1, 4), wp), wp))}
+    li1 = {"1/2": (_ln_fixed(Fraction(2), wp), 0),
+           "i/sqrt2": (half_ln(Fraction(3, 2)), _atan_fixed(r2 >> 1, wp)),
+           "-i/sqrt8": (half_ln(Fraction(9, 8)), -_atan_fixed(r2 >> 2, wp))}
 
     def close(a, b):
-        d = (a - b).to_fraction()
-        return abs(d) < Fraction(1, 1 << (bits - 8))
+        # a and b at wp fixed-point bits
+        return abs(a - b) < Fraction(1 << wp, 1 << (bits - 8))
 
     c = (1, 0, -1, 0, 1, 0, -1, 0)
-    s11 = eval_series(SeriesSpec(1, 1, c), wp)
-    s13 = eval_series(SeriesSpec(1, 3, c), wp)
-    assert close(li1["i/sqrt2"][1], r2.mul(s11, wp))
-    assert close(li1["-i/sqrt8"][1], r2.mul(s13, wp).mul(-2, wp))
+    s11 = eval_series(SeriesSpec(1, 1, c), wp).to_fixed(wp)
+    s13 = eval_series(SeriesSpec(1, 3, c), wp).to_fixed(wp)
+    assert close(li1["i/sqrt2"][1], r2 * s11 >> wp)
+    assert close(li1["-i/sqrt8"][1], -2 * (r2 * s13 >> wp))
     for arg, v in li1.items():
         (coef, spec), = polylog_pattern(arg, 1, "re")
-        assert close(v[0], eval_series(spec, wp).mul(coef, wp))
-    h1 = [a - b.mul(2, wp) - c.mul(Fraction(1, 2), wp)
+        assert close(v[0], eval_series(spec, wp).to_fixed(wp) * coef)
+    h1 = [a - 2 * b - Fraction(c, 2)
           for a, b, c in zip(li1["-i/sqrt8"], li1["i/sqrt2"], li1["1/2"])]
-    assert close(h1[0], zero)
-    assert close(h1[1], pi_const(wp).mul(Fraction(-1, 2), wp))
+    assert close(h1[0], 0)
+    assert close(h1[1], Fraction(-_pi_fixed(wp), 2))
     assert check_relation("h1", bits).log2_bound <= -(bits - 64) - 16
 
 
