@@ -42,7 +42,7 @@ bits:
   sized from m that keeps the rounding error below 1/8, cut where the
   kernel's tail falls below 1/16.
 
-The Euler-Maclaurin kernel and its s-derivative, the Spouge sum behind
+The Euler-Maclaurin kernel, its s-derivative, Stirling's series for
 the gammas and ``li5`` are in :mod:`lihex.mp.special`.
 """
 
@@ -942,9 +942,9 @@ def geo_checks(prec: int = 256) -> list[CheckReport]:
 def catalan_binomial(prec: int) -> MpReal:
     """Catalan's constant via the harmonically weighted central-binomial
     series, summed in fixed point against its last head term; supported
-    for 16 <= prec <= 128."""
-    if not 16 <= prec <= 128:
-        raise DomainError("binomial route supported for 16 <= prec <= 128")
+    for 16 <= prec <= _MAX_BITS."""
+    if not 16 <= prec <= _MAX_BITS:
+        raise DomainError(f"binomial route takes 16..{_MAX_BITS} bits")
     wp = prec + 64
     big = 4 * wp
     # the head at wh bits as in _hyp3f2_unit: c_n <= 1 is within n ulps
@@ -1097,11 +1097,10 @@ def _battery_expu(prec: int) -> list[CheckReport]:
 
 def _battery_geo(prec: int) -> list[CheckReport]:
     out = geo_checks(prec)
-    p = min(prec, 128)
-    wp = p + 16
-    diff = catalan_binomial(p).to_fixed(wp) \
+    wp = prec + 16
+    diff = catalan_binomial(prec).to_fixed(wp) \
         - eval_formula("catalan", wp).to_fixed(wp)
-    out.append(_report("catalan-binomial", p, diff, wp, 8))
+    out.append(_report("catalan-binomial", prec, diff, wp, 8))
     return out
 
 

@@ -11,11 +11,11 @@ and a complex value an (re, im) pair of fixed-point ints; complex support
 stops at Gaussian-rational arithmetic, Li_n and the principal logarithm.
 zeta(n) and Dirichlet beta(n) are alternating sums under Borwein's
 acceleration in :mod:`lihex.mp.real`, in integer fixed point with a
-counted bound; the Hurwitz zeta at integer s and the series tails of
-:mod:`lihex.hyper` end in one Euler-Maclaurin kernel in
-:mod:`lihex.mp.special`, which reads one shared table of exact
-Bernoulli numbers.  ``hurwitz`` takes
-integer s >= 2 and ``gamma`` rational arguments only.  Every memo in the
+counted bound; the Hurwitz zeta at integer s, the series tails of
+:mod:`lihex.hyper` and Stirling's series for ``gamma`` end in one
+Euler-Maclaurin kernel in :mod:`lihex.mp.special`, which reads one
+shared table of exact Bernoulli numbers.  ``hurwitz`` takes integer
+s >= 2 and ``gamma`` rational arguments only.  Every memo in the
 package is ``functools.cache`` on a function of its arguments alone, or
 ``functools.cached_property`` on an immutable object, so no value
 depends on what the process computed before; the Bernoulli table,

@@ -12,22 +12,15 @@ integer-argument Hurwitz zeta and the 3F2 and Catalan tails of
 :mod:`lihex.hyper`, each measured against its last head term -- goes
 through one fixed-point kernel, :func:`_em_tail`, and the Catalan
 tail's ln n weights through its s-derivative :func:`_em_logtail`, over
-the same corrections.  These carry their rational cofactor in fixed
-point, one floor a step, and meet each B_2i/(2i)! as a cached
-fixed-point int as wide as that cofactor, taken from one shared table
-of exact Bernoulli numbers that grows entry by entry and never
-recomputes one.
+the same corrections; :func:`gamma` reads them at s = 1 as Stirling's
+series for ln Gamma, integrated once, at a shifted argument.  These
+carry their rational cofactor in fixed point, one floor a step, and
+meet each B_2i/(2i)! as a cached fixed-point int as wide as that
+cofactor, taken from one shared table of exact Bernoulli numbers that
+grows entry by entry and never recomputes one.
 
 :func:`hurwitz` takes integer s only and :func:`gamma` rational
-arguments only: Gamma(x) is Gamma(y), 1 <= y < 2, times an exact
-rational, and one Spouge value is cached per fractional part y and
-64-bit precision class.  Its leading factor e^((y-1/2) ln(y-1+a) -
-(y-1+a)) is near 2^-200 at 256 bits, so its power of two stays apart
-until the product with the sum.  The Spouge coefficients are cached as
-fixed-point ints and the partial-fraction sum runs in fixed point over
-the exact y, one floor per term, at prec + prec/5 + 64 bits to start;
-it measures its cancellation against the magnitudes of its terms and
-retries with the bits it lacks.
+arguments only.
 
 A complex argument is an exact (re, im) pair of rationals, and a
 complex value an (re, im) pair of fixed-point ints at a stated scale:
@@ -253,111 +246,51 @@ def dirichlet_beta(n: int, prec: int) -> MpReal:
 
 
 # ----------------------------------------------------------------------
-# Gamma at rationals (Spouge approximation)
+# Gamma at rationals (Stirling's series)
 
 
 @functools.cache
-def _spouge_coeffs(a: int, wp: int) -> tuple[int, ...]:
-    """c_0 .. c_(a-1) as fixed-point ints at wp bits: c_0 = sqrt(2 pi),
-    c_k = (-1)^(k-1) (a-k)^(k-1/2) e^(a-k) / (k-1)!.
-
-    The powers of e are carried at g = wp + bitlen(a) + 8 bits, where the
-    a - 2 products leave each under a 2^(-wp-6) relative error; each
-    coefficient is then formed from exact integers and floored once.
-    """
-    g = wp + a.bit_length() + 8
-    # e = sum 1/n! summed 16 bits below g: under 2 ulps at g
-    e1 = 0
-    t = 1 << (g + 16)
-    n = 0
-    while t:
-        e1 += t
-        n += 1
-        t //= n
-    e1 >>= 16
-    epow = [0, e1]  # epow[j] = e^j at g bits
-    for _ in range(2, a):
-        epow.append(epow[-1] * e1 >> g)
-    coeffs = [math.isqrt(_pi_fixed(2 * wp) << 1)]
-    fact = 1
-    for k in range(1, a):
-        base = a - k
-        c = base ** (k - 1) * math.isqrt(base << 2 * g) * epow[base] \
-            // (fact << (2 * g - wp))
-        coeffs.append(c if k % 2 else -c)
-        fact *= k
-    return tuple(coeffs)
-
-
-def _spouge_wp(prec: int) -> int:
-    # the alternating partial-fraction sum costs about 0.37 bits per
-    # coefficient (~14% of wp), measured over prec = 256..1024
-    return prec + prec // 5 + 64
-
-
-@functools.cache
-def _gamma_pos_real(y: Fraction, prec: int) -> int:
-    """Gamma(y) at prec fixed-point bits for rational 1 <= y < 2 via the
-    Spouge sum for Gamma(z+1) = z Gamma(z), z = y - 1.
-
-    Working precisions are rounded up to multiples of 64 bits so that
-    nearby requests share one `_spouge_coeffs` table.
-    """
-    wp = _spouge_wp(prec)
-    wp += -wp % 64
-    zn, zd = (y - 1).numerator, (y - 1).denominator
-    while True:
-        a = int(wp / 2.65) + 3
-        coeffs = _spouge_coeffs(a, wp)
-        # s = c_0 + sum_k c_k / (z + k) in fixed point at wp bits, with
-        # the mass sum_k |c_k / (z + k)| it cancels from; z + k is the
-        # exact (zn + k zd) / zd
-        s = mass = coeffs[0]
-        den = zn
-        for c in coeffs[1:]:
-            den += zd
-            t = c * zd // den
-            s += t
-            mass += abs(t)
-        # each c_k is off by under 2^-(wp+5) of itself and each quotient
-        # by one floor: s is off by under mass 2^-(wp+5) + 2a ulps.  If
-        # the sum cancels more than wp allows for, retry with more bits
-        short = mass.bit_length() - abs(s).bit_length() \
-            - (wp - prec - 16 - a.bit_length())
-        if short <= 0:
-            break
-        wp += short + 16
-        wp += -wp % 64
-    # the leading factor e^x = v 2^(m-w), x = (y - 1/2) ln(y-1+a) - (y-1+a)
-    za, h, w = y - 1 + a, y - Fraction(1, 2), wp + 16
-    x = _ln_fixed(za, w) * h.numerator // h.denominator \
-        - (za.numerator << w) // za.denominator
-    v, m = _exp_fixed(x, w)
-    return v * s >> (w + wp - prec - m)
-
-
 def gamma(x: Fraction, prec: int) -> int:
     """Gamma at a rational x, not 0 or a negative integer, at prec
     fixed-point bits within an ulp.
 
-    With x = y + k, 1 <= y < 2 and k an integer, Gamma(x) = Gamma(y) R for
-    the exact rational R = y (y+1) ... (x-1) when k >= 0 and
-    1 / (x (x+1) ... (y-1)) when k < 0.  Gamma(y) is cached at w bits, w
-    = prec + 8 plus the integer bits of R, rounded up to a multiple of
-    64, so the requests of one precision class share it; its guard bits
-    cover the one floor of the product by R.  R has |k| factors: x is
-    meant to be of moderate size.
+    Gamma(x) = sqrt(2 pi) e^L / prod_(i<N) (x + i), where L is Stirling's
+    series for ln Gamma(X) - ln sqrt(2 pi) at X = x + N, N = prec/2 + 8
+    plus the shift that makes X positive:
+    L = (X - 1/2) ln X - X + sum_i B_2i / (2i (2i-1) X^(2i-1)), the i-th
+    term t_i X / (2i - 1) for the s = 1 corrections t_i = B_2i/(2i) X^-2i
+    of `_em_corrections` on the scale of X^-1.  For real X > 0 the
+    remainder is below the first omitted term (Olver, ch. 8).  The
+    product is the exact integer prod (p + i q) over q^N.  L is summed
+    at w bits, w covering its floors, which X multiplies up to X^2-fold,
+    and the integer bits of Gamma(x), rounded up to a multiple of 64 so
+    that nearby requests share their pi and log 2 widths.  The shift
+    has N factors and w grows with ln Gamma(x): x is meant to be of
+    moderate size.
     """
     if x.denominator == 1 and x <= 0:
         raise PoleError("gamma pole at a non-positive integer")
-    k = math.floor(x) - 1
-    r = Fraction(math.prod(min(x, x - k) + i for i in range(abs(k))))
-    if k < 0:
-        r = 1 / r
-    w = prec + 8 + max(0, r.numerator.bit_length() - r.denominator.bit_length())
+    p, q = x.numerator, x.denominator
+    n = prec // 2 + 8 + max(0, -math.floor(x))
+    X = x + n
+    xn, xd = X.numerator, X.denominator
+    den, qn = math.prod(p + i * q for i in range(n)), q**n
+    # log2 |Gamma(x)| = log2 Gamma(X) - log2 |den / qn|, within two bits
+    top = math.lgamma(X) / math.log(2) + 2 + qn.bit_length() \
+        - abs(den).bit_length()
+    w = prec + 2 * xn.bit_length() + 24 + max(0, math.ceil(top))
     w += -w % 64
-    return _gamma_pos_real(x - k, w) * r.numerator \
-        // (r.denominator << (w - prec))
+    # the terms fall while 2i < 2 pi X, to about e^(-2 pi X) = 2^(-9 X),
+    # and X > prec/2 puts that far below 2^-w: the corrections end on a
+    # term that floors to zero, never on a turn, so the first omitted
+    # term, below X ulps, bounds what is left
+    L = _ln_fixed(X, w) * (2 * xn - xd) // (2 * xd) - (xn << w) // xd
+    for i, t in enumerate(_em_corrections((xd << w) // xn, X, 1), 1):
+        L += t * xn // (xd * (2 * i - 1))
+    v, m = _exp_fixed(L, w)
+    sh = 2 * w - m - prec
+    return (math.isqrt(_pi_fixed(w) << w + 1) * v * qn << max(0, -sh)) \
+        // (den << max(0, sh))
 
 
 # ----------------------------------------------------------------------

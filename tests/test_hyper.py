@@ -331,15 +331,15 @@ def test_geometric_sums_exact():
     assert len(names) == len(reports) == 3
 
 
-@pytest.mark.parametrize("P", [16, 48, 100, 128])
+@pytest.mark.parametrize("P", [16, 48, 100, 128, 256, 1024])
 def test_catalan_binomial_form(P):
     d = catalan_binomial(P).to_fraction() \
         - eval_formula("catalan", P + 16).to_fraction()
     assert _mag(d) < -(P - 8)
 
 
-@pytest.mark.parametrize("P", [15, 129])
-def test_catalan_binomial_refuses_bits_outside_16_to_128(P):
+@pytest.mark.parametrize("P", [15, _MAX_BITS + 1])
+def test_catalan_binomial_refuses_bits_outside_16_to_the_ceiling(P):
     with pytest.raises(DomainError):
         catalan_binomial(P)
 
@@ -421,8 +421,8 @@ def test_only_exact_checks_report_minus_infinity(bits):
 # the nine batteries that predate order5
 NINE = ("W", "inv", "genfn", "recur", "U", "asymp", "poch", "expu", "geo")
 BATTERY_SHA256 = {
-    256: "86340c9d5e535cc8bd3f714c951f7e20c1718d1a4a37ef92183c5b7043d49d46",
-    512: "7b9f84c5bcc0c69c778d2961a108f633a7648a7bf06ccd620fef319d7ad27e28",
+    256: "7d0408dae5de59b410048bb2770a3ee8719fe7ac47ae2f0c9d4cbdceffd681fd",
+    512: "77d0b66b637ebe031fc867438674e446b17b485958df05bd72663c6950639274",
 }
 ORDER5_SHA256 = {
     256: "7ca6c7064cc59a80a26fcd563ccf175f4f602bab24b6fae79372ca7f72fb3ea7",
@@ -484,8 +484,8 @@ def _reports_in_a_fresh_interpreter(steps) -> list[str]:
 
 @pytest.mark.slow
 def test_battery_reports_do_not_depend_on_earlier_batteries():
-    # the caches (one gamma value per fractional part and precision class
-    # among them) must give a battery the reports it gets when run first
+    # the caches (one gamma value per argument and precision among them)
+    # must give a battery the reports it gets when run first
     names = sorted(CHECKS)
     first = [line for name in names
              for line in _reports_in_a_fresh_interpreter([f"{name}:256"])]

@@ -1,13 +1,14 @@
 """The fixed-point kernels under the hypergeometric batteries: the kernel
-table of the asymptotic integers, the 3F2 tail, the pole sums and the
-Spouge sum of gamma, each against an independent value or law."""
+table of the asymptotic integers, the 3F2 tail, the pole sums and
+gamma from Stirling's series, each against an independent value or
+law."""
 
 import hashlib
 import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lihex import hyper
 from lihex.errors import PoleError
@@ -141,6 +142,20 @@ def _gamma_arguments():
     """p/q with q <= 60 and -12 < p/q < 12, not 0 or a negative integer."""
     return st.fractions(-12, 12, max_denominator=60).filter(
         lambda x: abs(x) < 12 and not (x.denominator == 1 and x <= 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gamma_arguments(), st.sampled_from([128, 256, 512, 1024, 2048]))
+@example(Q(40), 128)
+@example(Q(25, 2), 128)
+@example(Q(-23, 2), 128)
+@example(Q(40), 2048)
+def test_gamma_is_within_an_ulp_of_four_times_the_precision(x, bits):
+    # gamma is within an ulp at any precision, so at bits it agrees with
+    # its own 4x-precision value cut to bits; Gamma(40) is near 2^152,
+    # so its working precision needs Gamma's integer bits on top
+    assert abs(sp.gamma(x, bits) - (sp.gamma(x, 4 * bits) >> 3 * bits)) \
+        <= 1, (x, bits)
 
 
 @settings(max_examples=60, deadline=None)

@@ -118,11 +118,12 @@ def test_int_kernels_agree_with_four_times_the_precision(wp, data):
     # of its own power of two; and at wp, the laws e^x e^-x = 1, ln 2q =
     # ln q + ln 2 and atan x + atan 1/x = pi/2 tie the reductions together
     w4 = 4 * wp
-    # exp near Spouge's exponent -a, a = int(wp / 2.65) + 3, as gamma
-    # takes it at wp bits, and near 0
-    a = int(wp / 2.65) + 3
+    # exp near Stirling's exponent (X - 1/2) ln X - X, X = wp/2 + 8, as
+    # gamma takes it at wp bits, and near 0
+    X = wp // 2 + 8
+    a = round((X - 0.5) * math.log(X) - X)
     k = data.draw(st.integers(-(1 << 24), 1 << 24))
-    for x in ((-a << wp) + (k << max(0, wp - 20)), k):
+    for x in ((a << wp) + (k << max(0, wp - 20)), k):
         (v, m), (v4, m4) = _exp_fixed(x, wp), _exp_fixed(x << 3 * wp, w4)
         assert m == m4 and _within(v, v4, wp, 4), (x, wp)
         u, n = _exp_fixed(-x, wp)
