@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 from lihex import spigot
 from lihex.errors import DomainError, GuardExhausted
 from lihex.series import Formula, SeriesSpec, catalog, eval_formula
-from lihex.spigot import (DigitRequest, DigitRun, _error_bound, _formula_jobs,
-                          _proved, _sum_block, _table, _terms, _window,
-                          hex_digits, self_check)
+from lihex.spigot import (DigitRequest, DigitRun, _class_sum, _error_bound,
+                          _formula_jobs, _proved, _stepped_class_sum,
+                          _sum_block, _table, _terms, _window, hex_digits,
+                          self_check)
 
 # windows produced by summing the constants conventionally at
 # 4*(d+16)+64 bits and slicing -- never by the spigot itself
@@ -34,6 +35,11 @@ ORACLE_WINDOWS = [
     ("pi4_log2", 250, "FC92A69B9D3E32E1"),
     ("pi2_log2cu", 10000, "35D3D0372A6B3A92"),
     ("beta3", 10000, "5EE1F94870EEFD74"),
+    # log2_5 has 15 classes r = 0 (mod 8), whose 2-adic valuations vary
+    # along the class, and pi_bellard's period is 40
+    ("log2_5", 4097, "5A07C12D46F42E73"),
+    ("log2_4", 3000, "6D25CAB0DE33ED2A"),
+    ("pi_bellard", 20000, "AE937C2354A69FF6"),
 ]
 
 
@@ -154,6 +160,26 @@ def test_block_lies_within_the_error_interval(name, shift0, acc_bits, k0,
     assert -1 < diff < _terms(t, k0, k0 + width) + 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(catalog())),
+       st.integers(min_value=1, max_value=2**17),
+       st.integers(min_value=0, max_value=4000),
+       st.integers(min_value=-64, max_value=2000),
+       st.integers(min_value=16, max_value=200))
+def test_stepped_classes_match_the_per_term_loop(name, k0, width, lead,
+                                                 acc_bits):
+    # k0 up to 2^17 makes odd parts of up to 17 bits, so a wide block
+    # fills groups to the fold; a shift near k0/2 puts the split between
+    # the tail (ee < 0) and the folded terms anywhere in the block
+    t = _table(catalog()[name])
+    period, k1, shift = len(t.nums), k0 + width, k0 // 2 + lead
+    for r, a in enumerate(t.nums):
+        top = k1 - 1 - (k1 - 1 - r) % period
+        if a and r & 7 and top >= k0:
+            args = (t, a, shift, acc_bits, k0, top)
+            assert _stepped_class_sum(*args) == _class_sum(*args), r
+
+
 @pytest.mark.parametrize("name", ["pi", "catalan", "zeta3", "beta3",
                                   "pi4", "zeta5"])
 def test_term_count_matches_a_brute_force_count(name):
@@ -183,6 +209,15 @@ def test_request_validation():
     assert DigitRequest("pi", 1, 16, threads=256).threads == 256
     with pytest.raises(DomainError):
         DigitRequest("pi", 1, 16, threads=257)
+    # position, count and threads are ints: a float or a bool is refused
+    # at construction, not deep inside the kernel
+    for args, kw in ((("pi", 1.5, 8), {}), (("pi", 10, 8.0), {}),
+                     (("pi", True, 8), {}), (("pi", 10, True), {}),
+                     (("pi", 1, 16), {"threads": 1.0}),
+                     (("pi", 1, 16), {"threads": True}),
+                     (("pi", "1", 16), {})):
+        with pytest.raises(DomainError, match="must be an int"):
+            DigitRequest(*args, **kw)
     # positions are capped by the work they imply: pi at 2^39 would sum
     # about 2.2e12 terms, zeta(5) at 10^8 about 8e8
     with pytest.raises(DomainError):
