@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every lihex module."""
+"""Exception hierarchy shared by every lihex module, and the rule that
+requests apply to their integer fields."""
 
 __all__ = [
     "LihexError",
@@ -59,3 +60,9 @@ class RankDeficient(LihexError, ArithmeticError):
 
 class IllConditionedError(LihexError, ArithmeticError):
     """A numerical solve lost too many bits to certify its output."""
+
+
+def _require_int(name: str, x) -> None:
+    """DomainError unless x is an int; a bool is not one."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise DomainError(f"{name} must be an int, not {x!r}")

@@ -52,7 +52,6 @@ import functools
 import itertools
 import math
 import operator
-from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -668,28 +667,18 @@ def _parts(arg: str, k: int) -> tuple[Fraction, Fraction]:
     return _exact_part(arg, k, "re"), _exact_part(arg, k, "im")
 
 
-def _u_plus(n: int) -> Fraction:
-    """U(5n) for integer n >= 1."""
+def _lattice_sum(n: int, s: int) -> Fraction:
+    """U(5n) for s = 1, and for s = -1 the finite sum V(n), which equals
+    U(-5n) for odd n; n >= 1.  The two sums mirror each other."""
     total = Q(0)  # p = (1-i)/4, 1/p = 2+2i, and q = i/2
-    for k in range(1, 2 * n + 1):
-        pr, pi_ = _parts("(1-i)/4", -k)
-        qr, qi = _parts("i/2", 5 * n - k)
+    b = (s + 1) // 2
+    for k in range(1, 2 * n + b):
+        pr, pi_ = _parts("(1-i)/4", -s * k)
+        qr, qi = _parts("i/2", s * (5 * n - k))
         total += ((pr - 2) * qr - pi_ * qi) / k
-    for k in range(2 * n + 1, 5 * n + 1):
-        total -= Q(2, k) * _exact_part("i/2", 5 * n - k, "re")
-    return 25 * n * total
-
-
-def _v_minus(n: int) -> Fraction:
-    """The finite sum V(n); equals U(-5n) for odd n."""
-    total = Q(0)
-    for k in range(1, 2 * n):
-        pr, pi_ = _parts("(1-i)/4", k)
-        qr, qi = _parts("i/2", k - 5 * n)
-        total += ((pr - 2) * qr - pi_ * qi) / k
-    for k in range(2 * n, 5 * n):
-        total -= Q(2, k) * _exact_part("i/2", k - 5 * n, "re")
-    return -25 * n * total
+    for k in range(2 * n + b, 5 * n + b):
+        total -= Q(2, k) * _exact_part("i/2", s * (5 * n - k), "re")
+    return 25 * s * n * total
 
 
 def u_rational(t: Fraction | int) -> Fraction | tuple[Fraction, Fraction]:
@@ -702,13 +691,13 @@ def u_rational(t: Fraction | int) -> Fraction | tuple[Fraction, Fraction]:
     if n == 0:
         return Q(0)
     if n > 0:
-        return _u_plus(n)
+        return _lattice_sum(n, 1)
     n = -n
     if n % 2 == 1:
-        return _v_minus(n)
+        return _lattice_sum(n, -1)
     m = n // 2
     unit = Q((-1024) ** m)
-    return 25 * m * unit, _v_minus(2 * m) - Q(5, 2) * unit
+    return 25 * m * unit, _lattice_sum(2 * m, -1) - Q(5, 2) * unit
 
 
 def utilde_rational(t: Fraction) -> Fraction | tuple[Fraction, Fraction]:
@@ -749,24 +738,14 @@ def utilde_rational(t: Fraction) -> Fraction | tuple[Fraction, Fraction]:
 # expansion in powers of exp(-pi x/10) has small integer coefficients;
 # each exponential moment is m! Re/Im (u pi/10 + i ln 2)^-(m+1).
 
-_G_LIMIT = 1 << 13
-
-
-@functools.cache
-def _kernel_coeffs() -> array:
-    """g_0 .. g_(_G_LIMIT) as signed bytes: a period-10 part (+4, -8, +4
-    at u = 1, 5, 9 mod 10) plus runs +4, -4, +4, ... that start at every
-    u = 7 mod 10 and step by 4; the runs sum to
-    alt[u] = 4 [u = 7 mod 10] - alt[u-4].  Every |g_u| <= 12."""
-    fixed = (0, 4, 0, 0, 0, -8, 0, 0, 0, 4)
-    g = array("b", bytes(_G_LIMIT + 1))
-    alt = [0, 0, 0, 0]  # alt[u - 4], indexed by u mod 4
-    for u in range(_G_LIMIT + 1):
-        a = (4 if u % 10 == 7 else 0) - alt[u % 4]
-        alt[u % 4] = a
-        g[u] = fixed[u % 10] + a
-    return g
-
+# g_u = _KERNEL[u % 40]: a period-10 part (+4, -8, +4 at u = 1, 5, 9
+# mod 10) plus runs +4, -4, +4, ... that start at every u = 7 mod 10 and
+# step by 4.  The runs sum to alt[u] = 4 [u = 7 mod 10] - alt[u-4], so
+# alt[u+8] - alt[u] = 4 ([u = 9 mod 10] - [u = 3 mod 10]), whose five
+# steps over 40 = lcm(10, 8) terms cancel: the table has period 40 from
+# u = 0 on.  Every |g_u| <= 8, within the 12 the bounds below assume.
+_KERNEL = (0, 4, 0, 0, 0, -8, 0, 4, 0, 4, 0, 0, 0, 0, 0, -4, 0, 4, 0, 0,
+           0, 0, 0, 4, 0, -4, 0, 0, 0, 0, 0, 4, 0, 4, 0, -8, 0, 0, 0, 4)
 
 _ASYMP_MAX_M = 64
 
@@ -778,7 +757,7 @@ def asymp_coeff(m: int) -> int:
     if not 1 <= m <= _ASYMP_MAX_M:
         raise DomainError(
             f"asymptotic coefficients computed for m <= {_ASYMP_MAX_M}")
-    # k_m = sgn (scale / 24) sum_u g_u Part w_u^-e, w_u = u pi/10 + i ln 2
+    # k_m = (scale / 24) Re(i^e sum_u g_u w_u^-e), w_u = u pi/10 + i ln 2
     e = m + 1
     scale = 5 * 10**m * math.factorial(m)
     # Sum in fixed point at wp bits.  With the rounded pi and ln 2, the
@@ -792,15 +771,13 @@ def asymp_coeff(m: int) -> int:
     # Past u_max the terms sum to at most 12 (10/pi)^e u_max^(1-e) / (e-1)
     # <= 12 / 2^(bitlen(scale) + 3), 1/16 after scaling; u_max is 5257 at
     # m = 1 and under 900 for every other m <= 64.
-    u_max = min(_G_LIMIT, math.ceil(
-        2 ** ((scale.bit_length() + 3 + 1.68 * e) / (e - 1))))
-    g = _kernel_coeffs()
+    u_max = math.ceil(2 ** ((scale.bit_length() + 3 + 1.68 * e) / (e - 1)))
     pf = _pi_fixed(wp)
     li = _log2_fixed(wp)
     li2 = li * li
-    acc = 0
+    sr = si = 0
     for u in range(1, u_max + 1):
-        gu = g[u]
+        gu = _KERNEL[u % 40]
         if gu == 0:
             continue
         wr = u * pf // 10
@@ -817,13 +794,9 @@ def asymp_coeff(m: int) -> int:
             if not n:
                 break
             br, bi = (br + bi) * (br - bi) >> wp, (br * bi) >> (wp - 1)
-        acc += gu * (pr if m % 2 == 1 else pi_)
-    # odd m take -(-1)^((m-1)/2) Re, even m take +(-1)^((m-2)/2) Im
-    if m % 2 == 1:
-        sgn = -1 if ((m - 1) // 2) % 2 == 0 else 1
-    else:
-        sgn = 1 if ((m - 2) // 2) % 2 == 0 else -1
-    vq = Q(sgn * scale * acc, 24 << wp)
+        sr += gu * pr
+        si += gu * pi_
+    vq = Q(scale * (sr, -si, -sr, si)[e % 4], 24 << wp)
     k = round(vq)
     if abs(vq - k) >= Q(1, 4):
         raise PrecisionError(

@@ -104,7 +104,7 @@ import operator
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _require_int
 from .ladders import CheckReport
 from .mp.real import MpReal
 
@@ -119,8 +119,8 @@ __all__ = ["RelationQuery", "RelationResult", "pslq", "required_bits",
 class RelationQuery:
     """A request to find an integer relation among some real values.
 
-    ``max_digits`` bounds the decimal size of acceptable coefficients.
-    The values' common precision P must be at least
+    ``max_digits``, an int, bounds the decimal size of acceptable
+    coefficients.  The values' common precision P must be at least
     ``required_bits(len(values), max_digits)``, or neither a find nor an
     exclusion would be trustworthy.  The search itself runs at W =
     required_bits + 64 + (t - b) bits when that is less than P, t and b
@@ -128,9 +128,9 @@ class RelationQuery:
     only confirm a candidate, and they make its ``log2_residual`` and
     pigeonhole test sharper, never the search longer.  A value that is
     zero at P bits relative to the largest raises DomainError from
-    ``pslq``.  ``max_iterations``, when given, must be positive and caps
-    the iterations made (the default grows with the size of the
-    search).
+    ``pslq``.  ``max_iterations``, when given, must be a positive int
+    and caps the iterations made (the default grows with the size of
+    the search).
     """
 
     values: tuple[MpReal, ...]
@@ -141,10 +141,13 @@ class RelationQuery:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) < 2:
             raise DomainError("a relation needs at least two values")
+        _require_int("max_digits", self.max_digits)
         if self.max_digits < 1:
             raise DomainError("max_digits must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise DomainError("max_iterations must be positive")
+        if self.max_iterations is not None:
+            _require_int("max_iterations", self.max_iterations)
+            if self.max_iterations < 1:
+                raise DomainError("max_iterations must be positive")
 
     @property
     def prec(self) -> int:
@@ -193,9 +196,7 @@ def _round_div(a: int, b: int) -> int:
 
 def _canonical(vec: list[int]) -> tuple[int, ...]:
     """Divide out the gcd and make the first nonzero entry positive."""
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
+    g = math.gcd(*vec)
     if g > 1:
         vec = [v // g for v in vec]
     for v in vec:
@@ -286,15 +287,15 @@ def _width(H: list[list[int]]) -> int:
     return max(map(abs, chain.from_iterable(H))).bit_length()
 
 
-def _reduce(y, H, B, start: int, cap: int) -> None:
-    """Hermite reduction of rows start..n-1 of H against columns <= cap.
+def _reduce(y, H, B) -> None:
+    """Hermite reduction of rows 1..n-1 of H.
 
     Each step subtracts t times row j of H from row i; y and the columns
     of B (stored as rows) follow with y_j += t*y_i and B_j += t*B_i.
     """
     n = len(y)
-    for i in range(start, n):
-        for j in range(min(i - 1, cap), -1, -1):
+    for i in range(1, n):
+        for j in range(i - 1, -1, -1):
             hjj = H[j][j]
             if hjj == 0:
                 continue
@@ -440,7 +441,7 @@ def _refresh(y, H, B, Al, Bl) -> None:
     for i in range(n - 1):
         for j in range(i + 1, n - 1):
             _rotate(H, i, j, k)
-    _reduce(y, H, B, 1, n - 2)
+    _reduce(y, H, B)
 
 
 def _pigeonhole(vec: tuple[int, ...], log2_residual: float) -> bool:
@@ -514,7 +515,7 @@ def pslq(q: RelationQuery) -> RelationResult:
             H[i][j] = _round_div(-x[i] * x[j] * one, d)
 
     B = [[int(i == j) for j in range(n)] for i in range(n)]   # columns
-    _reduce(y, H, B, 1, n - 2)
+    _reduce(y, H, B)
 
     # |y| gate below which a column is worth confirming exactly, and
     # the accept bound on the P-bit residual: n * height ulps with 40
@@ -567,9 +568,12 @@ def verify_vector(vector, values, prec: int) -> CheckReport:
     iff that residual stays below 2**-(prec-64) * max|v_i| and, as for
     a `found` from `pslq`, well below the pigeonhole floor for the
     vector's height.  ``log2_residual`` is in the values' own units.  A
-    zero residual, as for the all-zero vector, passes.
+    zero residual, as for the all-zero vector, passes.  Each entry of
+    the vector must be an int; DomainError otherwise.
     """
-    vec = tuple(int(v) for v in vector)
+    vec = tuple(vector)
+    for v in vec:
+        _require_int("a vector entry", v)
     vals = list(values)
     if len(vec) != len(vals):
         raise DomainError(

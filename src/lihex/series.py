@@ -51,13 +51,14 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, lcm
 from operator import floordiv, lshift, mul, rshift
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DomainError, PrecisionError, RankDeficient,
-                     UndefinedOrder, UnknownName, UnsupportedArgument)
+                     UndefinedOrder, UnknownName, UnsupportedArgument,
+                     _require_int)
 from .mp.real import (_MAX_CORE_PREC, MpReal, _alt_fixed, _log2_fixed,
                       _pi_fixed, _zeta_fixed)
 
@@ -82,18 +83,17 @@ class SeriesSpec:
     pattern: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        pat = tuple(self.pattern)
+        for name, x in (("n", self.n), ("p", self.p),
+                        *(("pattern entry", c) for c in pat)):
+            _require_int(name, x)
         if self.n < 1:
             raise DomainError("order n must be >= 1")
         if not 1 <= self.p <= 6:
             raise DomainError("power p must be in 1..6")
-        pat = tuple(int(c) for c in self.pattern)
         if len(pat) != 8:
             raise DomainError("pattern must have 8 entries")
         object.__setattr__(self, "pattern", pat)
-
-    def __str__(self) -> str:
-        body = ",".join(str(c) for c in self.pattern)
-        return f"S_{{{self.n},{self.p}}}({body})"
 
 
 def _canon_term(coef: Fraction, n: int, p: int,
@@ -104,9 +104,7 @@ def _canon_term(coef: Fraction, n: int, p: int,
     nonzero entry; a zero pattern collapses to None.
     """
     pat = [int(c) for c in pattern]
-    g = 0
-    for c in pat:
-        g = gcd(g, abs(c))
+    g = gcd(*pat)
     if g == 0 or coef == 0:
         return None
     sign = 1
@@ -393,7 +391,8 @@ class Monomial:
     """Product pi^pi * log2^log2 * zeta(zeta) * beta(beta) * sqrt2^sqrt2.
 
     A zero order in the zeta/beta slots means that factor is absent;
-    the empty monomial is the rational unit.
+    the empty monomial is the rational unit.  Every slot is an int >= 0,
+    and zeta(1) diverges.
     """
 
     pi: int = 0
@@ -401,6 +400,15 @@ class Monomial:
     zeta: int = 0
     beta: int = 0
     sqrt2: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("pi", "log2", "zeta", "beta", "sqrt2"):
+            x = getattr(self, name)
+            _require_int(name, x)
+            if x < 0:
+                raise DomainError(f"{name} must be >= 0, not {x}")
+        if self.zeta == 1:
+            raise DomainError("zeta(1) diverges: zeta must be 0 or >= 2")
 
     def __str__(self) -> str:
         parts = []
@@ -492,10 +500,7 @@ def integer_rows(forms: Sequence[Mapping]) -> IntegerRows:
     """The forms over the atoms any of them uses, on a common denominator."""
     atoms = tuple(a for a in dict.fromkeys(a for f in forms for a in f)
                   if any(f.get(a) for f in forms))
-    den = 1
-    for f in forms:
-        for c in f.values():
-            den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for f in forms for c in f.values()))
     coefs = tuple(tuple(int(f.get(a, 0) * den) for a in atoms)
                   for f in forms)
     mass = max((sum(map(abs, row)) for row in coefs), default=0)
@@ -926,9 +931,7 @@ def _tidy(svec: dict[SeriesSpec, Fraction]) -> tuple[tuple[Fraction, SeriesSpec]
             vec[i] += c * a
     out = []
     for (n, p), vec in grouped.items():
-        den = 1
-        for c in vec:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in vec))
         canon = _canon_term(_Q(1, den), n, p, [int(c * den) for c in vec])
         if canon is not None:
             out.append(canon)

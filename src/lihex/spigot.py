@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import DomainError, GuardExhausted
+from .errors import DomainError, GuardExhausted, _require_int
 from .series import Formula, _formula, eval_formula
 
 __all__ = ["DigitRequest", "DigitRun", "hex_digits", "self_check",
@@ -62,9 +62,7 @@ class DigitRequest:
 
     def __post_init__(self) -> None:
         for field in ("position", "count", "threads"):
-            x = getattr(self, field)
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise DomainError(f"{field} must be an int, not {x!r}")
+            _require_int(field, getattr(self, field))
         if self.position < 1:
             raise DomainError("position is 1-based")
         if not 1 <= self.count <= 64:

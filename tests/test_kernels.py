@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lihex import hyper
 from lihex.errors import PoleError
-from lihex.hyper import (U, Utilde, _G_LIMIT, _kernel_coeffs, _pole_sum,
-                         asymp_coeff, check_recurrence, genfn_hyp, genfn_pf)
+from lihex.hyper import (U, Utilde, _KERNEL, _pole_sum, asymp_coeff,
+                         check_recurrence, genfn_hyp, genfn_pf)
 from lihex.ladders import _log2_top
 from lihex.mp import special as sp
 from lihex.mp.real import _exp_fixed, _log2_fixed, _pi_fixed, sincospi
@@ -46,8 +46,8 @@ def _kernel_table_summed_run_by_run(limit):
 
 
 def test_kernel_coeffs_match_the_run_by_run_sum():
-    g = _kernel_coeffs()
-    assert list(g) == _kernel_table_summed_run_by_run(_G_LIMIT)
+    g = [_KERNEL[u % 40] for u in range(8193)]
+    assert g == _kernel_table_summed_run_by_run(8192)
     assert max(abs(v) for v in g) <= 12
 
 

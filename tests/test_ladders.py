@@ -273,7 +273,7 @@ def test_results_do_not_depend_on_earlier_requests(clear_caches):
     assert clear_caches() >= {
         "_pi_fixed", "_log2_fixed", "zeta", "dirichlet_beta",
         "gamma", "_polylog", "_series_fixed", "_class_group",
-        "_derived", "_kernel_coeffs"}
+        "_derived"}
     up = _suite((256, 300))
     clear_caches()
     down = _suite((300, 256))

@@ -27,7 +27,6 @@ import types
 # name -> why it stays although no entry point enters it
 ALLOWED = {
     "mp.real.MpReal.__repr__": "debugging aid, read by no program path",
-    "series.SeriesSpec.__str__": "debugging aid, read by no program path",
     "mp.special.hurwitz":
         "perfbench/tracing.py wraps it by name for the traced benchmark",
     "mp.special._hurwitz_int":

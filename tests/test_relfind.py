@@ -179,6 +179,14 @@ def test_query_validation():
     assert q.prec == 128
 
 
+@pytest.mark.parametrize("field, x", [
+    ("max_digits", 2.5), ("max_digits", True),
+    ("max_iterations", 10.0), ("max_iterations", True)])
+def test_query_refuses_a_bound_that_is_not_an_int(field, x):
+    with pytest.raises(DomainError, match=field):
+        RelationQuery((pi_const(256), log2_const(256)), **{field: x})
+
+
 def test_result_dict_shape():
     res = pslq(RelationQuery(_catalan_triple(512), max_digits=8))
     d = res.as_dict()
@@ -267,6 +275,13 @@ def test_verify_zero_vector_and_mismatch():
     assert rep.passed and rep.log2_residual == float("-inf")
     with pytest.raises(DomainError):
         verify_vector((1, 2, 3), vals, 256)
+
+
+@pytest.mark.parametrize("vec", [(1.5, -1), (True, -1), (1, Q(-1))])
+def test_verify_refuses_entries_that_are_not_ints(vec):
+    # int() would truncate 1.5 to 1, and (1, -1) holds for (pi, pi)
+    with pytest.raises(DomainError):
+        verify_vector(vec, (pi_const(256), pi_const(256)), 256)
 
 
 # ----------------------------------------------------------------------

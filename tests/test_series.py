@@ -314,6 +314,22 @@ def test_series_spec_validation():
         polylog_pattern("1/3", 2, "re")
 
 
+@pytest.mark.parametrize("cls, args, kwargs", [
+    (SeriesSpec, (2, 1, (Fraction(3, 2),) + (0,) * 7), {}),
+    (SeriesSpec, (2, 1, (True,) + (0,) * 7), {}),
+    (SeriesSpec, (2.0, 1, (1,) * 8), {}),
+    (SeriesSpec, (2, True, (1,) * 8), {}),
+    (Monomial, (), {"pi": -1}),
+    (Monomial, (), {"zeta": 1}),
+    (Monomial, (), {"zeta": -2}),
+    (Monomial, (), {"log2": 1.0}),
+    (Monomial, (), {"beta": True}),
+])
+def test_atoms_refuse_values_they_cannot_represent(cls, args, kwargs):
+    with pytest.raises(DomainError):
+        cls(*args, **kwargs)
+
+
 # the sixteen special arguments written independently as complex literals
 R2 = 2 ** -0.5
 ARGUMENT_LITERALS = {
