@@ -145,10 +145,7 @@ def _eval_atom(tok: str, wp: int) -> MpReal:
         if head == "monomial":
             if len(args) != 2:
                 raise ValueError(f"monomial() takes two exponents: {tok!r}")
-            a, b = _int(args[0]), _int(args[1])
-            if a < 0 or b < 0:
-                raise ValueError("monomial exponents must be nonnegative")
-            return Monomial(pi=a, log2=b).value(wp)
+            return Monomial(pi=_int(args[0]), log2=_int(args[1])).value(wp)
         raise ValueError(f"unknown value function {head!r}")
     return eval_formula(tok, wp)
 

@@ -43,7 +43,14 @@ relation detection", Math. Comp. 70, 2001):
   on each row the iteration changed), when the smallest |y| or |H_jj|
   of a copy has lost 96 bits (a tiny |y| is a relation candidate), when
   the copy's max |H_jj| says the exclusion bound may hold, or when the
-  row choice degenerates.
+  row choice degenerates.  The exit test reads only what the iteration
+  changed, the same test as a scan of every entry: each entry starts
+  an iteration within its range, or the level would have ended, and a
+  reduction step at (i, j), i > j, writes y_j, column j of B, row i of
+  A and H row i at columns <= j, never a diagonal, so only the swapped
+  and rotated rows m and m+1 change theirs.  The one exception is a y
+  copy that starts the level below its floor, so all of y is scanned
+  after the first iteration.
 * a level also stops in the middle of an iteration, before a step
   whose quotient could spill a slot.  Every entry starts the iteration
   within the cap, and a step with quotient t multiplies the largest by
@@ -265,17 +272,21 @@ def _rotate(H: list[list[int]], i: int, j: int, k: int) -> None:
     """Zero H[i][j] by rotating columns i and j of rows i..n-1.
 
     The cosine and sine are rounded to k fractional bits, so k should
-    exceed the bit length of the entries.
+    exceed the bit length of the entries.  The new H[i][i] is the
+    nearest integer to norm2/d, d = isqrt(norm2), halves up, read from
+    the remainder r = norm2 - d**2: 0 <= r <= 2d, so norm2/d = d + r/d
+    rounds to d + [2r >= d] + [2r >= 3d].
     """
     a, b = H[i][i], H[i][j]
     if b == 0:
         return
     norm2 = a * a + b * b
     d = math.isqrt(norm2)
+    r2 = 2 * (norm2 - d * d)
     c = ((a << (k + 1)) + d) // (2 * d)
     s = ((b << (k + 1)) + d) // (2 * d)
     half = 1 << (k - 1)
-    H[i][i], H[i][j] = _round_div(norm2, d), 0
+    H[i][i], H[i][j] = d + (r2 >= d) + (r2 >= 3 * d), 0
     for row in H[i + 1:]:
         p, r = row[i], row[j]
         row[i] = (p * c + r * s + half) >> k
@@ -357,6 +368,18 @@ def _level(y, H, budget: int, stop: int):
     columns), and the number of iterations made, at least one.  Inside
     the level each row of A and column of B is one int with entry q in
     slot q of n slots of _SLOT bits.
+
+    The exit test reads only what the iteration changed, each entry at
+    its end-of-iteration value, and is the same test as a scan of every
+    entry.  The transforms start the level as the identity, and every y
+    entry and transform entry starts each later iteration within its
+    range, or the level would have ended; an iteration changes the
+    diagonals of rows m and m+1 only, and a reduction step at (i, j)
+    writes y_j, column j of B, row i of A and H row i at columns <= j <
+    i, never a diagonal.  So it tests those two diagonals, y_j and B
+    column j for each touched j, and A row i for each row a nonzero
+    quotient changed; and all of y after the first iteration, as an
+    unshifted copy (sy = 0) may start the level with a y below floor.
     """
     n = len(y)
     sy = max(0, min(map(abs, y)).bit_length() - _LEVEL_BITS)
@@ -370,19 +393,17 @@ def _level(y, H, budget: int, stop: int):
     floor = 1 << (_LEVEL_BITS // 2)
     stop >>= sh
     k = _width(Hl) + _TRANSFORM_BITS + 8
+    # |H_ii| and the row-choice scores 4**i |H_ii|; an iteration changes
+    # only those of rows m and m+1
+    diag = [abs(Hl[i][i]) for i in range(n - 1)]
+    score = [h << 2 * i for i, h in enumerate(diag)]
     steps = 0
     while steps < budget:
         # row choice: largest 4**i |H_ii|, exact, ties to the lowest row
-        m, best, top = 0, 0, 0
-        for i in range(n - 1):
-            h = abs(Hl[i][i])
-            sc = h << 2 * i
-            if sc > best:
-                m, best = i, sc
-            if h > top:
-                top = h
-        if best == 0 or (steps and top < stop):
+        best = max(score)
+        if best == 0 or (steps and max(diag) < stop):
             break
+        m = score.index(best)
         steps += 1
         yl[m], yl[m + 1] = yl[m + 1], yl[m]
         Hl[m], Hl[m + 1] = Hl[m + 1], Hl[m]
@@ -390,13 +411,17 @@ def _level(y, H, budget: int, stop: int):
         B[m], B[m + 1] = B[m + 1], B[m]
         if m < n - 2:
             _rotate(Hl, m, m + 1, k)
+            h = diag[m + 1] = abs(Hl[m + 1][m + 1])
+            score[m + 1] = h << 2 * m + 2
+        h = diag[m] = abs(Hl[m][m])
+        score[m] = h << 2 * m
         # Hermite reduction of rows m+1.. against columns <= m+1; a step
         # with quotient t multiplies the largest transform entry by at
         # most 1 + |t| <= 2**bitlen(t), and the level stops before the
         # iteration's growth could pass _GROWTH bits
-        grown = 0
+        grown, out, cols = 0, False, set()
         for i in range(m + 1, n):
-            Hi = Hl[i]
+            Hi, g = Hl[i], grown
             for j in range(min(i - 1, m + 1), -1, -1):
                 hjj = Hl[j][j]
                 if hjj == 0:
@@ -413,13 +438,16 @@ def _level(y, H, budget: int, stop: int):
                     Hi[q] -= t * Hj[q]
                 B[j] += t * B[i]
                 A[i] -= t * A[j]
-        # only rows m, m+1 changed their diagonal, only rows m+1.. of A
-        # and columns ..m+1 of B their entries
-        if (min(map(abs, yl)) < floor
-                or abs(Hl[m][m]) < floor
-                or (m < n - 2 and abs(Hl[m + 1][m + 1]) < floor)
-                or any((X + bias) & mask != want for X in A[m + 1:])
-                or any((X + bias) & mask != want for X in B[:m + 2])):
+                cols.add(j)
+            # row i of A is final once its own steps are done, y_j and
+            # column j of B only at the end of the iteration
+            if grown != g and (A[i] + bias) & mask != want:
+                out = True
+        if (out or diag[m] < floor
+                or (m < n - 2 and diag[m + 1] < floor)
+                or any(abs(yl[j]) < floor or (B[j] + bias) & mask != want
+                       for j in cols)
+                or (steps == 1 and min(map(abs, yl)) < floor)):
             break
     return _unpack(A, n), _unpack(B, n), steps
 
@@ -432,11 +460,12 @@ def _refresh(y, H, B, Al, Bl) -> None:
     full Hermite reduction.
     """
     n = len(y)
-    y[:] = [sum(map(operator.mul, y, col)) for col in Bl]
-    B[:] = [[sum(c * old[r] for c, old in zip(col, B) if c)
-             for r in range(n)] for col in Bl]
-    H[:] = [[sum(a * H[k][c] for k, a in enumerate(row) if a)
-             for c in range(n - 1)] for row in Al]
+    mul = operator.mul
+    y[:] = [sum(map(mul, y, col)) for col in Bl]
+    Brows = list(zip(*B))
+    B[:] = [[sum(map(mul, col, row)) for row in Brows] for col in Bl]
+    Hcols = list(zip(*H))
+    H[:] = [[sum(map(mul, row, col)) for col in Hcols] for row in Al]
     k = _width(H) + 8
     for i in range(n - 1):
         for j in range(i + 1, n - 1):

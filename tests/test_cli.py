@@ -353,6 +353,19 @@ def test_a_malformed_number_is_usage_error_naming_its_factor(
     assert f"in factor {factor!r} of {expr!r}" in err
 
 
+@pytest.mark.parametrize("values,factor,expr", [
+    ("monomial(-1,0),pi", "monomial(-1,0)", "monomial(-1,0)"),
+    ("pi,catalan*monomial(2,-3)", "monomial(2,-3)",
+     "catalan*monomial(2,-3)"),
+])
+def test_a_negative_monomial_exponent_is_usage_error_naming_its_factor(
+        capsys, values, factor, expr):
+    rc, out, err = run(capsys, "discover", "--values", values)
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error: ")
+    assert f"in factor {factor!r} of {expr!r}" in err
+
+
 def test_config_sets_defaults(tmp_path, capsys):
     cfg = tmp_path / "lihex.cfg"
     cfg.write_text("# comment\nbits = 128\nthreads = 2\n")

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lihex import relfind
 from lihex.errors import DomainError, PrecisionError
@@ -13,7 +13,8 @@ from lihex.ladders import eval_ladder
 from lihex.mp.real import MpReal, _log2_fixed, _pi_fixed
 from lihex.relfind import (_SLOT, _TRANSFORM_BITS, RelationQuery,
                            RelationResult, _canonical, _cap_masks,
-                           _pigeonhole, _unpack, pslq, required_bits,
+                           _pigeonhole, _rotate, _round_div, _shift,
+                           _unpack, _width, pslq, required_bits,
                            verify_vector)
 from lihex.series import (_F11_LHS, _F11_LIS, _F11_MONS, Monomial,
                           SeriesSpec, eval_formula, eval_series,
@@ -544,6 +545,132 @@ def test_a_level_stopped_by_the_growth_guard_changes_no_answer(name):
     # the guard ended nearly every level after its first iteration
     assert 10 * len(guarded_runs) >= 9 * guarded.iterations
     assert all(_is_inverse(A, B) for _, (A, B, _) in guarded_runs)
+
+
+def _reference_rotate(H, i, j, k):
+    # the rotation with the new diagonal as a rounded division
+    a, b = H[i][i], H[i][j]
+    if b == 0:
+        return
+    norm2 = a * a + b * b
+    d = math.isqrt(norm2)
+    c = ((a << (k + 1)) + d) // (2 * d)
+    s = ((b << (k + 1)) + d) // (2 * d)
+    half = 1 << (k - 1)
+    H[i][i], H[i][j] = _round_div(norm2, d), 0
+    for row in H[i + 1:]:
+        p, r = row[i], row[j]
+        row[i] = (p * c + r * s + half) >> k
+        row[j] = (r * c - p * s + half) >> k
+
+
+def _reference_level(y, H, budget, stop):
+    """The level with its row choice and exit test as full scans: every
+    diagonal for the row choice; all of y, the diagonals of rows m and
+    m+1, every row of A[m+1:] and column of B[:m+2] for the exit.  The
+    module's constants are read at the call, so a patched cap or growth
+    allowance applies to both."""
+    n = len(y)
+    sy = max(0, min(map(abs, y)).bit_length() - relfind._LEVEL_BITS)
+    sh = max(0, min(abs(H[j][j]) for j in range(n - 1)).bit_length()
+             - relfind._LEVEL_BITS)
+    yl = [_shift(v, sy) for v in y]
+    Hl = [[_shift(v, sh) for v in row] for row in H]
+    A = [1 << _SLOT * i for i in range(n)]
+    B = A[:]
+    bias, mask, want = _cap_masks(n)
+    floor = 1 << (relfind._LEVEL_BITS // 2)
+    stop >>= sh
+    k = _width(Hl) + relfind._TRANSFORM_BITS + 8
+    steps = 0
+    while steps < budget:
+        m, best, top = 0, 0, 0
+        for i in range(n - 1):
+            h = abs(Hl[i][i])
+            sc = h << 2 * i
+            if sc > best:
+                m, best = i, sc
+            if h > top:
+                top = h
+        if best == 0 or (steps and top < stop):
+            break
+        steps += 1
+        yl[m], yl[m + 1] = yl[m + 1], yl[m]
+        Hl[m], Hl[m + 1] = Hl[m + 1], Hl[m]
+        A[m], A[m + 1] = A[m + 1], A[m]
+        B[m], B[m + 1] = B[m + 1], B[m]
+        if m < n - 2:
+            _reference_rotate(Hl, m, m + 1, k)
+        grown = 0
+        for i in range(m + 1, n):
+            Hi = Hl[i]
+            for j in range(min(i - 1, m + 1), -1, -1):
+                hjj = Hl[j][j]
+                if hjj == 0:
+                    continue
+                t = (2 * Hi[j] + hjj) // (2 * hjj)
+                if t == 0:
+                    continue
+                grown += t.bit_length()
+                if grown > relfind._GROWTH:
+                    return _unpack(A, n), _unpack(B, n), steps
+                yl[j] += t * yl[i]
+                Hj = Hl[j]
+                for q in range(j + 1):
+                    Hi[q] -= t * Hj[q]
+                B[j] += t * B[i]
+                A[i] -= t * A[j]
+        if (min(map(abs, yl)) < floor
+                or abs(Hl[m][m]) < floor
+                or (m < n - 2 and abs(Hl[m + 1][m + 1]) < floor)
+                or any((X + bias) & mask != want for X in A[m + 1:])
+                or any((X + bias) & mask != want for X in B[:m + 2])):
+            break
+    return _unpack(A, n), _unpack(B, n), steps
+
+
+@pytest.mark.parametrize("patch", [
+    None, ("_TRANSFORM_BITS", 8), ("_GROWTH", 1)])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(3, 14), st.integers(2, 4), st.integers(0, 2**32),
+       st.booleans())
+def test_level_matches_the_full_scan_on_every_level_a_query_runs(
+        patch, n, d, seed, planted):
+    # a cap of 2**8 ends most levels on a transform entry, and a growth
+    # allowance of one bit ends most on the growth guard: between them
+    # and the real constants every exit of the level fires
+    P = required_bits(n, d)
+    vals = (_planted_tall(n, d, seed, P)[1] if planted
+            else _random_values(n, seed, P))
+    with pytest.MonkeyPatch.context() as mp:
+        if patch:
+            mp.setattr(relfind, *patch)
+        _, runs = _levels(vals, d)
+        assert runs
+        for (y, H, budget, stop), out in runs:
+            assert out == _reference_level(y, H, budget, stop)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[st.integers(0, 4096).flatmap(
+    lambda w: st.integers(-(1 << w), 1 << w))] * 2)
+@example(3, 4).via("a perfect square: r = 0")
+@example(-5, 12).via("a perfect square, a < 0")
+@example(7, 0).via("b = 0 leaves H alone")
+@example(-7, 0).via("b = 0 leaves a negative diagonal alone")
+@example(1, 2).via("2r = d: 5/2 rounds up")
+@example(1, 3).via("2r = d - 1: 10/3 rounds down")
+@example(1, 1).via("2r = 3d - 1: 2/1 stays")
+@example(3, 6).via("2r = 3d: 45/6 rounds up")
+@example(2, 2).via("r = 2d: 8/2")
+def test_rotation_reads_the_new_diagonal_from_the_isqrt_remainder(a, b):
+    H = [[a, b], [5, 6]]
+    _rotate(H, 0, 1, 16)
+    if b == 0:
+        assert H == [[a, 0], [5, 6]]
+    else:
+        norm2 = a * a + b * b
+        assert H[0] == [_round_div(norm2, math.isqrt(norm2)), 0]
 
 
 # padding of weights 1, 3, 4 and 5 for the weight-2 catalan triple
