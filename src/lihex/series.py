@@ -40,9 +40,9 @@ and `IDENTITIES` holds every relation of the suite as one entry, a
 complex relation with rows for each part.  Two consumers read them:
 `ladders` checks the identities (`check_relation`) from the sums of
 their integer rows, and `_derived` solves each of eight catalog
-formulas from the entries of the same table it rests on, and from no
-others.  The three ladder tables are read-only, so each identity's rows
-are built once.
+formulas from the integer rows of the same table's entries it rests
+on, and from no others.  The three ladder tables are read-only, so each
+ladder's form and each identity's rows are built once, in integers.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _canon_term(coef: Fraction, n: int, p: int,
             sign = -1 if c < 0 else 1
             break
     pat = [sign * c // g for c in pat]
-    return coef * g * sign, SeriesSpec(n, p, tuple(pat))
+    return coef * (g * sign), SeriesSpec(n, p, tuple(pat))
 
 
 # a chunk of quotients holds about this many bits, at least 8 terms
@@ -239,10 +239,8 @@ class Formula:
 
     @functools.cached_property
     def _rows(self) -> IntegerRows:
-        form: dict = {}
-        for coef, spec in self.terms:
-            form[spec] = form.get(spec, _Q(0)) + self.scale * coef
-        return integer_rows([form])
+        return integer_rows([_combine((self.scale * coef, (1, {spec: 1}))
+                                      for coef, spec in self.terms)])
 
     def value(self, prec: int) -> MpReal:
         return _row_value(self._rows, prec)
@@ -465,8 +463,24 @@ def _monomial_fixed(m: Monomial, wp: int) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 # linear forms and their one evaluator
 #
-# A linear form is a dict from S-atoms (SeriesSpec) and Monomials to
-# rational coefficients; it stands for the sum of coefficient times value.
+# A linear form is a pair (den, {atom: int}) over S-atoms (SeriesSpec)
+# and Monomials; it stands for the sum of int / den times the atom's
+# value.  Forms are built and combined in integers alone.
+
+def _combine(parts: Iterable) -> tuple[int, dict]:
+    """The sum of q * form over the (rational q, form) parts, as one form
+    over the least common multiple of their denominators; atoms keep the
+    order in which the parts first name them."""
+    parts = [(q.numerator, q.denominator * den, form)
+             for q, (den, form) in parts]
+    den = lcm(*(d for _, d, _ in parts))
+    out: dict = {}
+    for num, d, form in parts:
+        k = num * (den // d)
+        for atom, c in form.items():
+            out[atom] = out.get(atom, 0) + k * c
+    return den, out
+
 
 @dataclass(frozen=True, eq=False)
 class IntegerRows:
@@ -496,13 +510,15 @@ class IntegerRows:
                      if len(ps) > 1)
 
 
-def integer_rows(forms: Sequence[Mapping]) -> IntegerRows:
-    """The forms over the atoms any of them uses, on a common denominator."""
-    atoms = tuple(a for a in dict.fromkeys(a for f in forms for a in f)
-                  if any(f.get(a) for f in forms))
-    den = lcm(*(c.denominator for f in forms for c in f.values()))
-    coefs = tuple(tuple(int(f.get(a, 0) * den) for a in atoms)
-                  for f in forms)
+def integer_rows(forms: Sequence[tuple[int, Mapping]]) -> IntegerRows:
+    """The forms over the atoms any of them uses, on the least common
+    denominator of their coefficients in lowest terms.  A form (d, f)
+    has d / gcd(d, f's entries) as that denominator."""
+    atoms = tuple(a for a in dict.fromkeys(a for _, f in forms for a in f)
+                  if any(f.get(a) for _, f in forms))
+    den = lcm(*(d // gcd(d, *f.values()) for d, f in forms))
+    coefs = tuple(tuple(f.get(a, 0) * den // d for a in atoms)
+                  for d, f in forms)
     mass = max((sum(map(abs, row)) for row in coefs), default=0)
     return IntegerRows(den, atoms, coefs,
                        mass.bit_length() - den.bit_length() + 1)
@@ -544,14 +560,9 @@ def _row_value(rows: IntegerRows, prec: int) -> MpReal:
     return MpReal.from_fraction(_Q(total, rows.den << wp), prec)
 
 
-def _add(acc: dict, coef: Fraction, form: Mapping) -> None:
-    for atom, c in form.items():
-        acc[atom] = acc.get(atom, _Q(0)) + coef * c
-
-
-def _li(arg: str, n: int, part: str) -> dict:
+def _li(arg: str, n: int, part: str) -> tuple[int, dict]:
     """Part Li_n(arg) as a linear form."""
-    return {spec: c for c, spec in polylog_pattern(arg, n, part)}
+    return 1, {spec: c.numerator for c, spec in polylog_pattern(arg, n, part)}
 
 
 # ----------------------------------------------------------------------
@@ -642,8 +653,10 @@ def _combination(name: str):
         raise UnknownName(name) from None
 
 
-def ladder(name: str, n: int) -> dict:
-    """Ladder `name` at order n as a linear form over S-atoms and monomials.
+@functools.cache
+def ladder(name: str, n: int) -> tuple[int, Mapping]:
+    """Ladder `name` at order n as a read-only linear form (den, {atom:
+    int}) over S-atoms and monomials.
 
     Accepts the base names A..H, their bar forms (Abar..Hbar), the
     tilde forms Btilde..Etilde and Htilde, and the deep combinations
@@ -653,17 +666,14 @@ def ladder(name: str, n: int) -> dict:
     combo, corrections = ((), ()) if base else _combination(name)
     if not 1 <= n <= 11:
         raise UndefinedOrder(f"order {n} is outside 1..11")
-    form: dict = {}
-    for c, r, arg, part in base:
-        _add(form, c * _Q(r) ** (n - 1), _li(arg, n, part))
-    for c, sub in combo:
-        _add(form, _Q(c), ladder(sub, n))
-    for q, k in corrections:
-        j = n - k
-        if j >= 0:
-            m = Monomial(pi=k, log2=j)
-            form[m] = form.get(m, _Q(0)) + q * _Q(-1) ** j / factorial(j)
-    return form
+    den, form = _combine(chain(
+        ((_Q(c * r.numerator ** (n - 1), r.denominator ** (n - 1)),
+          _li(arg, n, part)) for c, r, arg, part in base),
+        ((c, ladder(sub, n)) for c, sub in combo),
+        ((_Q((-1) ** (n - k) * q.numerator, q.denominator * factorial(n - k)),
+          (1, {Monomial(pi=k, log2=n - k): 1}))
+         for q, k in corrections if k <= n)))
+    return den, MappingProxyType(form)
 
 
 # ----------------------------------------------------------------------
@@ -692,31 +702,24 @@ class Identity:
 
     @functools.cache
     def rows(self) -> IntegerRows:
-        """Every part's differences as one integer coefficient matrix."""
-        return integer_rows(_differences(self))
-
-
-def _differences(ident: Identity) -> list[dict]:
-    """Each side of `ident` minus the first side of its part, as new
-    linear forms: the real part's, then the imaginary part's."""
-    rows = []
-    for sides in (ident.sides, ident.im_sides):
+        """Each side minus the first side of its part, the real part's
+        rows then the imaginary part's, as one integer matrix."""
         forms = []
-        for side in sides:
-            form: dict = {}
-            for c, key in side:
-                if isinstance(key, (Monomial, SeriesSpec)):
-                    part = {key: _Q(1)}
-                elif isinstance(key, str):
-                    part = ladder(key, ident.n)
-                else:
-                    part = _li(key[0], ident.n, key[1])
-                _add(form, _Q(c), part)
-            forms.append(form)
-        for form in forms[1:]:
-            _add(form, _Q(-1), forms[0])
-        rows += forms[1:]
-    return rows
+        for sides in (self.sides, self.im_sides):
+            if sides:
+                first, *rest = [_combine((c, self._form(key))
+                                         for c, key in side)
+                                for side in sides]
+                forms += [_combine(((1, form), (-1, first)))
+                          for form in rest]
+        return integer_rows(forms)
+
+    def _form(self, key) -> tuple[int, Mapping]:
+        if isinstance(key, (Monomial, SeriesSpec)):
+            return 1, {key: 1}
+        if isinstance(key, str):
+            return ladder(key, self.n)
+        return _li(key[0], self.n, key[1])
 
 
 # the 14-term integer relation determining zeta(11)
@@ -890,51 +893,35 @@ def monomial_name(m: Monomial) -> str:
         pieces.append(f"zeta{m.zeta}")
     if m.beta:
         pieces.append(f"beta{m.beta}")
+    if m.sqrt2:
+        pieces.append("sqrt2" if m.sqrt2 == 1 else f"sqrt2_{m.sqrt2}")
     return "_".join(pieces) if pieces else "one"
 
 
-def _merge_p(coef: Fraction, spec: SeriesSpec) -> tuple[Fraction, SeriesSpec]:
-    """Rewrite even-p atoms with 4-periodic patterns at half the power.
+def _tidy(svec: Mapping[SeriesSpec, int],
+          den: int) -> tuple[tuple[Fraction, SeriesSpec], ...]:
+    """The S-vector sum w / den * S over svec's (S, w), one canonical
+    term per (n, p), ordered by (p, n, pattern).
 
-    S_{n,2p'}(a) with a_k = a_{k+4} equals S_{n,p'}(b) where the even
-    slots b_{2k} carry a_k times a fixed power of two; odd slots vanish.
+    An even-p atom with a 4-periodic pattern moves to half its power
+    first, as often as it can: S_{n,2p'}(a) with a_k = a_{k+4} is
+    2^s S_{n,p'}(b) with b = (0, a_1, 0, a_2, 0, a_3, 0, a_4) and s = n - 1
+    for p = 2, 4 or n - 2 for p = 6.
     """
-    n, p = spec.n, spec.p
-    pat = list(spec.pattern)
-    while p % 2 == 0 and pat[:4] == pat[4:]:
-        shift = n - 1 if p in (2, 4) else n - 2
-        nxt = [0] * 8
-        for k in range(1, 5):
-            nxt[2 * k - 1] = pat[k - 1]
-        coef = coef * _Q(2) ** shift
-        pat = nxt
-        p //= 2
-    out = _canon_term(coef, n, p, pat)
-    assert out is not None
-    return out
-
-
-def _tidy(svec: dict[SeriesSpec, Fraction]) -> tuple[tuple[Fraction, SeriesSpec], ...]:
-    halved: dict[SeriesSpec, Fraction] = {}
-    for spec, c in svec.items():
-        if c == 0:
-            continue
-        c2, spec2 = _merge_p(c, spec)
-        halved[spec2] = halved.get(spec2, _Q(0)) + c2
-    # atoms sharing (n, p) collapse into a single combined pattern
-    grouped: dict[tuple[int, int], list[Fraction]] = {}
-    for spec, c in halved.items():
-        if c == 0:
-            continue
-        vec = grouped.setdefault((spec.n, spec.p), [_Q(0)] * 8)
-        for i, a in enumerate(spec.pattern):
-            vec[i] += c * a
-    out = []
-    for (n, p), vec in grouped.items():
-        den = lcm(*(c.denominator for c in vec))
-        canon = _canon_term(_Q(1, den), n, p, [int(c * den) for c in vec])
-        if canon is not None:
-            out.append(canon)
+    # s >= -1 (one halving of p = 6 at n = 1): weights carry a factor 2
+    grouped: dict[tuple[int, int], list[int]] = {}
+    for spec, w in svec.items():
+        n, p, pat, s = spec.n, spec.p, spec.pattern, 1
+        while p % 2 == 0 and pat[:4] == pat[4:]:
+            s += n - 1 if p in (2, 4) else n - 2
+            pat = (0, pat[0], 0, pat[1], 0, pat[2], 0, pat[3])
+            p //= 2
+        vec = grouped.setdefault((n, p), [0] * 8)
+        for i, a in enumerate(pat):
+            vec[i] += w * a << s
+    scale = _Q(1, 2 * den)
+    out = [t for (n, p), vec in grouped.items()
+           if (t := _canon_term(scale, n, p, vec))]
     out.sort(key=lambda t: (t[1].p, t[1].n, t[1].pattern))
     return tuple(out)
 
@@ -943,64 +930,65 @@ def solve_formulas(identities: Sequence[Identity],
                    targets: Sequence[Monomial]) -> list[Formula]:
     """Eliminate monomials from identities, expressing targets in S-atoms.
 
-    Each identity gives one row per side after the first of its part:
-    that side minus the first, as a linear form.  The monomial part is
-    solved by exact rational Gaussian elimination with the S-atoms
-    riding along.
+    The formulas are solved by exact elimination of the monomial
+    columns of the identities' checked integer rows (`Identity.rows`),
+    each of which states sum coef * atom = 0.  Gauss-Jordan elimination
+    runs on the monomial columns alone, in integers, and each row
+    records the combination of identity rows it is; every row stays a
+    nonzero multiple of the one that rational elimination with unit
+    pivots would hold.  A target's pivot row gives its S-vector once,
+    as that combination of the rows' S-columns over the pivot.
     Each target must come out as a unique combination of S-atoms,
     otherwise RankDeficient is raised.
     """
-    forms = [form for ident in identities for form in _differences(ident)]
-    unknowns: list[Monomial] = []
-    for form in forms:
-        for atom, c in form.items():
-            if isinstance(atom, Monomial) and c and atom not in unknowns:
-                unknowns.append(atom)
+    rows = [(r.atoms, coefs) for ident in identities for r in [ident.rows()]
+            for coefs in r.coefs]
+    unknowns = list(dict.fromkeys(a for atoms, _ in rows for a in atoms
+                                  if isinstance(a, Monomial)))
     for t in targets:
         if t not in unknowns:
             raise RankDeficient(f"target {t} never appears in the relations")
 
-    # a row S + M = 0 reads -M = S: monomial coefficients, S-vector
-    rows: list[tuple[list[Fraction], dict[SeriesSpec, Fraction]]] = [
-        ([-form.get(m, _Q(0)) for m in unknowns],
-         {a: c for a, c in form.items() if isinstance(a, SeriesSpec)})
-        for form in forms]
+    # row i: its monomial coefficients, then the identity rows it mixes
+    mat = []
+    for i, (atoms, coefs) in enumerate(rows):
+        col = dict(zip(atoms, coefs))
+        mat.append([col.get(m, 0) for m in unknowns]
+                   + [int(i == j) for j in range(len(rows))])
 
-    # reduced row echelon form over Q, S-vectors riding along
     pivot_of: dict[int, int] = {}
-    r = 0
     for col in range(len(unknowns)):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][0][col] != 0),
-                     None)
+        r = len(pivot_of)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        mon, svec = rows[r]
-        inv = 1 / mon[col]
-        rows[r] = ([c * inv for c in mon],
-                   {k: v * inv for k, v in svec.items()})
-        for i, (m2, s2) in enumerate(rows):
-            if i == r or m2[col] == 0:
-                continue
-            f = m2[col]
-            new_m = [a - f * b for a, b in zip(m2, rows[r][0])]
-            new_s = dict(s2)
-            for k, v in rows[r][1].items():
-                new_s[k] = new_s.get(k, _Q(0)) - f * v
-            rows[i] = (new_m, new_s)
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        top = mat[r]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                new = [top[col] * a - f * b for a, b in zip(row, top)]
+                g = gcd(*new)
+                mat[i] = [a // g for a in new]
         pivot_of[col] = r
-        r += 1
 
     out = []
     for t in targets:
         col = unknowns.index(t)
-        row = pivot_of.get(col)
-        if row is None:
+        if col not in pivot_of:
             raise RankDeficient(f"target {t} is not determined")
-        mon, svec = rows[row]
-        if any(c != 0 for j, c in enumerate(mon) if j != col):
+        row = mat[pivot_of[col]]
+        mon, mix = row[:len(unknowns)], row[len(unknowns):]
+        if any(c for j, c in enumerate(mon) if j != col):
             raise RankDeficient(f"target {t} is entangled with free monomials")
-        out.append(Formula(monomial_name(t), _Q(1), _tidy(svec),
+        # the row reads mon[col] t + sum_i mix[i] S_i = 0
+        svec: dict[SeriesSpec, int] = {}
+        for w, (atoms, coefs) in zip(mix, rows):
+            if w:
+                for atom, c in zip(atoms, coefs):
+                    if c and isinstance(atom, SeriesSpec):
+                        svec[atom] = svec.get(atom, 0) + w * c
+        out.append(Formula(monomial_name(t), _Q(1), _tidy(svec, -mon[col]),
                            description=f"Solved S-series form of {t}.",
                            label="solved"))
     return out

@@ -42,6 +42,25 @@ def test_import_and_catalog_load_only_the_series():
     assert "multiprocessing" not in modules
 
 
+def test_catalog_builds_rows_only_for_the_identities_it_solves_from():
+    # after the catalog, a rows() call hits the cache exactly for the
+    # identities that were built
+    _, out = _fresh(
+        "import lihex\n"
+        "from lihex.series import IDENTITIES, Identity\n"
+        "lihex.catalog()\n"
+        "print(len(IDENTITIES), Identity.rows.cache_info().currsize)\n"
+        "for name, ident in IDENTITIES.items():\n"
+        "    hits = Identity.rows.cache_info().hits\n"
+        "    ident.rows()\n"
+        "    if Identity.rows.cache_info().hits > hits:\n"
+        "        print(name)\n")
+    counts, *built = out.splitlines()
+    assert counts == "33 8"
+    assert sorted(built) == ["i2", "i3", "r3", "r4b", "r4c", "r4d", "r4e",
+                             "r5"]
+
+
 @pytest.mark.parametrize("argv, printed", [
     (["digits", "--constant", "zeta3", "--position", "100", "--count",
       "12"], "56A352A65193"),

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lihex import series
-from lihex.errors import (DomainError, PrecisionError, UnknownName,
-                          UnsupportedArgument)
+from lihex.errors import (DomainError, PrecisionError, RankDeficient,
+                          UnknownName, UnsupportedArgument)
 from lihex.ladders import RELATIONS, check_relation, eval_ladder
 from lihex.mp import special as sp
 from lihex.ladders import _log2_top
@@ -514,3 +514,43 @@ def test_a_derived_formula_solves_only_its_own_identities(clear_caches,
     assert derived_catalog()["pi3"] is pi3
     assert sorted(solved) == [("i2",), ("i3",), ("r3",),
                               ("r4b", "r4c", "r4d", "r4e"), ("r5",)]
+
+
+# sha256 of every identity's integer rows: its denominator, each atom's
+# repr with its column of coefficients, and the mass bound.  The derived
+# formulas are solved from these rows, and the checks sum them
+ROWS_SHA256 = (
+    "af358f8f45019d9c1886bf4367e9cdeb6541e7e939d3c9685685461e171914aa")
+
+
+def test_identity_rows_are_pinned():
+    recs = []
+    for name, ident in IDENTITIES.items():
+        rows = ident.rows()
+        recs.append([name, rows.den,
+                     [[repr(a), [row[i] for row in rows.coefs]]
+                      for i, a in enumerate(rows.atoms)],
+                     rows.mass_bits])
+    text = json.dumps(recs, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256
+
+
+@pytest.mark.parametrize("target, message", [
+    (Monomial(zeta=3), "target zeta(3) never appears in the relations"),
+    # log2^4 takes r4b's one pivot, so pi^2 log2^2 has none
+    (Monomial(pi=2, log2=2), "target pi^2*log2^2 is not determined"),
+    (Monomial(log2=4),
+     "target log2^4 is entangled with free monomials"),
+])
+def test_an_undetermined_target_is_rank_deficient(target, message):
+    with pytest.raises(RankDeficient) as err:
+        solve_formulas([IDENTITIES["r4b"]], [target])
+    assert str(err.value) == message
+
+
+def test_a_solved_sqrt2_monomial_is_named_for_its_factor():
+    # h1's imaginary part: S_{1,1}(c) + S_{1,3}(c) = (sqrt2/8) pi
+    target = Monomial(pi=1, sqrt2=1)
+    f, = solve_formulas([IDENTITIES["h1"]], [target])
+    assert f.name == "pi_sqrt2" and f.name not in catalog()
+    assert _close(f.value(P), target.value(P), slack=2)
