@@ -235,12 +235,18 @@ def _cmd_hyper(args: argparse.Namespace) -> int:
 
 
 def _default_digits(bits: int, n: int) -> int:
-    """Largest coefficient size a search over n values at bits admits."""
+    """Largest coefficient size a search over n values at bits admits,
+    at least 1: a bisection, since required_bits rises with the digits
+    and is at least 16 bits a digit."""
     from .relfind import required_bits
-    d = 1
-    while required_bits(n, d + 1) <= bits:
-        d += 1
-    return d
+    lo, hi = 1, bits // 16 + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if required_bits(n, mid) <= bits:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:

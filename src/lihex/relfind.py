@@ -106,6 +106,7 @@ the heights where coincidences live (Ferguson, Bailey & Arno,
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -260,7 +261,28 @@ def required_bits(n: int, max_digits: int) -> int:
     admit a coincidental vector of height 10**d with a residual near
     10**(-d(n-1)), and the search must see past it.
     """
-    return max(16 * max_digits, (10 ** (n * max_digits)).bit_length() + 64)
+    return max(16 * max_digits, _bitlen_pow10(n * max_digits) + 64)
+
+
+def _bitlen_pow10(k: int) -> int:
+    """bitlen(10**k) = floor(k*log2(10)) + 1 for k >= 0, forming 10**k
+    only when k*log2(10) lies within 10^-18 of an integer.
+
+    With k < 10^D, log2(10) = ln(10)/ln(2) comes from three correctly
+    rounded decimal operations at D + 20 digits, so it is within
+    2*10^(-D-19) of itself, relative; its product with k is exact, and
+    within 10^-18 of k*log2(10).
+    """
+    digits = k.bit_length() // 3 + 1  # k < 8^D <= 10^D
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 20
+        x = ctx.divide(ctx.ln(10), ctx.ln(2))
+        ctx.prec = 2 * digits + 21
+        x *= k
+        margin = decimal.Decimal("1e-18")
+        if margin < x % 1 < 1 - margin:
+            return int(x) + 1
+    return (10 ** k).bit_length()
 
 
 def _shift(v: int, s: int) -> int:

@@ -8,13 +8,13 @@ floor(p(k+1)/2) = floor((K+1)/2) + floor(p/2).  So a formula is summed
 as one S_{n,1} series over K, its numerators periodic in K mod
 P = 8*lcm(p) over one odd denominator V.  Terms whose net power of two
 is nonnegative are folded in groups: the fractions A 2^e / odd(K)^n of
-consecutive terms of one residue class of K mod P are summed exactly
-over V times the product of their moduli, so one modular exponentiation
-and one floor serve the whole group.  The small remainder of the series
-is added in fixed point.  Peak memory is therefore independent of d.
-The guard bits below the window are sized from the number of summed
-terms, and a window is returned only when that error bound proves every
-digit.
+consecutive terms of one residue class of K mod P and one 2-adic
+valuation of K are summed exactly over V times the product of their
+moduli, so one modular exponentiation and one floor serve the whole
+group.  The small remainder of the series is added in fixed point.
+Peak memory is therefore independent of d.  The guard bits below the
+window are sized from the number of summed terms, and a window is
+returned only when that error bound proves every digit.
 """
 
 from __future__ import annotations
@@ -137,24 +137,20 @@ def _sum_block(t: _Table, shift: int, acc_bits: int, k0: int,
                k1: int) -> int:
     """Signed fixed-point contribution of terms k0 <= K < k1.
 
-    Term K is a * 2^ee / (v*m) with m = odd(K)^n.  Terms with ee >= 0
-    are collected per residue class r of K mod P (so a is fixed) until
-    the product M of their m reaches _FOLD_BITS less the bits of v; with
-    e0 the least ee of the group, C = sum 2^(ee - e0) * M/m, and the group
-    is the one fraction a * 2^e0 * C / (v*M), exact mod 1 for any moduli,
-    floored once.  Each class is walked from its largest K down.  Since
-    8 | P, a class with r mod 8 nonzero has one 2-adic valuation, so its
-    odd parts and exponents move in fixed steps (`_stepped_class_sum`);
-    the classes r = 0 (mod 8) find each K's valuation (`_class_sum`).
-    Both return the same int for any class.
+    Term K is a * 2^ee / (v*m) with m = odd(K)^n.  Terms are folded per
+    residue class r of K mod P and 2-adic valuation of K (so a and the
+    valuation are fixed), each walked from its largest K down: terms
+    with ee >= 0 are collected until the product M of their m reaches
+    _FOLD_BITS less the bits of v; with e0 the least ee of the group,
+    C = sum 2^(ee - e0) * M/m, and the group is the one fraction
+    a * 2^e0 * C / (v*M), exact mod 1 for any moduli, floored once.
     """
     period = len(t.nums)
     acc = 0
     for r, a in enumerate(t.nums):
         top = k1 - 1 - (k1 - 1 - r) % period
         if a and top >= k0:
-            sum_class = _stepped_class_sum if r & 7 else _class_sum
-            acc += sum_class(t, a, shift, acc_bits, k0, top)
+            acc += _class_sum(t, a, shift, acc_bits, k0, top, period)
     return acc
 
 
@@ -174,57 +170,36 @@ def _floor_group(a: int, C: int, vM: int, e0: int, acc_bits: int) -> int:
 
 
 def _class_sum(t: _Table, a: int, shift: int, acc_bits: int, k0: int,
-               top: int) -> int:
-    """The terms K = top, top - P, ... >= k0 of one class, numerator a,
-    each with its own 2-adic valuation."""
-    n, v, period = t.n, t.v, len(t.nums)
+               top: int, stride: int) -> int:
+    """The terms K = top, top - stride, ... >= k0 of one class, numerator a.
+
+    While v2(top) >= v2(stride) the class mixes valuations: its terms
+    K = top - stride, top - 3*stride, ... are summed by a recursive call
+    at stride 2*stride, and the stride doubles, so each valuation is
+    summed as one class.  What is left has top's valuation v2, so down
+    the class the odd part q = K >> v2 falls by stride >> v2 and
+    ee = shift - floor((K+1)/2) - v2*n rises by h = stride/2: the
+    leading terms with ee < 0 are the tail, and every later one joins a
+    group at 2^s above the group's least ee, e0, with no rescale.
+    """
+    acc = 0
+    while top & -top >= stride & -stride:
+        if top - stride >= k0:
+            acc += _class_sum(t, a, shift, acc_bits, k0, top - stride,
+                              2 * stride)
+        stride *= 2
+    n, v = t.n, t.v
     # a group is full once M has _FOLD_BITS less the bits of v
     full = 1 << (_FOLD_BITS - v.bit_length() - 1)
-    acc, C, M, e0 = 0, 0, 1, 0
-    # largest K first: ee then mostly rises along a group, so C is
-    # seldom rescaled to a new least ee
-    for K in range(top, k0 - 1, -period):
-        v2 = (K & -K).bit_length() - 1
-        m = (K >> v2) ** n
-        ee = shift - ((K + 1) >> 1) - v2 * n
-        if ee >= 0:
-            if not C:
-                e0 = ee
-            elif ee < e0:
-                C <<= e0 - ee
-                e0 = ee
-            C = C * m + (M << (ee - e0))
-            M *= m
-            if M >= full:
-                acc += _floor_group(a, C, M * v, e0, acc_bits)
-                C, M = 0, 1
-        else:
-            acc += _tail_term(a, v * m, acc_bits + ee)
-    if C:
-        acc += _floor_group(a, C, M * v, e0, acc_bits)
-    return acc
-
-
-def _stepped_class_sum(t: _Table, a: int, shift: int, acc_bits: int,
-                       k0: int, top: int) -> int:
-    """`_class_sum` for a class r with r mod 8 nonzero.  Its valuation v2
-    is r's, so down the class the odd part q = K >> v2 falls by P >> v2
-    and ee = shift - floor((K+1)/2) - v2*n rises by h = P/2: the leading
-    terms with ee < 0 are the tail, and every later one joins a group at
-    2^s above the group's least ee, e0, with no rescale."""
-    n, v, period = t.n, t.v, len(t.nums)
-    # a group is full once M has _FOLD_BITS less the bits of v
-    full = 1 << (_FOLD_BITS - v.bit_length() - 1)
-    h = period >> 1
+    h = stride >> 1
     v2 = (top & -top).bit_length() - 1
-    step = period >> v2
+    step = stride >> v2
     q = top >> v2
     ee = shift - ((top + 1) >> 1) - v2 * n
-    # the class holds (top - k0)//P + 1 terms, of which the first
+    # the class holds (top - k0)//stride + 1 terms, of which the first
     # ceil(-ee / h) have ee < 0
-    terms = (top - k0) // period + 1
+    terms = (top - k0) // stride + 1
     tail = min(terms, max(0, -(ee // h)))
-    acc = 0
     for _ in range(tail):
         acc += _tail_term(a, v * q ** n, acc_bits + ee)
         q -= step

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import lihex.series
-from lihex.cli import main
+from lihex.cli import _default_digits, main
 from lihex.hyper import _MAX_BITS, CHECKS
 
 CANONICAL = dict(sort_keys=True, separators=(",", ":"))
@@ -261,6 +261,36 @@ def test_discover_default_digits_follow_the_precision_rule(capsys):
     rc, _, err = run(capsys, "discover", "--values", EIGHT,
                      "--max-digits", "8")
     assert rc == 2 and "usage error" in err and "bits" in err
+
+
+def _default_digits_by_steps(bits, n):
+    d = 1
+    while max(16 * (d + 1), (10 ** (n * (d + 1))).bit_length() + 64) <= bits:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("bits,n", [(2 ** 14, 2), (2 ** 14, 3), (2 ** 14, 8),
+                                    (2 ** 16, 3), (2 ** 16, 8)])
+def test_default_digits_equal_the_stepped_scan(bits, n):
+    assert _default_digits(bits, n) == _default_digits_by_steps(bits, n)
+
+
+def test_default_digits_at_the_precision_ceiling_come_at_once():
+    from lihex.relfind import required_bits
+    for n in (2, 3, 8, 40):
+        t0 = time.perf_counter()
+        d = _default_digits(2 ** 23, n)
+        assert time.perf_counter() - t0 < 0.5
+        assert required_bits(n, d) <= 2 ** 23 < required_bits(n, d + 1)
+
+
+def test_discover_refuses_a_huge_digit_count_at_once(capsys):
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "discover", "--values", "pi,log2sq,catalan,zeta3",
+                     "--bits", "256", "--max-digits", "16000000")
+    assert time.perf_counter() - t0 < 1
+    assert rc == 2 and "256000000 bits" in err
 
 
 # ----------------------------------------------------------------------

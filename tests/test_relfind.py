@@ -288,6 +288,22 @@ def test_verify_refuses_entries_that_are_not_ints(vec):
 # ----------------------------------------------------------------------
 # precision rule, pigeonhole gate and the certified bound
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=40),
+       st.integers(min_value=1, max_value=2000))
+@example(3, 7102)  # 3 * 7102 = 21306, where k*log2(10) is 1.0e-5 from 70777
+def test_precision_rule_equals_the_formed_power(n, d):
+    assert required_bits(n, d) == max(16 * d,
+                                       (10 ** (n * d)).bit_length() + 64)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 28, 4004, 76573, 97879, 100001])
+def test_power_of_ten_bit_length_at_edges_and_convergents(k):
+    # denominators of log2(10)'s convergents put k*log2(10) closest to
+    # an integer: 97879 * log2(10) lies 5.2e-7 below 325147
+    assert relfind._bitlen_pow10(k) == (10 ** k).bit_length()
+
+
 def test_precision_rule_grows_with_dimension():
     # 16 bits per digit is not enough for 8 values: 8*12 digits need
     # 319 bits before the 64-bit margin

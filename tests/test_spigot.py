@@ -19,8 +19,8 @@ from lihex import spigot
 from lihex.errors import DomainError, GuardExhausted
 from lihex.series import Formula, SeriesSpec, catalog, eval_formula
 from lihex.spigot import (DigitRequest, DigitRun, _class_sum, _error_bound,
-                          _formula_jobs, _proved, _stepped_class_sum,
-                          _sum_block, _table, _terms, _window, hex_digits,
+                          _floor_group, _formula_jobs, _proved, _sum_block,
+                          _table, _tail_term, _terms, _window, hex_digits,
                           self_check)
 
 # windows produced by summing the constants conventionally at
@@ -40,6 +40,9 @@ ORACLE_WINDOWS = [
     ("log2_5", 4097, "5A07C12D46F42E73"),
     ("log2_4", 3000, "6D25CAB0DE33ED2A"),
     ("pi_bellard", 20000, "AE937C2354A69FF6"),
+    # at 30000 the classes r = 0 (mod 8) reach 2-adic valuations up to 17
+    ("zeta5", 30000, "A2FB6C010DCCD0E5"),
+    ("pi2_log2cu", 30000, "0BD9B6068D27371C"),
 ]
 
 
@@ -117,13 +120,13 @@ def test_merged_table_is_the_sum_of_the_specs(name):
         assert got == want.get(K, 0), K
 
 
-def test_one_group_is_floored_once():
+def test_each_class_and_valuation_is_one_group():
     # P = 24: the p = 1 spec reaches K = 0, 8, 16 (mod 24), the p = 3 spec
-    # K = 0 (mod 24), where the two add to a negative numerator.  In each
-    # class the moduli odd(K)^3 repeat (K = 8, 32, 128) and share factors
-    # (K = 24, 72, 216), and K = 256 has a smaller net power of two than
-    # K = 280 before it.  Every class stays under the fold, so each is one
-    # group: its exact fractional part, floored once.
+    # K = 0 (mod 24), where the two add to a negative numerator.  Each
+    # class holds K of valuations 3 to 8, and the moduli odd(K)^3 of one
+    # valuation share factors (K = 24, 72, 216).  Every (class, valuation)
+    # stays under the fold, so each is one group: its exact fractional
+    # part, floored once.
     f = Formula("test", Fraction(-5, 9),
                 ((Fraction(1), SeriesSpec(3, 1, (0, 0, 0, 0, 0, 0, 0, -3))),
                  (Fraction(2, 7), SeriesSpec(3, 3, (0, 0, 0, 0, 0, 0, 0, 1)))))
@@ -131,11 +134,16 @@ def test_one_group_is_floored_once():
     t, shift, *_ = _formula_jobs(f, shift0, acc_bits)[0]
     assert len(t.nums) == 24 and t.nums[0] < 0
     terms = _spec_terms(f, shift0, k0, k1)
-    want = 0
-    for r in (0, 8, 16):
-        exact = sum(x for K, x in terms.items() if K % 24 == r)
-        assert exact.denominator > 1
-        want += math.floor(exact % 1 * 2 ** acc_bits)
+    groups = {}
+    for K, x in terms.items():
+        if x:
+            key = K % 24, (K & -K).bit_length() - 1
+            groups[key] = groups.get(key, 0) + x
+    assert {r for r, _ in groups} == {0, 8, 16}
+    assert {v for _, v in groups} == set(range(3, 9))
+    assert all(exact.denominator > 1 for exact in groups.values())
+    want = sum(math.floor(exact % 1 * 2 ** acc_bits)
+               for exact in groups.values())
     assert _sum_block(t, shift, acc_bits, k0, k1) == want
 
 
@@ -160,24 +168,72 @@ def test_block_lies_within_the_error_interval(name, shift0, acc_bits, k0,
     assert -1 < diff < _terms(t, k0, k0 + width) + 1
 
 
+def _per_term_class_sum(t, a, shift, acc_bits, k0, top, stride):
+    """Reference for `_class_sum`: the terms K = top, top - stride, ...
+    >= k0 folded one at a time, each with its own 2-adic valuation, and
+    C rescaled whenever a term's net power of two falls below the
+    group's least."""
+    n, v = t.n, t.v
+    full = 1 << (spigot._FOLD_BITS - v.bit_length() - 1)
+    acc, C, M, e0 = 0, 0, 1, 0
+    for K in range(top, k0 - 1, -stride):
+        v2 = (K & -K).bit_length() - 1
+        m = (K >> v2) ** n
+        ee = shift - ((K + 1) >> 1) - v2 * n
+        if ee >= 0:
+            if not C:
+                e0 = ee
+            elif ee < e0:
+                C <<= e0 - ee
+                e0 = ee
+            C = C * m + (M << (ee - e0))
+            M *= m
+            if M >= full:
+                acc += _floor_group(a, C, M * v, e0, acc_bits)
+                C, M = 0, 1
+        else:
+            acc += _tail_term(a, v * m, acc_bits + ee)
+    if C:
+        acc += _floor_group(a, C, M * v, e0, acc_bits)
+    return acc
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(catalog())),
        st.integers(min_value=1, max_value=2**17),
        st.integers(min_value=0, max_value=4000),
        st.integers(min_value=-64, max_value=2000),
        st.integers(min_value=16, max_value=200))
-def test_stepped_classes_match_the_per_term_loop(name, k0, width, lead,
-                                                 acc_bits):
+def test_class_loop_matches_the_per_term_reference(name, k0, width, lead,
+                                                   acc_bits):
     # k0 up to 2^17 makes odd parts of up to 17 bits, so a wide block
     # fills groups to the fold; a shift near k0/2 puts the split between
-    # the tail (ee < 0) and the folded terms anywhere in the block
+    # the tail (ee < 0) and the folded terms anywhere in the block.  A
+    # class r with v2(r) < v2(P) has r's valuation throughout; any other
+    # class is, for each v >= v2(P), the K = r (mod P) with v2(K) = v:
+    # K = 2^v (mod 2^(v+1)) and K = r (mod odd(P)), stride odd(P)*2^(v+1)
     t = _table(catalog()[name])
     period, k1, shift = len(t.nums), k0 + width, k0 // 2 + lead
+    low = period & -period
+    odd = period // low
     for r, a in enumerate(t.nums):
         top = k1 - 1 - (k1 - 1 - r) % period
-        if a and r & 7 and top >= k0:
-            args = (t, a, shift, acc_bits, k0, top)
-            assert _stepped_class_sum(*args) == _class_sum(*args), r
+        if not a or top < k0:
+            continue
+        args = (t, a, shift, acc_bits, k0)
+        if r % low:
+            want = _per_term_class_sum(*args, top, period)
+        else:
+            want = 0
+            for v in range(low.bit_length() - 1, top.bit_length()):
+                two = 2 << v
+                stride = odd * two
+                c = (r * two * pow(two, -1, odd)
+                     + (1 << v) * odd * pow(odd, -1, two)) % stride
+                top_v = top - (top - c) % stride
+                if top_v >= k0:
+                    want += _per_term_class_sum(*args, top_v, stride)
+        assert _class_sum(*args, top, period) == want, r
 
 
 @pytest.mark.parametrize("name", ["pi", "catalan", "zeta3", "beta3",
